@@ -1,7 +1,8 @@
 //! Incremental-sweep bench for the coupled fault field: one full
 //! descending sweep measured three ways — the legacy per-voltage field,
-//! a coupled-field rescan (carry disabled), and the coupled-field
-//! incremental kernel (carry enabled) — verifying that both coupled paths
+//! a coupled-field rescan (one `run_point` per voltage, which never
+//! carries), and the coupled-field incremental kernel (a full `run`, which
+//! carries) — verifying that both coupled paths
 //! produce identical per-point reports and recording wall-clock timings
 //! to `BENCH_incremental_sweep.json`.
 //!
@@ -13,8 +14,8 @@ use std::time::Instant;
 
 use hbm_traffic::DataPattern;
 use hbm_undervolt::{
-    ExecutionMode, Experiment, FaultFieldMode, KernelBackend, Platform, ReliabilityConfig,
-    ReliabilityReport, ReliabilityTester, TestScope, VoltageSweep,
+    ExecutionMode, Experiment, FaultFieldMode, Platform, ReliabilityConfig, ReliabilityTester,
+    TestScope, VoltagePoint, VoltageSweep,
 };
 use hbm_units::Millivolts;
 use serde::Serialize;
@@ -42,7 +43,7 @@ struct Record {
     results: Vec<Entry>,
 }
 
-fn workload(fault_field: FaultFieldMode, carry_forward: bool) -> ReliabilityTester {
+fn workload(fault_field: FaultFieldMode) -> ReliabilityTester {
     let config = ReliabilityConfig {
         sweep: VoltageSweep::new(Millivolts(1200), Millivolts(810), Millivolts(5))
             .expect("static sweep"),
@@ -53,34 +54,52 @@ fn workload(fault_field: FaultFieldMode, carry_forward: bool) -> ReliabilityTest
         sample_words: None,
         mode: ExecutionMode::CachedMasks,
         fault_field,
-        kernel: KernelBackend::Auto,
-        carry_forward,
     };
     ReliabilityTester::new(config).expect("config valid")
 }
 
-/// Best-of-N wall clock for the sweep under one fault-field/carry setting,
-/// plus the report of the final run (all runs are bit-identical).
-fn time_sweep(fault_field: FaultFieldMode, carry_forward: bool) -> (f64, ReliabilityReport) {
-    let tester = workload(fault_field, carry_forward);
+/// The whole sweep as one `run`: coupled-field sweeps carry their working
+/// set from point to point.
+fn full_run(tester: &ReliabilityTester, platform: &mut Platform) -> Vec<VoltagePoint> {
+    Experiment::run(tester, platform).expect("sweep").points
+}
+
+/// The sweep as one `run_point` per voltage: every point rescans.
+fn per_point(tester: &ReliabilityTester, platform: &mut Platform) -> Vec<VoltagePoint> {
+    let ports = tester.scoped_ports(platform).expect("scope valid");
+    tester
+        .config()
+        .sweep
+        .iter()
+        .map(|v| tester.run_point(platform, &ports, v).expect("point"))
+        .collect()
+}
+
+/// Best-of-N wall clock for the sweep under one fault field and driver,
+/// plus the points of the final run (all runs are bit-identical).
+fn time_sweep(
+    fault_field: FaultFieldMode,
+    sweep: fn(&ReliabilityTester, &mut Platform) -> Vec<VoltagePoint>,
+) -> (f64, Vec<VoltagePoint>) {
+    let tester = workload(fault_field);
     let mut best = f64::INFINITY;
-    let mut report = None;
+    let mut points = None;
     for _ in 0..ITERATIONS {
         let mut platform = Platform::builder().seed(SEED).workers(1).build();
         let start = Instant::now();
-        let r = Experiment::run(&tester, &mut platform).expect("sweep");
+        let p = sweep(&tester, &mut platform);
         best = best.min(start.elapsed().as_secs_f64());
-        report = Some(r);
+        points = Some(p);
     }
-    (best, report.expect("at least one iteration"))
+    (best, points.expect("at least one iteration"))
 }
 
-fn total_faults(report: &ReliabilityReport) -> f64 {
-    report.points.iter().map(|p| p.total_mean_faults()).sum()
+fn total_faults(points: &[VoltagePoint]) -> f64 {
+    points.iter().map(VoltagePoint::total_mean_faults).sum()
 }
 
-fn mean_reuse(report: &ReliabilityReport) -> f64 {
-    let ratios: Vec<f64> = report.points.iter().filter_map(|p| p.mask_reuse).collect();
+fn mean_reuse(points: &[VoltagePoint]) -> f64 {
+    let ratios: Vec<f64> = points.iter().filter_map(|p| p.mask_reuse).collect();
     if ratios.is_empty() {
         0.0
     } else {
@@ -91,13 +110,13 @@ fn mean_reuse(report: &ReliabilityReport) -> f64 {
 fn main() {
     println!("incremental_sweep: seed {SEED}, best of {ITERATIONS} runs");
 
-    let (legacy_secs, legacy) = time_sweep(FaultFieldMode::PerVoltage, true);
+    let (legacy_secs, legacy) = time_sweep(FaultFieldMode::PerVoltage, full_run);
     println!("  legacy per-voltage : {legacy_secs:.3}s");
 
-    let (rescan_secs, rescan) = time_sweep(FaultFieldMode::MonotoneCoupled, false);
+    let (rescan_secs, rescan) = time_sweep(FaultFieldMode::MonotoneCoupled, per_point);
     println!("  coupled rescan     : {rescan_secs:.3}s");
 
-    let (inc_secs, incremental) = time_sweep(FaultFieldMode::MonotoneCoupled, true);
+    let (inc_secs, incremental) = time_sweep(FaultFieldMode::MonotoneCoupled, full_run);
     let speedup = rescan_secs / inc_secs;
     println!("  coupled incremental: {inc_secs:.3}s  ({speedup:.2}x vs rescan)");
 
@@ -105,7 +124,7 @@ fn main() {
     // statistic — fault counts, polarities, per-port splits — must equal
     // the from-scratch coupled rescan exactly.
     assert_eq!(
-        incremental.points, rescan.points,
+        incremental, rescan,
         "incremental coupled sweep diverged from the from-scratch rescan"
     );
     assert!(
@@ -141,7 +160,7 @@ fn main() {
         bench: "incremental_sweep",
         seed: SEED,
         iterations: ITERATIONS,
-        points: incremental.points.len(),
+        points: incremental.len(),
         words_per_pc: 4096,
         note: "speedup_vs_rescan = coupled-rescan wall clock / this path's wall \
                clock, best of N; the two coupled paths are asserted per-point \

@@ -14,7 +14,8 @@ fn bench_injector(c: &mut Criterion) {
 
     for backend in [KernelBackend::Scalar, KernelBackend::BitSliced] {
         let kernel = injector.kernel(FaultFieldMode::PerVoltage, backend);
-        let mut group = c.benchmark_group(format!("injector_masks/{}", backend.as_token()));
+        let name = format!("{backend:?}").to_lowercase();
+        let mut group = c.benchmark_group(format!("injector_masks/{name}"));
         group.throughput(Throughput::Elements(words));
         for mv in [1000u32, 950, 900, 860, 830] {
             group.bench_with_input(BenchmarkId::from_parameter(mv), &mv, |b, &mv| {

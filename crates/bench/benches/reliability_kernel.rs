@@ -4,10 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hbm_device::PcIndex;
 use hbm_traffic::DataPattern;
-use hbm_undervolt::{
-    ExecutionMode, FaultFieldMode, KernelBackend, Platform, ReliabilityConfig, ReliabilityTester,
-    TestScope, VoltageSweep,
-};
+use hbm_undervolt::{Platform, ReliabilityConfig, ReliabilityTester, TestScope, VoltageSweep};
 use hbm_units::Millivolts;
 
 fn bench_reliability(c: &mut Criterion) {
@@ -23,11 +20,7 @@ fn bench_reliability(c: &mut Criterion) {
                 patterns: vec![DataPattern::AllOnes],
                 scope: TestScope::SinglePc(PcIndex::new(0).expect("valid pc")),
                 words_per_pc: Some(words),
-                sample_words: None,
-                mode: ExecutionMode::CachedMasks,
-                fault_field: FaultFieldMode::PerVoltage,
-                kernel: KernelBackend::Auto,
-                carry_forward: true,
+                ..ReliabilityConfig::date21()
             };
             let tester = ReliabilityTester::new(config).expect("config valid");
             let mut platform = Platform::builder().seed(7).build();

@@ -9,10 +9,8 @@
 use std::time::Instant;
 
 use hbm_device::TimingStretchModel;
-use hbm_traffic::DataPattern;
 use hbm_undervolt::{
-    ExecutionMode, Experiment, FaultFieldMode, KernelBackend, Platform, ReliabilityConfig,
-    ReliabilityReport, ReliabilityTester, TestScope, VoltageSweep,
+    Experiment, Platform, ReliabilityConfig, ReliabilityReport, ReliabilityTester, VoltageSweep,
 };
 use hbm_units::Millivolts;
 use serde::Serialize;
@@ -55,14 +53,8 @@ fn workload() -> ReliabilityTester {
         sweep: VoltageSweep::new(Millivolts(960), Millivolts(860), Millivolts(20))
             .expect("static sweep"),
         batch_size: 2,
-        patterns: vec![DataPattern::AllOnes, DataPattern::AllZeros],
-        scope: TestScope::EntireHbm,
         words_per_pc: Some(1024),
-        sample_words: None,
-        mode: ExecutionMode::CachedMasks,
-        fault_field: FaultFieldMode::PerVoltage,
-        kernel: KernelBackend::Auto,
-        carry_forward: true,
+        ..ReliabilityConfig::date21()
     };
     ReliabilityTester::new(config).expect("config valid")
 }

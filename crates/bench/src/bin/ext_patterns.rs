@@ -8,10 +8,7 @@
 
 use hbm_device::PcIndex;
 use hbm_traffic::DataPattern;
-use hbm_undervolt::{
-    ExecutionMode, FaultFieldMode, KernelBackend, Platform, ReliabilityConfig, ReliabilityTester,
-    TestScope, VoltageSweep,
-};
+use hbm_undervolt::{Platform, ReliabilityConfig, ReliabilityTester, TestScope, VoltageSweep};
 use hbm_units::Millivolts;
 
 fn main() {
@@ -34,11 +31,7 @@ fn main() {
         patterns: patterns.clone(),
         scope: TestScope::SinglePc(PcIndex::new(4).expect("pc4")),
         words_per_pc: Some(4096),
-        sample_words: None,
-        mode: ExecutionMode::CachedMasks,
-        fault_field: FaultFieldMode::PerVoltage,
-        kernel: KernelBackend::Auto,
-        carry_forward: true,
+        ..ReliabilityConfig::date21()
     };
     let tester = ReliabilityTester::new(config).expect("config valid");
     let mut platform = Platform::builder().seed(seed).build();

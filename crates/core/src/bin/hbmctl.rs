@@ -14,7 +14,6 @@
 //!                    [--from MV] [--to MV] [--step MV]
 //!                    [--batch N] [--words N] [--sample N]
 //!                    [--exec cached|traffic]
-//!                    [--kernel scalar|bitsliced|auto]
 //!                    [--fault-field per-voltage|coupled]
 //! hbmctl sweep       [reliability flags] [--checkpoint FILE] [--resume]
 //!                    [--retries N] [--point-deadline MS] [--v-crash MV]
@@ -46,8 +45,9 @@
 //! from `hbm_fleet::api`, so the two transports cannot drift.
 //!
 //! Exit codes: `0` success, `1` runtime failure (an experiment, device or
-//! I/O error), `2` configuration/usage error (bad flags, bad values —
-//! printed with the usage text).
+//! I/O error), `2` configuration/usage error (bad values, or a flag the
+//! command does not take — printed with the usage text, before any work
+//! runs).
 
 use std::process::ExitCode;
 
@@ -62,14 +62,46 @@ use hbm_traffic::DataPattern;
 use hbm_undervolt::report::{to_json, Render};
 use hbm_undervolt::{
     summarize, ExecutionMode, Experiment, FaultFieldMode, GovernorConfig, GovernorScenario,
-    GuardbandFinder, JsonlSink, KernelBackend, PlanRequest, Platform, PowerSweep, ProgressSink,
-    ReliabilityConfig, ReliabilityTester, SweepCheckpoint, SweepConfig, SystemClock, Telemetry,
-    TestScope, TradeOffAnalysis, VoltageSweep, WorkloadMode,
+    GuardbandFinder, JsonlSink, PlanRequest, Platform, PowerSweep, ProgressSink, ReliabilityConfig,
+    ReliabilityTester, SweepCheckpoint, SweepConfig, SystemClock, Telemetry, TestScope,
+    TradeOffAnalysis, VoltageSweep, WorkloadMode,
 };
 use hbm_units::{Millivolts, Ratio};
 
 /// Flags that take no value.
 const BOOLEAN_FLAGS: &[&str] = &["resume", "progress", "keep-exact"];
+
+/// The measurement flags `reliability` and `sweep` share.
+const RELIABILITY_FLAGS: &str =
+    "seed workers format from to step batch words sample exec fault-field";
+
+/// The flags each command reads, as space-separated lists mirroring
+/// [`USAGE`]; any other flag is a usage error. `fleet` subcommands are
+/// keyed `"fleet <sub>"`; `None` for an unknown command.
+fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "guardband" | "power-sweep" | "trade-off" => &["seed workers format"],
+        "reliability" => &[RELIABILITY_FLAGS],
+        "sweep" => &[
+            RELIABILITY_FLAGS,
+            "checkpoint resume retries point-deadline v-crash transient-prob \
+             transient-window trace-file progress",
+        ],
+        "governor" => &[
+            "seed workers format workload latency-budget bandwidth-target \
+             step floor margin canary-words",
+        ],
+        "fault-map" => &["seed out"],
+        "plan" => &["seed capacity-gb tolerance workload latency-budget min-bandwidth"],
+        "fleet sweep" => &["devices seed workers from to step words weak-reference out export"],
+        "fleet query" => &["artifact device target-rate min-pcs format"],
+        "fleet export" => &["artifact out"],
+        "fleet summary" | "fleet fidelity" => &["artifact format"],
+        "fleet compress" => &["artifact out keep-exact"],
+        "serve" => &["artifact serve-workers rescan-cache-mb"],
+        _ => return None,
+    })
+}
 
 /// A CLI failure, split by blame so `main` can pick the exit code:
 /// configuration/usage problems exit 2 (with the usage text), runtime
@@ -114,6 +146,26 @@ impl Args {
             }
         }
         Ok(Args { positional, flags })
+    }
+
+    /// Rejects the first flag `command` does not take. Unknown commands
+    /// pass through, so their dispatch can name them.
+    fn check_flags(&self, command: &str) -> Result<(), CliError> {
+        let Some(accepted) = accepted_flags(command) else {
+            return Ok(());
+        };
+        let takes = |name: &str| {
+            accepted
+                .iter()
+                .flat_map(|list| list.split_whitespace())
+                .any(|flag| flag == name)
+        };
+        match self.flags.iter().find(|(name, _)| !takes(name)) {
+            Some((name, _)) => Err(CliError::config(format!(
+                "hbmctl {command} does not take --{name}"
+            ))),
+            None => Ok(()),
+        }
     }
 
     fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
@@ -167,8 +219,7 @@ const USAGE: &str = "usage:
   hbmctl power-sweep [--seed N] [--workers N] [--format text|csv|json]
   hbmctl reliability [--seed N] [--workers N] [--format text|csv|json]
                      [--from MV] [--to MV] [--step MV] [--batch N] [--words N] [--sample N]
-                     [--exec cached|traffic] [--kernel scalar|bitsliced|auto]
-                     [--fault-field per-voltage|coupled]
+                     [--exec cached|traffic] [--fault-field per-voltage|coupled]
   hbmctl sweep       [reliability flags] [--checkpoint FILE] [--resume]
                      [--retries N] [--point-deadline MS] [--v-crash MV]
                      [--transient-prob P] [--transient-window MV]
@@ -199,6 +250,10 @@ fn run() -> Result<(), CliError> {
         .first()
         .map(String::as_str)
         .ok_or_else(|| CliError::config("no command given"))?;
+    match (command, args.positional.get(1)) {
+        ("fleet", Some(sub)) => args.check_flags(&format!("fleet {sub}"))?,
+        _ => args.check_flags(command)?,
+    }
     let seed: u64 = args.flag("seed", 7)?;
     let workers: usize = args.flag("workers", 1)?;
 
@@ -283,12 +338,6 @@ fn reliability_config(args: &Args) -> Result<ReliabilityConfig, CliError> {
             )))
         }
     };
-    let kernel_token: String = args.flag("kernel", "auto".to_owned())?;
-    let kernel = KernelBackend::from_token(&kernel_token).ok_or_else(|| {
-        CliError::config(format!(
-            "unknown kernel: {kernel_token} (use scalar, bitsliced or auto)"
-        ))
-    })?;
     let field_token: String = args.flag("fault-field", "per-voltage".to_owned())?;
     let fault_field = FaultFieldMode::from_token(&field_token).ok_or_else(|| {
         CliError::config(format!(
@@ -305,8 +354,6 @@ fn reliability_config(args: &Args) -> Result<ReliabilityConfig, CliError> {
         sample_words: sample,
         mode,
         fault_field,
-        kernel,
-        carry_forward: true,
     })
 }
 
@@ -317,7 +364,6 @@ fn supervised_sweep(seed: u64, workers: usize, args: &Args) -> Result<(), CliErr
     let format: String = args.flag("format", "text".to_owned())?;
     let reliability = reliability_config(args)?;
     let fault_field = reliability.fault_field;
-    let kernel = reliability.kernel;
     let mut config = SweepConfig::from_reliability(reliability)
         .seed(seed)
         .workers(workers)
@@ -346,7 +392,6 @@ fn supervised_sweep(seed: u64, workers: usize, args: &Args) -> Result<(), CliErr
     if resume {
         if let Some(path) = &checkpoint_path {
             check_resume_fault_field(path, fault_field)?;
-            check_resume_kernel(path, kernel)?;
         }
     }
 
@@ -406,29 +451,6 @@ fn check_resume_fault_field(path: &str, requested: FaultFieldMode) -> Result<(),
             "--resume: checkpoint {path} was recorded with --fault-field {}, \
              but this run requests --fault-field {}",
             config.fault_field.as_token(),
-            requested.as_token()
-        )));
-    }
-    Ok(())
-}
-
-/// Rejects `--resume` when the checkpoint on disk was recorded under a
-/// different `--kernel` backend. All backends are bit-identical, but a
-/// resumed campaign must stay reproducible by its recorded configuration
-/// alone; like a fault-field mix, this is a *usage* mistake (exit 2), and
-/// an unreadable checkpoint is left to the supervisor's own validation.
-fn check_resume_kernel(path: &str, requested: KernelBackend) -> Result<(), CliError> {
-    let Ok(contents) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Ok(checkpoint) = serde_json::from_str::<SweepCheckpoint>(&contents) else {
-        return Ok(());
-    };
-    if checkpoint.kernel != requested.as_token() {
-        return Err(CliError::config(format!(
-            "--resume: checkpoint {path} was recorded with --kernel {}, \
-             but this run requests --kernel {}",
-            checkpoint.kernel,
             requested.as_token()
         )));
     }

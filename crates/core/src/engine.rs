@@ -18,9 +18,7 @@
 //! the default of 1 keeps the exact sequential code path.
 
 use hbm_device::{DeviceError, PcIndex, PcShard, PortId, Word256, WordOffset};
-use hbm_faults::{
-    CarryStats, FaultFieldMode, FaultInjector, FieldKernel, KernelBackend, MaskKernel,
-};
+use hbm_faults::{CarryStats, FaultInjector, FieldKernel, MaskKernel};
 use hbm_traffic::{DataPattern, MacroProgram, MemoryPort, PortStats, TrafficGenerator};
 use hbm_units::Millivolts;
 
@@ -293,11 +291,12 @@ fn build_sequential(
 /// after all builders join — so the trace is identical at every worker
 /// count.
 ///
-/// `fault_field` and `backend` pick the [`MaskKernel`] that supplies the
-/// masks (all backends are bit-identical, so `backend` only affects speed);
-/// `patterns` is needed up front because dense-regime sequential builds
-/// fold their per-pattern statistics during enumeration (streaming mode)
-/// instead of collecting masks.
+/// `kernel` supplies the masks: the fault field it was built for decides
+/// which faults exist, and its backend only how fast they are found (the
+/// sweeps pass [`hbm_faults::KernelBackend::Auto`]; tests pass the scalar
+/// reference). `patterns` is needed up front because dense-regime
+/// sequential builds fold their per-pattern statistics during enumeration
+/// (streaming mode) instead of collecting masks.
 ///
 /// # Errors
 ///
@@ -310,8 +309,7 @@ pub(crate) fn build_mask_sets(
     words: u64,
     sample_words: Option<u64>,
     voltage: Millivolts,
-    fault_field: FaultFieldMode,
-    backend: KernelBackend,
+    kernel: FieldKernel<'_>,
     patterns: &[DataPattern],
     telemetry: &Telemetry,
 ) -> Result<Vec<PortMasks>, ExperimentError> {
@@ -323,7 +321,6 @@ pub(crate) fn build_mask_sets(
             .into());
         }
     }
-    let kernel = platform.injector().kernel(fault_field, backend);
     let seed = platform.seed();
     let build = move |port: PortId| -> PortMasks {
         let pc = port.direct_pc();
@@ -370,12 +367,13 @@ pub(crate) fn build_mask_sets(
 }
 
 /// The incremental counterpart of [`build_mask_sets`] for the coupled
-/// fault field: advances each port's carried faulty-word working set to
-/// `voltage` — re-enumerating only words whose masks changed since the
-/// previous point — and folds the carried masks straight into per-pattern
-/// [`MaskSet::Streamed`] statistics, so no point ever materializes a mask
-/// vector. A port with no carry yet (or a carry over a different word
-/// range) is rebuilt from scratch, accounted as `activated`.
+/// fault field (`kernel` must be a coupled-field kernel): advances each
+/// port's carried faulty-word working set to `voltage` — re-enumerating
+/// only words whose masks changed since the previous point — and folds
+/// the carried masks straight into per-pattern [`MaskSet::Streamed`]
+/// statistics, so no point ever materializes a mask vector. A port with
+/// no carry yet (or a carry over a different word range) is rebuilt from
+/// scratch, accounted as `activated`.
 ///
 /// The resulting statistics are bit-identical to a from-scratch
 /// [`build_mask_sets`] at the same voltage: the carry's masks are exact
@@ -399,7 +397,7 @@ pub(crate) fn build_mask_sets_carried(
     words: u64,
     voltage: Millivolts,
     carry: &mut SweepCarry,
-    backend: KernelBackend,
+    kernel: FieldKernel<'_>,
     patterns: &[DataPattern],
     telemetry: &Telemetry,
 ) -> Result<(Vec<PortMasks>, CarryStats), ExperimentError> {
@@ -411,9 +409,6 @@ pub(crate) fn build_mask_sets_carried(
             .into());
         }
     }
-    let kernel = platform
-        .injector()
-        .kernel(FaultFieldMode::MonotoneCoupled, backend);
     let mut total = CarryStats::default();
     let mut sets = Vec::with_capacity(ports.len());
     for &port in ports {
@@ -454,6 +449,7 @@ pub(crate) fn build_mask_sets_carried(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbm_faults::{FaultFieldMode, KernelBackend};
 
     fn jobs_for(
         platform: &Platform,
@@ -516,8 +512,9 @@ mod tests {
                 128,
                 sample_words,
                 Millivolts(860),
-                FaultFieldMode::PerVoltage,
-                KernelBackend::Auto,
+                platform
+                    .injector()
+                    .kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto),
                 &[DataPattern::AllOnes, DataPattern::Checkerboard],
                 Telemetry::disabled(),
             )
@@ -560,8 +557,9 @@ mod tests {
                 256,
                 None,
                 Millivolts(880),
-                FaultFieldMode::PerVoltage,
-                KernelBackend::Auto,
+                platform
+                    .injector()
+                    .kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto),
                 &[DataPattern::AllOnes],
                 Telemetry::disabled(),
             )
@@ -586,13 +584,94 @@ mod tests {
             64,
             None,
             Millivolts(900),
-            FaultFieldMode::PerVoltage,
-            KernelBackend::Auto,
+            platform
+                .injector()
+                .kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto),
             &[DataPattern::AllOnes],
             Telemetry::disabled(),
         )
         .unwrap_err();
         assert!(err.to_string().contains('6'), "{err}");
+    }
+
+    fn port_stats(sets: &[PortMasks], patterns: &[DataPattern]) -> Vec<PortStats> {
+        sets.iter()
+            .flat_map(|set| patterns.iter().map(|&p| set.stats_for(p)))
+            .collect()
+    }
+
+    #[test]
+    fn auto_kernel_never_changes_results_vs_forced_scalar() {
+        // The backend only changes speed: in both fault fields, at every
+        // point of the quick grid and deep in the dense region, the
+        // density-adaptive kernel builds the same mask sets as the scalar
+        // reference — sequential, sampled and carried.
+        let platform = Platform::builder().seed(7).build();
+        let ports: Vec<PortId> = (0..platform.geometry().total_pcs())
+            .map(|i| PortId::new(i).unwrap())
+            .collect();
+        let patterns = [DataPattern::AllOnes, DataPattern::AllZeros];
+        let mut voltages: Vec<Millivolts> =
+            crate::ReliabilityConfig::quick().sweep.iter().collect();
+        voltages.extend([860, 850, 840].map(Millivolts));
+        voltages.sort_unstable_by(|a, b| b.cmp(a));
+        voltages.dedup();
+        let words = 512;
+        for field in [FaultFieldMode::PerVoltage, FaultFieldMode::MonotoneCoupled] {
+            let scalar = platform.injector().kernel(field, KernelBackend::Scalar);
+            let auto = platform.injector().kernel(field, KernelBackend::Auto);
+            let mut carries = [SweepCarry::new(), SweepCarry::new()];
+            for &v in &voltages {
+                let build = |kernel, sample_words| {
+                    build_mask_sets(
+                        &platform,
+                        &ports,
+                        words,
+                        sample_words,
+                        v,
+                        kernel,
+                        &patterns,
+                        Telemetry::disabled(),
+                    )
+                    .unwrap()
+                };
+                let reference = build(scalar, None);
+                assert_eq!(build(auto, None), reference, "{field:?} at {v}");
+                assert_eq!(
+                    build(auto, Some(96)),
+                    build(scalar, Some(96)),
+                    "{field:?} sampled at {v}"
+                );
+                if field != FaultFieldMode::MonotoneCoupled {
+                    continue;
+                }
+                let carried: Vec<_> = carries
+                    .iter_mut()
+                    .zip([scalar, auto])
+                    .map(|(carry, kernel)| {
+                        build_mask_sets_carried(
+                            &platform,
+                            &ports,
+                            words,
+                            v,
+                            carry,
+                            kernel,
+                            &patterns,
+                            Telemetry::disabled(),
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                assert_eq!(carried[0].1, carried[1].1, "carry accounting at {v}");
+                for (sets, _) in &carried {
+                    assert_eq!(
+                        port_stats(sets, &patterns),
+                        port_stats(&reference, &patterns),
+                        "carried at {v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

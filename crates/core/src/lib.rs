@@ -108,7 +108,6 @@ pub mod characterization;
 mod engine;
 mod error;
 mod experiment;
-pub mod fleet;
 mod governor;
 mod guardband;
 mod platform;
@@ -125,13 +124,12 @@ mod trade_off;
 pub use engine::ShardPort;
 pub use error::ExperimentError;
 pub use experiment::{DynExperiment, Experiment};
-pub use fleet::{supervised_device_record, supervised_sweep_config};
 pub use governor::{
     outcome_saving, GovernorConfig, GovernorOutcome, GovernorScenario, GovernorScenarioReport,
     GovernorScenarioRow, GovernorVariant, TripReason, UndervoltGovernor, WorkloadMode,
 };
 pub use guardband::{GuardbandFinder, GuardbandReport};
-pub use hbm_faults::{FaultFieldMode, FieldKernel, InstructionSet, KernelBackend, MaskKernel};
+pub use hbm_faults::FaultFieldMode;
 pub use platform::{Platform, PlatformBuilder, PowerSample, UndervoltedPort};
 pub use power_test::{PowerPoint, PowerSweep, PowerSweepReport};
 pub use reliability::{

@@ -506,15 +506,6 @@ impl Platform {
         self.workers
     }
 
-    /// Reconfigures the worker count (see [`PlatformBuilder::workers`]).
-    #[deprecated(
-        since = "0.4.0",
-        note = "set the worker count up front via PlatformBuilder::workers or SweepConfig::workers"
-    )]
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
     /// Splits the device into one fault-injecting [`ShardPort`] per pseudo
     /// channel, in global index order — the parallel engine's disjoint
     /// accesses. All shards borrow the device simultaneously, so they can

@@ -133,10 +133,6 @@ impl PowerSweep {
             points: (self.port_steps.len() * self.sweep.len()) as u64,
             from_mv: self.sweep.from().as_u32(),
             to_mv: self.sweep.down_to().as_u32(),
-            // Power sweeps measure through live traffic (`observe`), not a
-            // mask kernel; the scalar token records that no backend choice
-            // applies.
-            kernel: "scalar".to_owned(),
         });
 
         let mut points = Vec::with_capacity(self.port_steps.len() * self.sweep.len());

@@ -105,23 +105,14 @@ pub struct ReliabilityConfig {
     /// How the fault injector keys per-bit randomness across the sweep
     /// (default: [`FaultFieldMode::PerVoltage`], bit-compatible with every
     /// existing report). Under [`FaultFieldMode::MonotoneCoupled`] fault
-    /// sets are inclusion-monotone across descending voltage, which
-    /// enables the incremental carry-forward sweep kernel.
+    /// sets are inclusion-monotone across descending voltage, so sequential
+    /// cached-mask sweeps carry their faulty-word working set from point to
+    /// point ([`ReliabilityTester::uses_carry`]).
+    ///
+    /// How the kernel runs — scalar or bit-sliced per tile, carried or
+    /// rescanned per point — is decided by the kernel itself and never
+    /// changes results, so it is not part of the configuration.
     pub fault_field: FaultFieldMode,
-    /// Whether a coupled-field descending sweep carries its faulty-word
-    /// working set from point to point, re-enumerating only changed words
-    /// (default: `true`). Only effective with
-    /// [`FaultFieldMode::MonotoneCoupled`] in sequential cached-mask runs;
-    /// ignored otherwise. Carried and from-scratch points are bit-identical,
-    /// so this is purely a performance knob.
-    pub carry_forward: bool,
-    /// Which mask-generation backend the fault-injector kernel uses
-    /// (default: [`KernelBackend::Auto`], which bit-slices dense tiles and
-    /// keeps sparse tiles scalar). All backends are bit-identical, so this
-    /// is purely a performance knob; it is recorded in checkpoints and a
-    /// resume refuses a mismatched backend the same way it refuses a
-    /// mismatched fault field.
-    pub kernel: KernelBackend,
 }
 
 impl ReliabilityConfig {
@@ -138,8 +129,6 @@ impl ReliabilityConfig {
             sample_words: None,
             mode: ExecutionMode::CachedMasks,
             fault_field: FaultFieldMode::PerVoltage,
-            carry_forward: true,
-            kernel: KernelBackend::Auto,
         }
     }
 
@@ -157,8 +146,6 @@ impl ReliabilityConfig {
             sample_words: None,
             mode: ExecutionMode::CachedMasks,
             fault_field: FaultFieldMode::PerVoltage,
-            carry_forward: true,
-            kernel: KernelBackend::Auto,
         }
     }
 
@@ -246,9 +233,10 @@ pub struct VoltagePoint {
     /// Fraction of the point's faulty-word working set served unchanged
     /// from the previous point's carry under the incremental coupled-field
     /// kernel (`carried / (carried + refreshed + activated)`). `None` when
-    /// the point was not carried — the legacy field, rescan runs, sampled
-    /// mode, crashed points, and the first point of a carry chain all
-    /// rebuilt from scratch.
+    /// the point was not carried — the per-voltage field, traffic mode,
+    /// sampled mode, single-point runs ([`ReliabilityTester::run_point`]),
+    /// crashed points, and the first point of a carry chain all rebuilt
+    /// from scratch.
     pub mask_reuse: Option<f64>,
 }
 
@@ -263,9 +251,9 @@ fn rate(count: u64, elapsed_secs: f64) -> Option<f64> {
 impl PartialEq for VoltagePoint {
     /// The throughput rates and the carry-reuse ratio are measurements of
     /// *how* the point was computed, not model outputs: reports taken at
-    /// different worker counts, execution modes or carry settings must
-    /// still compare equal, so equality covers only the deterministic
-    /// fields.
+    /// different worker counts or execution modes, and carried or rescanned
+    /// points, must still compare equal, so equality covers only the
+    /// deterministic fields.
     fn eq(&self, other: &Self) -> bool {
         self.voltage == other.voltage
             && self.crashed == other.crashed
@@ -451,7 +439,6 @@ impl ReliabilityTester {
             points: sweep.len() as u64,
             from_mv: sweep.from().as_u32(),
             to_mv: sweep.down_to().as_u32(),
-            kernel: self.config.kernel.as_token().to_owned(),
         });
 
         let mut points = Vec::with_capacity(sweep.len());
@@ -653,13 +640,12 @@ impl ReliabilityTester {
     }
 
     /// `true` if sweeps run the incremental carry-forward kernel: the
-    /// coupled fault field with `carry_forward` enabled, in cached-mask
-    /// mode over sequential (unsampled) word ranges. Sampled mode redraws
-    /// its offsets per voltage, so there is no stable working set to carry.
+    /// coupled fault field in cached-mask mode over sequential (unsampled)
+    /// word ranges. Sampled mode redraws its offsets per voltage, so there
+    /// is no stable working set to carry.
     #[must_use]
     pub fn uses_carry(&self) -> bool {
         self.config.fault_field == FaultFieldMode::MonotoneCoupled
-            && self.config.carry_forward
             && self.config.mode == ExecutionMode::CachedMasks
             && self.config.sample_words.is_none()
     }
@@ -723,7 +709,9 @@ impl ReliabilityTester {
             words,
             voltage,
             carry,
-            self.config.kernel,
+            platform
+                .injector()
+                .kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto),
             &self.config.patterns,
             telemetry,
         )?;
@@ -818,8 +806,9 @@ impl ReliabilityTester {
             words,
             self.config.sample_words,
             voltage,
-            self.config.fault_field,
-            self.config.kernel,
+            platform
+                .injector()
+                .kernel(self.config.fault_field, KernelBackend::Auto),
             &self.config.patterns,
             telemetry,
         )?;
@@ -965,26 +954,33 @@ mod tests {
         assert!(ReliabilityTester::new(c).is_err());
     }
 
+    /// The sweep measured one [`ReliabilityTester::run_point`] at a time:
+    /// every point rescans from scratch, none is carried.
+    fn rescan_points(tester: &ReliabilityTester) -> Vec<VoltagePoint> {
+        let mut platform = platform();
+        let ports = tester.scoped_ports(&platform).unwrap();
+        tester
+            .config()
+            .sweep
+            .iter()
+            .map(|v| tester.run_point(&mut platform, &ports, v).unwrap())
+            .collect()
+    }
+
     #[test]
     fn coupled_incremental_sweep_matches_from_scratch_rescans() {
         let mut config = ReliabilityConfig::quick();
         config.fault_field = FaultFieldMode::MonotoneCoupled;
         config.scope = TestScope::Ports(vec![0, 1, 2, 3]);
-        let mut rescan_config = config.clone();
-        rescan_config.carry_forward = false;
+        let tester = ReliabilityTester::new(config).unwrap();
+        assert!(tester.uses_carry());
 
-        let incremental = ReliabilityTester::new(config)
-            .unwrap()
-            .run(&mut platform())
-            .unwrap();
-        let rescan = ReliabilityTester::new(rescan_config)
-            .unwrap()
-            .run(&mut platform())
-            .unwrap();
+        let incremental = tester.run(&mut platform()).unwrap();
+        let rescan = rescan_points(&tester);
         // Full per-point equality, including per-port statistics: the
         // carried working set must be bit-identical to re-enumerating
         // every point from scratch.
-        assert_eq!(incremental.points, rescan.points);
+        assert_eq!(incremental.points, rescan);
         assert!(
             incremental
                 .points
@@ -1002,36 +998,9 @@ mod tests {
             "a descending sweep must reuse carried masks after the first point"
         );
         assert!(
-            rescan.points.iter().all(|p| p.mask_reuse.is_none()),
+            rescan.iter().all(|p| p.mask_reuse.is_none()),
             "rescan points are not carried"
         );
-    }
-
-    #[test]
-    fn auto_kernel_never_changes_results_vs_forced_scalar() {
-        // The kernel backend is a pure performance knob: a quick sweep
-        // under density-adaptive dispatch must be bit-identical to the
-        // same sweep forced onto the scalar path, in both fault fields.
-        for fault_field in [FaultFieldMode::PerVoltage, FaultFieldMode::MonotoneCoupled] {
-            let mut auto = ReliabilityConfig::quick();
-            auto.fault_field = fault_field;
-            auto.kernel = KernelBackend::Auto;
-            let mut scalar = auto.clone();
-            scalar.kernel = KernelBackend::Scalar;
-
-            let auto_report = ReliabilityTester::new(auto)
-                .unwrap()
-                .run(&mut platform())
-                .unwrap();
-            let scalar_report = ReliabilityTester::new(scalar)
-                .unwrap()
-                .run(&mut platform())
-                .unwrap();
-            assert_eq!(
-                auto_report.points, scalar_report.points,
-                "{fault_field:?}: auto and scalar kernels diverged"
-            );
-        }
     }
 
     #[test]
@@ -1041,13 +1010,8 @@ mod tests {
         // re-keying.
         let mut config = ReliabilityConfig::quick();
         config.fault_field = FaultFieldMode::MonotoneCoupled;
-        config.carry_forward = false;
-        let report = ReliabilityTester::new(config)
-            .unwrap()
-            .run(&mut platform())
-            .unwrap();
-        let totals: Vec<f64> = report
-            .points
+        let points = rescan_points(&ReliabilityTester::new(config).unwrap());
+        let totals: Vec<f64> = points
             .iter()
             .filter(|p| !p.crashed)
             .map(VoltagePoint::total_mean_faults)
@@ -1057,7 +1021,7 @@ mod tests {
             "non-monotone: {totals:?}"
         );
         assert!(totals.last().copied().unwrap_or(0.0) > 0.0);
-        for point in report.points.iter().filter(|p| !p.crashed) {
+        for point in points.iter().filter(|p| !p.crashed) {
             if let Some(ones) = point.outcome(DataPattern::AllOnes) {
                 assert_eq!(ones.flips_0to1, 0);
             }

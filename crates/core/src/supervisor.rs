@@ -50,8 +50,11 @@ use crate::telemetry::{Telemetry, TelemetryEvent};
 /// a fabricated `0.0`); 3 — [`ReliabilityConfig`] gained the
 /// fault-field/carry-forward knobs and [`VoltagePoint`] the mask-reuse
 /// ratio; 4 — the checkpoint records the mask-kernel backend so resume can
-/// refuse a cross-kernel mix, like the fault field.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// refuse a cross-kernel mix, like the fault field; 5 — the kernel backend
+/// and carry-forward knobs are gone from [`ReliabilityConfig`] and the
+/// checkpoint (the kernel picks its own path; every path is
+/// bit-identical).
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// The supply every recovery power cycle restarts at.
 const NOMINAL_RESTART: Millivolts = Millivolts(1200);
@@ -257,11 +260,6 @@ pub struct SweepCheckpoint {
     /// The full [`ReliabilityConfig`] as canonical JSON, compared verbatim
     /// on resume — any config drift invalidates the checkpoint.
     pub config_json: String,
-    /// The mask-kernel backend token the campaign runs with
-    /// ([`hbm_faults::KernelBackend::as_token`]). Stored separately from
-    /// `config_json` so tools can refuse a cross-kernel resume with a
-    /// targeted message instead of a generic config-drift error.
-    pub kernel: String,
     /// Completed points, in sweep (descending-voltage) order.
     pub points: Vec<SupervisedPoint>,
     /// Ports quarantined so far.
@@ -509,7 +507,6 @@ impl SweepSupervisor {
                 points: voltages.len() as u64,
                 from_mv: sweep.from().as_u32(),
                 to_mv: sweep.down_to().as_u32(),
-                kernel: self.tester.config().kernel.as_token().to_owned(),
             },
         );
 
@@ -541,7 +538,6 @@ impl SweepSupervisor {
                     experiment: "supervised-sweep".to_owned(),
                     seed: platform.seed(),
                     config_json: config_json.clone(),
-                    kernel: self.tester.config().kernel.as_token().to_owned(),
                     points: points.clone(),
                     quarantined: quarantined.clone(),
                 };
@@ -1091,7 +1087,6 @@ mod tests {
             experiment: "supervised-sweep".to_owned(),
             seed: 7,
             config_json: report_config_json(supervisor.tester().config()).unwrap(),
-            kernel: supervisor.tester().config().kernel.as_token().to_owned(),
             points: report.points.clone(),
             quarantined: vec![QuarantineRecord {
                 port: 3,
@@ -1143,18 +1138,23 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("configuration"), "{err}");
 
-        // Foreign version.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut checkpoint: SweepCheckpoint = serde_json::from_str(&text).unwrap();
-        checkpoint.version = 99;
-        std::fs::write(&path, serde_json::to_string(&checkpoint).unwrap()).unwrap();
-        let err = SweepSupervisor::from_config(config)
-            .unwrap()
-            .checkpoint(&path)
-            .resume(true)
-            .run(&mut Platform::builder().seed(7).build())
-            .unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        // Foreign versions: a future one, and a version-4 file, which still
+        // recorded the kernel backend.
+        let checkpoint: SweepCheckpoint =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let text = serde_json::to_string(&checkpoint).unwrap();
+        let current = format!("\"version\":{CHECKPOINT_VERSION}");
+        assert!(text.contains(&current), "{text}");
+        for foreign in ["\"version\":99", "\"version\":4,\"kernel\":\"auto\""] {
+            std::fs::write(&path, text.replacen(&current, foreign, 1)).unwrap();
+            let err = SweepSupervisor::from_config(config.clone())
+                .unwrap()
+                .checkpoint(&path)
+                .resume(true)
+                .run(&mut Platform::builder().seed(7).build())
+                .unwrap_err();
+            assert!(err.to_string().contains("version"), "{foreign}: {err}");
+        }
 
         let _ = std::fs::remove_file(&path);
     }

@@ -171,23 +171,6 @@ impl SweepConfig {
         self
     }
 
-    /// Whether coupled-field sweeps carry their faulty-word working set
-    /// from point to point (a pure performance knob; see
-    /// [`ReliabilityConfig::carry_forward`]).
-    #[must_use]
-    pub fn carry_forward(mut self, carry: bool) -> Self {
-        self.reliability.carry_forward = carry;
-        self
-    }
-
-    /// Which mask-kernel backend generates stuck-at masks (a pure
-    /// performance knob; see [`ReliabilityConfig::kernel`]).
-    #[must_use]
-    pub fn kernel(mut self, kernel: hbm_faults::KernelBackend) -> Self {
-        self.reliability.kernel = kernel;
-        self
-    }
-
     // ---- resilience knobs -----------------------------------------------
 
     /// The full transient-failure retry policy.

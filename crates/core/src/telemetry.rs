@@ -91,11 +91,6 @@ pub enum TelemetryEvent {
         from_mv: u32,
         /// The sweep's last (lowest) voltage, in millivolts.
         to_mv: u32,
-        /// The mask-kernel backend token (`"scalar"` / `"bitsliced"` /
-        /// `"auto"`) the sweep generates faults with. Recorded because
-        /// resumed sweeps must keep the backend fixed, like the fault
-        /// field; all backends produce bit-identical results.
-        kernel: String,
     },
     /// An attempt at one voltage point began.
     PointStarted {
@@ -879,12 +874,11 @@ impl<W: Write + Send> Observer for ProgressSink<W> {
                 points,
                 from_mv,
                 to_mv,
-                kernel,
             } => {
                 self.points = *points;
                 writeln!(
                     out,
-                    "{experiment} (seed {seed}, {kernel} kernel): {points} point(s), {} -> {}",
+                    "{experiment} (seed {seed}): {points} point(s), {} -> {}",
                     Millivolts(*from_mv),
                     Millivolts(*to_mv)
                 )
@@ -1213,7 +1207,6 @@ mod tests {
             points: 2,
             from_mv: 900,
             to_mv: 890,
-            kernel: "auto".to_owned(),
         });
         telemetry.emit(TelemetryEvent::PointCompleted {
             voltage_mv: 900,
@@ -1229,7 +1222,7 @@ mod tests {
         telemetry.finish();
         let contents = buffer.contents();
         assert!(
-            contents.contains("supervised-sweep (seed 7, auto kernel)"),
+            contents.contains("supervised-sweep (seed 7): 2 point(s)"),
             "{contents}"
         );
         assert!(contents.contains("[1/2] 0.900 V: 12.0"), "{contents}");

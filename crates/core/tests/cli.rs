@@ -40,9 +40,10 @@ fn configuration_errors_exit_two_with_usage() {
         vec!["sweep", "--from", "-900"],
         vec!["sweep", "--from", "-0.0V"],
         vec!["sweep", "--retries"],
-        vec!["reliability", "--kernel", "warp"],
         vec!["reliability", "--exec", "warp"],
-        vec!["sweep", "--kernel", "cached"],
+        vec!["sweep", "--kernel", "scalar"],
+        vec!["sweep", "--wrds", "8"],
+        vec!["fleet", "sweep", "--backend", "auto"],
         vec!["sweep", "--fault-field", "warp"],
         vec!["guardband", "--format", "xml"],
         vec!["sweep", "--from", "900", "--to", "910", "--step", "10"],
@@ -204,45 +205,43 @@ fn cross_fault_field_resume_is_a_configuration_error() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// Flags a command does not read are usage errors, refused before any
+/// work runs: the sweep writes no checkpoint, the fleet sweep no artifact.
 #[test]
-fn cross_kernel_resume_is_a_configuration_error() {
-    let path = temp_path("cross-kernel");
+fn unknown_flags_exit_two_before_any_work() {
+    let path = temp_path("unknown-flag");
     let _ = std::fs::remove_file(&path);
-    let base = [
-        "sweep", "--from", "900", "--to", "890", "--step", "10", "--words", "8",
-    ];
-
-    // Checkpoint a run under the default (auto) kernel backend …
-    let mut first = base.to_vec();
-    first.extend(["--checkpoint", &path]);
-    assert_eq!(exit_code(&hbmctl(&first)), 0);
-
-    // … then ask to resume it with the scalar backend: though backends are
-    // bit-identical, a campaign must stay reproducible by its recorded
-    // configuration alone, so the mix is refused as a usage error.
-    let mut second = base.to_vec();
-    second.extend(["--kernel", "scalar", "--checkpoint", &path, "--resume"]);
-    let out = hbmctl(&second);
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(exit_code(&out), 2, "{out:?}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("kernel"), "{stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
-}
-
-#[test]
-fn bitsliced_kernel_sweep_matches_scalar_from_the_cli() {
-    let base = [
-        "sweep", "--from", "870", "--to", "840", "--step", "10", "--words", "64", "--format", "csv",
-    ];
-    let run = |kernel: &str| {
-        let mut args = base.to_vec();
-        args.extend(["--kernel", kernel]);
+    for (args, flag) in [
+        (
+            vec!["sweep", "--kernel", "scalar", "--checkpoint", &path],
+            "--kernel",
+        ),
+        (
+            vec!["sweep", "--kernel", "auto", "--checkpoint", &path],
+            "--kernel",
+        ),
+        (
+            vec!["sweep", "--wrds", "8", "--checkpoint", &path],
+            "--wrds",
+        ),
+        (
+            vec!["fleet", "sweep", "--backend", "auto", "--out", &path],
+            "--backend",
+        ),
+        (vec!["fleet", "query", "--seed", "3"], "--seed"),
+        (vec!["guardband", "--checkpoint", "x"], "--checkpoint"),
+        (vec!["serve", "--workers", "2"], "--workers"),
+    ] {
         let out = hbmctl(&args);
-        assert_eq!(exit_code(&out), 0, "--kernel {kernel}: {out:?}");
-        String::from_utf8(out.stdout).unwrap()
-    };
-    assert_eq!(run("scalar"), run("bitsliced"), "CSV reports diverged");
+        assert_eq!(exit_code(&out), 2, "args {args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(flag), "args {args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "args {args:?}: {stderr}");
+        assert!(
+            !std::path::Path::new(&path).exists(),
+            "args {args:?} ran before refusing the flag"
+        );
+    }
 }
 
 #[test]

@@ -951,13 +951,6 @@ impl FaultInjector {
     /// one pseudo channel: `(stuck-at-0, stuck-at-1)`.
     ///
     /// This is what a write/read-back test with both data patterns measures.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::count_range")]
-    #[must_use]
-    pub fn count_range(&self, pc: PcIndex, words: Range<u64>, supply: Millivolts) -> (u64, u64) {
-        self.count_range_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::count_range`].
     pub(crate) fn count_range_sel(
         &self,
         pc: PcIndex,
@@ -978,18 +971,6 @@ impl FaultInjector {
     /// yielding `(offset, stuck0, stuck1)` per faulty word. This is the
     /// bulk-kernel entry point the cached-mask execution mode reuses across
     /// batch passes and data patterns.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::faulty_words")]
-    #[must_use]
-    pub fn faulty_words(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        self.faulty_words_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::faulty_words`].
     pub(crate) fn faulty_words_sel(
         &self,
         pc: PcIndex,
@@ -1008,25 +989,11 @@ impl FaultInjector {
     /// Streams every faulty word of the range through `f` as
     /// `(offset, stuck0, stuck1)`, in unspecified order, without
     /// materializing a mask vector. This is the zero-allocation counterpart
-    /// of [`FaultInjector::faulty_words`] for callers that fold the masks
-    /// into order-independent aggregates (sums, counts) on the fly — the
-    /// dense-fault regime where a collected vector would rival the size of
-    /// the scanned range itself.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::for_each_faulty_word")]
-    pub fn for_each_faulty_word<F: FnMut(WordOffset, Word256, Word256)>(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        mut f: F,
-    ) {
-        self.for_each_faulty_word_sel(pc, words, supply, BackendSel::Scalar, &mut |o, s0, s1| {
-            f(o, s0, s1);
-        });
-    }
-
-    /// Backend-selected [`FaultInjector::for_each_faulty_word`]. Takes a
-    /// `dyn` callback so the [`crate::MaskKernel`] trait stays object-safe.
+    /// of [`FaultInjector::faulty_words_sel`] for callers that fold the
+    /// masks into order-independent aggregates (sums, counts) on the fly —
+    /// the dense-fault regime where a collected vector would rival the size
+    /// of the scanned range itself. Takes a `dyn` callback so the
+    /// [`crate::MaskKernel`] trait stays object-safe.
     pub(crate) fn for_each_faulty_word_sel(
         &self,
         pc: PcIndex,
@@ -1215,18 +1182,7 @@ impl FaultInjector {
     /// construction. The expected per-bit fault rate equals the legacy
     /// field's (`share_π × c_π`), so the two fields are statistically
     /// interchangeable at any single voltage.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::masks")]
-    #[must_use]
-    pub fn coupled_stuck_masks(
-        &self,
-        pc: PcIndex,
-        offset: WordOffset,
-        supply: Millivolts,
-    ) -> (Word256, Word256) {
-        self.coupled_stuck_masks_sel(pc, offset, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_stuck_masks`].
+    ///
     /// Single-word queries do not touch the dispatch counters.
     pub(crate) fn coupled_stuck_masks_sel(
         &self,
@@ -1323,19 +1279,7 @@ impl FaultInjector {
 
     /// Collects the coupled-field faulty words of a range in ascending
     /// offset order — the [`crate::FaultFieldMode::MonotoneCoupled`]
-    /// counterpart of [`FaultInjector::faulty_words`].
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::faulty_words")]
-    #[must_use]
-    pub fn coupled_faulty_words(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        self.coupled_faulty_words_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_faulty_words`].
+    /// counterpart of [`FaultInjector::faulty_words_sel`].
     pub(crate) fn coupled_faulty_words_sel(
         &self,
         pc: PcIndex,
@@ -1354,29 +1298,9 @@ impl FaultInjector {
     /// Streams every coupled-field faulty word of the range through `f` as
     /// `(offset, stuck0, stuck1)`, in unspecified order — the
     /// [`crate::FaultFieldMode::MonotoneCoupled`] counterpart of
-    /// [`FaultInjector::for_each_faulty_word`] for dense-regime streaming
-    /// folds.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::for_each_faulty_word")]
-    pub fn coupled_for_each_faulty<F: FnMut(WordOffset, Word256, Word256)>(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        mut f: F,
-    ) {
-        self.coupled_for_each_faulty_sel(
-            pc,
-            words,
-            supply,
-            BackendSel::Scalar,
-            &mut |o, s0, s1| {
-                f(o, s0, s1);
-            },
-        );
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_for_each_faulty`]. Takes a
-    /// `dyn` callback so the [`crate::MaskKernel`] trait stays object-safe.
+    /// [`FaultInjector::for_each_faulty_word_sel`] for dense-regime
+    /// streaming folds. Takes a `dyn` callback so the [`crate::MaskKernel`]
+    /// trait stays object-safe.
     pub(crate) fn coupled_for_each_faulty_sel(
         &self,
         pc: PcIndex,
@@ -1416,18 +1340,6 @@ impl FaultInjector {
 
     /// Counts coupled-field faulty bits of each polarity over a contiguous
     /// word range: `(stuck-at-0, stuck-at-1)`.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::count_range")]
-    #[must_use]
-    pub fn coupled_count_range(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> (u64, u64) {
-        self.coupled_count_range_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_count_range`].
     pub(crate) fn coupled_count_range_sel(
         &self,
         pc: PcIndex,
@@ -1450,9 +1362,9 @@ impl FaultInjector {
     ///
     /// A word already faulty at `v_prev` is **not** reported even if it
     /// gains further bits at `v_next`; callers patching a carried working
-    /// set use [`FaultInjector::coupled_carry_advance`], which also
+    /// set use [`crate::MaskKernel::carry_advance`], which also
     /// refreshes grown words. With `v_prev` at or above the guardband this
-    /// equals [`FaultInjector::coupled_faulty_words`] at `v_next`; with
+    /// equals [`crate::MaskKernel::faulty_words`] at `v_next`; with
     /// `v_next > v_prev` (not a descent) it is empty.
     ///
     /// # Performance
@@ -1570,7 +1482,7 @@ impl FaultInjector {
     /// Builds the carried working set of a descending sweep at its first
     /// measured point: every coupled-field faulty word of the range at
     /// `supply`, plus the state that makes
-    /// [`FaultInjector::coupled_carry_advance`] cheap.
+    /// [`crate::MaskKernel::carry_advance`] cheap.
     ///
     /// Ranges up to [`MAX_BIT_CARRY_WORDS`] get the *bit-granular* tier:
     /// one hash pass records every still-clean bit's threshold into
@@ -1582,18 +1494,6 @@ impl FaultInjector {
     /// storage. Both tiers produce bit-identical masks.
     ///
     /// The build is accounted as `activated` words in the returned stats.
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::carry_start")]
-    #[must_use]
-    pub fn coupled_carry_start(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> (PcSweepCarry, CarryStats) {
-        self.coupled_carry_start_sel(pc, words, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_carry_start`].
     pub(crate) fn coupled_carry_start_sel(
         &self,
         pc: PcIndex,
@@ -1777,7 +1677,7 @@ impl FaultInjector {
 
     /// Advances a carried working set to a lower supply voltage, touching
     /// only the words whose masks change. The resulting masks are
-    /// bit-identical to [`FaultInjector::coupled_faulty_words`] at
+    /// bit-identical to [`crate::MaskKernel::faulty_words`] at
     /// `supply`.
     ///
     /// A non-descending `supply` or a temperature change since the carry
@@ -1798,16 +1698,6 @@ impl FaultInjector {
     /// is crossed, in which case its 256 bits are re-enumerated; newly
     /// activated words are appended from the activation index (the
     /// stateful counterpart of [`FaultInjector::faulty_words_delta`]).
-    #[deprecated(note = "use FaultInjector::kernel(...) and MaskKernel::carry_advance")]
-    pub fn coupled_carry_advance(
-        &self,
-        carry: &mut PcSweepCarry,
-        supply: Millivolts,
-    ) -> CarryStats {
-        self.coupled_carry_advance_sel(carry, supply, BackendSel::Scalar)
-    }
-
-    /// Backend-selected [`FaultInjector::coupled_carry_advance`].
     pub(crate) fn coupled_carry_advance_sel(
         &self,
         carry: &mut PcSweepCarry,
@@ -2071,11 +1961,20 @@ fn p_any(p_bit: f64) -> f64 {
 }
 
 #[cfg(test)]
-// The legacy entry points stay under test for their deprecation release:
-// they are the scalar reference the kernel backends are compared against.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::{FaultFieldMode, FieldKernel, KernelBackend, MaskKernel};
+
+    /// The scalar per-voltage kernel: the reference the other backends are
+    /// compared against.
+    fn legacy(inj: &FaultInjector) -> FieldKernel<'_> {
+        inj.kernel(FaultFieldMode::PerVoltage, KernelBackend::Scalar)
+    }
+
+    /// The scalar coupled-field kernel.
+    fn coupled(inj: &FaultInjector) -> FieldKernel<'_> {
+        inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar)
+    }
 
     fn injector() -> FaultInjector {
         FaultInjector::new(
@@ -2125,7 +2024,7 @@ mod tests {
     #[test]
     fn polarity_split_near_configured_share() {
         let inj = injector();
-        let (n0, n1) = inj.count_range(pc(0), 0..2048, Millivolts(820));
+        let (n0, n1) = legacy(&inj).count_range(pc(0), 0..2048, Millivolts(820));
         let total = (n0 + n1) as f64;
         let share0 = n0 as f64 / total;
         assert!((share0 - 0.47).abs() < 0.02, "share0 = {share0}");
@@ -2243,7 +2142,7 @@ mod tests {
         let inj = injector();
         let v = Millivolts(860);
         let words = 8192u64;
-        let (n0, n1) = inj.count_range(pc(7), 0..words, v);
+        let (n0, n1) = legacy(&inj).count_range(pc(7), 0..words, v);
         let measured = (n0 + n1) as f64 / (words as f64 * 256.0);
 
         // Average the analytic rate over the same words.
@@ -2267,8 +2166,8 @@ mod tests {
         hot.set_temperature(Celsius(55.0));
         let cold = injector();
         let v = Millivolts(900);
-        let (h0, h1) = hot.count_range(pc(0), 0..4096, v);
-        let (c0, c1) = cold.count_range(pc(0), 0..4096, v);
+        let (h0, h1) = legacy(&hot).count_range(pc(0), 0..4096, v);
+        let (c0, c1) = legacy(&cold).count_range(pc(0), 0..4096, v);
         assert!(h0 + h1 >= c0 + c1, "hot {h0}+{h1} vs cold {c0}+{c1}");
     }
 
@@ -2278,7 +2177,7 @@ mod tests {
         let v = Millivolts(880);
         let scanned: Vec<_> = inj.scan_faulty(pc(4), 0..4096, v).collect();
         // Same totals as the counting walk.
-        let (n0, n1) = inj.count_range(pc(4), 0..4096, v);
+        let (n0, n1) = legacy(&inj).count_range(pc(4), 0..4096, v);
         let scan0: u64 = scanned
             .iter()
             .map(|(_, s0, _)| u64::from(s0.count_ones()))
@@ -2345,7 +2244,11 @@ mod tests {
                 n0 += u64::from(s0.count_ones());
                 n1 += u64::from(s1.count_ones());
             }
-            assert_eq!(inj.count_range(pc(4), range, v), (n0, n1), "at {v}");
+            assert_eq!(
+                legacy(&inj).count_range(pc(4), range, v),
+                (n0, n1),
+                "at {v}"
+            );
         }
     }
 
@@ -2354,18 +2257,18 @@ mod tests {
         let mut inj = injector();
         let v = Millivolts(900);
         // Populate the tile cache at ambient …
-        let cold = inj.count_range(pc(0), 0..4096, v);
+        let cold = legacy(&inj).count_range(pc(0), 0..4096, v);
         // … then heat the device: cached tile probabilities must be rebuilt,
         // matching an injector that never cached at ambient.
         inj.set_temperature(Celsius(55.0));
         let mut fresh = injector();
         fresh.set_temperature(Celsius(55.0));
         assert_eq!(
-            inj.count_range(pc(0), 0..4096, v),
-            fresh.count_range(pc(0), 0..4096, v)
+            legacy(&inj).count_range(pc(0), 0..4096, v),
+            legacy(&fresh).count_range(pc(0), 0..4096, v)
         );
         assert_ne!(
-            inj.count_range(pc(0), 0..4096, v),
+            legacy(&inj).count_range(pc(0), 0..4096, v),
             cold,
             "a 20 °C rise must change the fault count at 900 mV"
         );
@@ -2382,11 +2285,11 @@ mod tests {
     fn clones_invalidate_independently() {
         let mut original = injector();
         let v = Millivolts(900);
-        let at_ambient = original.count_range(pc(0), 0..512, v); // warm cache
+        let at_ambient = legacy(&original).count_range(pc(0), 0..512, v); // warm cache
         let clone = original.clone();
         original.set_temperature(Celsius(55.0));
         assert_eq!(
-            clone.count_range(pc(0), 0..512, v),
+            legacy(&clone).count_range(pc(0), 0..512, v),
             at_ambient,
             "heating the original must not touch the clone's cache"
         );
@@ -2396,7 +2299,7 @@ mod tests {
     fn faulty_words_sorted_and_matches_scan() {
         let inj = injector();
         let v = Millivolts(870);
-        let bulk = inj.faulty_words(pc(2), 0..4096, v);
+        let bulk = legacy(&inj).faulty_words(pc(2), 0..4096, v);
         assert!(bulk.windows(2).all(|w| w[0].0 .0 < w[1].0 .0));
         let scanned: Vec<_> = inj.scan_faulty(pc(2), 0..4096, v).collect();
         assert_eq!(bulk, scanned);
@@ -2418,11 +2321,15 @@ mod tests {
                 n0 += u64::from(s0.count_ones());
                 n1 += u64::from(s1.count_ones());
             }
-            assert_eq!(inj.count_range(pc(1), 0..2048, v), (n0, n1), "at {v}");
+            assert_eq!(
+                legacy(&inj).count_range(pc(1), 0..2048, v),
+                (n0, n1),
+                "at {v}"
+            );
             let lazy: Vec<_> = inj.scan_faulty(pc(1), 0..2048, v).collect();
             assert_eq!(
                 lazy,
-                inj.faulty_words(pc(1), 0..2048, v),
+                legacy(&inj).faulty_words(pc(1), 0..2048, v),
                 "lazy scan and bulk collection diverge at {v}"
             );
         }
@@ -2433,7 +2340,7 @@ mod tests {
         let inj = injector();
         for v in [1200u32, 1000, 990, 980] {
             for w in 0..128 {
-                let (s0, s1) = inj.coupled_stuck_masks(pc(5), WordOffset(w), Millivolts(v));
+                let (s0, s1) = coupled(&inj).masks(pc(5), WordOffset(w), Millivolts(v));
                 assert!(s0.is_zero() && s1.is_zero(), "coupled fault at {v} mV");
             }
         }
@@ -2444,16 +2351,16 @@ mod tests {
         let inj = injector();
         for w in 0..64 {
             let v = Millivolts(820);
-            let (s0, s1) = inj.coupled_stuck_masks(pc(0), WordOffset(w), v);
+            let (s0, s1) = coupled(&inj).masks(pc(0), WordOffset(w), v);
             assert_eq!((s0 | s1).count_ones(), 256, "word {w} not fully faulty");
             assert!((s0 & s1).is_zero());
-            assert_eq!(inj.coupled_stuck_masks(pc(0), WordOffset(w), v), (s0, s1));
+            assert_eq!(coupled(&inj).masks(pc(0), WordOffset(w), v), (s0, s1));
         }
         // The coupled field is a different specimen realization than the
         // legacy field at the same seed (distinct hash domains).
         let mid = Millivolts(870);
         let differs = (0..512).any(|w| {
-            inj.coupled_stuck_masks(pc(0), WordOffset(w), mid)
+            coupled(&inj).masks(pc(0), WordOffset(w), mid)
                 != inj.stuck_masks(pc(0), WordOffset(w), mid)
         });
         assert!(differs, "coupled and legacy fields should not coincide");
@@ -2467,7 +2374,7 @@ mod tests {
             let mut prev1 = Word256::ZERO;
             let mut v = Millivolts(980);
             while v >= Millivolts(820) {
-                let (s0, s1) = inj.coupled_stuck_masks(pc(2), WordOffset(w), v);
+                let (s0, s1) = coupled(&inj).masks(pc(2), WordOffset(w), v);
                 assert_eq!(s0 & prev0, prev0, "stuck-0 set shrank at {v} word {w}");
                 assert_eq!(s1 & prev1, prev1, "stuck-1 set shrank at {v} word {w}");
                 prev0 = s0;
@@ -2485,14 +2392,14 @@ mod tests {
             let range = 0u64..2048;
             let mut expected = Vec::new();
             for w in range.clone() {
-                let (s0, s1) = inj.coupled_stuck_masks(pc(6), WordOffset(w), v);
+                let (s0, s1) = coupled(&inj).masks(pc(6), WordOffset(w), v);
                 if !(s0.is_zero() && s1.is_zero()) {
                     expected.push((WordOffset(w), s0, s1));
                 }
             }
-            let bulk = inj.coupled_faulty_words(pc(6), range.clone(), v);
+            let bulk = coupled(&inj).faulty_words(pc(6), range.clone(), v);
             assert_eq!(bulk, expected, "coupled enumeration diverges at {v}");
-            let (n0, n1) = inj.coupled_count_range(pc(6), range, v);
+            let (n0, n1) = coupled(&inj).count_range(pc(6), range, v);
             let sum0: u64 = expected
                 .iter()
                 .map(|(_, s0, _)| u64::from(s0.count_ones()))
@@ -2511,8 +2418,8 @@ mod tests {
         // counts over a decent sample must agree statistically.
         let inj = injector();
         let v = Millivolts(860);
-        let (l0, l1) = inj.count_range(pc(7), 0..8192, v);
-        let (c0, c1) = inj.coupled_count_range(pc(7), 0..8192, v);
+        let (l0, l1) = legacy(&inj).count_range(pc(7), 0..8192, v);
+        let (c0, c1) = coupled(&inj).count_range(pc(7), 0..8192, v);
         let legacy = (l0 + l1) as f64;
         let coupled = (c0 + c1) as f64;
         let ratio = coupled / legacy;
@@ -2534,13 +2441,13 @@ mod tests {
             (860, 830),
         ] {
             let (hi, lo) = (Millivolts(hi), Millivolts(lo));
-            let before: std::collections::HashSet<u64> = inj
-                .coupled_faulty_words(pc(3), range.clone(), hi)
+            let before: std::collections::HashSet<u64> = coupled(&inj)
+                .faulty_words(pc(3), range.clone(), hi)
                 .iter()
                 .map(|&(offset, _, _)| offset.0)
                 .collect();
-            let expected: Vec<_> = inj
-                .coupled_faulty_words(pc(3), range.clone(), lo)
+            let expected: Vec<_> = coupled(&inj)
+                .faulty_words(pc(3), range.clone(), lo)
                 .into_iter()
                 .filter(|(offset, _, _)| !before.contains(&offset.0))
                 .collect();
@@ -2557,7 +2464,7 @@ mod tests {
         // From inside the guardband the delta is the full faulty set.
         assert_eq!(
             inj.faulty_words_delta(pc(3), range.clone(), Millivolts(1200), Millivolts(900)),
-            inj.coupled_faulty_words(pc(3), range, Millivolts(900))
+            coupled(&inj).faulty_words(pc(3), range, Millivolts(900))
         );
     }
 
@@ -2566,21 +2473,21 @@ mod tests {
         let inj = injector();
         let range = 0u64..4096;
         let mut v = Millivolts(990);
-        let (mut carry, start) = inj.coupled_carry_start(pc(2), range.clone(), v);
+        let (mut carry, start) = coupled(&inj).carry_start(pc(2), range.clone(), v);
         assert_eq!(carry.voltage(), v);
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(2), range.clone(), v)
+            coupled(&inj).faulty_words(pc(2), range.clone(), v)
         );
         let mut total = start;
         while v > Millivolts(820) {
             v = v.saturating_sub(Millivolts(10));
-            let stats = inj.coupled_carry_advance(&mut carry, v);
+            let stats = coupled(&inj).carry_advance(&mut carry, v);
             total.absorb(stats);
             assert_eq!(carry.voltage(), v);
             assert_eq!(
                 carry.masks(),
-                inj.coupled_faulty_words(pc(2), range.clone(), v),
+                coupled(&inj).faulty_words(pc(2), range.clone(), v),
                 "carry diverged from rescan at {v}"
             );
         }
@@ -2588,7 +2495,7 @@ mod tests {
         assert!(!carry.is_empty());
         // Below both saturation voltages every bit has flipped: a further
         // advance is pure reuse — nothing pending, nothing re-enumerated.
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(815));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(815));
         assert_eq!(stats.carried, carry.len() as u64);
         assert_eq!(stats.delta_words(), 0);
         assert_eq!(stats.reuse_ratio(), 1.0);
@@ -2601,19 +2508,19 @@ mod tests {
         let inj = injector();
         let range = 0u64..8192;
         assert!(range.end - range.start > MAX_BIT_CARRY_WORDS);
-        let (mut carry, _) = inj.coupled_carry_start(pc(2), range.clone(), Millivolts(990));
+        let (mut carry, _) = coupled(&inj).carry_start(pc(2), range.clone(), Millivolts(990));
         for v in [970u32, 940, 900, 870, 840, 820] {
             let v = Millivolts(v);
-            inj.coupled_carry_advance(&mut carry, v);
+            coupled(&inj).carry_advance(&mut carry, v);
             assert_eq!(
                 carry.masks(),
-                inj.coupled_faulty_words(pc(2), range.clone(), v),
+                coupled(&inj).faulty_words(pc(2), range.clone(), v),
                 "word-tier carry diverged from rescan at {v}"
             );
         }
         // Saturated: the word tier's next-thresholds are all exhausted, so
         // a further advance is also pure reuse.
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(815));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(815));
         assert_eq!(stats.carried, carry.len() as u64);
         assert_eq!(stats.delta_words(), 0);
     }
@@ -2622,25 +2529,25 @@ mod tests {
     fn carry_rebuilds_on_ascent_or_temperature_change() {
         let mut inj = injector();
         let range = 0u64..1024;
-        let (mut carry, _) = inj.coupled_carry_start(pc(4), range.clone(), Millivolts(880));
+        let (mut carry, _) = coupled(&inj).carry_start(pc(4), range.clone(), Millivolts(880));
         // Ascending is not a descent: the carry is rebuilt, still exact.
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(940));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(940));
         assert_eq!(stats.carried, 0);
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(4), range.clone(), Millivolts(940))
+            coupled(&inj).faulty_words(pc(4), range.clone(), Millivolts(940))
         );
         // A temperature change voids the carried probabilities.
         inj.set_temperature(Celsius(55.0));
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(920));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(920));
         assert_eq!(stats.carried, 0);
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(4), range.clone(), Millivolts(920))
+            coupled(&inj).faulty_words(pc(4), range.clone(), Millivolts(920))
         );
         // Advancing to the same voltage is a carried no-op.
         let len = carry.len() as u64;
-        let stats = inj.coupled_carry_advance(&mut carry, Millivolts(920));
+        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(920));
         assert_eq!(stats.carried, len);
         assert_eq!(stats.delta_words(), 0);
     }
@@ -2655,45 +2562,45 @@ mod tests {
             let v = Millivolts(v);
             let mut expected = Vec::new();
             for w in range.clone() {
-                let (s0, s1) = inj.coupled_stuck_masks(pc(1), WordOffset(w), v);
+                let (s0, s1) = coupled(&inj).masks(pc(1), WordOffset(w), v);
                 if !(s0.is_zero() && s1.is_zero()) {
                     expected.push((WordOffset(w), s0, s1));
                 }
             }
             assert_eq!(
-                inj.coupled_faulty_words(pc(1), range.clone(), v),
+                coupled(&inj).faulty_words(pc(1), range.clone(), v),
                 expected,
                 "unindexed coupled enumeration diverges at {v}"
             );
         }
         // Delta and carry advance agree with rescans through the fallback.
         let delta = inj.faulty_words_delta(pc(1), range.clone(), Millivolts(940), Millivolts(880));
-        let before: std::collections::HashSet<u64> = inj
-            .coupled_faulty_words(pc(1), range.clone(), Millivolts(940))
+        let before: std::collections::HashSet<u64> = coupled(&inj)
+            .faulty_words(pc(1), range.clone(), Millivolts(940))
             .iter()
             .map(|&(offset, _, _)| offset.0)
             .collect();
-        let expected: Vec<_> = inj
-            .coupled_faulty_words(pc(1), range.clone(), Millivolts(880))
+        let expected: Vec<_> = coupled(&inj)
+            .faulty_words(pc(1), range.clone(), Millivolts(880))
             .into_iter()
             .filter(|(offset, _, _)| !before.contains(&offset.0))
             .collect();
         assert_eq!(delta, expected);
-        let (mut carry, _) = inj.coupled_carry_start(pc(1), range.clone(), Millivolts(940));
-        inj.coupled_carry_advance(&mut carry, Millivolts(880));
+        let (mut carry, _) = coupled(&inj).carry_start(pc(1), range.clone(), Millivolts(940));
+        coupled(&inj).carry_advance(&mut carry, Millivolts(880));
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(1), range, Millivolts(880))
+            coupled(&inj).faulty_words(pc(1), range, Millivolts(880))
         );
         // A range above the bit-carry cap takes the word tier's unindexed
         // two-pointer fallback for newly activated words.
         let wide = 0u64..6000;
         assert!(wide.end - wide.start > MAX_BIT_CARRY_WORDS);
-        let (mut carry, _) = inj.coupled_carry_start(pc(1), wide.clone(), Millivolts(940));
-        inj.coupled_carry_advance(&mut carry, Millivolts(880));
+        let (mut carry, _) = coupled(&inj).carry_start(pc(1), wide.clone(), Millivolts(940));
+        coupled(&inj).carry_advance(&mut carry, Millivolts(880));
         assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc(1), wide, Millivolts(880))
+            coupled(&inj).faulty_words(pc(1), wide, Millivolts(880))
         );
     }
 }

@@ -5,8 +5,10 @@
 //! family, the carry start/advance pair), and every caller had to match on
 //! [`FaultFieldMode`] to pick the right family. This module collapses them
 //! behind one [`MaskKernel`] trait: callers obtain a kernel with
-//! [`FaultInjector::kernel`], choosing a [`KernelBackend`], and every mask
-//! query dispatches on the configured fault field internally.
+//! [`FaultInjector::kernel`], and every mask query dispatches on the
+//! configured fault field internally. Production code always asks for
+//! [`KernelBackend::Auto`]; the forced backends exist so tests and benches
+//! can compare against a fixed reference.
 //!
 //! # Backends
 //!
@@ -35,7 +37,6 @@ use std::ops::Range;
 
 use hbm_device::{PcIndex, Word256, WordOffset};
 use hbm_units::Millivolts;
-use serde::{Deserialize, Serialize};
 
 use crate::field::{CarryStats, FaultFieldMode, PcSweepCarry};
 use crate::injector::FaultInjector;
@@ -53,13 +54,14 @@ pub(crate) const DENSE_TILE_P_ANY: f64 = 1.0 / 256.0;
 
 /// Which implementation generates stuck-at masks.
 ///
-/// Every backend is bit-identical to every other; this is purely a
-/// performance knob, selected via `ReliabilityConfig` or
-/// `hbmctl sweep --kernel`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Every backend is bit-identical to every other, so the choice only
+/// changes speed. Everything outside this crate's tests and the benches
+/// runs [`KernelBackend::Auto`]; the forced backends are the references
+/// those tests and benches compare it against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelBackend {
     /// The per-bit scalar kernel everywhere — the historical path, kept
-    /// selectable for A/B comparison and as the proptest oracle.
+    /// as the proptest oracle and the benches' baseline.
     Scalar,
     /// The bit-sliced whole-word kernel everywhere, even on tiles sparse
     /// enough that the scalar skip walk would win.
@@ -69,30 +71,6 @@ pub enum KernelBackend {
     /// generation.
     #[default]
     Auto,
-}
-
-impl KernelBackend {
-    /// Stable CLI/config token for this backend
-    /// (`scalar` / `bitsliced` / `auto`).
-    #[must_use]
-    pub fn as_token(self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::BitSliced => "bitsliced",
-            KernelBackend::Auto => "auto",
-        }
-    }
-
-    /// Parses the stable token produced by [`KernelBackend::as_token`].
-    #[must_use]
-    pub fn from_token(token: &str) -> Option<Self> {
-        match token {
-            "scalar" => Some(KernelBackend::Scalar),
-            "bitsliced" => Some(KernelBackend::BitSliced),
-            "auto" => Some(KernelBackend::Auto),
-            _ => None,
-        }
-    }
 }
 
 /// The vector instruction set the bit-sliced kernel runs on, probed at
@@ -422,33 +400,8 @@ mod tests {
     use hbm_device::HbmGeometry;
 
     #[test]
-    fn backend_tokens_round_trip() {
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::BitSliced,
-            KernelBackend::Auto,
-        ] {
-            assert_eq!(KernelBackend::from_token(backend.as_token()), Some(backend));
-        }
-        assert_eq!(KernelBackend::from_token("warp"), None);
-        assert_eq!(KernelBackend::default(), KernelBackend::Auto);
-    }
-
-    #[test]
-    fn backend_serde_round_trip() {
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::BitSliced,
-            KernelBackend::Auto,
-        ] {
-            let json = serde_json::to_string(&backend).unwrap();
-            let back: KernelBackend = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, backend);
-        }
-    }
-
-    #[test]
     fn dispatch_rule_follows_density() {
+        assert_eq!(KernelBackend::default(), KernelBackend::Auto);
         let sparse = DENSE_TILE_P_ANY / 2.0;
         let dense = DENSE_TILE_P_ANY * 2.0;
         let scalar = BackendSel::from_backend(KernelBackend::Scalar);

@@ -1,14 +1,9 @@
 //! Property-based tests of the fault model's core guarantees.
 
-// The deprecated per-strategy entry points stay under test for their
-// deprecation release: they are the scalar reference the kernel API's
-// backends are checked against.
-#![allow(deprecated)]
-
 use hbm_device::{HbmGeometry, PcIndex, Word256, WordOffset};
 use hbm_faults::{
-    FaultFieldMode, FaultInjector, FaultMap, FaultModelParams, KernelBackend, MaskKernel,
-    RatePredictor,
+    FaultFieldMode, FaultInjector, FaultMap, FaultModelParams, FieldKernel, KernelBackend,
+    MaskKernel, RatePredictor,
 };
 use hbm_units::{Celsius, Millivolts, Ratio};
 use proptest::prelude::*;
@@ -19,6 +14,17 @@ fn injector(seed: u64) -> FaultInjector {
         HbmGeometry::vcu128_reduced(),
         seed,
     )
+}
+
+/// The scalar per-voltage kernel: the reference every other backend is
+/// checked against.
+fn legacy(inj: &FaultInjector) -> FieldKernel<'_> {
+    inj.kernel(FaultFieldMode::PerVoltage, KernelBackend::Scalar)
+}
+
+/// The scalar coupled-field kernel.
+fn coupled(inj: &FaultInjector) -> FieldKernel<'_> {
+    inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar)
 }
 
 proptest! {
@@ -156,8 +162,8 @@ proptest! {
                 expected.push((WordOffset(w), s0, s1));
             }
         }
-        prop_assert_eq!(inj.faulty_words(pc, range.clone(), v), expected.clone());
-        let counted = inj.count_range(pc, range, v);
+        prop_assert_eq!(legacy(&inj).faulty_words(pc, range.clone(), v), expected.clone());
+        let counted = legacy(&inj).count_range(pc, range, v);
         let sum0: u64 = expected.iter().map(|(_, s0, _)| u64::from(s0.count_ones())).sum();
         let sum1: u64 = expected.iter().map(|(_, _, s1)| u64::from(s1.count_ones())).sum();
         prop_assert_eq!(counted, (sum0, sum1));
@@ -178,8 +184,8 @@ proptest! {
         let pc = PcIndex::new(pc_index).unwrap();
         let lo = Millivolts(hi.saturating_sub(delta).max(810));
         let hi = Millivolts(hi);
-        let (hi0, hi1) = inj.coupled_stuck_masks(pc, WordOffset(word), hi);
-        let (lo0, lo1) = inj.coupled_stuck_masks(pc, WordOffset(word), lo);
+        let (hi0, hi1) = coupled(&inj).masks(pc, WordOffset(word), hi);
+        let (lo0, lo1) = coupled(&inj).masks(pc, WordOffset(word), lo);
         prop_assert_eq!(lo0 & hi0, hi0, "coupled stuck-at-0 set shrank");
         prop_assert_eq!(lo1 & hi1, hi1, "coupled stuck-at-1 set shrank");
     }
@@ -203,27 +209,27 @@ proptest! {
         let range = start_word..(start_word + len).min(8192);
 
         let mut v = Millivolts(first_mv);
-        let (mut carry, _) = inj.coupled_carry_start(pc, range.clone(), v);
+        let (mut carry, _) = coupled(&inj).carry_start(pc, range.clone(), v);
         prop_assert_eq!(
             carry.masks(),
-            inj.coupled_faulty_words(pc, range.clone(), v),
+            coupled(&inj).faulty_words(pc, range.clone(), v),
             "carry start diverged at {}", v
         );
 
         for step in steps {
             let prev = v;
             v = Millivolts(v.as_u32().saturating_sub(step).max(810));
-            let scratch = inj.coupled_faulty_words(pc, range.clone(), v);
+            let scratch = coupled(&inj).faulty_words(pc, range.clone(), v);
 
             // The carried set advances to exactly the from-scratch set.
-            inj.coupled_carry_advance(&mut carry, v);
+            coupled(&inj).carry_advance(&mut carry, v);
             prop_assert_eq!(&carry.masks(), &scratch, "carry advance diverged at {}", v);
 
             // The delta enumeration reports exactly the activations: the
             // words faulty at the next voltage but clean at the previous
             // one, with their full masks at the next voltage.
-            let prev_offsets: std::collections::BTreeSet<u64> = inj
-                .coupled_faulty_words(pc, range.clone(), prev)
+            let prev_offsets: std::collections::BTreeSet<u64> = coupled(&inj)
+                .faulty_words(pc, range.clone(), prev)
                 .into_iter()
                 .map(|(w, _, _)| w.0)
                 .collect();
@@ -343,8 +349,8 @@ proptest! {
         let pc = PcIndex::new(pc_index).unwrap();
         for mv in [970u32, 960, 840] {
             let v = Millivolts(mv);
-            let (l0, l1) = inj.count_range(pc, 0..8192, v);
-            let (c0, c1) = inj.coupled_count_range(pc, 0..8192, v);
+            let (l0, l1) = legacy(&inj).count_range(pc, 0..8192, v);
+            let (c0, c1) = coupled(&inj).count_range(pc, 0..8192, v);
             for (legacy, coupled, class) in [(l0, c0, "stuck0"), (l1, c1, "stuck1")] {
                 let scale = legacy.max(coupled) as f64;
                 let diff = legacy.abs_diff(coupled) as f64;

@@ -415,17 +415,25 @@ impl FleetStore {
         }
         let knot_table_end = HEADER_LEN + meta.knot_count as usize * 2;
         let index_offset = read_u64(56) as usize;
-        let index_end = index_offset + column_count * INDEX_ENTRY_LEN;
-        if knot_table_end > bytes.len() || index_offset < knot_table_end || index_end > bytes.len()
-        {
+        let index_end = index_offset
+            .checked_add(column_count * INDEX_ENTRY_LEN)
+            .filter(|&end| knot_table_end <= index_offset && end <= bytes.len());
+        let Some(index_end) = index_end else {
             return Err(FleetError::Artifact("column index out of bounds".into()));
-        }
+        };
         let knots: Vec<Millivolts> = (0..meta.knot_count as usize)
             .map(|k| Millivolts(u32::from(read_u16(HEADER_LEN + k * 2))))
             .collect();
 
         let n = meta.device_count as usize;
-        let cells = n * meta.pc_count as usize * meta.knot_count as usize;
+        let Some(cells) = n
+            .checked_mul(meta.pc_count as usize)
+            .and_then(|c| c.checked_mul(meta.knot_count as usize))
+        else {
+            return Err(FleetError::Artifact(
+                "device, PC and knot counts overflow the cell count".into(),
+            ));
+        };
         let mut columns: [Option<Range<usize>>; TAG_COUNT] = std::array::from_fn(|_| None);
         for slot in 0..column_count {
             let at = index_offset + slot * INDEX_ENTRY_LEN;
@@ -449,7 +457,7 @@ impl FleetStore {
                     (*elem, n)
                 }
             };
-            if found_elem != elem || len != elems * elem {
+            if found_elem != elem || elems.checked_mul(elem) != Some(len) {
                 return Err(FleetError::Artifact(format!(
                     "column {slot}: tag {found_tag} elem {found_elem} len {len} \
                      does not match the declared fleet shape"
@@ -468,6 +476,20 @@ impl FleetStore {
                 )));
             }
             columns[slot_index] = Some(offset..end);
+        }
+        // The writer pads only the last column, up to 8-byte alignment: a
+        // buffer of any other length is truncated or carries trailing junk.
+        let layout_end = columns
+            .iter()
+            .flatten()
+            .map(|c| c.end)
+            .fold(index_end, usize::max);
+        if align8(layout_end) != bytes.len() {
+            return Err(FleetError::Artifact(format!(
+                "artifact is {} bytes but its layout ends at {}",
+                bytes.len(),
+                align8(layout_end)
+            )));
         }
         for (tag, _) in SCALAR_COLUMNS {
             if columns[tag as usize - 1].is_none() {
@@ -865,6 +887,56 @@ mod tests {
             FleetStore::from_bytes(bytes[..32].to_vec()),
             Err(FleetError::Artifact(_))
         ));
+    }
+
+    /// Every truncation of a small artifact — with and without its exact
+    /// columns beside the models — is an error, and no single header or
+    /// column-index byte set to 0x00 or 0xFF makes the decoder panic
+    /// (overflow checks are on in test builds).
+    #[test]
+    fn truncated_and_corrupted_artifacts_never_panic() {
+        let (cfg, records) = artifact_fixture();
+        let exact = FleetStore::from_bytes(encode(&cfg, &records)).unwrap();
+        for keep_exact in [true, false] {
+            let bytes = crate::model::compress_store(&exact, keep_exact).unwrap();
+            let store = FleetStore::from_bytes(bytes.clone()).unwrap();
+            assert_eq!(store.has_exact_counts(), keep_exact);
+            for len in 0..bytes.len() {
+                assert!(
+                    FleetStore::from_bytes(bytes[..len].to_vec()).is_err(),
+                    "keep_exact {keep_exact}: truncation to {len} bytes decoded"
+                );
+            }
+            let index_offset = u64::from_le_bytes(bytes[56..64].try_into().unwrap()) as usize;
+            let column_count = u32::from_le_bytes(bytes[44..48].try_into().unwrap()) as usize;
+            let index = index_offset..index_offset + column_count * INDEX_ENTRY_LEN;
+            for at in (0..HEADER_LEN).chain(index) {
+                for value in [0x00, 0xFF] {
+                    let mut corrupt = bytes.clone();
+                    corrupt[at] = value;
+                    let _ = FleetStore::from_bytes(corrupt);
+                }
+            }
+            // Whole size fields at their maximum — device, PC and knot
+            // counts and the index offset, in every combination — must
+            // fail the size arithmetic cleanly instead of overflowing.
+            let fields = [8..12, 12..16, 16..20, 56..64];
+            for mask in 1..16 {
+                let mut crafted = bytes.clone();
+                for (i, field) in fields.iter().enumerate() {
+                    if mask & (1 << i) != 0 {
+                        crafted[field.clone()].fill(0xFF);
+                    }
+                }
+                assert!(FleetStore::from_bytes(crafted).is_err(), "fields {mask:#b}");
+            }
+            // Maximal device and PC counts over a one-knot grid: the cell
+            // count fits a u64, the FAULTS column's byte length does not.
+            let mut crafted = bytes.clone();
+            crafted[8..16].fill(0xFF);
+            crafted[16..20].copy_from_slice(&1u32.to_le_bytes());
+            assert!(FleetStore::from_bytes(crafted).is_err());
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use hbm_device::HbmGeometry;
-use hbm_faults::{hash, FaultModelParams, KernelBackend};
+use hbm_faults::{hash, FaultModelParams};
 use hbm_units::Millivolts;
 
 /// Domain tag folded into every per-device seed derivation so fleet seeds
@@ -109,8 +109,6 @@ pub struct FleetConfig {
     /// Union fault-rate threshold at the reference knot above which a
     /// pseudo channel is counted weak.
     pub weak_rate_threshold: f64,
-    /// Mask-generation backend for the per-device descents.
-    pub backend: KernelBackend,
     /// Half-width of the crash-floor jitter: device floors are drawn
     /// uniformly from `810 ± crash_jitter` mV.
     pub crash_jitter: Millivolts,
@@ -131,7 +129,6 @@ impl Default for FleetConfig {
             nominal: Millivolts(1200),
             weak_reference: Millivolts(900),
             weak_rate_threshold: 1e-4,
-            backend: KernelBackend::Auto,
             crash_jitter: Millivolts(15),
         }
     }
@@ -248,11 +245,9 @@ impl FleetConfig {
     /// This is what lets a compressed (model-only) store fall back to an
     /// on-demand exact rescan: every per-device seed and crash floor is a
     /// pure function of the config, and the config is a pure function of
-    /// the header. The geometry, calibration and backend are not stamped
-    /// into the header — artifacts are always swept under the study's
-    /// reduced VCU128 footprint with the DATE'21 calibration, and the
-    /// backend cannot change results (every backend is bit-identical to
-    /// the scalar oracle), so `Auto` is always faithful.
+    /// the header. The geometry and calibration are not stamped into the
+    /// header — artifacts are always swept under the study's reduced
+    /// VCU128 footprint with the DATE'21 calibration.
     ///
     /// # Errors
     ///
@@ -302,7 +297,6 @@ impl FleetConfig {
             nominal: Millivolts(u32::from(meta.nominal_mv)),
             weak_reference: Millivolts(u32::from(meta.weak_reference_mv)),
             weak_rate_threshold: meta.weak_rate_threshold,
-            backend: KernelBackend::Auto,
             crash_jitter: Millivolts(u32::from(meta.crash_jitter_mv)),
         };
         cfg.validate()?;

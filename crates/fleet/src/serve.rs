@@ -363,6 +363,70 @@ mod tests {
         assert_eq!(service.store().exact_column_reads(), 0);
     }
 
+    fn recommend(
+        service: &FleetService,
+        device_id: u32,
+        target_rate: f64,
+        min_pcs: u32,
+    ) -> FleetResponse {
+        service.handle(&FleetRequest::Recommend {
+            device_id,
+            target_rate,
+            min_pcs,
+        })
+    }
+
+    fn recommendation(response: FleetResponse) -> crate::Recommendation {
+        match response {
+            FleetResponse::Recommendation(rec) => rec,
+            other => panic!("expected a recommendation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn strict_queries_recommend_higher_voltages() {
+        let service = FleetService::new(exact_store(4));
+        let loose = recommendation(recommend(&service, 1, 1e-2, 24));
+        let strict = recommendation(recommend(&service, 1, 1e-12, 32));
+        assert!(strict.voltage_mv >= loose.voltage_mv);
+        assert!(strict.usable_pcs.len() >= 32);
+        assert!(loose.voltage_mv >= strict.crash_mv);
+        assert!(loose.saving_factor >= strict.saving_factor);
+    }
+
+    #[test]
+    fn zero_tolerance_full_width_matches_v_min() {
+        // 16 words per PC: one faulty bit is a rate of 1/4096, so a target
+        // of 1e-12 admits only fault-free pseudo channels.
+        let store = exact_store(4);
+        let service = FleetService::new(store.clone());
+        let pcs = store.meta().pc_count;
+        for row in 0..store.len() {
+            let rec = recommendation(recommend(&service, store.device_id(row), 1e-12, pcs));
+            let v_min = store.v_min_mv(row);
+            if v_min != 0 {
+                assert_eq!(rec.voltage_mv, v_min, "device row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_recommends_are_typed_errors() {
+        let service = FleetService::new(exact_store(2));
+        for (target, min_pcs) in [(-0.5, 1), (1.5, 1), (0.1, 33)] {
+            match recommend(&service, 0, target, min_pcs) {
+                FleetResponse::Error(err) => {
+                    assert_eq!(err.kind, "config", "target {target} min-pcs {min_pcs}");
+                }
+                other => panic!("unexpected: {other:?}"),
+            }
+        }
+        match recommend(&service, 99, 0.1, 1) {
+            FleetResponse::Error(err) => assert_eq!(err.kind, "unknown-device"),
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
     #[test]
     fn model_answers_match_exact_answers() {
         let exact = exact_store(4);

@@ -136,9 +136,7 @@ proptest! {
             // The subject here is the parallel traffic engine itself, so
             // force the literal write/read-back path.
             mode: ExecutionMode::Traffic,
-            fault_field: hbm_undervolt_suite::faults::FaultFieldMode::PerVoltage,
-            kernel: hbm_undervolt_suite::faults::KernelBackend::Auto,
-            carry_forward: true,
+            ..ReliabilityConfig::date21()
         };
         let tester = ReliabilityTester::new(config).unwrap();
         let mut sequential = Platform::builder().seed(seed).workers(1).build();
