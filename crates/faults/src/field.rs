@@ -12,10 +12,13 @@
 //! point to point, re-enumerating only the words whose masks change.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use hbm_device::{PcIndex, Word256, WordOffset};
 use hbm_units::{Celsius, Millivolts};
 use serde::{Deserialize, Serialize};
+
+use crate::injector::TileTable;
 
 /// How the fault injector keys per-bit randomness across a sweep.
 ///
@@ -124,6 +127,10 @@ pub struct PcSweepCarry {
     pub(crate) temperature: Celsius,
     /// Faulty words, ascending by offset.
     pub(crate) entries: Vec<CarryEntry>,
+    /// The tile table at `voltage` (`None` inside the guardband), kept so
+    /// the next word-tier advance reads its previous class probabilities
+    /// instead of rebuilding them.
+    pub(crate) table: Option<Arc<TileTable>>,
     /// Bit-granular pending thresholds; `None` on the word-granular tier
     /// (ranges above the bit-carry capacity).
     pub(crate) pending: Option<PendingBits>,

@@ -28,6 +28,10 @@ pub fn mix64(mut x: u64) -> u64 {
 
 /// Combines several 64-bit parts into one hash by iterated mixing.
 ///
+/// The mixing is a left fold, so `combine(&[a, b, x]) ==
+/// mix64(combine(&[a, b]) ^ x)`: a loop over many suffixes hashes the
+/// shared prefix once and folds each suffix with one [`mix64`].
+///
 /// # Examples
 ///
 /// ```
@@ -102,25 +106,30 @@ pub fn unit_pair(hash: u64) -> (f64, f64) {
 /// This is what lets the bit-sliced kernel replace the per-bit
 /// float-division-and-compare with one integer compare per bit while staying
 /// bit-identical to the scalar path: the cutoff is computed once per tile by
-/// binary search over the monotone map `u(x) = x / (2³² − 1) / (1 + ε)`, and
-/// every representable `t` (including `0.0`, `1.0`, values below `u(1)`, and
-/// `NaN`, which cuts nothing) resolves to the exact comparison boundary.
+/// inverting the monotone map `u(x) = x / (2³² − 1) / (1 + ε)` and then
+/// stepping to the exact boundary (the inverse lands within a few values of
+/// it), and every representable `t` (including `0.0`, `1.0`, values below
+/// `u(1)`, and `NaN`, which cuts nothing) resolves to the exact comparison
+/// boundary.
 #[must_use]
 pub fn unit_cutoff(t: f64) -> u64 {
     if t.is_nan() || t <= 0.0 {
         return 0; // zero, negative, or NaN: nothing passes `u < t`
     }
     let uniform = |x: u64| x as f64 / f64::from(u32::MAX) / (1.0 + f64::EPSILON);
-    let (mut lo, mut hi) = (0u64, 1u64 << 32);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if uniform(mid) < t {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
+    let end = 1u64 << 32;
+    let mut x = (t * f64::from(u32::MAX) * (1.0 + f64::EPSILON))
+        .ceil()
+        .min(end as f64) as u64;
+    // Invariant after the first loop: `x == 0 || u(x − 1) < t`; the second
+    // keeps it and stops at the first `x` with `u(x) >= t`.
+    while x > 0 && uniform(x - 1) >= t {
+        x -= 1;
     }
-    lo
+    while x < end && uniform(x) < t {
+        x += 1;
+    }
+    x
 }
 
 #[cfg(test)]
@@ -141,6 +150,19 @@ mod tests {
         assert_eq!(combine(&[7, 8, 9]), combine(&[7, 8, 9]));
         assert_ne!(combine(&[7, 8, 9]), combine(&[9, 8, 7]));
         assert_ne!(combine(&[]), combine(&[0]));
+    }
+
+    #[test]
+    fn combine_is_a_left_fold_so_prefixes_hash_once() {
+        // The per-bit loops hash a word's prefix once and then fold each
+        // bit with one `mix64`; this identity makes that bit-identical.
+        for i in 0..1000u64 {
+            let (seed, pc, w, tag) = (mix64(i), i % 32, i * 7, 0x6362_6974);
+            let prefix = combine(&[seed, pc, w, tag]);
+            for bit in [0u64, 1, 63, 64, 255] {
+                assert_eq!(combine(&[seed, pc, w, tag, bit]), mix64(prefix ^ bit));
+            }
+        }
     }
 
     #[test]
@@ -205,6 +227,10 @@ mod tests {
                 0.5,
             ] {
                 let cut = unit_cutoff(t);
+                // The cutoff is the partition point of `u(x) < t` over the
+                // whole raw range.
+                assert!(cut == 0 || uniform(cut - 1) < t, "t = {t:e}, cut {cut}");
+                assert!(cut == 1 << 32 || uniform(cut) >= t, "t = {t:e}, cut {cut}");
                 assert_eq!(raw_lo < cut, lo < t, "lo half, t = {t:e}, h = {h:#x}");
                 assert_eq!(raw_hi < cut, hi < t, "hi half, t = {t:e}, h = {h:#x}");
             }

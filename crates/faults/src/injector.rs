@@ -10,7 +10,7 @@ use hbm_units::{Celsius, Millivolts, Volts};
 use serde::{Deserialize, Serialize};
 
 use crate::field::{CarryEntry, CarryStats, PcSweepCarry, PendingBits, PendingClass};
-use crate::hash::{combine, gate_key, key_unit, unit, unit_cutoff, unit_pair};
+use crate::hash::{combine, gate_key, key_unit, mix64, unit, unit_cutoff, unit_pair};
 use crate::kernel::{bitsliced, BackendSel, InstructionSet};
 use crate::params::FaultModelParams;
 use crate::variation::ShiftTable;
@@ -188,6 +188,71 @@ struct TileCuts {
     cut1: u64,
 }
 
+/// One tile-and-class knot lookup of a count descent: the exact integer
+/// fault cutoffs at every knot, plus a table over the top byte of a raw
+/// threshold so that most bits find their knot with one load instead of
+/// a binary search.
+#[derive(Debug, Clone)]
+struct KnotSearch {
+    /// Cutoffs along the descent, non-decreasing.
+    cuts: Vec<u64>,
+    /// `buckets[hi >> KNOT_BUCKET_SHIFT]`: the slot every raw threshold of
+    /// that bucket shares, or `u32::MAX` when a cutoff splits the bucket.
+    buckets: Vec<u32>,
+}
+
+/// Raw thresholds are 32-bit; their top byte picks a [`KnotSearch`] bucket.
+const KNOT_BUCKET_SHIFT: u32 = 24;
+
+impl KnotSearch {
+    /// The lookup of one class's cutoffs along a descent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cutoffs fall anywhere along the descent — the coupled
+    /// field's monotonicity rules that out.
+    fn new(cuts: Vec<u64>) -> Self {
+        assert!(
+            cuts.windows(2).all(|c| c[0] <= c[1]),
+            "fault cutoffs fall along a descending schedule: {cuts:?}"
+        );
+        let width = 1u64 << KNOT_BUCKET_SHIFT;
+        let mut below = 0; // cutoffs at or below the bucket's first value
+        let buckets = (0..1u64 << (32 - KNOT_BUCKET_SHIFT))
+            .map(|bucket| {
+                let first = bucket * width;
+                while below < cuts.len() && cuts[below] <= first {
+                    below += 1;
+                }
+                if cuts.get(below).is_some_and(|&cut| cut < first + width) {
+                    u32::MAX
+                } else {
+                    below as u32
+                }
+            })
+            .collect();
+        KnotSearch { cuts, buckets }
+    }
+
+    /// The cutoff at the last knot: a raw threshold at or above it never
+    /// fails.
+    fn last(&self) -> u64 {
+        *self
+            .cuts
+            .last()
+            .expect("a count descent has at least one knot")
+    }
+
+    /// The number of knots whose cutoff is at or below `hi` — the index of
+    /// the first knot at which a bit with raw threshold `hi` fails.
+    fn slot(&self, hi: u64) -> usize {
+        match self.buckets[(hi >> KNOT_BUCKET_SHIFT) as usize] {
+            u32::MAX => self.cuts.partition_point(|&cut| cut <= hi),
+            slot => slot as usize,
+        }
+    }
+}
+
 /// The (bank, row-region) tiling of a pseudo channel: the granularity at
 /// which the variation shift — and so every derived probability — is
 /// constant. Mirrors the bit layout of [`WordOffset::decode`].
@@ -257,7 +322,7 @@ struct TileProbs {
 /// One pseudo channel's tile probabilities at a fixed voltage and
 /// temperature.
 #[derive(Debug)]
-struct TileTable {
+pub(crate) struct TileTable {
     voltage: Millivolts,
     temperature: Celsius,
     tiles: Vec<TileProbs>,
@@ -502,22 +567,11 @@ impl FaultInjector {
     }
 
     fn build_tile_table(&self, pc: PcIndex, supply: Millivolts) -> TileTable {
-        let var = &self.params.variation;
-        let v = supply.to_volts();
-        let pc_shift = self.shift_table.pc_shift_volts(pc);
-        let temp_shift = var.temperature_shift_volts(self.temperature);
         let s0 = self.params.stuck0_share;
         let s1 = self.params.stuck1_share();
         let tiles = (0..self.grid.tile_count)
             .map(|tile| {
-                let (bank, region) = self.grid.bank_and_region(tile);
-                // Exactly the per-word path's shift composition — the term
-                // order matters, f64 addition is not associative.
-                let shift = pc_shift
-                    + var.bank_shift_volts(self.seed, pc, bank)
-                    + var.region_shift_volts_by_index(self.seed, pc, bank, region)
-                    + temp_shift;
-                let (c0, c1) = self.params.class_probabilities(v, Volts(shift));
+                let (c0, c1) = self.tile_class_probabilities(pc, tile, supply);
                 let p_any0 = p_any(s0 * c0);
                 let p_any1 = p_any(s1 * c1);
                 TileProbs {
@@ -543,6 +597,22 @@ impl FaultInjector {
             temperature: self.temperature,
             tiles,
         }
+    }
+
+    /// Class-conditional fault probabilities `(c0, c1)` of one tile at
+    /// `supply` (below the guardband): the single-tile body of every tile
+    /// table, shared with [`FaultInjector::coupled_count_descent`].
+    fn tile_class_probabilities(&self, pc: PcIndex, tile: usize, supply: Millivolts) -> (f64, f64) {
+        let var = &self.params.variation;
+        let (bank, region) = self.grid.bank_and_region(tile);
+        // Exactly the per-word path's shift composition — the term order
+        // matters, f64 addition is not associative.
+        let shift = self.shift_table.pc_shift_volts(pc)
+            + var.bank_shift_volts(self.seed, pc, bank)
+            + var.region_shift_volts_by_index(self.seed, pc, bank, region)
+            + var.temperature_shift_volts(self.temperature);
+        self.params
+            .class_probabilities(supply.to_volts(), Volts(shift))
     }
 
     /// The gate index of `pc`, or `None` for geometries too large to index.
@@ -772,11 +842,11 @@ impl FaultInjector {
     /// thresholds (zero for an ungated class).
     fn enumerate_bits(&self, pc: PcIndex, w: u64, cond0: f64, cond1: f64) -> (Word256, Word256) {
         let s0 = self.params.stuck0_share;
-        let pcu = u64::from(pc.as_u8());
+        let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_BIT]);
         let mut stuck0 = Word256::ZERO;
         let mut stuck1 = Word256::ZERO;
         for bit in 0u32..Word256::BITS {
-            let h = combine(&[self.seed, pcu, w, TAG_BIT, u64::from(bit)]);
+            let h = mix64(prefix ^ u64::from(bit));
             let (class_u, thresh_u) = unit_pair(h);
             if class_u < s0 {
                 if thresh_u < cond0 {
@@ -1045,13 +1115,13 @@ impl FaultInjector {
     /// (`f64::INFINITY` when every bit of the class is already faulty).
     fn coupled_word(&self, pc: PcIndex, w: u64, c0: f64, c1: f64) -> (Word256, Word256, f64, f64) {
         let s0_share = self.params.stuck0_share;
-        let pcu = u64::from(pc.as_u8());
+        let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_CBIT]);
         let mut stuck0 = Word256::ZERO;
         let mut stuck1 = Word256::ZERO;
         let mut next0 = f64::INFINITY;
         let mut next1 = f64::INFINITY;
         for bit in 0u32..Word256::BITS {
-            let h = combine(&[self.seed, pcu, w, TAG_CBIT, u64::from(bit)]);
+            let h = mix64(prefix ^ u64::from(bit));
             let (class_u, t) = unit_pair(h);
             if class_u < s0_share {
                 if t < c0 {
@@ -1127,9 +1197,10 @@ impl FaultInjector {
         let mut by0 = vec![f64::INFINITY; words];
         let mut by1 = vec![f64::INFINITY; words];
         for w in 0..self.grid.words_per_pc {
+            let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
             let (mut m0, mut m1) = (f64::INFINITY, f64::INFINITY);
             for bit in 0u32..Word256::BITS {
-                let h = combine(&[self.seed, pcu, w, TAG_CBIT, u64::from(bit)]);
+                let h = mix64(prefix ^ u64::from(bit));
                 let (class_u, t) = unit_pair(h);
                 if class_u < s0_share {
                     m0 = m0.min(t);
@@ -1356,6 +1427,104 @@ impl FaultInjector {
         (n0, n1)
     }
 
+    /// Union coupled-field fault-bit counts of one pseudo channel along a
+    /// strictly descending `schedule`: entry `k` is the stuck-at count (both
+    /// polarities) over `words` at `schedule[k]`, equal to
+    /// [`crate::MaskKernel::count_range`] at that knot.
+    ///
+    /// One hash pass over the range, no masks: each tile the range touches
+    /// gets the exact integer cutoffs ([`unit_cutoff`]) of both classes at
+    /// every knot (zero at or above the guardband), non-decreasing along
+    /// the descent because the coupled field is monotone. Each bit's raw
+    /// threshold then lands in the histogram slot of the first knot whose
+    /// cutoff exceeds it, and the counts are the histogram's prefix sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `schedule` is not strictly descending or `words` runs
+    /// past the pseudo channel.
+    pub(crate) fn coupled_count_descent(
+        &self,
+        pc: PcIndex,
+        words: Range<u64>,
+        schedule: &[Millivolts],
+    ) -> Vec<u64> {
+        assert!(
+            schedule.windows(2).all(|w| w[0] > w[1]),
+            "count_descent schedule must be strictly descending: {schedule:?}"
+        );
+        let knots = schedule.len();
+        // Slot `k` counts the bits that first fail at knot `k`; slot
+        // `knots` collects the bits still clean at the last knot.
+        let mut hist = vec![0u64; knots + 1];
+        if knots > 0 && !words.is_empty() {
+            assert!(
+                words.end <= self.grid.words_per_pc,
+                "word range end {} out of range for geometry ({} words/pc)",
+                words.end,
+                self.grid.words_per_pc
+            );
+            let class_cut = unit_cutoff(self.params.stuck0_share);
+            let pcu = u64::from(pc.as_u8());
+            // Per touched tile, the knot search of each polarity class.
+            let mut searches: Vec<Option<[KnotSearch; 2]>> = vec![None; self.grid.tile_count];
+            for w in words {
+                let tile = self.grid.tile_of(w);
+                let [class0, class1] = searches[tile]
+                    .get_or_insert_with(|| self.tile_knot_searches(pc, tile, schedule));
+                if class0.last() == 0 && class1.last() == 0 {
+                    continue; // no bit of this word fails at any knot
+                }
+                let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
+                for bit in 0..u64::from(Word256::BITS) {
+                    let h = mix64(prefix ^ bit);
+                    let hi = h >> 32;
+                    let class = if h & 0xFFFF_FFFF < class_cut {
+                        &*class0
+                    } else {
+                        &*class1
+                    };
+                    if hi < class.last() {
+                        hist[class.slot(hi)] += 1;
+                    }
+                }
+            }
+        }
+        hist.truncate(knots);
+        let mut total = 0u64;
+        for slot in &mut hist {
+            total += *slot;
+            *slot = total;
+        }
+        hist
+    }
+
+    /// One tile's knot searches (stuck-at-0 class, then stuck-at-1) over
+    /// the exact integer fault cutoffs at every knot of `schedule`, zero at
+    /// or above the guardband.
+    fn tile_knot_searches(
+        &self,
+        pc: PcIndex,
+        tile: usize,
+        schedule: &[Millivolts],
+    ) -> [KnotSearch; 2] {
+        let probs: Vec<(f64, f64)> = schedule
+            .iter()
+            .map(|&v| {
+                if v >= self.params.landmarks.v_min {
+                    (0.0, 0.0)
+                } else {
+                    self.tile_class_probabilities(pc, tile, v)
+                }
+            })
+            .collect();
+        [
+            probs.iter().map(|p| unit_cutoff(p.0)).collect(),
+            probs.iter().map(|p| unit_cutoff(p.1)).collect(),
+        ]
+        .map(KnotSearch::new)
+    }
+
     /// The coupled-field words of `words` that *activate* — gain their
     /// first faulty bit — when the supply descends from `v_prev` to
     /// `v_next`, with their full masks at `v_next`, ascending by offset.
@@ -1400,13 +1569,14 @@ impl FaultInjector {
             words.end,
             self.grid.words_per_pc
         );
+        // The previous table first: a caller walking a descent step by step
+        // finds it still cached from its last step, so each step builds one
+        // table (`next`), never two.
+        let prev = (v_prev < self.params.landmarks.v_min).then(|| self.tile_table(pc, v_prev));
         let next = self.tile_table(pc, v_next);
-        let prev_tiles =
-            (v_prev < self.params.landmarks.v_min).then(|| self.build_tile_table(pc, v_prev).tiles);
         let prev_c = |tile: usize| {
-            prev_tiles
-                .as_ref()
-                .map_or((0.0, 0.0), |t| (t[tile].c0, t[tile].c1))
+            prev.as_ref()
+                .map_or((0.0, 0.0), |t| (t.tiles[tile].c0, t.tiles[tile].c1))
         };
         let Some(index) = self.pc_coupled_index(pc) else {
             let s0_share = self.params.stuck0_share;
@@ -1418,11 +1588,12 @@ impl FaultInjector {
                     continue;
                 }
                 let (c0p, c1p) = prev_c(tile);
+                let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
                 let mut active_prev = false;
                 let mut stuck0 = Word256::ZERO;
                 let mut stuck1 = Word256::ZERO;
                 for bit in 0u32..Word256::BITS {
-                    let h = combine(&[self.seed, pcu, w, TAG_CBIT, u64::from(bit)]);
+                    let h = mix64(prefix ^ u64::from(bit));
                     let (class_u, t) = unit_pair(h);
                     if class_u < s0_share {
                         if t < probs.c0 {
@@ -1505,6 +1676,7 @@ impl FaultInjector {
         if len > 0 && len <= MAX_BIT_CARRY_WORDS {
             return self.coupled_bit_carry_start(pc, words, supply, sel);
         }
+        let table = (supply < self.params.landmarks.v_min).then(|| self.tile_table(pc, supply));
         let mut entries = Vec::new();
         self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1, n0, n1| {
             entries.push(CarryEntry {
@@ -1529,6 +1701,7 @@ impl FaultInjector {
                 voltage: supply,
                 temperature: self.temperature,
                 entries,
+                table,
                 pending: None,
             },
             stats,
@@ -1580,9 +1753,9 @@ impl FaultInjector {
             };
             let mut stuck0 = Word256::ZERO;
             let mut stuck1 = Word256::ZERO;
+            let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
             match plan {
                 Some(cuts) => {
-                    let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
                     let (class_plane, s0, s1) = bitsliced::coupled_scan(
                         prefix,
                         cuts.class_cut,
@@ -1620,7 +1793,7 @@ impl FaultInjector {
                         .as_ref()
                         .map_or((0.0, 0.0), |t| (t.tiles[tile].c0, t.tiles[tile].c1));
                     for bit in 0u32..Word256::BITS {
-                        let h = combine(&[self.seed, pcu, w, TAG_CBIT, u64::from(bit)]);
+                        let h = mix64(prefix ^ u64::from(bit));
                         let (class_u, t) = unit_pair(h);
                         let raw = (h >> 32) as u32;
                         if class_u < s0_share {
@@ -1664,6 +1837,7 @@ impl FaultInjector {
                 voltage: supply,
                 temperature: self.temperature,
                 entries,
+                table: tiles,
                 pending: Some(PendingBits {
                     class0,
                     class1,
@@ -1727,13 +1901,11 @@ impl FaultInjector {
         }
         let pc = carry.pc;
         let table = self.tile_table(pc, supply);
-        let prev_voltage = carry.voltage;
-        let prev_tiles = (prev_voltage < self.params.landmarks.v_min)
-            .then(|| self.build_tile_table(pc, prev_voltage).tiles);
+        let prev_table = carry.table.replace(Arc::clone(&table));
         let prev_c = |tile: usize| {
-            prev_tiles
+            prev_table
                 .as_ref()
-                .map_or((0.0, 0.0), |t| (t[tile].c0, t[tile].c1))
+                .map_or((0.0, 0.0), |t| (t.tiles[tile].c0, t.tiles[tile].c1))
         };
         let mut stats = CarryStats::default();
         // One dispatch decision per tile for the whole advance (refresh and
@@ -1850,6 +2022,7 @@ impl FaultInjector {
     /// of bit flips, not to `points × faulty words`.
     fn coupled_bit_advance(&self, carry: &mut PcSweepCarry, supply: Millivolts) -> CarryStats {
         let table = self.tile_table(carry.pc, supply);
+        carry.table = Some(Arc::clone(&table));
         let start = carry.words.start;
         let before = carry.entries.len();
         let entries = &mut carry.entries;
@@ -1986,6 +2159,36 @@ mod tests {
 
     fn pc(i: u8) -> PcIndex {
         PcIndex::new(i).unwrap()
+    }
+
+    #[test]
+    fn knot_search_slots_match_a_binary_search() {
+        let width = 1u64 << KNOT_BUCKET_SHIFT;
+        let end = 1u64 << 32;
+        for cuts in [
+            vec![0],
+            vec![0, 0, 5],
+            vec![width - 1, width, width + 1, 3 * width],
+            vec![end],
+            vec![7, 200 * width + 3, end - 1, end],
+        ] {
+            let search = KnotSearch::new(cuts.clone());
+            let probes = cuts
+                .iter()
+                .flat_map(|&cut| [cut.saturating_sub(1), cut, cut + 1])
+                .chain((0..256).flat_map(|b| [b * width, b * width + width - 1]))
+                .filter(|&hi| hi < end);
+            for hi in probes {
+                let expected = cuts.partition_point(|&cut| cut <= hi);
+                assert_eq!(search.slot(hi), expected, "cuts {cuts:?}, hi {hi}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fall along a descending schedule")]
+    fn knot_search_refuses_falling_cutoffs() {
+        let _ = KnotSearch::new(vec![5, 3]);
     }
 
     #[test]

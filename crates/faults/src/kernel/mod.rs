@@ -218,39 +218,32 @@ pub trait MaskKernel {
     fn carry_advance(&self, carry: &mut PcSweepCarry, supply: Millivolts) -> CarryStats;
 
     /// Union fault-bit counts of one pseudo channel along a descending
-    /// voltage schedule, via one carried sweep: entry `k` is the total
-    /// stuck-at count (both polarities) over `words` at `schedule[k]`.
+    /// voltage schedule: entry `k` is the total stuck-at count (both
+    /// polarities) over `words` at `schedule[k]`, equal to
+    /// [`MaskKernel::count_range`] at that knot.
     ///
     /// This is the exact-rescan entry point the fleet layer uses to
     /// re-derive a device's per-knot curve when a compressed model cannot
     /// answer a query within its fidelity bound.
+    ///
+    /// # Performance
+    ///
+    /// One hash pass over the range and no carry: about `words × 256`
+    /// mixes, plus a search over the knots for each bit that fails at the
+    /// last knot. The search is one load from a per-tile table over the top
+    /// byte of the bit's raw threshold, and a binary search over the knots'
+    /// integer cutoffs only where a cutoff splits that byte's range. Words
+    /// of tiles that stay clean at every knot are not hashed. No mask is
+    /// built and nothing is carried between knots, so extra knots cost
+    /// only their cutoffs. Every backend gets the same counts from the
+    /// same pass.
     ///
     /// # Panics
     ///
     /// Panics under [`FaultFieldMode::PerVoltage`] (see
     /// [`MaskKernel::carry_start`]) and when `schedule` is not strictly
     /// descending.
-    fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64> {
-        let mut counts = Vec::with_capacity(schedule.len());
-        let mut carry: Option<PcSweepCarry> = None;
-        for &supply in schedule {
-            match carry.as_mut() {
-                None => carry = Some(self.carry_start(pc, words.clone(), supply).0),
-                Some(c) => {
-                    self.carry_advance(c, supply);
-                }
-            }
-            let mut count = 0u64;
-            carry
-                .as_ref()
-                .expect("carry initialized above")
-                .for_each_mask(|_, s0, s1| {
-                    count += u64::from(s0.count_ones()) + u64::from(s1.count_ones());
-                });
-            counts.push(count);
-        }
-        counts
-    }
+    fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64>;
 }
 
 /// The concrete [`MaskKernel`]: a borrowed [`FaultInjector`] plus the
@@ -391,6 +384,17 @@ impl MaskKernel for FieldKernel<'_> {
                 .coupled_carry_advance_sel(carry, supply, self.sel),
         }
     }
+
+    fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64> {
+        match self.field {
+            FaultFieldMode::PerVoltage => {
+                panic!("count descents require FaultFieldMode::MonotoneCoupled")
+            }
+            FaultFieldMode::MonotoneCoupled => {
+                self.injector.coupled_count_descent(pc, words, schedule)
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -443,6 +447,26 @@ mod tests {
             let (n0, n1) = kernel.count_range(pc, 0..64, v);
             assert_eq!(counts[k], n0 + n1, "knot {v}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly descending")]
+    fn count_descent_refuses_a_repeated_knot() {
+        let injector =
+            FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 9);
+        let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+        let pc = PcIndex::new(0).unwrap();
+        let _ = kernel.count_descent(pc, 0..64, &[Millivolts(900), Millivolts(900)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly descending")]
+    fn count_descent_refuses_an_ascent() {
+        let injector =
+            FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 9);
+        let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar);
+        let pc = PcIndex::new(0).unwrap();
+        let _ = kernel.count_descent(pc, 0..64, &[Millivolts(880), Millivolts(900)]);
     }
 
     #[test]

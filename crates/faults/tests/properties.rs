@@ -27,6 +27,33 @@ fn coupled(inj: &FaultInjector) -> FieldKernel<'_> {
     inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar)
 }
 
+/// The carried-descent reference for [`MaskKernel::count_descent`]: one
+/// carry started at the first knot and advanced through the rest, its
+/// masks counted at every knot.
+fn carried_descent_counts(
+    kernel: &FieldKernel<'_>,
+    pc: PcIndex,
+    words: std::ops::Range<u64>,
+    schedule: &[Millivolts],
+) -> Vec<u64> {
+    let mut counts = Vec::new();
+    let Some((&first, rest)) = schedule.split_first() else {
+        return counts;
+    };
+    let count = |carry: &hbm_faults::PcSweepCarry| {
+        let mut n = 0u64;
+        carry.for_each_mask(|_, s0, s1| n += u64::from(s0.count_ones() + s1.count_ones()));
+        n
+    };
+    let (mut carry, _) = kernel.carry_start(pc, words, first);
+    counts.push(count(&carry));
+    for &v in rest {
+        kernel.carry_advance(&mut carry, v);
+        counts.push(count(&carry));
+    }
+    counts
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -336,6 +363,52 @@ proptest! {
                     "advance stats diverged at {} ({:?})", v, kernels[i].backend());
                 prop_assert_eq!(carries[i].masks(), carries[0].masks(),
                     "advance masks diverged at {} ({:?})", v, kernels[i].backend());
+            }
+        }
+    }
+
+    /// The one-pass count descent equals both the per-knot range counts and
+    /// the carried-descent reference, under the scalar and auto backends,
+    /// for ranges that start above word 0 and cross tiles, schedules from
+    /// inside the guardband into saturation, single knots and empty ranges.
+    #[test]
+    fn count_descent_matches_range_counts_and_carried_reference(
+        seed in any::<u64>(),
+        pc_index in 0u8..32,
+        range_shape in 0u8..4,
+        start in 0u64..8192,
+        len in 0u64..600,
+        schedule_shape in 0u8..3,
+        first_mv in 800u32..1040,
+        step in 1u32..40,
+        knots in 1u32..8,
+    ) {
+        let inj = injector(seed);
+        let pc = PcIndex::new(pc_index).unwrap();
+        let range = match range_shape {
+            0 => 20..100, // starts above word 0 and crosses a tile boundary
+            1 => start..start,
+            _ => start..(start + len).min(8192),
+        };
+        let schedule: Vec<Millivolts> = match schedule_shape {
+            // From inside the guardband down into saturation.
+            0 => (0..9).map(|k| Millivolts(1000 - 25 * k)).collect(),
+            1 => vec![Millivolts(first_mv)],
+            _ => (0..knots)
+                .map(|k| first_mv.saturating_sub(k * step))
+                .filter(|&mv| mv >= 800)
+                .map(Millivolts)
+                .collect(),
+        };
+        let scalar = coupled(&inj);
+        let reference = carried_descent_counts(&scalar, pc, range.clone(), &schedule);
+        for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
+            let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, backend);
+            let counts = kernel.count_descent(pc, range.clone(), &schedule);
+            prop_assert_eq!(&counts, &reference, "{:?} diverged from the carried descent", backend);
+            for (&v, &count) in schedule.iter().zip(&counts) {
+                let (n0, n1) = kernel.count_range(pc, range.clone(), v);
+                prop_assert_eq!(count, n0 + n1, "{:?} diverged from count_range at {}", backend, v);
             }
         }
     }

@@ -387,6 +387,29 @@ mod tests {
     }
 
     #[test]
+    fn from_meta_rejects_knots_off_a_uniform_descending_grid() {
+        let cfg = FleetConfig::default();
+        let meta = crate::artifact::ArtifactMeta::from_config(&cfg);
+        let back = FleetConfig::from_meta(&meta, &cfg.knots()).unwrap();
+        assert_eq!(back.knots(), cfg.knots());
+        for knots in [
+            vec![900, 900, 880],
+            vec![880, 900, 920],
+            vec![900, 880, 870],
+            vec![900, 880, 890],
+        ] {
+            let knots: Vec<Millivolts> = knots.into_iter().map(Millivolts).collect();
+            assert!(
+                matches!(
+                    FleetConfig::from_meta(&meta, &knots),
+                    Err(FleetError::Artifact(_))
+                ),
+                "{knots:?} must be rejected"
+            );
+        }
+    }
+
+    #[test]
     fn device_specs_are_distinct_and_stable() {
         let cfg = FleetConfig::default();
         let a = cfg.device_spec(0);

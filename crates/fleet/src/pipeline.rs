@@ -40,8 +40,8 @@
 //! # The single-flight rescan cache
 //!
 //! A model-only store answers an envelope-abstaining `Recommend` by
-//! re-deriving the device's exact fault-count row with the coupled-carry
-//! kernel — by far the most expensive operation the service performs.
+//! re-deriving the device's exact fault-count row with the kernel's count
+//! descent — by far the most expensive operation the service performs.
 //! [`RescanCache`] memoizes those rows per device (one kernel pass
 //! derives the counts for **all** knots at once, so the device row is the
 //! natural cache unit rather than a single `(device, knot)` cell) under

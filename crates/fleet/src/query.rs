@@ -14,7 +14,7 @@
 //! * **model** — the compressed [`crate::model::DeviceModel`], each cell
 //!   judged through its fidelity envelope and allowed to abstain
 //!   ([`CellVerdict::Ambiguous`]) when the envelope straddles the target;
-//! * **rescan** — the coupled-carry kernel re-deriving the exact counts on
+//! * **rescan** — the kernel's count descent re-deriving the exact counts on
 //!   demand from the header's reconstructed [`FleetConfig`], for stores
 //!   whose exact columns were dropped at compression time.
 //!
@@ -217,7 +217,7 @@ pub(crate) fn recommend_model_raw(
 }
 
 /// Re-derives one device's exact fault-count row (pseudo-channel-major,
-/// every knot) with the coupled-carry kernel, from the artifact header
+/// every knot) with the kernel's count descent, from the artifact header
 /// alone. This is the expensive half of a rescan — a pure function of
 /// `(store header, device_id)`, which is what makes it safe to memoize in
 /// the serving layer's single-flight rescan cache.

@@ -2,8 +2,8 @@
 //! that turns a raw per-knot fault-count matrix into one.
 //!
 //! Keeping the V_min / weak-PC / guardband derivations in one place is
-//! what lets two independent measurement paths — the fleet's coupled-carry
-//! kernel descent and core's supervised traffic sweep — produce
+//! what lets two independent measurement paths — the fleet's kernel count
+//! descent and core's supervised traffic sweep — produce
 //! bit-identical records: both hand the same count matrix to
 //! [`DeviceRecord::assemble`].
 

@@ -118,11 +118,11 @@ pub struct FleetReport {
     pub stats: FleetRunStats,
 }
 
-/// Characterizes one device with the coupled-carry kernel descent.
+/// Characterizes one device with the kernel's count descent.
 ///
-/// Per pseudo channel, the descent starts a carry at the top knot and
-/// advances it downward, so the incremental-sweep and bit-sliced kernel
-/// wins compound per device. Knots below the device's crash floor are
+/// Per pseudo channel, [`MaskKernel::count_descent`] counts the faulty bits
+/// at every live knot in one hash pass over the sampled words, without
+/// building masks. Knots below the device's crash floor are
 /// marked [`CRASHED_KNOT`] — the same cliff the supervised platform sweep
 /// reports as crashed points.
 #[must_use]

@@ -4,7 +4,7 @@
 //! scheduling order, and `hbmctl fleet` results therefore depend only on
 //! `(config, device_id)`.
 //!
-//! The fleet runner descends each device with the coupled-carry mask
+//! The fleet runner counts each device's faults with the coupled-field
 //! kernel directly — no DRAM arrays, no AXI traffic. The last two tests
 //! prove that this is the same measurement as the supervised platform
 //! stack: the per-device campaign assembled through `SweepConfig` and run
