@@ -17,14 +17,15 @@
 //! `workers` comes from the platform ([`crate::PlatformBuilder::workers`]);
 //! the default of 1 keeps the exact sequential code path.
 
+use std::collections::BTreeMap;
+
 use hbm_device::{DeviceError, PcIndex, PcShard, PortId, Word256, WordOffset};
-use hbm_faults::{CarryStats, FaultInjector, FieldKernel, MaskKernel};
+use hbm_faults::{FaultFieldMode, FaultInjector, FieldKernel, KernelBackend, MaskKernel};
 use hbm_traffic::{DataPattern, MacroProgram, MemoryPort, PortStats, TrafficGenerator};
 use hbm_units::Millivolts;
 
 use crate::error::ExperimentError;
 use crate::platform::Platform;
-use crate::reliability::SweepCarry;
 use crate::telemetry::{Telemetry, TelemetryEvent};
 
 /// Fault-injecting access to one pseudo-channel shard: the parallel
@@ -155,11 +156,11 @@ enum MaskSet {
     Sampled {
         samples: Vec<(u64, Word256, Word256)>,
     },
-    /// Dense-regime streaming fold: the per-pattern pass statistics were
-    /// computed *during* enumeration and no masks are stored at all, so
-    /// the working set stays O(patterns) even when nearly every word of
-    /// the range is faulty. Mask sums commute, so the fold is identical to
-    /// replaying a collected vector.
+    /// Per-pattern pass statistics with no masks stored at all: folded
+    /// *during* a dense-regime enumeration, or read from a coupled-field
+    /// descent row. The working set stays O(patterns) even when nearly
+    /// every word of the range is faulty. Mask sums commute, so the fold
+    /// is identical to replaying a collected vector.
     Streamed {
         words: u64,
         stats: Vec<(DataPattern, PortStats)>,
@@ -313,14 +314,7 @@ pub(crate) fn build_mask_sets(
     patterns: &[DataPattern],
     telemetry: &Telemetry,
 ) -> Result<Vec<PortMasks>, ExperimentError> {
-    for &port in ports {
-        if !platform.device().ports().is_enabled(port) {
-            return Err(DeviceError::PortDisabled {
-                index: port.as_u8(),
-            }
-            .into());
-        }
-    }
+    check_enabled(platform, ports)?;
     let seed = platform.seed();
     let build = move |port: PortId| -> PortMasks {
         let pc = port.direct_pc();
@@ -357,93 +351,161 @@ pub(crate) fn build_mask_sets(
                 .collect()
         })
     };
-    for set in &sets {
+    emit_shards_done(&sets, telemetry);
+    Ok(sets)
+}
+
+/// [`DeviceError::PortDisabled`] for the first disabled port of `ports` —
+/// what the traffic path's first AXI access would report.
+fn check_enabled(platform: &Platform, ports: &[PortId]) -> Result<(), ExperimentError> {
+    match ports
+        .iter()
+        .find(|&&port| !platform.device().ports().is_enabled(port))
+    {
+        Some(port) => Err(DeviceError::PortDisabled {
+            index: port.as_u8(),
+        }
+        .into()),
+        None => Ok(()),
+    }
+}
+
+/// One [`TelemetryEvent::WorkerShardDone`] per built set, in `ports` order.
+fn emit_shards_done(sets: &[PortMasks], telemetry: &Telemetry) {
+    for set in sets {
         telemetry.emit(TelemetryEvent::WorkerShardDone {
             port: set.port().as_u8(),
             words: set.words_checked(),
         });
     }
-    Ok(sets)
 }
 
-/// The incremental counterpart of [`build_mask_sets`] for the coupled
-/// fault field (`kernel` must be a coupled-field kernel): advances each
-/// port's carried faulty-word working set to `voltage` — re-enumerating
-/// only words whose masks changed since the previous point — and folds
-/// the carried masks straight into per-pattern [`MaskSet::Streamed`]
-/// statistics, so no point ever materializes a mask vector. A port with
-/// no carry yet (or a carry over a different word range) is rebuilt from
-/// scratch, accounted as `activated`.
+/// The coupled-field descent rows a platform has computed: for each
+/// `(port, words, voltage)`, the per-pattern statistics one write/read-back
+/// pass over `0..words` of the port measures at that voltage. A row is a
+/// pure function of the fault realization, so it stays valid across power
+/// cycles, retries and sweeps until the temperature changes.
+pub(crate) type DescentRows = BTreeMap<(u8, u64, Millivolts), Vec<(DataPattern, PortStats)>>;
+
+/// The coupled-field counterpart of [`build_mask_sets`] for sequential
+/// walks: every port's set is its descent row at `schedule[0]`, handed out
+/// as a [`MaskSet::Streamed`] set. A port without a row there first runs
+/// one [`MaskKernel::knot_descent`] over the whole `schedule` (this voltage
+/// and every lower one the sweep will visit) and keeps a row per knot, so
+/// the following points read rows instead of enumerating masks.
 ///
-/// The resulting statistics are bit-identical to a from-scratch
-/// [`build_mask_sets`] at the same voltage: the carry's masks are exact
-/// ([`MaskKernel::carry_advance`] guarantees it, for every backend) and the
-/// fold is the same sum.
-/// Ports are processed sequentially — the carry is mutable shared state,
-/// and the advance's per-port cost is proportional to the mask *delta*,
-/// which is exactly the work parallelism would amortize away.
+/// The rows are bit-identical to a from-scratch [`build_mask_sets`] at each
+/// knot: the descent's masks at a knot are exactly the enumeration's there
+/// (for every backend), and the row is the same per-word sum. Ports are
+/// descended one after another; the events match [`build_mask_sets`].
 ///
-/// Returns the mask sets in `ports` order plus the aggregated carry
-/// accounting for the point.
+/// Returns the sets in `ports` order plus the words the point's descents
+/// hashed (zero when every row was already known).
 ///
 /// # Errors
 ///
 /// [`DeviceError::PortDisabled`] if a scoped port is disabled, exactly
 /// like [`build_mask_sets`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_mask_sets_carried(
-    platform: &Platform,
+pub(crate) fn build_mask_sets_descended(
+    platform: &mut Platform,
     ports: &[PortId],
     words: u64,
-    voltage: Millivolts,
-    carry: &mut SweepCarry,
-    kernel: FieldKernel<'_>,
+    schedule: &[Millivolts],
     patterns: &[DataPattern],
     telemetry: &Telemetry,
-) -> Result<(Vec<PortMasks>, CarryStats), ExperimentError> {
-    for &port in ports {
-        if !platform.device().ports().is_enabled(port) {
-            return Err(DeviceError::PortDisabled {
-                index: port.as_u8(),
-            }
-            .into());
-        }
-    }
-    let mut total = CarryStats::default();
+) -> Result<(Vec<PortMasks>, u64), ExperimentError> {
+    check_enabled(platform, ports)?;
+    let voltage = schedule[0];
+    let mut descended = 0;
     let mut sets = Vec::with_capacity(ports.len());
     for &port in ports {
-        let pc = port.direct_pc();
-        let id = port.as_u8();
-        let existing = carry
-            .carries
-            .iter()
-            .position(|(p, c)| *p == id && c.words() == (0..words));
-        let (stats, index) = match existing {
-            Some(index) => (
-                kernel.carry_advance(&mut carry.carries[index].1, voltage),
-                index,
-            ),
-            None => {
-                // Also drops a stale same-port carry over a different
-                // word range — it can never be advanced to this one.
-                carry.carries.retain(|(p, _)| *p != id);
-                let (fresh, stats) = kernel.carry_start(pc, 0..words, voltage);
-                carry.carries.push((id, fresh));
-                (stats, carry.carries.len() - 1)
+        let key = (port.as_u8(), words, voltage);
+        let known = platform
+            .descent_rows()
+            .get(&key)
+            .is_some_and(|row| row.iter().map(|(p, _)| p).eq(patterns));
+        if !known {
+            let kernel = platform
+                .injector()
+                .kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+            let rows = descent_rows(kernel, port.direct_pc(), words, schedule, patterns);
+            descended += words;
+            for (&v, row) in schedule.iter().zip(rows) {
+                platform
+                    .descent_rows()
+                    .insert((port.as_u8(), words, v), row);
             }
-        };
-        total.absorb(stats);
-        let pc_carry = &carry.carries[index].1;
-        let set = streamed_stats(words, patterns, |fold| pc_carry.for_each_mask(fold));
-        sets.push(PortMasks { port, set });
-    }
-    for set in &sets {
-        telemetry.emit(TelemetryEvent::WorkerShardDone {
-            port: set.port().as_u8(),
-            words: set.words_checked(),
+        }
+        sets.push(PortMasks {
+            port,
+            set: MaskSet::Streamed {
+                words,
+                stats: platform.descent_rows()[&key].clone(),
+            },
         });
     }
-    Ok((sets, total))
+    emit_shards_done(&sets, telemetry);
+    Ok((sets, descended))
+}
+
+/// One port's descent rows: for every knot of `schedule`, the per-pattern
+/// statistics one pass over `0..words` measures there.
+///
+/// Each word the descent yields adds, per pattern, its exposed bits — the
+/// stuck-at-0 bits the pattern writes as 1 (1→0 flips) and the stuck-at-1
+/// bits it writes as 0 (0→1 flips) — to the histogram slot of the knot
+/// where each bit first fails, and counts the word as faulty from its
+/// lowest exposed knot on. Prefix sums over the knots give the rows.
+fn descent_rows(
+    kernel: FieldKernel<'_>,
+    pc: PcIndex,
+    words: u64,
+    schedule: &[Millivolts],
+    patterns: &[DataPattern],
+) -> Vec<Vec<(DataPattern, PortStats)>> {
+    // Per pattern and knot: faulty words, 1→0 flips, 0→1 flips that first
+    // appear there.
+    let mut firsts = vec![vec![[0u64; 3]; schedule.len()]; patterns.len()];
+    kernel.knot_descent(pc, 0..words, schedule, &mut |offset, s0, s1, knots| {
+        for (pattern, hist) in patterns.iter().zip(&mut firsts) {
+            let expected = pattern.word_at(offset.0);
+            let mut first_exposed = u16::MAX;
+            for (exposed, slot) in [(s0 & expected, 1), (s1 & !expected, 2)] {
+                for (lane, &bits) in exposed.0.iter().enumerate() {
+                    let mut rest = bits;
+                    while rest != 0 {
+                        let knot = knots[lane * 64 + rest.trailing_zeros() as usize];
+                        hist[usize::from(knot)][slot] += 1;
+                        first_exposed = first_exposed.min(knot);
+                        rest &= rest - 1;
+                    }
+                }
+            }
+            if first_exposed != u16::MAX {
+                hist[usize::from(first_exposed)][0] += 1;
+            }
+        }
+    });
+    let mut rows = vec![Vec::with_capacity(patterns.len()); schedule.len()];
+    for (&pattern, hist) in patterns.iter().zip(&firsts) {
+        let mut total = [0u64; 3];
+        for (row, first) in rows.iter_mut().zip(hist) {
+            for (sum, n) in total.iter_mut().zip(first) {
+                *sum += n;
+            }
+            row.push((
+                pattern,
+                PortStats {
+                    words_written: words,
+                    words_read: words,
+                    faulty_words: total[0],
+                    flips_1to0: total[1],
+                    flips_0to1: total[2],
+                },
+            ));
+        }
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -594,10 +656,10 @@ mod tests {
         assert!(err.to_string().contains('6'), "{err}");
     }
 
-    fn port_stats(sets: &[PortMasks], patterns: &[DataPattern]) -> Vec<PortStats> {
-        sets.iter()
-            .flat_map(|set| patterns.iter().map(|&p| set.stats_for(p)))
-            .collect()
+    /// Every pattern's statistics of one built set, in `patterns` order —
+    /// the shape of a descent row.
+    fn row_of(set: &PortMasks, patterns: &[DataPattern]) -> Vec<(DataPattern, PortStats)> {
+        patterns.iter().map(|&p| (p, set.stats_for(p))).collect()
     }
 
     #[test]
@@ -605,7 +667,8 @@ mod tests {
         // The backend only changes speed: in both fault fields, at every
         // point of the quick grid and deep in the dense region, the
         // density-adaptive kernel builds the same mask sets as the scalar
-        // reference — sequential, sampled and carried.
+        // reference — sequential, sampled and, for the coupled field,
+        // every descent row.
         let platform = Platform::builder().seed(7).build();
         let ports: Vec<PortId> = (0..platform.geometry().total_pcs())
             .map(|i| PortId::new(i).unwrap())
@@ -620,8 +683,17 @@ mod tests {
         for field in [FaultFieldMode::PerVoltage, FaultFieldMode::MonotoneCoupled] {
             let scalar = platform.injector().kernel(field, KernelBackend::Scalar);
             let auto = platform.injector().kernel(field, KernelBackend::Auto);
-            let mut carries = [SweepCarry::new(), SweepCarry::new()];
-            for &v in &voltages {
+            // Per port, each backend's descent rows over the whole grid.
+            let rows: Vec<_> = ports
+                .iter()
+                .filter(|_| field == FaultFieldMode::MonotoneCoupled)
+                .map(|port| {
+                    [scalar, auto].map(|kernel| {
+                        descent_rows(kernel, port.direct_pc(), words, &voltages, &patterns)
+                    })
+                })
+                .collect();
+            for (k, &v) in voltages.iter().enumerate() {
                 let build = |kernel, sample_words| {
                     build_mask_sets(
                         &platform,
@@ -642,35 +714,73 @@ mod tests {
                     build(scalar, Some(96)),
                     "{field:?} sampled at {v}"
                 );
-                if field != FaultFieldMode::MonotoneCoupled {
-                    continue;
-                }
-                let carried: Vec<_> = carries
-                    .iter_mut()
-                    .zip([scalar, auto])
-                    .map(|(carry, kernel)| {
-                        build_mask_sets_carried(
-                            &platform,
-                            &ports,
-                            words,
-                            v,
-                            carry,
-                            kernel,
-                            &patterns,
-                            Telemetry::disabled(),
-                        )
-                        .unwrap()
-                    })
-                    .collect();
-                assert_eq!(carried[0].1, carried[1].1, "carry accounting at {v}");
-                for (sets, _) in &carried {
-                    assert_eq!(
-                        port_stats(sets, &patterns),
-                        port_stats(&reference, &patterns),
-                        "carried at {v}"
-                    );
+                for (port_rows, set) in rows.iter().zip(&reference) {
+                    for backend_rows in port_rows {
+                        assert_eq!(
+                            backend_rows[k],
+                            row_of(set, &patterns),
+                            "descent row at {v}"
+                        );
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn descended_sets_reuse_their_rows_until_the_temperature_changes() {
+        let mut platform = Platform::builder().seed(7).build();
+        let ports: Vec<PortId> = (0..4).map(|i| PortId::new(i).unwrap()).collect();
+        let patterns = [DataPattern::Checkerboard, DataPattern::AddressAsData];
+        let schedule = [900, 870, 840].map(Millivolts);
+        let descend = |platform: &mut Platform, from: usize| {
+            build_mask_sets_descended(
+                platform,
+                &ports,
+                256,
+                &schedule[from..],
+                &patterns,
+                Telemetry::disabled(),
+            )
+            .unwrap()
+        };
+        let rescan = |platform: &Platform, v| {
+            let kernel = platform
+                .injector()
+                .kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+            build_mask_sets(
+                platform,
+                &ports,
+                256,
+                None,
+                v,
+                kernel,
+                &patterns,
+                Telemetry::disabled(),
+            )
+            .unwrap()
+        };
+        let (first, descended) = descend(&mut platform, 0);
+        assert_eq!(descended, 4 * 256, "the first point descends every port");
+        for (from, &v) in schedule.iter().enumerate() {
+            let (sets, descended) = descend(&mut platform, from);
+            assert_eq!(descended, 0, "rows at {v} are already known");
+            for (set, scanned) in sets.iter().zip(rescan(&platform, v)) {
+                assert_eq!(set.port(), scanned.port());
+                assert_eq!(
+                    row_of(set, &patterns),
+                    row_of(&scanned, &patterns),
+                    "at {v}"
+                );
+            }
+        }
+        assert_eq!(first, descend(&mut platform, 0).0);
+        // A new temperature is a new fault realization: the rows go.
+        platform.set_temperature(hbm_units::Celsius(55.0));
+        let (hot, descended) = descend(&mut platform, 1);
+        assert_eq!(descended, 4 * 256);
+        for (set, scanned) in hot.iter().zip(rescan(&platform, schedule[1])) {
+            assert_eq!(row_of(set, &patterns), row_of(&scanned, &patterns));
         }
     }
 

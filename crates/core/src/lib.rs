@@ -134,7 +134,7 @@ pub use platform::{Platform, PlatformBuilder, PowerSample, UndervoltedPort};
 pub use power_test::{PowerPoint, PowerSweep, PowerSweepReport};
 pub use reliability::{
     ExecutionMode, PatternOutcome, ReliabilityConfig, ReliabilityReport, ReliabilityTester,
-    SweepCarry, TestScope, VoltagePoint,
+    TestScope, VoltagePoint,
 };
 pub use report::{AcfTable, Render};
 pub use supervisor::{

@@ -12,7 +12,7 @@ use hbm_units::{Amperes, Celsius, GigabytesPerSecond, Millivolts, Ratio, Watts};
 use hbm_vreg::{HostInterface, PowerRail};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::ShardPort;
+use crate::engine::{DescentRows, ShardPort};
 use crate::error::ExperimentError;
 
 /// One power measurement as the host records it.
@@ -185,6 +185,7 @@ impl PlatformBuilder {
             timing_stretch: self.timing_stretch,
             seed: self.seed,
             workers: self.workers,
+            descent_rows: DescentRows::new(),
         }
     }
 }
@@ -243,6 +244,9 @@ pub struct Platform {
     timing_stretch: TimingStretchModel,
     seed: u64,
     workers: usize,
+    /// Coupled-field descent rows measured on this testbed so far; they
+    /// hold until the temperature changes the fault realization.
+    descent_rows: DescentRows,
 }
 
 impl Platform {
@@ -333,6 +337,12 @@ impl Platform {
     /// Mutable device access.
     pub fn device_mut(&mut self) -> &mut HbmDevice {
         &mut self.device
+    }
+
+    /// The coupled-field descent rows computed on this testbed, for the
+    /// sweeps that read and add to them.
+    pub(crate) fn descent_rows(&mut self) -> &mut DescentRows {
+        &mut self.descent_rows
     }
 
     /// The fault injector (the simulated silicon's fault behaviour).
@@ -482,9 +492,10 @@ impl Platform {
     }
 
     /// Changes the operating temperature of the whole testbed: the fault
-    /// injector (whose region probability cache this invalidates), both
-    /// analytic predictors, and the rail's ambient.
+    /// injector (whose region probability cache and descent rows this
+    /// invalidates), both analytic predictors, and the rail's ambient.
     pub fn set_temperature(&mut self, temperature: Celsius) {
+        self.descent_rows.clear();
         self.injector.set_temperature(temperature);
         self.predictor.set_temperature(temperature);
         self.full_predictor.set_temperature(temperature);

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use hbm_device::{DeviceError, PcIndex, PortId};
-use hbm_faults::{pc_stream, FaultFieldMode, KernelBackend, PcSweepCarry};
+use hbm_faults::{pc_stream, FaultFieldMode, KernelBackend};
 use hbm_traffic::{DataPattern, MacroProgram, PortStats};
 use hbm_units::{Millivolts, Ratio};
 use rand::Rng;
@@ -105,12 +105,13 @@ pub struct ReliabilityConfig {
     /// How the fault injector keys per-bit randomness across the sweep
     /// (default: [`FaultFieldMode::PerVoltage`], bit-compatible with every
     /// existing report). Under [`FaultFieldMode::MonotoneCoupled`] fault
-    /// sets are inclusion-monotone across descending voltage, so sequential
-    /// cached-mask sweeps carry their faulty-word working set from point to
-    /// point ([`ReliabilityTester::uses_carry`]).
+    /// sets are inclusion-monotone across descending voltage, so a
+    /// sequential (unsampled) sweep measures each port with one hash pass
+    /// at its first point and reads every later point from that pass's
+    /// per-voltage rows.
     ///
-    /// How the kernel runs — scalar or bit-sliced per tile, carried or
-    /// rescanned per point — is decided by the kernel itself and never
+    /// How the kernel runs — scalar or bit-sliced per tile, one descent or
+    /// a rescan per point — is decided by the kernel itself and never
     /// changes results, so it is not part of the configuration.
     pub fault_field: FaultFieldMode,
 }
@@ -228,16 +229,11 @@ pub struct VoltagePoint {
     /// performed per wall-clock second at this point. In cached-mask mode
     /// each word's masks are computed once per voltage, so this is far
     /// below `words_per_second`; in traffic mode every read evaluates a
-    /// mask. `None` for crashed points, like `words_per_second`.
+    /// mask. A coupled-field sequential sweep charges a port's one descent
+    /// (every word, once) to the point that ran it and reads later points
+    /// from its rows, at a rate of zero. `None` for crashed points, like
+    /// `words_per_second`.
     pub masks_per_second: Option<f64>,
-    /// Fraction of the point's faulty-word working set served unchanged
-    /// from the previous point's carry under the incremental coupled-field
-    /// kernel (`carried / (carried + refreshed + activated)`). `None` when
-    /// the point was not carried — the per-voltage field, traffic mode,
-    /// sampled mode, single-point runs ([`ReliabilityTester::run_point`]),
-    /// crashed points, and the first point of a carry chain all rebuilt
-    /// from scratch.
-    pub mask_reuse: Option<f64>,
 }
 
 /// A throughput rate that is a real measurement or nothing: non-finite
@@ -249,10 +245,10 @@ fn rate(count: u64, elapsed_secs: f64) -> Option<f64> {
 }
 
 impl PartialEq for VoltagePoint {
-    /// The throughput rates and the carry-reuse ratio are measurements of
-    /// *how* the point was computed, not model outputs: reports taken at
-    /// different worker counts or execution modes, and carried or rescanned
-    /// points, must still compare equal, so equality covers only the
+    /// The throughput rates are measurements of *how* the point was
+    /// computed, not model outputs: reports taken at different worker
+    /// counts or execution modes, and points read from a descent or
+    /// rescanned, must still compare equal, so equality covers only the
     /// deterministic fields.
     fn eq(&self, other: &Self) -> bool {
         self.voltage == other.voltage
@@ -323,40 +319,6 @@ impl ReliabilityReport {
             .filter(|p| p.crashed)
             .map(|p| p.voltage)
             .max()
-    }
-}
-
-/// The carried faulty-word working sets of a descending coupled-field
-/// sweep, one [`PcSweepCarry`] per scoped port's pseudo channel.
-///
-/// Created empty, filled by the first carried point
-/// ([`ReliabilityTester::run_point_carried`]) and advanced in place by
-/// every following one. Clearing it is always safe — the next carried
-/// point simply rebuilds from scratch — which is how the sweep runtimes
-/// keep crash-recovery semantics unchanged: the carry is dropped on every
-/// power cycle, retry and resume.
-#[derive(Debug, Clone, Default)]
-pub struct SweepCarry {
-    /// `(port id, carry)` pairs, in first-use order.
-    pub(crate) carries: Vec<(u8, PcSweepCarry)>,
-}
-
-impl SweepCarry {
-    /// An empty carry: the next carried point rebuilds from scratch.
-    #[must_use]
-    pub fn new() -> Self {
-        SweepCarry::default()
-    }
-
-    /// Drops every carried working set.
-    pub fn clear(&mut self) {
-        self.carries.clear();
-    }
-
-    /// `true` if no port carries a working set.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.carries.is_empty()
     }
 }
 
@@ -442,19 +404,12 @@ impl ReliabilityTester {
         });
 
         let mut points = Vec::with_capacity(sweep.len());
-        let use_carry = self.uses_carry();
-        let mut carry = SweepCarry::new();
         for voltage in self.config.sweep.iter() {
             telemetry.emit(TelemetryEvent::PointStarted {
                 voltage_mv: voltage.as_u32(),
                 attempt: 1,
             });
-            let result = if use_carry {
-                self.run_point_carried(platform, &ports, voltage, &mut carry, telemetry)
-            } else {
-                self.run_point_observed(platform, &ports, voltage, telemetry)
-            };
-            match result {
+            match self.run_point_observed(platform, &ports, voltage, telemetry) {
                 Ok(point) => {
                     if point.crashed {
                         telemetry.emit(TelemetryEvent::DeviceCrashed {
@@ -480,7 +435,6 @@ impl ReliabilityTester {
                 // records the point as crashed and recovers, exactly like a
                 // genuine cliff crash.
                 Err(e) if e.is_crash() => {
-                    carry.clear();
                     telemetry.emit(TelemetryEvent::DeviceCrashed {
                         voltage_mv: voltage.as_u32(),
                         attempt: 1,
@@ -492,7 +446,6 @@ impl ReliabilityTester {
                         outcomes: Vec::new(),
                         words_per_second: None,
                         masks_per_second: None,
-                        mask_reuse: None,
                     });
                     platform.power_cycle(Millivolts(1200))?;
                     telemetry.emit(TelemetryEvent::PowerCycled {
@@ -613,7 +566,6 @@ impl ReliabilityTester {
                 outcomes: Vec::new(),
                 words_per_second: None,
                 masks_per_second: None,
-                mask_reuse: None,
             });
         }
 
@@ -635,105 +587,6 @@ impl ReliabilityTester {
             outcomes,
             words_per_second: rate(work.words, elapsed),
             masks_per_second: rate(work.masks, elapsed),
-            mask_reuse: None,
-        })
-    }
-
-    /// `true` if sweeps run the incremental carry-forward kernel: the
-    /// coupled fault field in cached-mask mode over sequential (unsampled)
-    /// word ranges. Sampled mode redraws its offsets per voltage, so there
-    /// is no stable working set to carry.
-    #[must_use]
-    pub fn uses_carry(&self) -> bool {
-        self.config.fault_field == FaultFieldMode::MonotoneCoupled
-            && self.config.mode == ExecutionMode::CachedMasks
-            && self.config.sample_words.is_none()
-    }
-
-    /// The carry-forward counterpart of
-    /// [`ReliabilityTester::run_point_observed`]: advances `carry` to
-    /// `voltage` (or builds it, when empty) and measures the point from the
-    /// carried working set, touching only the words whose masks changed
-    /// since the previous point. The outcomes are bit-identical to a
-    /// from-scratch coupled-field rescan at the same voltage; the point's
-    /// `mask_reuse` records the fraction of the working set served from the
-    /// carry.
-    ///
-    /// Crash handling matches the non-carried path, except the carry is
-    /// dropped on every crash — after a power cycle the next point rebuilds
-    /// from scratch, so recovery semantics are unchanged.
-    ///
-    /// # Errors
-    ///
-    /// See [`ReliabilityTester::run_point`].
-    pub fn run_point_carried(
-        &self,
-        platform: &mut Platform,
-        ports: &[PortId],
-        voltage: Millivolts,
-        carry: &mut SweepCarry,
-        telemetry: &Telemetry,
-    ) -> Result<VoltagePoint, ExperimentError> {
-        debug_assert!(
-            self.uses_carry(),
-            "carried points need the coupled field in sequential cached-mask mode"
-        );
-        let geometry = platform.geometry();
-        let words = self
-            .config
-            .words_per_pc
-            .map_or(geometry.words_per_pc(), |w| w.min(geometry.words_per_pc()));
-
-        platform.set_voltage(voltage)?;
-        if platform.is_crashed() {
-            carry.clear();
-            if voltage >= platform.v_crash() {
-                return Err(ExperimentError::from(DeviceError::Crashed));
-            }
-            platform.power_cycle(Millivolts(1200))?;
-            platform.set_voltage(Millivolts(1200))?;
-            return Ok(VoltagePoint {
-                voltage,
-                crashed: true,
-                outcomes: Vec::new(),
-                words_per_second: None,
-                masks_per_second: None,
-                mask_reuse: None,
-            });
-        }
-
-        let started = Instant::now();
-        let (mask_sets, stats) = engine::build_mask_sets_carried(
-            platform,
-            ports,
-            words,
-            voltage,
-            carry,
-            platform
-                .injector()
-                .kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto),
-            &self.config.patterns,
-            telemetry,
-        )?;
-        let mut work = PointWork {
-            words: 0,
-            masks: stats.delta_words(),
-        };
-        let outcomes = self.fold_mask_outcomes(&mask_sets, &mut work);
-        let elapsed = started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-        telemetry.metrics().add_words_scanned(work.words);
-        telemetry.metrics().add_masks_scanned(work.masks);
-        telemetry
-            .metrics()
-            .add_delta_words_scanned(stats.delta_words());
-        telemetry.metrics().add_masks_carried(stats.carried);
-        Ok(VoltagePoint {
-            voltage,
-            crashed: false,
-            outcomes,
-            words_per_second: rate(work.words, elapsed),
-            masks_per_second: rate(work.masks, elapsed),
-            mask_reuse: Some(stats.reuse_ratio()),
         })
     }
 
@@ -792,6 +645,11 @@ impl ReliabilityTester {
     /// pass of the traffic path would observe identical counts — the
     /// replay is exact, not an approximation (asserted by the
     /// `cached_and_traffic_modes_agree` tests).
+    ///
+    /// A coupled-field sequential walk reads the point from the ports'
+    /// descent rows instead ([`engine::build_mask_sets_descended`]): the
+    /// first point that needs a port descends it over this voltage and
+    /// every lower one of the sweep, and is charged the descent's words.
     fn run_point_cached(
         &self,
         platform: &mut Platform,
@@ -800,31 +658,45 @@ impl ReliabilityTester {
         voltage: Millivolts,
         telemetry: &Telemetry,
     ) -> Result<(Vec<PatternOutcome>, PointWork), ExperimentError> {
-        let mask_sets = engine::build_mask_sets(
-            platform,
-            ports,
-            words,
-            self.config.sample_words,
-            voltage,
-            platform
-                .injector()
-                .kernel(self.config.fault_field, KernelBackend::Auto),
-            &self.config.patterns,
-            telemetry,
-        )?;
-        let mut work = PointWork {
-            words: 0,
-            masks: mask_sets.iter().map(|s| s.words_checked()).sum(),
+        let (mask_sets, masks) = if self.config.fault_field == FaultFieldMode::MonotoneCoupled
+            && self.config.sample_words.is_none()
+        {
+            let schedule: Vec<Millivolts> = std::iter::once(voltage)
+                .chain(self.config.sweep.iter().filter(|&v| v < voltage))
+                .collect();
+            engine::build_mask_sets_descended(
+                platform,
+                ports,
+                words,
+                &schedule,
+                &self.config.patterns,
+                telemetry,
+            )?
+        } else {
+            let sets = engine::build_mask_sets(
+                platform,
+                ports,
+                words,
+                self.config.sample_words,
+                voltage,
+                platform
+                    .injector()
+                    .kernel(self.config.fault_field, KernelBackend::Auto),
+                &self.config.patterns,
+                telemetry,
+            )?;
+            let masks = sets.iter().map(engine::PortMasks::words_checked).sum();
+            (sets, masks)
         };
+        let mut work = PointWork { words: 0, masks };
         let outcomes = self.fold_mask_outcomes(&mask_sets, &mut work);
         Ok((outcomes, work))
     }
 
     /// Replays a point's per-port mask sets across every pattern and all
     /// `batch_size` passes as pure mask/popcount work, accumulating the
-    /// logical word transactions into `work`. Shared by the per-voltage
-    /// cached path and the carried coupled-field path — given equal mask
-    /// sets, their outcomes are equal by construction.
+    /// logical word transactions into `work`. Rescanned sets and descent
+    /// rows fold the same way, so equal sets give equal outcomes.
     fn fold_mask_outcomes(
         &self,
         mask_sets: &[engine::PortMasks],
@@ -954,53 +826,73 @@ mod tests {
         assert!(ReliabilityTester::new(c).is_err());
     }
 
-    /// The sweep measured one [`ReliabilityTester::run_point`] at a time:
-    /// every point rescans from scratch, none is carried.
+    /// The sweep rescanned point by point through the per-voltage
+    /// enumeration ([`engine::build_mask_sets`]) that the coupled-field
+    /// descent rows replace. The grids it is used on stay above the crash
+    /// cliff.
     fn rescan_points(tester: &ReliabilityTester) -> Vec<VoltagePoint> {
-        let mut platform = platform();
+        let platform = platform();
         let ports = tester.scoped_ports(&platform).unwrap();
-        tester
-            .config()
+        let config = tester.config();
+        let kernel = platform
+            .injector()
+            .kernel(config.fault_field, KernelBackend::Auto);
+        let words = config.words_per_pc.unwrap();
+        config
             .sweep
             .iter()
-            .map(|v| tester.run_point(&mut platform, &ports, v).unwrap())
+            .map(|voltage| {
+                let sets = engine::build_mask_sets(
+                    &platform,
+                    &ports,
+                    words,
+                    None,
+                    voltage,
+                    kernel,
+                    &config.patterns,
+                    Telemetry::disabled(),
+                )
+                .unwrap();
+                VoltagePoint {
+                    voltage,
+                    crashed: false,
+                    outcomes: tester.fold_mask_outcomes(&sets, &mut PointWork::default()),
+                    words_per_second: None,
+                    masks_per_second: None,
+                }
+            })
             .collect()
     }
 
     #[test]
-    fn coupled_incremental_sweep_matches_from_scratch_rescans() {
+    fn coupled_descent_sweep_matches_from_scratch_rescans() {
         let mut config = ReliabilityConfig::quick();
         config.fault_field = FaultFieldMode::MonotoneCoupled;
         config.scope = TestScope::Ports(vec![0, 1, 2, 3]);
+        // Offset-dependent patterns exercise the per-pattern descent fold.
+        config.patterns = vec![
+            DataPattern::AllOnes,
+            DataPattern::AllZeros,
+            DataPattern::Checkerboard,
+            DataPattern::Prbs { seed: 0x5eed },
+            DataPattern::AddressAsData,
+        ];
         let tester = ReliabilityTester::new(config).unwrap();
-        assert!(tester.uses_carry());
 
-        let incremental = tester.run(&mut platform()).unwrap();
-        let rescan = rescan_points(&tester);
-        // Full per-point equality, including per-port statistics: the
-        // carried working set must be bit-identical to re-enumerating
-        // every point from scratch.
-        assert_eq!(incremental.points, rescan);
-        assert!(
-            incremental
-                .points
-                .iter()
-                .all(|p| p.mask_reuse.is_some() != p.crashed),
-            "every live carried point must record its reuse ratio"
-        );
-        assert!(
-            incremental
-                .points
-                .iter()
-                .skip(1)
-                .filter_map(|p| p.mask_reuse)
-                .any(|r| r > 0.0),
-            "a descending sweep must reuse carried masks after the first point"
-        );
-        assert!(
-            rescan.iter().all(|p| p.mask_reuse.is_none()),
-            "rescan points are not carried"
-        );
+        let descended = tester.run(&mut platform()).unwrap();
+        // Full per-point equality, including per-port statistics: every
+        // point read from the descent rows must be bit-identical to
+        // re-enumerating it from scratch.
+        assert_eq!(descended.points, rescan_points(&tester));
+        assert!(descended.points.iter().all(|p| !p.crashed));
+        // The first point runs the descents; the others only read rows.
+        let masks: Vec<f64> = descended
+            .points
+            .iter()
+            .map(|p| p.masks_per_second.unwrap())
+            .collect();
+        assert!(masks[0] > 0.0, "the first point descends every port");
+        assert!(masks[1..].iter().all(|&m| m == 0.0), "{masks:?}");
     }
 
     #[test]

@@ -1015,7 +1015,6 @@ mod tests {
                 outcomes: Vec::new(),
                 words_per_second: None,
                 masks_per_second: None,
-                mask_reuse: None,
             }],
         };
         let text = report.to_text();

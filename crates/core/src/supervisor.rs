@@ -36,9 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ExperimentError;
 use crate::platform::Platform;
-use crate::reliability::{
-    ReliabilityConfig, ReliabilityReport, ReliabilityTester, SweepCarry, VoltagePoint,
-};
+use crate::reliability::{ReliabilityConfig, ReliabilityReport, ReliabilityTester, VoltagePoint};
 use crate::telemetry::{Telemetry, TelemetryEvent};
 
 /// Version stamp of the checkpoint file format. Bumped on any incompatible
@@ -47,14 +45,15 @@ use crate::telemetry::{Telemetry, TelemetryEvent};
 ///
 /// Version history: 1 — the original format; 2 — [`VoltagePoint`]
 /// throughput fields became optional (`null` for crashed points instead of
-/// a fabricated `0.0`); 3 — [`ReliabilityConfig`] gained the
-/// fault-field/carry-forward knobs and [`VoltagePoint`] the mask-reuse
-/// ratio; 4 — the checkpoint records the mask-kernel backend so resume can
-/// refuse a cross-kernel mix, like the fault field; 5 — the kernel backend
-/// and carry-forward knobs are gone from [`ReliabilityConfig`] and the
+/// a fabricated `0.0`); 3 — [`ReliabilityConfig`] gained the fault field
+/// and a carry-forward knob, and [`VoltagePoint`] a mask-reuse ratio; 4 —
+/// the checkpoint records the mask-kernel backend so resume can refuse a
+/// cross-kernel mix, like the fault field; 5 — the kernel backend and
+/// carry-forward knobs are gone from [`ReliabilityConfig`] and the
 /// checkpoint (the kernel picks its own path; every path is
-/// bit-identical).
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// bit-identical); 6 — the mask-reuse ratio is gone from [`VoltagePoint`]
+/// (coupled sweeps read every point from one descent per port).
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// The supply every recovery power cycle restarts at.
 const NOMINAL_RESTART: Millivolts = Millivolts(1200);
@@ -516,11 +515,6 @@ impl SweepSupervisor {
             .filter(|p| quarantined.iter().all(|q| q.port != p.as_u8()))
             .collect();
 
-        // The coupled-field carry always starts empty — including on
-        // resume, where the pre-crash working set is gone. The first
-        // post-resume point rebuilds it from scratch, so resumed and
-        // uninterrupted runs stay bit-identical.
-        let mut carry = SweepCarry::new();
         for &voltage in voltages.iter().skip(points.len()) {
             let point = self.run_supervised_point(
                 platform,
@@ -528,7 +522,6 @@ impl SweepSupervisor {
                 voltage,
                 &mut active,
                 &mut quarantined,
-                &mut carry,
                 telemetry,
             )?;
             points.push(point);
@@ -603,7 +596,6 @@ impl SweepSupervisor {
         voltage: Millivolts,
         active: &mut Vec<PortId>,
         quarantined: &mut Vec<QuarantineRecord>,
-        carry: &mut SweepCarry,
         telemetry: &Telemetry,
     ) -> Result<SupervisedPoint, ExperimentError> {
         let voltage_mv = voltage.as_u32();
@@ -632,13 +624,9 @@ impl SweepSupervisor {
                     attempt: attempts,
                 },
             );
-            let result = if self.tester.uses_carry() {
-                self.tester
-                    .run_point_carried(platform, active, voltage, carry, telemetry)
-            } else {
-                self.tester
-                    .run_point_observed(platform, active, voltage, telemetry)
-            };
+            let result = self
+                .tester
+                .run_point_observed(platform, active, voltage, telemetry);
             let elapsed = clock.now_ms().saturating_sub(started);
             let end = started + elapsed;
             telemetry.metrics().record_point_wall_ms(elapsed);
@@ -703,9 +691,6 @@ impl SweepSupervisor {
                             voltage,
                             reason: e.to_string(),
                         });
-                        // The carry may hold a working set for the pulled
-                        // port; dropping it wholesale is always safe.
-                        carry.clear();
                         attempts -= 1;
                         continue;
                     }
@@ -725,11 +710,7 @@ impl SweepSupervisor {
             };
 
             // Transient failure: recover the platform, then either give up
-            // (budget exhausted) or back off and go again. The carry is
-            // dropped on every failure — the next carried point rebuilds
-            // from scratch, keeping recovery semantics identical to the
-            // per-voltage path.
-            carry.clear();
+            // (budget exhausted) or back off and go again.
             if attempts > self.retry.max_retries {
                 if platform.is_crashed() {
                     platform.power_cycle(NOMINAL_RESTART)?;
@@ -1138,15 +1119,25 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("configuration"), "{err}");
 
-        // Foreign versions: a future one, and a version-4 file, which still
-        // recorded the kernel backend.
+        // Foreign versions: a future one, a version-4 file, which still
+        // recorded the kernel backend, and a version-5 file, whose points
+        // still carry the mask-reuse ratio.
         let checkpoint: SweepCheckpoint =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let text = serde_json::to_string(&checkpoint).unwrap();
         let current = format!("\"version\":{CHECKPOINT_VERSION}");
         assert!(text.contains(&current), "{text}");
-        for foreign in ["\"version\":99", "\"version\":4,\"kernel\":\"auto\""] {
-            std::fs::write(&path, text.replacen(&current, foreign, 1)).unwrap();
+        let v5 = text.replacen(&current, "\"version\":5", 1).replace(
+            "\"masks_per_second\":",
+            "\"mask_reuse\":null,\"masks_per_second\":",
+        );
+        assert!(v5.contains("\"mask_reuse\""), "{v5}");
+        for foreign in [
+            text.replacen(&current, "\"version\":99", 1),
+            text.replacen(&current, "\"version\":4,\"kernel\":\"auto\"", 1),
+            v5,
+        ] {
+            std::fs::write(&path, &foreign).unwrap();
             let err = SweepSupervisor::from_config(config.clone())
                 .unwrap()
                 .checkpoint(&path)
@@ -1194,8 +1185,8 @@ mod tests {
 
     #[test]
     fn coupled_killed_and_resumed_run_matches_the_uninterrupted_run() {
-        // The incremental carry is process-local state that a checkpoint
-        // cannot persist. A resumed coupled run starts with an empty carry
+        // Descent rows are process-local state that a checkpoint does not
+        // persist. A resumed coupled run descends the schedule that remains
         // and must still be bit-identical to the uninterrupted one.
         let path = temp_path("resume-coupled");
         let _ = std::fs::remove_file(&path);

@@ -343,8 +343,6 @@ pub struct Metrics {
     sparse_tiles_scalar: AtomicU64,
     words_scanned: AtomicU64,
     masks_scanned: AtomicU64,
-    delta_words_scanned: AtomicU64,
-    masks_carried: AtomicU64,
     checkpoints_written: AtomicU64,
     checkpoint_bytes: AtomicU64,
     retries: AtomicU64,
@@ -381,8 +379,6 @@ impl Metrics {
             sparse_tiles_scalar: AtomicU64::new(0),
             words_scanned: AtomicU64::new(0),
             masks_scanned: AtomicU64::new(0),
-            delta_words_scanned: AtomicU64::new(0),
-            masks_carried: AtomicU64::new(0),
             checkpoints_written: AtomicU64::new(0),
             checkpoint_bytes: AtomicU64::new(0),
             retries: AtomicU64::new(0),
@@ -417,18 +413,6 @@ impl Metrics {
     /// Records `n` stuck-at mask evaluations performed.
     pub fn add_masks_scanned(&self, n: u64) {
         self.masks_scanned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` words actually re-enumerated by an incremental
-    /// carry-forward point (its mask delta against the previous point).
-    pub fn add_delta_words_scanned(&self, n: u64) {
-        self.delta_words_scanned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` faulty-word masks served unchanged from a sweep carry
-    /// instead of being recomputed.
-    pub fn add_masks_carried(&self, n: u64) {
-        self.masks_carried.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one durably written checkpoint of `bytes` bytes.
@@ -591,8 +575,6 @@ impl Metrics {
             sparse_tiles_scalar: self.sparse_tiles_scalar.load(Ordering::Relaxed),
             words_scanned: self.words_scanned.load(Ordering::Relaxed),
             masks_scanned: self.masks_scanned.load(Ordering::Relaxed),
-            delta_words_scanned: self.delta_words_scanned.load(Ordering::Relaxed),
-            masks_carried: self.masks_carried.load(Ordering::Relaxed),
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
             checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
@@ -641,11 +623,6 @@ pub struct MetricsSnapshot {
     pub words_scanned: u64,
     /// Stuck-at mask evaluations performed by the fault kernel.
     pub masks_scanned: u64,
-    /// Words re-enumerated by incremental carry-forward points (the mask
-    /// deltas between successive sweep points).
-    pub delta_words_scanned: u64,
-    /// Faulty-word masks served unchanged from a sweep carry.
-    pub masks_carried: u64,
     /// Checkpoints durably written.
     pub checkpoints_written: u64,
     /// Total checkpoint bytes written.
@@ -975,13 +952,11 @@ impl<W: Write + Send> Observer for ProgressSink<W> {
         let out = &mut self.writer;
         let _ = writeln!(
             out,
-            "counters: {} words scanned, {} masks scanned, {} carried/{} delta words, \
+            "counters: {} words scanned, {} masks scanned, \
              tile cache {}/{} hit/miss, kernel dispatch {}/{} bitsliced/scalar tiles, \
              {} retry(s) ({} ms backoff), {} power cycle(s), {} checkpoint(s) ({} B)",
             snapshot.words_scanned,
             snapshot.masks_scanned,
-            snapshot.masks_carried,
-            snapshot.delta_words_scanned,
             snapshot.tile_cache_hits,
             snapshot.tile_cache_misses,
             snapshot.dense_tiles_bitsliced,
@@ -1154,8 +1129,6 @@ mod tests {
         let metrics = Metrics::new();
         metrics.add_words_scanned(100);
         metrics.add_masks_scanned(40);
-        metrics.add_delta_words_scanned(12);
-        metrics.add_masks_carried(28);
         metrics.add_checkpoint(512);
         metrics.add_checkpoint(256);
         metrics.add_retry(50);
@@ -1169,8 +1142,6 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.words_scanned, 100);
         assert_eq!(snap.masks_scanned, 40);
-        assert_eq!(snap.delta_words_scanned, 12);
-        assert_eq!(snap.masks_carried, 28);
         assert_eq!(snap.checkpoints_written, 2);
         assert_eq!(snap.checkpoint_bytes, 768);
         assert_eq!(snap.retries, 2);

@@ -9,9 +9,8 @@ use hbm_device::{BankId, HbmGeometry, PcIndex, Word256, WordOffset};
 use hbm_units::{Celsius, Millivolts, Volts};
 use serde::{Deserialize, Serialize};
 
-use crate::field::{CarryEntry, CarryStats, PcSweepCarry, PendingBits, PendingClass};
 use crate::hash::{combine, gate_key, key_unit, mix64, unit, unit_cutoff, unit_pair};
-use crate::kernel::{bitsliced, BackendSel, InstructionSet};
+use crate::kernel::{bitsliced, BackendSel, InstructionSet, KnotDescentFn};
 use crate::params::FaultModelParams;
 use crate::variation::ShiftTable;
 
@@ -155,28 +154,6 @@ const TAG_CBIT: u64 = 0x6362_6974;
 /// Largest pseudo channel (in words) the gate index is built for; larger
 /// geometries fall back to per-word gate hashing (still tile-cached).
 const MAX_INDEXED_WORDS_PER_PC: u64 = 1 << 16;
-
-/// Largest word range a [`PcSweepCarry`] keeps bit-granular pending
-/// thresholds for. The bit tier stores every still-clean bit of the range
-/// (≈2 KiB per word transiently, shrinking to zero as the sweep saturates);
-/// above this cap the carry falls back to word-granular refresh tracking,
-/// which stays O(entries) in memory at any scale.
-const MAX_BIT_CARRY_WORDS: u64 = 4096;
-
-/// Exact reconstruction of a pending bit's threshold from its stored raw
-/// 32-bit key — the identical `f64` that [`unit_pair`] produced when the
-/// bit was first hashed, so the prefix-drain comparison and the per-bit
-/// fault test are the same comparison on the same value.
-fn threshold_from_raw(raw: u32) -> f64 {
-    unit_pair(u64::from(raw) << 32).1
-}
-
-/// Exact reconstruction of a bit-sliced minimum raw key as the `f64`
-/// threshold the scalar kernel would have tracked (`INFINITY` when the
-/// class was exhausted, encoded as a key above `u32::MAX`).
-fn raw_min_threshold(min: u64) -> f64 {
-    u32::try_from(min).map_or(f64::INFINITY, threshold_from_raw)
-}
 
 /// One tile's thresholds converted to their exact integer images for the
 /// bit-sliced arm: the polarity-class cutoff and the two per-class fault
@@ -322,7 +299,7 @@ struct TileProbs {
 /// One pseudo channel's tile probabilities at a fixed voltage and
 /// temperature.
 #[derive(Debug)]
-pub(crate) struct TileTable {
+struct TileTable {
     voltage: Millivolts,
     temperature: Celsius,
     tiles: Vec<TileProbs>,
@@ -385,17 +362,6 @@ impl CoupledClassIndex {
         let hi = self.starts[tile + 1] as usize;
         let n = self.thresholds[lo..hi].partition_point(|&t| t < c);
         &self.offsets[lo..lo + n]
-    }
-
-    /// The offsets of tile `tile` whose first bit of this class activates
-    /// as the class probability grows from `c_prev` to `c_next`.
-    fn activated(&self, tile: usize, c_prev: f64, c_next: f64) -> &[u32] {
-        let lo = self.starts[tile] as usize;
-        let hi = self.starts[tile + 1] as usize;
-        let slice = &self.thresholds[lo..hi];
-        let a = slice.partition_point(|&t| t < c_prev);
-        let b = slice.partition_point(|&t| t < c_next);
-        &self.offsets[lo + a..lo + b.max(a)]
     }
 }
 
@@ -505,8 +471,8 @@ impl FaultInjector {
         )
     }
 
-    /// Lifetime `(dense, sparse)` kernel-dispatch decisions: range-scan and
-    /// carry tiles sent to the bit-sliced arm vs the scalar arm.
+    /// Lifetime `(dense, sparse)` kernel-dispatch decisions: range-scan
+    /// tiles sent to the bit-sliced arm vs the scalar arm.
     ///
     /// Like [`FaultInjector::tile_cache_stats`], the totals depend on how
     /// work was scheduled across engine workers, so they belong in a metrics
@@ -1110,61 +1076,45 @@ impl FaultInjector {
     // Coupled fault field (`FaultFieldMode::MonotoneCoupled`)
     // ------------------------------------------------------------------
 
-    /// One word's coupled-field draws against the class probabilities: the
-    /// stuck masks plus each class's smallest still-clean bit threshold
-    /// (`f64::INFINITY` when every bit of the class is already faulty).
-    fn coupled_word(&self, pc: PcIndex, w: u64, c0: f64, c1: f64) -> (Word256, Word256, f64, f64) {
+    /// One word's coupled-field stuck masks against the class
+    /// probabilities.
+    fn coupled_word(&self, pc: PcIndex, w: u64, c0: f64, c1: f64) -> (Word256, Word256) {
         let s0_share = self.params.stuck0_share;
         let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_CBIT]);
         let mut stuck0 = Word256::ZERO;
         let mut stuck1 = Word256::ZERO;
-        let mut next0 = f64::INFINITY;
-        let mut next1 = f64::INFINITY;
         for bit in 0u32..Word256::BITS {
             let h = mix64(prefix ^ u64::from(bit));
             let (class_u, t) = unit_pair(h);
             if class_u < s0_share {
                 if t < c0 {
                     stuck0 = stuck0.with_bit_set(bit);
-                } else if t < next0 {
-                    next0 = t;
                 }
             } else if t < c1 {
                 stuck1 = stuck1.with_bit_set(bit);
-            } else if t < next1 {
-                next1 = t;
             }
         }
-        (stuck0, stuck1, next0, next1)
+        (stuck0, stuck1)
     }
 
-    /// The bit-sliced arm of [`FaultInjector::coupled_word`]: whole-word
-    /// counter hashing against the tile's integer cutoffs, the per-class
-    /// minimum still-clean raw keys converted back to the exact `f64`
-    /// thresholds the scalar arm tracks (monotone conversion, so the
-    /// minimum commutes with it).
-    fn coupled_word_sliced(
-        &self,
-        pc: PcIndex,
-        w: u64,
-        cuts: TileCuts,
-    ) -> (Word256, Word256, f64, f64) {
-        let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_CBIT]);
-        let (s0, s1, min0, min1) =
-            bitsliced::coupled_word(prefix, cuts.class_cut, cuts.cut0, cuts.cut1);
-        (s0, s1, raw_min_threshold(min0), raw_min_threshold(min1))
-    }
-
-    /// Dispatches one coupled word through the tile's plan.
+    /// Dispatches one coupled word through the tile's plan: the scalar
+    /// walk, or the bit-sliced planes of the word's counter hashes against
+    /// the tile's integer cutoffs (the coupled field has no word gates, so
+    /// its planes are exactly the per-voltage kernel's at the raw class
+    /// probabilities).
     fn coupled_word_sel(
         &self,
         pc: PcIndex,
         w: u64,
         probs: &TileProbs,
         plan: Option<TileCuts>,
-    ) -> (Word256, Word256, f64, f64) {
+        isa: InstructionSet,
+    ) -> (Word256, Word256) {
         match plan {
-            Some(cuts) => self.coupled_word_sliced(pc, w, cuts),
+            Some(cuts) => {
+                let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_CBIT]);
+                bitsliced::bit_planes(prefix, cuts.class_cut, cuts.cut0, cuts.cut1, isa)
+            }
             None => self.coupled_word(pc, w, probs.c0, probs.c1),
         }
     }
@@ -1273,14 +1223,12 @@ impl FaultInjector {
         let plan = sel
             .bitsliced_for_tile(probs.p_any0.max(probs.p_any1))
             .then(|| self.tile_cuts(&probs, true));
-        let (s0, s1, _, _) = self.coupled_word_sel(pc, offset.0, &probs, plan);
-        (s0, s1)
+        self.coupled_word_sel(pc, offset.0, &probs, plan, sel.isa())
     }
 
     /// Runs `f` over every word of the range with at least one
-    /// coupled-field faulty bit, in unspecified order, yielding the masks
-    /// and both next-clean thresholds.
-    fn coupled_for_each_active<F: FnMut(u64, Word256, Word256, f64, f64)>(
+    /// coupled-field faulty bit, in unspecified order, yielding its masks.
+    fn coupled_for_each_active<F: FnMut(u64, Word256, Word256)>(
         &self,
         pc: PcIndex,
         words: &Range<u64>,
@@ -1309,9 +1257,9 @@ impl FaultInjector {
                     continue;
                 }
                 let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs, true));
-                let (s0, s1, n0, n1) = self.coupled_word_sel(pc, w, &probs, plan);
+                let (s0, s1) = self.coupled_word_sel(pc, w, &probs, plan, sel.isa());
                 if !(s0.is_zero() && s1.is_zero()) {
-                    f(w, s0, s1, n0, n1);
+                    f(w, s0, s1);
                 }
             }
             return;
@@ -1328,8 +1276,8 @@ impl FaultInjector {
                 if !words.contains(&w) {
                     continue;
                 }
-                let (s0, s1, n0, n1) = self.coupled_word_sel(pc, w, probs, plan);
-                f(w, s0, s1, n0, n1);
+                let (s0, s1) = self.coupled_word_sel(pc, w, probs, plan, sel.isa());
+                f(w, s0, s1);
             }
             // Words active only through class 1 (class-0-active words were
             // already yielded; the by-word lookup reproduces the prefix
@@ -1342,8 +1290,8 @@ impl FaultInjector {
                 if index.class0.by_word[w32 as usize] < probs.c0 {
                     continue;
                 }
-                let (s0, s1, n0, n1) = self.coupled_word_sel(pc, w, probs, plan);
-                f(w, s0, s1, n0, n1);
+                let (s0, s1) = self.coupled_word_sel(pc, w, probs, plan, sel.isa());
+                f(w, s0, s1);
             }
         }
     }
@@ -1359,7 +1307,7 @@ impl FaultInjector {
         sel: BackendSel,
     ) -> Vec<(WordOffset, Word256, Word256)> {
         let mut out = Vec::new();
-        self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1, _, _| {
+        self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1| {
             out.push((WordOffset(w), s0, s1));
         });
         out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
@@ -1380,7 +1328,7 @@ impl FaultInjector {
         sel: BackendSel,
         f: &mut dyn FnMut(WordOffset, Word256, Word256),
     ) {
-        self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1, _, _| {
+        self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1| {
             f(WordOffset(w), s0, s1);
         });
     }
@@ -1420,83 +1368,146 @@ impl FaultInjector {
     ) -> (u64, u64) {
         let mut n0 = 0u64;
         let mut n1 = 0u64;
-        self.coupled_for_each_active(pc, &words, supply, sel, |_, s0, s1, _, _| {
+        self.coupled_for_each_active(pc, &words, supply, sel, |_, s0, s1| {
             n0 += u64::from(s0.count_ones());
             n1 += u64::from(s1.count_ones());
         });
         (n0, n1)
     }
 
-    /// Union coupled-field fault-bit counts of one pseudo channel along a
-    /// strictly descending `schedule`: entry `k` is the stuck-at count (both
-    /// polarities) over `words` at `schedule[k]`, equal to
-    /// [`crate::MaskKernel::count_range`] at that knot.
+    /// The one per-bit loop of every coupled-field descent: calls
+    /// `on_bit(word, bit, stuck_at_zero, knot)` for each bit of `words` that
+    /// fails at some knot of the strictly descending `schedule`, with the
+    /// index of the first knot at which it fails, in ascending word and then
+    /// bit order.
     ///
     /// One hash pass over the range, no masks: each tile the range touches
     /// gets the exact integer cutoffs ([`unit_cutoff`]) of both classes at
     /// every knot (zero at or above the guardband), non-decreasing along
-    /// the descent because the coupled field is monotone. Each bit's raw
-    /// threshold then lands in the histogram slot of the first knot whose
-    /// cutoff exceeds it, and the counts are the histogram's prefix sums.
+    /// the descent because the coupled field is monotone. A bit fails first
+    /// at the first knot whose cutoff exceeds its raw threshold, found by
+    /// [`KnotSearch::slot`]. Words of tiles that stay clean at every knot
+    /// are not hashed.
     ///
     /// # Panics
     ///
-    /// Panics when `schedule` is not strictly descending or `words` runs
-    /// past the pseudo channel.
+    /// Panics when `schedule` is not strictly descending or has more than
+    /// `u16::MAX` knots, or when `words` runs past the pseudo channel.
+    fn coupled_descent_walk<F: FnMut(u64, u32, bool, u16)>(
+        &self,
+        pc: PcIndex,
+        words: Range<u64>,
+        schedule: &[Millivolts],
+        mut on_bit: F,
+    ) {
+        assert!(
+            schedule.windows(2).all(|w| w[0] > w[1]),
+            "descent schedule must be strictly descending: {schedule:?}"
+        );
+        assert!(
+            schedule.len() <= usize::from(u16::MAX),
+            "a descent has at most {} knots, not {}",
+            u16::MAX,
+            schedule.len()
+        );
+        if schedule.is_empty() || words.is_empty() {
+            return;
+        }
+        assert!(
+            words.end <= self.grid.words_per_pc,
+            "word range end {} out of range for geometry ({} words/pc)",
+            words.end,
+            self.grid.words_per_pc
+        );
+        let class_cut = unit_cutoff(self.params.stuck0_share);
+        let pcu = u64::from(pc.as_u8());
+        // Per touched tile, the knot search of each polarity class.
+        let mut searches: Vec<Option<[KnotSearch; 2]>> = vec![None; self.grid.tile_count];
+        for w in words {
+            let tile = self.grid.tile_of(w);
+            let [class0, class1] =
+                searches[tile].get_or_insert_with(|| self.tile_knot_searches(pc, tile, schedule));
+            if class0.last() == 0 && class1.last() == 0 {
+                continue; // no bit of this word fails at any knot
+            }
+            let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
+            for bit in 0..Word256::BITS {
+                let h = mix64(prefix ^ u64::from(bit));
+                let hi = h >> 32;
+                let stuck_at_zero = h & 0xFFFF_FFFF < class_cut;
+                let class = if stuck_at_zero { &*class0 } else { &*class1 };
+                if hi < class.last() {
+                    on_bit(w, bit, stuck_at_zero, class.slot(hi) as u16);
+                }
+            }
+        }
+    }
+
+    /// Union coupled-field fault-bit counts of one pseudo channel along a
+    /// strictly descending `schedule`: entry `k` is the stuck-at count (both
+    /// polarities) over `words` at `schedule[k]`, equal to
+    /// [`crate::MaskKernel::count_range`] at that knot. A histogram of the
+    /// descent walk's first-failing knots, prefix-summed.
     pub(crate) fn coupled_count_descent(
         &self,
         pc: PcIndex,
         words: Range<u64>,
         schedule: &[Millivolts],
     ) -> Vec<u64> {
-        assert!(
-            schedule.windows(2).all(|w| w[0] > w[1]),
-            "count_descent schedule must be strictly descending: {schedule:?}"
-        );
-        let knots = schedule.len();
-        // Slot `k` counts the bits that first fail at knot `k`; slot
-        // `knots` collects the bits still clean at the last knot.
-        let mut hist = vec![0u64; knots + 1];
-        if knots > 0 && !words.is_empty() {
-            assert!(
-                words.end <= self.grid.words_per_pc,
-                "word range end {} out of range for geometry ({} words/pc)",
-                words.end,
-                self.grid.words_per_pc
-            );
-            let class_cut = unit_cutoff(self.params.stuck0_share);
-            let pcu = u64::from(pc.as_u8());
-            // Per touched tile, the knot search of each polarity class.
-            let mut searches: Vec<Option<[KnotSearch; 2]>> = vec![None; self.grid.tile_count];
-            for w in words {
-                let tile = self.grid.tile_of(w);
-                let [class0, class1] = searches[tile]
-                    .get_or_insert_with(|| self.tile_knot_searches(pc, tile, schedule));
-                if class0.last() == 0 && class1.last() == 0 {
-                    continue; // no bit of this word fails at any knot
-                }
-                let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
-                for bit in 0..u64::from(Word256::BITS) {
-                    let h = mix64(prefix ^ bit);
-                    let hi = h >> 32;
-                    let class = if h & 0xFFFF_FFFF < class_cut {
-                        &*class0
-                    } else {
-                        &*class1
-                    };
-                    if hi < class.last() {
-                        hist[class.slot(hi)] += 1;
-                    }
-                }
-            }
-        }
-        hist.truncate(knots);
+        let mut hist = vec![0u64; schedule.len()];
+        self.coupled_descent_walk(pc, words, schedule, |_, _, _, knot| {
+            hist[usize::from(knot)] += 1;
+        });
         let mut total = 0u64;
         for slot in &mut hist {
             total += *slot;
             *slot = total;
         }
         hist
+    }
+
+    /// Streams every word of `words` that fails at some knot of `schedule`
+    /// to `f` in ascending offset order, with its `(stuck0, stuck1)` masks
+    /// at the last knot and each bit's first-failing knot index (`u16::MAX`
+    /// for the bits clean at every knot) — the descent walk, gathered per
+    /// word. A word's masks at knot `k` are its bits whose first knot is at
+    /// most `k`.
+    pub(crate) fn coupled_knot_descent(
+        &self,
+        pc: PcIndex,
+        words: Range<u64>,
+        schedule: &[Millivolts],
+        f: &mut KnotDescentFn<'_>,
+    ) {
+        let mut word = None;
+        // The word's stuck-at-1 and stuck-at-0 lanes, indexed by class so
+        // that the random polarity of each bit costs no branch.
+        let mut planes = [[0u64; 4]; 2];
+        let mut knots = [u16::MAX; 256];
+        self.coupled_descent_walk(pc, words, schedule, |w, bit, stuck_at_zero, knot| {
+            if word != Some(w) {
+                if let Some(done) = word.replace(w) {
+                    f(
+                        WordOffset(done),
+                        Word256(planes[1]),
+                        Word256(planes[0]),
+                        &knots,
+                    );
+                    planes = [[0; 4]; 2];
+                    knots = [u16::MAX; 256];
+                }
+            }
+            planes[usize::from(stuck_at_zero)][(bit / 64) as usize] |= 1 << (bit % 64);
+            knots[bit as usize] = knot;
+        });
+        if let Some(done) = word {
+            f(
+                WordOffset(done),
+                Word256(planes[1]),
+                Word256(planes[0]),
+                &knots,
+            );
+        }
     }
 
     /// One tile's knot searches (stuck-at-0 class, then stuck-at-1) over
@@ -1523,601 +1534,6 @@ impl FaultInjector {
             probs.iter().map(|p| unit_cutoff(p.1)).collect(),
         ]
         .map(KnotSearch::new)
-    }
-
-    /// The coupled-field words of `words` that *activate* — gain their
-    /// first faulty bit — when the supply descends from `v_prev` to
-    /// `v_next`, with their full masks at `v_next`, ascending by offset.
-    ///
-    /// A word already faulty at `v_prev` is **not** reported even if it
-    /// gains further bits at `v_next`; callers patching a carried working
-    /// set use [`crate::MaskKernel::carry_advance`], which also
-    /// refreshes grown words. With `v_prev` at or above the guardband this
-    /// equals [`crate::MaskKernel::faulty_words`] at `v_next`; with
-    /// `v_next > v_prev` (not a descent) it is empty.
-    ///
-    /// # Performance
-    ///
-    /// Activations are located on the per-tile sorted
-    /// minimum-bit-threshold index (built once per pseudo channel,
-    /// voltage- and temperature-free): each tile and class contributes the
-    /// slice of words whose minimum threshold lies in
-    /// `[c(v_prev), c(v_next))`, found by two binary searches. The call
-    /// therefore costs `O(T·log W + A·256)` hash draws, where `A` is the
-    /// number of activating words — independent of how many words are
-    /// already faulty, which is what makes a descending sweep scale with
-    /// fault *deltas* instead of *points × words*. The per-bit fault test
-    /// and the prefix predicate are the same comparison (`threshold < c`),
-    /// so the enumerated set is exact, not a superset needing recheck.
-    /// Geometries above the index cap fall back to a per-word walk of the
-    /// range (one bit pass per word, evaluating both voltages at once).
-    #[must_use]
-    pub fn faulty_words_delta(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        v_prev: Millivolts,
-        v_next: Millivolts,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        let mut out = Vec::new();
-        if words.is_empty() || v_next >= self.params.landmarks.v_min || v_next > v_prev {
-            return out;
-        }
-        assert!(
-            words.end <= self.grid.words_per_pc,
-            "word range end {} out of range for geometry ({} words/pc)",
-            words.end,
-            self.grid.words_per_pc
-        );
-        // The previous table first: a caller walking a descent step by step
-        // finds it still cached from its last step, so each step builds one
-        // table (`next`), never two.
-        let prev = (v_prev < self.params.landmarks.v_min).then(|| self.tile_table(pc, v_prev));
-        let next = self.tile_table(pc, v_next);
-        let prev_c = |tile: usize| {
-            prev.as_ref()
-                .map_or((0.0, 0.0), |t| (t.tiles[tile].c0, t.tiles[tile].c1))
-        };
-        let Some(index) = self.pc_coupled_index(pc) else {
-            let s0_share = self.params.stuck0_share;
-            let pcu = u64::from(pc.as_u8());
-            for w in words.clone() {
-                let tile = self.grid.tile_of(w);
-                let probs = next.tiles[tile];
-                if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                    continue;
-                }
-                let (c0p, c1p) = prev_c(tile);
-                let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
-                let mut active_prev = false;
-                let mut stuck0 = Word256::ZERO;
-                let mut stuck1 = Word256::ZERO;
-                for bit in 0u32..Word256::BITS {
-                    let h = mix64(prefix ^ u64::from(bit));
-                    let (class_u, t) = unit_pair(h);
-                    if class_u < s0_share {
-                        if t < probs.c0 {
-                            stuck0 = stuck0.with_bit_set(bit);
-                        }
-                        active_prev |= t < c0p;
-                    } else {
-                        if t < probs.c1 {
-                            stuck1 = stuck1.with_bit_set(bit);
-                        }
-                        active_prev |= t < c1p;
-                    }
-                }
-                let active_next = !stuck0.is_zero() || !stuck1.is_zero();
-                if !active_prev && active_next {
-                    out.push((WordOffset(w), stuck0, stuck1));
-                }
-            }
-            out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
-            return out;
-        };
-        for (tile, probs) in next.tiles.iter().enumerate() {
-            if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                continue;
-            }
-            let (c0p, c1p) = prev_c(tile);
-            for &w32 in index.class0.activated(tile, c0p, probs.c0) {
-                let w = u64::from(w32);
-                if !words.contains(&w) {
-                    continue;
-                }
-                // Skip words that were already active through class 1.
-                if index.class1.by_word[w32 as usize] < c1p {
-                    continue;
-                }
-                let (s0, s1, _, _) = self.coupled_word(pc, w, probs.c0, probs.c1);
-                out.push((WordOffset(w), s0, s1));
-            }
-            for &w32 in index.class1.activated(tile, c1p, probs.c1) {
-                let w = u64::from(w32);
-                if !words.contains(&w) {
-                    continue;
-                }
-                // Skip words active — or activating — through class 0;
-                // those were handled by the class-0 slice.
-                if index.class0.by_word[w32 as usize] < probs.c0 {
-                    continue;
-                }
-                let (s0, s1, _, _) = self.coupled_word(pc, w, probs.c0, probs.c1);
-                out.push((WordOffset(w), s0, s1));
-            }
-        }
-        out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
-        out
-    }
-
-    /// Builds the carried working set of a descending sweep at its first
-    /// measured point: every coupled-field faulty word of the range at
-    /// `supply`, plus the state that makes
-    /// [`crate::MaskKernel::carry_advance`] cheap.
-    ///
-    /// Ranges up to [`MAX_BIT_CARRY_WORDS`] get the *bit-granular* tier:
-    /// one hash pass records every still-clean bit's threshold into
-    /// per-tile sorted pending lists, after which a whole descending sweep
-    /// never hashes any bit again — each advance drains the prefix of bits
-    /// whose thresholds the new probabilities cross. Larger ranges get the
-    /// word-granular tier (per-word next-change thresholds, re-enumerating
-    /// a word's 256 bits whenever one crosses), which needs no per-bit
-    /// storage. Both tiers produce bit-identical masks.
-    ///
-    /// The build is accounted as `activated` words in the returned stats.
-    pub(crate) fn coupled_carry_start_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> (PcSweepCarry, CarryStats) {
-        let len = words.end.saturating_sub(words.start);
-        if len > 0 && len <= MAX_BIT_CARRY_WORDS {
-            return self.coupled_bit_carry_start(pc, words, supply, sel);
-        }
-        let table = (supply < self.params.landmarks.v_min).then(|| self.tile_table(pc, supply));
-        let mut entries = Vec::new();
-        self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1, n0, n1| {
-            entries.push(CarryEntry {
-                offset: w as u32,
-                stuck0: s0,
-                stuck1: s1,
-                next0: n0,
-                next1: n1,
-                touch: 0,
-            });
-        });
-        entries.sort_unstable_by_key(|e| e.offset);
-        let stats = CarryStats {
-            carried: 0,
-            refreshed: 0,
-            activated: entries.len() as u64,
-        };
-        (
-            PcSweepCarry {
-                pc,
-                words,
-                voltage: supply,
-                temperature: self.temperature,
-                entries,
-                table,
-                pending: None,
-            },
-            stats,
-        )
-    }
-
-    /// The bit-granular carry build: one pass over every bit of the range,
-    /// setting the masks faulty at `supply` and recording each still-clean
-    /// bit's raw threshold key into its tile-and-class pending list.
-    ///
-    /// On dense tiles the bit-sliced arm hashes each word as whole 64-bit
-    /// lanes ([`bitsliced::coupled_scan`]) and fills the pending lists from
-    /// the recorded raw keys; the final per-list sort makes the push order
-    /// immaterial, so both arms build identical carries.
-    fn coupled_bit_carry_start(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> (PcSweepCarry, CarryStats) {
-        assert!(
-            words.end <= self.grid.words_per_pc,
-            "word range end {} out of range for geometry ({} words/pc)",
-            words.end,
-            self.grid.words_per_pc
-        );
-        let tiles = (supply < self.params.landmarks.v_min).then(|| self.tile_table(pc, supply));
-        let s0_share = self.params.stuck0_share;
-        let pcu = u64::from(pc.as_u8());
-        let len = usize::try_from(words.end - words.start).expect("bit-carry range fits usize");
-        let mut class0 = vec![PendingClass::default(); self.grid.tile_count];
-        let mut class1 = vec![PendingClass::default(); self.grid.tile_count];
-        let mut entry_of = vec![u32::MAX; len];
-        let mut entries = Vec::new();
-        let mut plans: Vec<Option<Option<TileCuts>>> = vec![None; self.grid.tile_count];
-        let mut raws = [0u32; 256];
-        for w in words.clone() {
-            let tile = self.grid.tile_of(w);
-            let slot = (w - words.start) as u32;
-            // Inside the guardband there is no tile table; every bit is
-            // clean and the scalar walk records all thresholds.
-            let plan = match tiles.as_ref() {
-                Some(t) => {
-                    let probs = t.tiles[tile];
-                    *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs, true))
-                }
-                None => None,
-            };
-            let mut stuck0 = Word256::ZERO;
-            let mut stuck1 = Word256::ZERO;
-            let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
-            match plan {
-                Some(cuts) => {
-                    let (class_plane, s0, s1) = bitsliced::coupled_scan(
-                        prefix,
-                        cuts.class_cut,
-                        cuts.cut0,
-                        cuts.cut1,
-                        &mut raws,
-                    );
-                    stuck0 = s0;
-                    stuck1 = s1;
-                    // Still-clean bits per class, drained lane by lane.
-                    let clean0 = class_plane & !s0;
-                    let clean1 = !class_plane & !s1;
-                    for (lane, (&l0, &l1)) in clean0.0.iter().zip(clean1.0.iter()).enumerate() {
-                        let base = (lane * 64) as u32;
-                        let mut m = l0;
-                        while m != 0 {
-                            let bit = base + m.trailing_zeros();
-                            class0[tile]
-                                .bits
-                                .push((raws[bit as usize], (slot << 8) | bit));
-                            m &= m - 1;
-                        }
-                        let mut m = l1;
-                        while m != 0 {
-                            let bit = base + m.trailing_zeros();
-                            class1[tile]
-                                .bits
-                                .push((raws[bit as usize], (slot << 8) | bit));
-                            m &= m - 1;
-                        }
-                    }
-                }
-                None => {
-                    let (c0, c1) = tiles
-                        .as_ref()
-                        .map_or((0.0, 0.0), |t| (t.tiles[tile].c0, t.tiles[tile].c1));
-                    for bit in 0u32..Word256::BITS {
-                        let h = mix64(prefix ^ u64::from(bit));
-                        let (class_u, t) = unit_pair(h);
-                        let raw = (h >> 32) as u32;
-                        if class_u < s0_share {
-                            if t < c0 {
-                                stuck0 = stuck0.with_bit_set(bit);
-                            } else {
-                                class0[tile].bits.push((raw, (slot << 8) | bit));
-                            }
-                        } else if t < c1 {
-                            stuck1 = stuck1.with_bit_set(bit);
-                        } else {
-                            class1[tile].bits.push((raw, (slot << 8) | bit));
-                        }
-                    }
-                }
-            }
-            if !(stuck0.is_zero() && stuck1.is_zero()) {
-                entry_of[slot as usize] = entries.len() as u32;
-                entries.push(CarryEntry {
-                    offset: w as u32,
-                    stuck0,
-                    stuck1,
-                    next0: f64::INFINITY,
-                    next1: f64::INFINITY,
-                    touch: 0,
-                });
-            }
-        }
-        for pending in class0.iter_mut().chain(class1.iter_mut()) {
-            pending.bits.sort_unstable();
-        }
-        let stats = CarryStats {
-            carried: 0,
-            refreshed: 0,
-            activated: entries.len() as u64,
-        };
-        (
-            PcSweepCarry {
-                pc,
-                words,
-                voltage: supply,
-                temperature: self.temperature,
-                entries,
-                table: tiles,
-                pending: Some(PendingBits {
-                    class0,
-                    class1,
-                    entry_of,
-                    seq: 0,
-                }),
-            },
-            stats,
-        )
-    }
-
-    /// Advances a carried working set to a lower supply voltage, touching
-    /// only the words whose masks change. The resulting masks are
-    /// bit-identical to [`crate::MaskKernel::faulty_words`] at
-    /// `supply`.
-    ///
-    /// A non-descending `supply` or a temperature change since the carry
-    /// was built voids the carry: it is rebuilt from scratch (accounted as
-    /// `activated`). Advancing to the carry's own voltage is a no-op that
-    /// reports every word as `carried`.
-    ///
-    /// # Performance
-    ///
-    /// On the bit-granular tier (ranges up to 4096 words) an advance
-    /// hashes *nothing*: it drains, per tile and class, the sorted-prefix
-    /// of pending bit thresholds the new probabilities cross and ORs
-    /// exactly those bits into the carried masks, so a whole descent costs
-    /// one hash pass at carry start plus `O(bit flips)` total — against
-    /// `O(points × faulty words × 256)` draws for per-point rescans. On
-    /// the word-granular fallback tier a carried word is reused untouched
-    /// unless one of its still-clean minimum thresholds (`next0`/`next1`)
-    /// is crossed, in which case its 256 bits are re-enumerated; newly
-    /// activated words are appended from the activation index (the
-    /// stateful counterpart of [`FaultInjector::faulty_words_delta`]).
-    pub(crate) fn coupled_carry_advance_sel(
-        &self,
-        carry: &mut PcSweepCarry,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> CarryStats {
-        if supply > carry.voltage || carry.temperature != self.temperature {
-            let (fresh, stats) =
-                self.coupled_carry_start_sel(carry.pc, carry.words.clone(), supply, sel);
-            *carry = fresh;
-            return stats;
-        }
-        if supply == carry.voltage {
-            return CarryStats {
-                carried: carry.entries.len() as u64,
-                refreshed: 0,
-                activated: 0,
-            };
-        }
-        if supply >= self.params.landmarks.v_min {
-            // Still inside the guardband: nothing can be active.
-            carry.voltage = supply;
-            return CarryStats::default();
-        }
-        if carry.pending.is_some() {
-            return self.coupled_bit_advance(carry, supply);
-        }
-        let pc = carry.pc;
-        let table = self.tile_table(pc, supply);
-        let prev_table = carry.table.replace(Arc::clone(&table));
-        let prev_c = |tile: usize| {
-            prev_table
-                .as_ref()
-                .map_or((0.0, 0.0), |t| (t.tiles[tile].c0, t.tiles[tile].c1))
-        };
-        let mut stats = CarryStats::default();
-        // One dispatch decision per tile for the whole advance (refresh and
-        // activation loops share the memo); only tiles that actually hash a
-        // word are decided and counted.
-        let mut plans: Vec<Option<Option<TileCuts>>> = vec![None; self.grid.tile_count];
-        // (a) Refresh carried words whose next clean threshold was crossed;
-        // monotonicity guarantees existing mask bits never disappear.
-        for entry in &mut carry.entries {
-            let tile = self.grid.tile_of(u64::from(entry.offset));
-            let probs = table.tiles[tile];
-            if entry.next0 < probs.c0 || entry.next1 < probs.c1 {
-                let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs, true));
-                let (s0, s1, n0, n1) =
-                    self.coupled_word_sel(pc, u64::from(entry.offset), &probs, plan);
-                entry.stuck0 = s0;
-                entry.stuck1 = s1;
-                entry.next0 = n0;
-                entry.next1 = n1;
-                stats.refreshed += 1;
-            } else {
-                stats.carried += 1;
-            }
-        }
-        // (b) Append the words activating in the (v_prev, supply] window.
-        let mut fresh: Vec<CarryEntry> = Vec::new();
-        if let Some(index) = self.pc_coupled_index(pc) {
-            for (tile, probs) in table.tiles.iter().enumerate() {
-                if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                    continue;
-                }
-                let (c0p, c1p) = prev_c(tile);
-                for &w32 in index.class0.activated(tile, c0p, probs.c0) {
-                    let w = u64::from(w32);
-                    if !carry.words.contains(&w) {
-                        continue;
-                    }
-                    if index.class1.by_word[w32 as usize] < c1p {
-                        continue;
-                    }
-                    let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, probs, true));
-                    let (s0, s1, n0, n1) = self.coupled_word_sel(pc, w, probs, plan);
-                    fresh.push(CarryEntry {
-                        offset: w32,
-                        stuck0: s0,
-                        stuck1: s1,
-                        next0: n0,
-                        next1: n1,
-                        touch: 0,
-                    });
-                }
-                for &w32 in index.class1.activated(tile, c1p, probs.c1) {
-                    let w = u64::from(w32);
-                    if !carry.words.contains(&w) {
-                        continue;
-                    }
-                    if index.class0.by_word[w32 as usize] < probs.c0 {
-                        continue;
-                    }
-                    let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, probs, true));
-                    let (s0, s1, n0, n1) = self.coupled_word_sel(pc, w, probs, plan);
-                    fresh.push(CarryEntry {
-                        offset: w32,
-                        stuck0: s0,
-                        stuck1: s1,
-                        next0: n0,
-                        next1: n1,
-                        touch: 0,
-                    });
-                }
-            }
-        } else {
-            // Unindexed fallback: walk the range against the sorted carried
-            // offsets, enumerating only non-carried words.
-            let mut carried = carry.entries.iter().map(|e| u64::from(e.offset)).peekable();
-            for w in carry.words.clone() {
-                if carried.peek() == Some(&w) {
-                    carried.next();
-                    continue;
-                }
-                let tile = self.grid.tile_of(w);
-                let probs = table.tiles[tile];
-                if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                    continue;
-                }
-                let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs, true));
-                let (s0, s1, n0, n1) = self.coupled_word_sel(pc, w, &probs, plan);
-                if !(s0.is_zero() && s1.is_zero()) {
-                    fresh.push(CarryEntry {
-                        offset: w as u32,
-                        stuck0: s0,
-                        stuck1: s1,
-                        next0: n0,
-                        next1: n1,
-                        touch: 0,
-                    });
-                }
-            }
-        }
-        stats.activated = fresh.len() as u64;
-        if !fresh.is_empty() {
-            carry.entries.extend(fresh);
-            carry.entries.sort_unstable_by_key(|e| e.offset);
-        }
-        carry.voltage = supply;
-        stats
-    }
-
-    /// The bit-granular advance: for each tile and class, drains the prefix
-    /// of pending bits whose thresholds the new class probability crosses
-    /// and sets exactly those bits in the carried masks. No bit is ever
-    /// re-hashed — across a whole descent each `(word, bit)` is applied at
-    /// most once, so the total advance work is proportional to the number
-    /// of bit flips, not to `points × faulty words`.
-    fn coupled_bit_advance(&self, carry: &mut PcSweepCarry, supply: Millivolts) -> CarryStats {
-        let table = self.tile_table(carry.pc, supply);
-        carry.table = Some(Arc::clone(&table));
-        let start = carry.words.start;
-        let before = carry.entries.len();
-        let entries = &mut carry.entries;
-        let pending = carry.pending.as_mut().expect("bit carry has pending state");
-        pending.seq += 1;
-        let seq = pending.seq;
-        let mut refreshed = 0u64;
-        for (tile, probs) in table.tiles.iter().enumerate() {
-            drain_pending_class(
-                &mut pending.class0[tile],
-                probs.c0,
-                true,
-                start,
-                seq,
-                entries,
-                &mut pending.entry_of,
-                &mut refreshed,
-            );
-            drain_pending_class(
-                &mut pending.class1[tile],
-                probs.c1,
-                false,
-                start,
-                seq,
-                entries,
-                &mut pending.entry_of,
-                &mut refreshed,
-            );
-        }
-        let activated = (entries.len() - before) as u64;
-        if activated > 0 {
-            entries.sort_unstable_by_key(|e| e.offset);
-            for (i, entry) in entries.iter().enumerate() {
-                pending.entry_of[(u64::from(entry.offset) - start) as usize] = i as u32;
-            }
-        }
-        carry.voltage = supply;
-        CarryStats {
-            carried: before as u64 - refreshed,
-            refreshed,
-            activated,
-        }
-    }
-}
-
-/// Applies one tile-and-class pending prefix to the carried masks: every
-/// bit whose threshold is below `c` becomes faulty now and is consumed
-/// from the list (freeing the list entirely once the class saturates).
-#[allow(clippy::too_many_arguments)]
-fn drain_pending_class(
-    pend: &mut PendingClass,
-    c: f64,
-    class0: bool,
-    start: u64,
-    seq: u32,
-    entries: &mut Vec<CarryEntry>,
-    entry_of: &mut [u32],
-    refreshed: &mut u64,
-) {
-    while pend.cursor < pend.bits.len() {
-        let (raw, packed) = pend.bits[pend.cursor];
-        if threshold_from_raw(raw) >= c {
-            break;
-        }
-        pend.cursor += 1;
-        let slot = (packed >> 8) as usize;
-        let bit = packed & 0xFF;
-        let entry = if entry_of[slot] == u32::MAX {
-            entry_of[slot] = entries.len() as u32;
-            entries.push(CarryEntry {
-                offset: (start + slot as u64) as u32,
-                stuck0: Word256::ZERO,
-                stuck1: Word256::ZERO,
-                next0: f64::INFINITY,
-                next1: f64::INFINITY,
-                touch: seq,
-            });
-            entries.last_mut().expect("just pushed")
-        } else {
-            let entry = &mut entries[entry_of[slot] as usize];
-            if entry.touch != seq {
-                entry.touch = seq;
-                *refreshed += 1;
-            }
-            entry
-        };
-        if class0 {
-            entry.stuck0 = entry.stuck0.with_bit_set(bit);
-        } else {
-            entry.stuck1 = entry.stuck1.with_bit_set(bit);
-        }
-    }
-    if pend.cursor == pend.bits.len() && !pend.bits.is_empty() {
-        pend.bits = Vec::new();
-        pend.cursor = 0;
     }
 }
 
@@ -2633,129 +2049,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_words_delta_matches_set_difference() {
-        let inj = injector();
-        let range = 0u64..4096;
-        for (hi, lo) in [
-            (990u32, 965u32),
-            (965, 940),
-            (940, 900),
-            (900, 860),
-            (860, 830),
-        ] {
-            let (hi, lo) = (Millivolts(hi), Millivolts(lo));
-            let before: std::collections::HashSet<u64> = coupled(&inj)
-                .faulty_words(pc(3), range.clone(), hi)
-                .iter()
-                .map(|&(offset, _, _)| offset.0)
-                .collect();
-            let expected: Vec<_> = coupled(&inj)
-                .faulty_words(pc(3), range.clone(), lo)
-                .into_iter()
-                .filter(|(offset, _, _)| !before.contains(&offset.0))
-                .collect();
-            let delta = inj.faulty_words_delta(pc(3), range.clone(), hi, lo);
-            assert_eq!(delta, expected, "delta diverges for {hi} → {lo}");
-        }
-        // A non-descent or a same-voltage window is empty.
-        assert!(inj
-            .faulty_words_delta(pc(3), range.clone(), Millivolts(900), Millivolts(900))
-            .is_empty());
-        assert!(inj
-            .faulty_words_delta(pc(3), range.clone(), Millivolts(900), Millivolts(950))
-            .is_empty());
-        // From inside the guardband the delta is the full faulty set.
-        assert_eq!(
-            inj.faulty_words_delta(pc(3), range.clone(), Millivolts(1200), Millivolts(900)),
-            coupled(&inj).faulty_words(pc(3), range, Millivolts(900))
-        );
-    }
-
-    #[test]
-    fn carry_advance_is_bit_identical_to_rescan() {
-        let inj = injector();
-        let range = 0u64..4096;
-        let mut v = Millivolts(990);
-        let (mut carry, start) = coupled(&inj).carry_start(pc(2), range.clone(), v);
-        assert_eq!(carry.voltage(), v);
-        assert_eq!(
-            carry.masks(),
-            coupled(&inj).faulty_words(pc(2), range.clone(), v)
-        );
-        let mut total = start;
-        while v > Millivolts(820) {
-            v = v.saturating_sub(Millivolts(10));
-            let stats = coupled(&inj).carry_advance(&mut carry, v);
-            total.absorb(stats);
-            assert_eq!(carry.voltage(), v);
-            assert_eq!(
-                carry.masks(),
-                coupled(&inj).faulty_words(pc(2), range.clone(), v),
-                "carry diverged from rescan at {v}"
-            );
-        }
-        assert!(total.carried > 0, "descent never reused a carried word");
-        assert!(!carry.is_empty());
-        // Below both saturation voltages every bit has flipped: a further
-        // advance is pure reuse — nothing pending, nothing re-enumerated.
-        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(815));
-        assert_eq!(stats.carried, carry.len() as u64);
-        assert_eq!(stats.delta_words(), 0);
-        assert_eq!(stats.reuse_ratio(), 1.0);
-    }
-
-    #[test]
-    fn word_tier_carry_advance_matches_rescan() {
-        // A range above the bit-carry capacity exercises the word-granular
-        // tier (per-word next-change thresholds, no pending bit lists).
-        let inj = injector();
-        let range = 0u64..8192;
-        assert!(range.end - range.start > MAX_BIT_CARRY_WORDS);
-        let (mut carry, _) = coupled(&inj).carry_start(pc(2), range.clone(), Millivolts(990));
-        for v in [970u32, 940, 900, 870, 840, 820] {
-            let v = Millivolts(v);
-            coupled(&inj).carry_advance(&mut carry, v);
-            assert_eq!(
-                carry.masks(),
-                coupled(&inj).faulty_words(pc(2), range.clone(), v),
-                "word-tier carry diverged from rescan at {v}"
-            );
-        }
-        // Saturated: the word tier's next-thresholds are all exhausted, so
-        // a further advance is also pure reuse.
-        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(815));
-        assert_eq!(stats.carried, carry.len() as u64);
-        assert_eq!(stats.delta_words(), 0);
-    }
-
-    #[test]
-    fn carry_rebuilds_on_ascent_or_temperature_change() {
-        let mut inj = injector();
-        let range = 0u64..1024;
-        let (mut carry, _) = coupled(&inj).carry_start(pc(4), range.clone(), Millivolts(880));
-        // Ascending is not a descent: the carry is rebuilt, still exact.
-        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(940));
-        assert_eq!(stats.carried, 0);
-        assert_eq!(
-            carry.masks(),
-            coupled(&inj).faulty_words(pc(4), range.clone(), Millivolts(940))
-        );
-        // A temperature change voids the carried probabilities.
-        inj.set_temperature(Celsius(55.0));
-        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(920));
-        assert_eq!(stats.carried, 0);
-        assert_eq!(
-            carry.masks(),
-            coupled(&inj).faulty_words(pc(4), range.clone(), Millivolts(920))
-        );
-        // Advancing to the same voltage is a carried no-op.
-        let len = carry.len() as u64;
-        let stats = coupled(&inj).carry_advance(&mut carry, Millivolts(920));
-        assert_eq!(stats.carried, len);
-        assert_eq!(stats.delta_words(), 0);
-    }
-
-    #[test]
     fn coupled_unindexed_geometry_falls_back() {
         let geometry = HbmGeometry::vcu128().scaled(64);
         assert!(geometry.words_per_pc() > MAX_INDEXED_WORDS_PER_PC);
@@ -2776,34 +2069,5 @@ mod tests {
                 "unindexed coupled enumeration diverges at {v}"
             );
         }
-        // Delta and carry advance agree with rescans through the fallback.
-        let delta = inj.faulty_words_delta(pc(1), range.clone(), Millivolts(940), Millivolts(880));
-        let before: std::collections::HashSet<u64> = coupled(&inj)
-            .faulty_words(pc(1), range.clone(), Millivolts(940))
-            .iter()
-            .map(|&(offset, _, _)| offset.0)
-            .collect();
-        let expected: Vec<_> = coupled(&inj)
-            .faulty_words(pc(1), range.clone(), Millivolts(880))
-            .into_iter()
-            .filter(|(offset, _, _)| !before.contains(&offset.0))
-            .collect();
-        assert_eq!(delta, expected);
-        let (mut carry, _) = coupled(&inj).carry_start(pc(1), range.clone(), Millivolts(940));
-        coupled(&inj).carry_advance(&mut carry, Millivolts(880));
-        assert_eq!(
-            carry.masks(),
-            coupled(&inj).faulty_words(pc(1), range, Millivolts(880))
-        );
-        // A range above the bit-carry cap takes the word tier's unindexed
-        // two-pointer fallback for newly activated words.
-        let wide = 0u64..6000;
-        assert!(wide.end - wide.start > MAX_BIT_CARRY_WORDS);
-        let (mut carry, _) = coupled(&inj).carry_start(pc(1), wide.clone(), Millivolts(940));
-        coupled(&inj).carry_advance(&mut carry, Millivolts(880));
-        assert_eq!(
-            carry.masks(),
-            coupled(&inj).faulty_words(pc(1), wide, Millivolts(880))
-        );
     }
 }

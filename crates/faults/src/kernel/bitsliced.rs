@@ -63,78 +63,6 @@ pub(crate) fn bit_planes_portable(
     (Word256(plane0), Word256(plane1))
 }
 
-/// Generates one coupled-field word: the stuck planes at the current
-/// `(cut0, cut1)` probability levels plus each class's minimum still-clean
-/// raw threshold (`u64::MAX` when the class is exhausted), which the caller
-/// converts back to the word's exact next activation level.
-pub(crate) fn coupled_word(
-    prefix: u64,
-    class_cut: u64,
-    cut0: u64,
-    cut1: u64,
-) -> (Word256, Word256, u64, u64) {
-    let mut plane0 = [0u64; 4];
-    let mut plane1 = [0u64; 4];
-    let (mut min0, mut min1) = (u64::MAX, u64::MAX);
-    for (lane, (p0, p1)) in plane0.iter_mut().zip(plane1.iter_mut()).enumerate() {
-        let base = lane as u64 * 64;
-        let (mut m0, mut m1) = (0u64, 0u64);
-        for b in 0..64u64 {
-            let h = mix64(prefix ^ (base + b));
-            let lo = h & 0xFFFF_FFFF;
-            let hi = h >> 32;
-            if lo < class_cut {
-                if hi < cut0 {
-                    m0 |= 1 << b;
-                } else if hi < min0 {
-                    min0 = hi;
-                }
-            } else if hi < cut1 {
-                m1 |= 1 << b;
-            } else if hi < min1 {
-                min1 = hi;
-            }
-        }
-        *p0 = m0;
-        *p1 = m1;
-    }
-    (Word256(plane0), Word256(plane1), min0, min1)
-}
-
-/// The carry-start variant of [`coupled_word`]: also records every bit's
-/// raw 32-bit threshold into `raws` and returns the class plane (bit set =
-/// stuck-at-0 class), so the caller can fill per-tile pending lists for the
-/// still-clean bits of each class without re-hashing anything.
-pub(crate) fn coupled_scan(
-    prefix: u64,
-    class_cut: u64,
-    cut0: u64,
-    cut1: u64,
-    raws: &mut [u32; 256],
-) -> (Word256, Word256, Word256) {
-    let mut class_plane = [0u64; 4];
-    let mut plane0 = [0u64; 4];
-    let mut plane1 = [0u64; 4];
-    for lane in 0..4usize {
-        let base = lane as u64 * 64;
-        let (mut cls, mut m0, mut m1) = (0u64, 0u64, 0u64);
-        for b in 0..64u64 {
-            let h = mix64(prefix ^ (base + b));
-            let lo = h & 0xFFFF_FFFF;
-            let hi = h >> 32;
-            raws[(base + b) as usize] = hi as u32;
-            let is0 = lo < class_cut;
-            cls |= u64::from(is0) << b;
-            m0 |= u64::from(is0 & (hi < cut0)) << b;
-            m1 |= u64::from(!is0 & (hi < cut1)) << b;
-        }
-        class_plane[lane] = cls;
-        plane0[lane] = m0;
-        plane1[lane] = m1;
-    }
-    (Word256(class_plane), Word256(plane0), Word256(plane1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,47 +84,6 @@ mod tests {
                 assert_eq!(s1.bit(bit), expect1, "seed {seed} bit {bit}");
             }
             assert!((s0 & s1).is_zero(), "polarity planes overlap");
-        }
-    }
-
-    #[test]
-    fn coupled_word_mins_track_the_cleanest_clean_bit() {
-        let prefix = combine(&[9, 0, 5, 0x6362_6974]);
-        let class_cut = 1u64 << 31;
-        let (cut0, cut1) = (1u64 << 24, 1u64 << 26);
-        let (s0, s1, min0, min1) = coupled_word(prefix, class_cut, cut0, cut1);
-        let (mut expect_min0, mut expect_min1) = (u64::MAX, u64::MAX);
-        for bit in 0..256u32 {
-            let h = mix64(prefix ^ u64::from(bit));
-            let hi = h >> 32;
-            if (h & 0xFFFF_FFFF) < class_cut {
-                if !s0.bit(bit) && hi < expect_min0 {
-                    expect_min0 = hi;
-                }
-            } else if !s1.bit(bit) && hi < expect_min1 {
-                expect_min1 = hi;
-            }
-        }
-        assert_eq!(min0, expect_min0);
-        assert_eq!(min1, expect_min1);
-        // The mins sit at or above their cut (they are still clean).
-        assert!(min0 >= cut0 && min1 >= cut1);
-        assert!((s0 & s1).is_zero());
-    }
-
-    #[test]
-    fn coupled_scan_matches_coupled_word_and_records_raws() {
-        let prefix = combine(&[4, 1, 9, 0x6362_6974]);
-        let class_cut = (1u64 << 32) / 3;
-        let (cut0, cut1) = (1u64 << 28, 1u64 << 27);
-        let mut raws = [0u32; 256];
-        let (class_plane, s0, s1) = coupled_scan(prefix, class_cut, cut0, cut1, &mut raws);
-        let (w0, w1, _, _) = coupled_word(prefix, class_cut, cut0, cut1);
-        assert_eq!((s0, s1), (w0, w1));
-        for bit in 0..256u32 {
-            let h = mix64(prefix ^ u64::from(bit));
-            assert_eq!(u64::from(raws[bit as usize]), h >> 32);
-            assert_eq!(class_plane.bit(bit), (h & 0xFFFF_FFFF) < class_cut);
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Historically the injector accreted one entry point per enumeration
 //! strategy (the per-word reference path, the tiled scan, the coupled
-//! family, the carry start/advance pair), and every caller had to match on
+//! family, the descents), and every caller had to match on
 //! [`FaultFieldMode`] to pick the right family. This module collapses them
 //! behind one [`MaskKernel`] trait: callers obtain a kernel with
 //! [`FaultInjector::kernel`], and every mask query dispatches on the
@@ -25,7 +25,7 @@
 //! bitplanes. It is bit-identical to the scalar path by construction — the
 //! cutoffs are the exact integer images of the scalar `f64` comparisons —
 //! which the `bitsliced_matches_scalar` proptests enforce for both fault
-//! fields, carried sweeps included.
+//! fields.
 //!
 //! `Auto` (the default) decides per tile from the injector's cached tile
 //! probabilities: a tile is *dense* when either polarity's word-gate
@@ -38,7 +38,7 @@ use std::ops::Range;
 use hbm_device::{PcIndex, Word256, WordOffset};
 use hbm_units::Millivolts;
 
-use crate::field::{CarryStats, FaultFieldMode, PcSweepCarry};
+use crate::field::FaultFieldMode;
 use crate::injector::FaultInjector;
 
 pub(crate) mod bitsliced;
@@ -141,10 +141,15 @@ impl BackendSel {
 /// One unified interface to every mask-generation strategy.
 ///
 /// A `MaskKernel` binds a [`FaultInjector`], a [`FaultFieldMode`], and a
-/// [`KernelBackend`]: callers ask for masks, enumerations, counts, or carry
-/// state and the kernel routes the query to the right field family and
+/// [`KernelBackend`]: callers ask for masks, enumerations, counts, or a
+/// descent and the kernel routes the query to the right field family and
 /// backend. All backends are bit-identical for a given field, so swapping
 /// backends never changes results — only speed.
+///
+/// A coupled-field sweep down a voltage grid needs no per-point rescan:
+/// [`MaskKernel::count_descent`] and [`MaskKernel::knot_descent`] hash the
+/// range once and place every failing bit at the first knot where it
+/// fails, and both are folds over the same per-bit walk.
 ///
 /// The concrete implementation is [`FieldKernel`], obtained from
 /// [`FaultInjector::kernel`]. The trait is dyn-compatible (callbacks take
@@ -195,28 +200,6 @@ pub trait MaskKernel {
     /// (drives the engine's streamed-vs-materialized decision).
     fn expected_active_fraction(&self, pc: PcIndex, supply: Millivolts) -> f64;
 
-    /// Starts a carried descending sweep over `words` at `supply`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`FaultFieldMode::PerVoltage`], which re-keys every
-    /// point and therefore has no carryable working set — callers gate
-    /// carried sweeps on the coupled field before asking for one.
-    fn carry_start(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> (PcSweepCarry, CarryStats);
-
-    /// Advances a carried working set to a lower `supply`.
-    ///
-    /// # Panics
-    ///
-    /// Panics under [`FaultFieldMode::PerVoltage`]; see
-    /// [`MaskKernel::carry_start`].
-    fn carry_advance(&self, carry: &mut PcSweepCarry, supply: Millivolts) -> CarryStats;
-
     /// Union fault-bit counts of one pseudo channel along a descending
     /// voltage schedule: entry `k` is the total stuck-at count (both
     /// polarities) over `words` at `schedule[k]`, equal to
@@ -228,23 +211,49 @@ pub trait MaskKernel {
     ///
     /// # Performance
     ///
-    /// One hash pass over the range and no carry: about `words × 256`
-    /// mixes, plus a search over the knots for each bit that fails at the
-    /// last knot. The search is one load from a per-tile table over the top
-    /// byte of the bit's raw threshold, and a binary search over the knots'
-    /// integer cutoffs only where a cutoff splits that byte's range. Words
-    /// of tiles that stay clean at every knot are not hashed. No mask is
-    /// built and nothing is carried between knots, so extra knots cost
-    /// only their cutoffs. Every backend gets the same counts from the
-    /// same pass.
+    /// One hash pass over the range: about `words × 256` mixes, plus a
+    /// search over the knots for each bit that fails at the last knot. The
+    /// search is one load from a per-tile table over the top byte of the
+    /// bit's raw threshold, and a binary search over the knots' integer
+    /// cutoffs only where a cutoff splits that byte's range. Words of tiles
+    /// that stay clean at every knot are not hashed. No mask is built, so
+    /// extra knots cost only their cutoffs. Every backend gets the same
+    /// counts from the same pass.
     ///
     /// # Panics
     ///
-    /// Panics under [`FaultFieldMode::PerVoltage`] (see
-    /// [`MaskKernel::carry_start`]) and when `schedule` is not strictly
-    /// descending.
+    /// Panics under [`FaultFieldMode::PerVoltage`], which re-keys every
+    /// point and so has no descent, and when `schedule` is not strictly
+    /// descending or has more than `u16::MAX` knots.
     fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64>;
+
+    /// The per-word form of [`MaskKernel::count_descent`]: calls `f` once
+    /// for each word of `words` that fails at some knot of `schedule`, in
+    /// ascending offset order, with the word's `(stuck0, stuck1)` masks at
+    /// the last knot and each bit's first-failing knot index (`u16::MAX`
+    /// for bits clean at every knot). The word's masks at knot `k` are the
+    /// bits whose index is at most `k`, equal to
+    /// [`MaskKernel::faulty_words`] at `schedule[k]`.
+    ///
+    /// Same pass and cost as [`MaskKernel::count_descent`]; a 1 mV grid
+    /// from 1.20 V to 0.81 V is 391 knots.
+    ///
+    /// # Panics
+    ///
+    /// As [`MaskKernel::count_descent`].
+    fn knot_descent(
+        &self,
+        pc: PcIndex,
+        words: Range<u64>,
+        schedule: &[Millivolts],
+        f: &mut KnotDescentFn<'_>,
+    );
 }
+
+/// The per-word callback of [`MaskKernel::knot_descent`]: the word's offset,
+/// its `(stuck0, stuck1)` masks at the last knot, and each bit's
+/// first-failing knot index.
+pub type KnotDescentFn<'a> = dyn FnMut(WordOffset, Word256, Word256, &[u16; 256]) + 'a;
 
 /// The concrete [`MaskKernel`]: a borrowed [`FaultInjector`] plus the
 /// field/backend pair, cheap to construct and `Copy` so parallel engine
@@ -358,33 +367,6 @@ impl MaskKernel for FieldKernel<'_> {
         self.injector.expected_active_fraction(pc, supply)
     }
 
-    fn carry_start(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> (PcSweepCarry, CarryStats) {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                panic!("carried sweeps require FaultFieldMode::MonotoneCoupled")
-            }
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_carry_start_sel(pc, words, supply, self.sel),
-        }
-    }
-
-    fn carry_advance(&self, carry: &mut PcSweepCarry, supply: Millivolts) -> CarryStats {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                panic!("carried sweeps require FaultFieldMode::MonotoneCoupled")
-            }
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_carry_advance_sel(carry, supply, self.sel),
-        }
-    }
-
     fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64> {
         match self.field {
             FaultFieldMode::PerVoltage => {
@@ -392,6 +374,23 @@ impl MaskKernel for FieldKernel<'_> {
             }
             FaultFieldMode::MonotoneCoupled => {
                 self.injector.coupled_count_descent(pc, words, schedule)
+            }
+        }
+    }
+
+    fn knot_descent(
+        &self,
+        pc: PcIndex,
+        words: Range<u64>,
+        schedule: &[Millivolts],
+        f: &mut KnotDescentFn<'_>,
+    ) {
+        match self.field {
+            FaultFieldMode::PerVoltage => {
+                panic!("knot descents require FaultFieldMode::MonotoneCoupled")
+            }
+            FaultFieldMode::MonotoneCoupled => {
+                self.injector.coupled_knot_descent(pc, words, schedule, f)
             }
         }
     }
@@ -470,12 +469,42 @@ mod tests {
     }
 
     #[test]
+    fn a_391_knot_descent_matches_per_knot_counts() {
+        // The CLI's finest grid: 1200 → 810 mV in 1 mV steps.
+        let injector =
+            FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 7);
+        let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+        let pc = PcIndex::new(5).unwrap();
+        let words = 100..228;
+        let schedule: Vec<Millivolts> = (810..=1200).rev().map(Millivolts).collect();
+        assert_eq!(schedule.len(), 391);
+        // Per knot, the bits of each polarity that first fail there.
+        let mut first_fails = vec![(0u64, 0u64); schedule.len()];
+        kernel.knot_descent(pc, words.clone(), &schedule, &mut |_, s0, s1, first| {
+            for bit in (0..Word256::BITS).filter(|&b| (s0 | s1).bit(b)) {
+                let slot = &mut first_fails[usize::from(first[bit as usize])];
+                slot.0 += u64::from(s0.bit(bit));
+                slot.1 += u64::from(s1.bit(bit));
+            }
+        });
+        let totals = kernel.count_descent(pc, words.clone(), &schedule);
+        let mut running = (0u64, 0u64);
+        for (k, &v) in schedule.iter().enumerate() {
+            running = (running.0 + first_fails[k].0, running.1 + first_fails[k].1);
+            let counts = kernel.count_range(pc, words.clone(), v);
+            assert_eq!(running, counts, "knot_descent at {v}");
+            assert_eq!(totals[k], counts.0 + counts.1, "count_descent at {v}");
+        }
+        assert!(totals[390] > 0, "810 mV must show faults");
+    }
+
+    #[test]
     #[should_panic(expected = "MonotoneCoupled")]
-    fn per_voltage_kernel_refuses_carry() {
+    fn per_voltage_kernel_refuses_a_descent() {
         let injector =
             FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 1);
         let kernel = injector.kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto);
         let pc = PcIndex::new(0).unwrap();
-        let _ = kernel.carry_start(pc, 0..64, Millivolts(900));
+        kernel.knot_descent(pc, 0..64, &[Millivolts(900)], &mut |_, _, _, _| {});
     }
 }

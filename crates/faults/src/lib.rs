@@ -78,9 +78,9 @@ mod variation;
 pub use analytic::RatePredictor;
 pub use error::FaultModelError;
 pub use fault_map::{FaultMap, PcRateEntry, PcRateProfile};
-pub use field::{CarryStats, FaultFieldMode, PcSweepCarry};
+pub use field::FaultFieldMode;
 pub use injector::{FaultInjector, FaultPolarity};
-pub use kernel::{FieldKernel, InstructionSet, KernelBackend, MaskKernel};
+pub use kernel::{FieldKernel, InstructionSet, KernelBackend, KnotDescentFn, MaskKernel};
 pub use landmarks::VoltageLandmarks;
 pub use params::FaultModelParams;
 pub use response::ResponseCurve;

@@ -27,31 +27,35 @@ fn coupled(inj: &FaultInjector) -> FieldKernel<'_> {
     inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar)
 }
 
-/// The carried-descent reference for [`MaskKernel::count_descent`]: one
-/// carry started at the first knot and advanced through the rest, its
-/// masks counted at every knot.
-fn carried_descent_counts(
-    kernel: &FieldKernel<'_>,
-    pc: PcIndex,
-    words: std::ops::Range<u64>,
-    schedule: &[Millivolts],
-) -> Vec<u64> {
-    let mut counts = Vec::new();
-    let Some((&first, rest)) = schedule.split_first() else {
-        return counts;
+/// The range and descending schedule of one descent case: ranges that
+/// start above word 0 and cross a tile boundary, empty ranges and random
+/// ranges; schedules from inside the guardband into saturation, single
+/// knots and random grids.
+fn descent_case(
+    range_shape: u8,
+    start: u64,
+    len: u64,
+    schedule_shape: u8,
+    first_mv: u32,
+    step: u32,
+    knots: u32,
+) -> (std::ops::Range<u64>, Vec<Millivolts>) {
+    let range = match range_shape {
+        0 => 20..100, // starts above word 0 and crosses a tile boundary
+        1 => start..start,
+        _ => start..(start + len).min(8192),
     };
-    let count = |carry: &hbm_faults::PcSweepCarry| {
-        let mut n = 0u64;
-        carry.for_each_mask(|_, s0, s1| n += u64::from(s0.count_ones() + s1.count_ones()));
-        n
+    let schedule = match schedule_shape {
+        // From inside the guardband down into saturation.
+        0 => (0..9).map(|k| Millivolts(1000 - 25 * k)).collect(),
+        1 => vec![Millivolts(first_mv)],
+        _ => (0..knots)
+            .map(|k| first_mv.saturating_sub(k * step))
+            .filter(|&mv| mv >= 800)
+            .map(Millivolts)
+            .collect(),
     };
-    let (mut carry, _) = kernel.carry_start(pc, words, first);
-    counts.push(count(&carry));
-    for &v in rest {
-        kernel.carry_advance(&mut carry, v);
-        counts.push(count(&carry));
-    }
-    counts
+    (range, schedule)
 }
 
 proptest! {
@@ -217,62 +221,6 @@ proptest! {
         prop_assert_eq!(lo1 & hi1, hi1, "coupled stuck-at-1 set shrank");
     }
 
-    /// Tentpole guarantee of the incremental sweep kernel: over a random
-    /// descending voltage sequence, the carried working set (start +
-    /// advances) and the delta enumeration are both bit-identical to a
-    /// from-scratch coupled enumeration at every point. Ranges above the
-    /// bit-carry capacity exercise the word-granular tier.
-    #[test]
-    fn coupled_carry_matches_from_scratch(
-        seed in any::<u64>(),
-        pc_index in 0u8..32,
-        start_word in 0u64..4096,
-        len in 1u64..8192,
-        first_mv in 830u32..980,
-        steps in proptest::collection::vec(1u32..40, 1..5),
-    ) {
-        let inj = injector(seed);
-        let pc = PcIndex::new(pc_index).unwrap();
-        let range = start_word..(start_word + len).min(8192);
-
-        let mut v = Millivolts(first_mv);
-        let (mut carry, _) = coupled(&inj).carry_start(pc, range.clone(), v);
-        prop_assert_eq!(
-            carry.masks(),
-            coupled(&inj).faulty_words(pc, range.clone(), v),
-            "carry start diverged at {}", v
-        );
-
-        for step in steps {
-            let prev = v;
-            v = Millivolts(v.as_u32().saturating_sub(step).max(810));
-            let scratch = coupled(&inj).faulty_words(pc, range.clone(), v);
-
-            // The carried set advances to exactly the from-scratch set.
-            coupled(&inj).carry_advance(&mut carry, v);
-            prop_assert_eq!(&carry.masks(), &scratch, "carry advance diverged at {}", v);
-
-            // The delta enumeration reports exactly the activations: the
-            // words faulty at the next voltage but clean at the previous
-            // one, with their full masks at the next voltage.
-            let prev_offsets: std::collections::BTreeSet<u64> = coupled(&inj)
-                .faulty_words(pc, range.clone(), prev)
-                .into_iter()
-                .map(|(w, _, _)| w.0)
-                .collect();
-            let expected: Vec<_> = scratch
-                .iter()
-                .filter(|(w, _, _)| !prev_offsets.contains(&w.0))
-                .copied()
-                .collect();
-            prop_assert_eq!(
-                inj.faulty_words_delta(pc, range.clone(), prev, v),
-                expected,
-                "delta enumeration diverged at {}", v
-            );
-        }
-    }
-
     /// Tentpole guarantee of the bit-sliced kernel: every [`MaskKernel`]
     /// backend is bit-identical to the scalar oracle — same enumerations,
     /// same counts, same per-word masks — in both fault fields, for any
@@ -314,65 +262,10 @@ proptest! {
         }
     }
 
-    /// Carried descending sweeps are backend-independent: starting and
-    /// advancing a coupled carry under the bit-sliced or auto backend
-    /// yields the same masks AND the same carry accounting as the scalar
-    /// backend at every point of a random descent.
+    /// The one-pass count descent equals the per-knot range counts, under
+    /// the scalar and auto backends, for every [`descent_case`].
     #[test]
-    fn bitsliced_carried_advances_match_scalar(
-        seed in any::<u64>(),
-        pc_index in 0u8..32,
-        start_word in 0u64..4096,
-        len in 1u64..8192,
-        first_mv in 830u32..980,
-        steps in proptest::collection::vec(1u32..40, 1..5),
-    ) {
-        let inj = injector(seed);
-        let pc = PcIndex::new(pc_index).unwrap();
-        let range = start_word..(start_word + len).min(8192);
-        let kernels = [
-            inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar),
-            inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::BitSliced),
-            inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto),
-        ];
-
-        let mut v = Millivolts(first_mv);
-        let mut carries = Vec::new();
-        let mut start_stats = Vec::new();
-        for kernel in &kernels {
-            let (carry, stats) = kernel.carry_start(pc, range.clone(), v);
-            carries.push(carry);
-            start_stats.push(stats);
-        }
-        for i in 1..kernels.len() {
-            prop_assert_eq!(&start_stats[i], &start_stats[0],
-                "carry-start stats diverged ({:?})", kernels[i].backend());
-            prop_assert_eq!(carries[i].masks(), carries[0].masks(),
-                "carry-start masks diverged ({:?})", kernels[i].backend());
-        }
-
-        for step in steps {
-            v = Millivolts(v.as_u32().saturating_sub(step).max(810));
-            let stats: Vec<_> = kernels
-                .iter()
-                .zip(carries.iter_mut())
-                .map(|(kernel, carry)| kernel.carry_advance(carry, v))
-                .collect();
-            for i in 1..kernels.len() {
-                prop_assert_eq!(&stats[i], &stats[0],
-                    "advance stats diverged at {} ({:?})", v, kernels[i].backend());
-                prop_assert_eq!(carries[i].masks(), carries[0].masks(),
-                    "advance masks diverged at {} ({:?})", v, kernels[i].backend());
-            }
-        }
-    }
-
-    /// The one-pass count descent equals both the per-knot range counts and
-    /// the carried-descent reference, under the scalar and auto backends,
-    /// for ranges that start above word 0 and cross tiles, schedules from
-    /// inside the guardband into saturation, single knots and empty ranges.
-    #[test]
-    fn count_descent_matches_range_counts_and_carried_reference(
+    fn count_descent_matches_range_counts(
         seed in any::<u64>(),
         pc_index in 0u8..32,
         range_shape in 0u8..4,
@@ -385,30 +278,68 @@ proptest! {
     ) {
         let inj = injector(seed);
         let pc = PcIndex::new(pc_index).unwrap();
-        let range = match range_shape {
-            0 => 20..100, // starts above word 0 and crosses a tile boundary
-            1 => start..start,
-            _ => start..(start + len).min(8192),
-        };
-        let schedule: Vec<Millivolts> = match schedule_shape {
-            // From inside the guardband down into saturation.
-            0 => (0..9).map(|k| Millivolts(1000 - 25 * k)).collect(),
-            1 => vec![Millivolts(first_mv)],
-            _ => (0..knots)
-                .map(|k| first_mv.saturating_sub(k * step))
-                .filter(|&mv| mv >= 800)
-                .map(Millivolts)
-                .collect(),
-        };
-        let scalar = coupled(&inj);
-        let reference = carried_descent_counts(&scalar, pc, range.clone(), &schedule);
+        let (range, schedule) =
+            descent_case(range_shape, start, len, schedule_shape, first_mv, step, knots);
         for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
             let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, backend);
             let counts = kernel.count_descent(pc, range.clone(), &schedule);
-            prop_assert_eq!(&counts, &reference, "{:?} diverged from the carried descent", backend);
+            prop_assert_eq!(counts.len(), schedule.len());
             for (&v, &count) in schedule.iter().zip(&counts) {
                 let (n0, n1) = kernel.count_range(pc, range.clone(), v);
                 prop_assert_eq!(count, n0 + n1, "{:?} diverged from count_range at {}", backend, v);
+            }
+        }
+    }
+
+    /// The per-word knot descent rebuilds every knot's enumeration: the
+    /// bits whose first failing knot is at most `k` are exactly the masks
+    /// [`MaskKernel::faulty_words`] finds at knot `k`, under the scalar and
+    /// auto backends, for every [`descent_case`].
+    #[test]
+    fn knot_descent_rebuilds_every_knot(
+        seed in any::<u64>(),
+        pc_index in 0u8..32,
+        range_shape in 0u8..4,
+        start in 0u64..8192,
+        len in 0u64..600,
+        schedule_shape in 0u8..3,
+        first_mv in 800u32..1040,
+        step in 1u32..40,
+        knots in 1u32..8,
+    ) {
+        let inj = injector(seed);
+        let pc = PcIndex::new(pc_index).unwrap();
+        let (range, schedule) =
+            descent_case(range_shape, start, len, schedule_shape, first_mv, step, knots);
+        let mut descended = Vec::new();
+        coupled(&inj).knot_descent(pc, range.clone(), &schedule, &mut |w, s0, s1, first| {
+            descended.push((w, s0, s1, *first));
+        });
+        prop_assert!(descended.windows(2).all(|p| p[0].0 < p[1].0), "offsets not ascending");
+        for (k, &v) in schedule.iter().enumerate() {
+            let at_knot = |mask: Word256, first: &[u16; 256]| {
+                (0..Word256::BITS)
+                    .filter(|&b| mask.bit(b) && usize::from(first[b as usize]) <= k)
+                    .fold(Word256::ZERO, Word256::with_bit_set)
+            };
+            let rebuilt: Vec<_> = descended
+                .iter()
+                .map(|(w, s0, s1, first)| (*w, at_knot(*s0, first), at_knot(*s1, first)))
+                .filter(|(_, s0, s1)| !(s0.is_zero() && s1.is_zero()))
+                .collect();
+            for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
+                let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, backend);
+                prop_assert_eq!(
+                    &rebuilt,
+                    &kernel.faulty_words(pc, range.clone(), v),
+                    "{:?} diverged at knot {} ({})", backend, k, v
+                );
+            }
+        }
+        // Bits clean at every knot carry no knot index.
+        for (_, s0, s1, first) in &descended {
+            for b in 0..Word256::BITS {
+                prop_assert_eq!((*s0 | *s1).bit(b), first[b as usize] != u16::MAX);
             }
         }
     }

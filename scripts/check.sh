@@ -49,6 +49,19 @@ cmp "$trace1" "$trace4"
 grep -q SweepCompleted "$trace1"
 rm -f "$trace1" "$trace4"
 
+# Smoke: coupled-field sweeps are byte-identical to committed goldens at 1
+# and 4 workers — a 5 mV grid over 512 words that ends in two crashed
+# points, and a 10 mV grid over 5000 words.
+echo "==> hbmctl sweep --fault-field coupled golden smoke"
+for workers in 1 4; do
+    ./target/release/hbmctl sweep --seed 7 --from 950 --to 800 --step 5 \
+        --words 512 --fault-field coupled --format csv --workers "$workers" \
+        2>/dev/null | cmp - scripts/golden/sweep_coupled_bit.csv
+    ./target/release/hbmctl sweep --seed 7 --from 950 --to 800 --step 10 \
+        --words 5000 --fault-field coupled --format csv --workers "$workers" \
+        2>/dev/null | cmp - scripts/golden/sweep_coupled_word.csv
+done
+
 # Smoke: a small fleet sweep persists a columnar artifact the query and
 # summary paths can read, and its JSON export is byte-identical to the
 # committed golden — any drift in the engine, the artifact codec or the
