@@ -74,7 +74,7 @@ impl VoltageSweep {
                 "sweep must descend: {from} < {down_to}"
             )));
         }
-        if (from.as_u32() - down_to.as_u32()) % step.as_u32() != 0 {
+        if !(from.as_u32() - down_to.as_u32()).is_multiple_of(step.as_u32()) {
             return Err(ExperimentError::config(format!(
                 "step {step} does not divide the range {from}..{down_to}"
             )));

@@ -84,8 +84,8 @@ pub enum FaultPolarity {
 ///      once, the per-tile `f64` thresholds are converted to their exact
 ///      integer images by [`crate::hash::unit_cutoff`], and the 256 bits
 ///      are produced a 64-bit lane at a time as `u64` bitplanes — one
-///      integer mix and two integer compares per bit, with an AVX2 tier
-///      (four lanes per instruction) behind the runtime feature probe.
+///      integer mix and two integer compares per bit, in one loop that is
+///      also compiled for AVX-512 behind the runtime feature probe.
 ///      The cutoffs are exact, so equality with arm (a) is a theorem,
 ///      enforced end to end by the `bitsliced_matches_scalar` proptests.
 ///

@@ -12,11 +12,11 @@
 //!
 //! # Backends
 //!
-//! | Backend                    | Dense tiles                  | Sparse tiles |
-//! |----------------------------|------------------------------|--------------|
-//! | [`KernelBackend::Scalar`]  | per-bit scalar               | per-bit scalar |
-//! | [`KernelBackend::BitSliced`] | bit-sliced (AVX2 if probed) | bit-sliced   |
-//! | [`KernelBackend::Auto`]    | bit-sliced (AVX2 if probed)  | per-bit scalar |
+//! | Backend                      | Dense tiles                     | Sparse tiles   |
+//! |------------------------------|---------------------------------|----------------|
+//! | [`KernelBackend::Scalar`]    | per-bit scalar                  | per-bit scalar |
+//! | [`KernelBackend::BitSliced`] | bit-sliced (AVX-512 if probed)  | bit-sliced     |
+//! | [`KernelBackend::Auto`]      | bit-sliced (AVX-512 if probed)  | per-bit scalar |
 //!
 //! The bit-sliced path hashes whole 256-bit words a 64-bit lane at a time
 //! and turns the per-bit polarity/threshold comparisons into integer
@@ -42,9 +42,6 @@ use crate::field::FaultFieldMode;
 use crate::injector::FaultInjector;
 
 pub(crate) mod bitsliced;
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(crate) mod simd;
 
 /// Word-gate probability at which [`KernelBackend::Auto`] switches a tile
 /// from scalar sparse enumeration to bit-sliced dense generation: one gated
@@ -73,25 +70,28 @@ pub enum KernelBackend {
     Auto,
 }
 
-/// The vector instruction set the bit-sliced kernel runs on, probed at
-/// runtime so one binary adapts to its host.
+/// The compile of the bit-plane loop the bit-sliced kernel runs, probed at
+/// runtime so one binary adapts to its host. Both compiles are the same
+/// source loop and agree bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstructionSet {
-    /// Plain `u64` bitplane arithmetic — correct everywhere.
+    /// The loop compiled for the baseline target — correct everywhere.
     Portable,
-    /// AVX2: four 64-bit lanes per instruction. Only ever constructed
-    /// after [`InstructionSet::detect`] confirms the host supports it.
-    Avx2,
+    /// The loop compiled with AVX-512 enabled, which LLVM vectorizes with
+    /// native 64-bit multiplies and mask-register compares. Only ever
+    /// constructed by [`InstructionSet::detect`], after it confirms every
+    /// feature that compile uses.
+    Avx512,
 }
 
 impl InstructionSet {
-    /// Probes the running CPU: [`InstructionSet::Avx2`] when available,
-    /// otherwise [`InstructionSet::Portable`].
+    /// Probes the running CPU: [`InstructionSet::Avx512`] when it has every
+    /// feature of the AVX-512 compile, otherwise [`InstructionSet::Portable`].
     #[must_use]
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return InstructionSet::Avx2;
+        if bitsliced::avx512_detected() {
+            return InstructionSet::Avx512;
         }
         InstructionSet::Portable
     }

@@ -55,9 +55,10 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the AVX2 tier of the bit-sliced kernel needs
-// `std::arch` intrinsics, and `kernel::simd` is the one module allowed to
-// use them (behind a runtime feature probe). Everything else stays safe.
+// `deny` rather than `forbid`: the bit-sliced kernel enters its AVX-512
+// compile through one `unsafe` call, made after a runtime feature probe
+// under a scoped allow (`kernel::bitsliced::bit_planes`). Everything else
+// stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

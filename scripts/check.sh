@@ -62,6 +62,16 @@ for workers in 1 4; do
         2>/dev/null | cmp - scripts/golden/sweep_coupled_word.csv
 done
 
+# Smoke: the paper's own per-voltage sweep, 1.20 -> 0.81 V over 8192 words,
+# is byte-identical to a committed golden at 1 and 4 workers. Its dense
+# points run the bit-sliced kernel.
+echo "==> hbmctl sweep per-voltage golden smoke"
+for workers in 1 4; do
+    ./target/release/hbmctl sweep --seed 7 --from 1200 --to 810 --step 10 \
+        --words 8192 --format csv --workers "$workers" \
+        2>/dev/null | cmp - scripts/golden/sweep_per_voltage.csv
+done
+
 # Smoke: a small fleet sweep persists a columnar artifact the query and
 # summary paths can read, and its JSON export is byte-identical to the
 # committed golden — any drift in the engine, the artifact codec or the
