@@ -9,9 +9,10 @@
 //! sequential serving (the pipeline's in-order emitter is
 //! throughput-only), and the single-flight rescan cache performs at
 //! least 2× fewer kernel rescans than an uncached (zero-budget) service
-//! on the repeated-miss segment. Throughput at >1 workers is recorded
-//! honestly — on a 1-core host the speedup is ≈1× and that is the
-//! expected result, not a failure.
+//! on the repeated-miss segment. Throughput at >1 workers is recorded as
+//! measured: the workload is dominated by a handful of kernel rescans,
+//! so the speedup is bounded by how they spread over the workers, and a
+//! 1-core host records ≈1×.
 //!
 //! This is a plain `harness = false` binary (not Criterion) because the
 //! deliverable is a machine-readable throughput/correctness record, not
@@ -217,7 +218,7 @@ fn main() {
                at 1 and max workers; single-flight rescan cache asserted to \
                perform >= 2x fewer kernel rescans than a zero-budget service \
                on the repeated-miss segment; worker speedup is recorded \
-               honestly and is ~1x on a 1-core host",
+               as measured (~1x on a 1-core host)",
         requests_total,
         rescan_requests: rescan_lines.len(),
         abstaining_devices: abstaining.len(),

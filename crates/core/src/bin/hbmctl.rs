@@ -906,10 +906,15 @@ fn fleet_fidelity(args: &Args) -> Result<(), CliError> {
 /// stdin/stdout as line-delimited JSON until EOF — no per-query artifact
 /// load, model-first recommendations, exact evidence only on fallback.
 ///
-/// All worker counts route through the concurrent pipeline
-/// ([`hbm_fleet::serve_concurrent`]); its in-order emitter makes the
-/// output byte-identical to sequential serving at every `--serve-workers`
-/// value, so the flag only changes throughput, never answers.
+/// All worker counts route through the serving pipeline
+/// ([`hbm_fleet::serve_concurrent`]): one reader hands the workers chunks
+/// of whatever request lines stdin has buffered, and the in-order emitter
+/// writes each run of ready responses at once, flushing whenever the next
+/// one is not ready yet. The output is byte-identical to sequential
+/// serving at every `--serve-workers` value, so the flag only changes
+/// throughput, never answers; `--serve-workers 1` serves inline on the
+/// main thread. A request line over [`hbm_fleet::MAX_LINE_BYTES`] is
+/// answered with a `parse` error and the session goes on.
 fn serve_loop(args: &Args) -> Result<(), CliError> {
     let workers: usize = args.flag("serve-workers", 1usize)?;
     if workers == 0 {

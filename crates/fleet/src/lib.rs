@@ -71,7 +71,9 @@ pub use artifact::{
 };
 pub use config::{DeviceSpec, FleetConfig, FleetError};
 pub use model::{DeviceModel, FidelityReport, OPERATING_TARGET_RATE};
-pub use pipeline::{serve_concurrent, LatencyStats, PipelineOptions, PipelineStats};
+pub use pipeline::{
+    serve_concurrent, LatencyStats, PipelineOptions, PipelineStats, MAX_LINE_BYTES,
+};
 pub use population::{FleetCostModel, PopulationSummary};
 pub use query::Recommendation;
 pub use record::{DeviceRecord, CRASHED_KNOT, NO_VMIN};

@@ -6,25 +6,36 @@
 //! # Pipeline shape
 //!
 //! ```text
-//!            bounded queue                reorder buffer
-//! reader ──▶ (seq, line) ──▶ worker ×N ──▶ (seq, json) ──▶ emitter ──▶ output
-//!  tags           │             │                │            orders by seq,
-//!  lines      blocks when   handle_line      BTreeMap,       writes + flushes
-//!  with seq   full (back-   in parallel      workers may     one line at a
-//!             pressure)                      finish out      time
-//!                                            of order
+//!            bounded queue                 reorder buffer
+//! reader ──▶ chunks of lines ──▶ worker ×N ──▶ answered chunks ──▶ emitter ──▶ output
+//!  splits     ≤ 64 lines each,    answer each   keyed by first     writes every ready
+//!  what is    2 × N chunks deep   line, timed   sequence number;   chunk as one buffer,
+//!  buffered   (back-pressure)     in a local    workers may        flushes when the next
+//!                                 histogram     finish out of      one is not ready
+//!                                               order
 //! ```
 //!
-//! The reader runs on the caller's thread: it tags every non-blank input
-//! line with a sequence number and pushes it into a bounded queue
-//! (capacity `4 × workers`, so a slow worker back-pressures the reader
-//! instead of buffering the whole input). A [`std::thread::scope`] worker
-//! pool pops lines, answers them through the same
-//! `FleetService::handle_line` funnel the sequential loop uses, and
-//! inserts the serialized responses into a reorder buffer. A dedicated
-//! emitter thread drains that buffer strictly in sequence order, flushing
-//! after **every** line so request/reply clients over a pipe never block
-//! behind a buffered writer.
+//! The reader runs on the caller's thread. It splits every complete line
+//! already in the input's buffer into one chunk (at most
+//! [`CHUNK_LINES`] lines), numbers the lines, and pushes the chunk into a
+//! bounded queue (capacity `2 × workers` chunks, so a slow worker
+//! back-pressures the reader instead of buffering the whole input). It
+//! blocks in a read only after everything already read has been pushed,
+//! so a client with requests in flight never waits behind a line the
+//! reader holds back. A [`std::thread::scope`] worker pool pops whole
+//! chunks, answers each line through the same `FleetService::handle_line`
+//! funnel, and inserts the chunk's serialized responses into a reorder
+//! buffer. A dedicated emitter thread drains that buffer strictly in
+//! sequence order and writes every chunk that is ready as one buffer. It
+//! flushes whenever the next chunk is not ready yet: a request/reply
+//! client over a pipe sends nothing until it has read its last response,
+//! so the emitter always reaches "not ready" and flushes before the
+//! client can block on it.
+//!
+//! Locks, wake-ups and flushes are paid per chunk, not per line. With one
+//! worker the same reader, funnel and write path run inline on the
+//! caller's thread, with no threads and no queue; that path is the
+//! sequential [`crate::serve::serve`].
 //!
 //! # Why the bytes cannot drift
 //!
@@ -52,7 +63,8 @@
 //! exactly one kernel rescan.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -66,14 +78,23 @@ use crate::serve::{FleetService, ServeStats};
 /// Log₂ buckets in a [`LatencyStats`] histogram.
 pub const LATENCY_BUCKETS: usize = 16;
 
+/// The longest request line served, in bytes before its newline. The
+/// reader drops a longer line's bytes as they stream in, so one line
+/// cannot grow the session's memory without bound, and answers it in-band
+/// with a `parse` error; the session goes on.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The most lines the reader hands to a worker at once.
+pub const CHUNK_LINES: usize = 64;
+
 /// Options for [`serve_concurrent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineOptions {
     /// Worker threads answering requests in parallel. Clamped to ≥ 1.
     pub workers: usize,
     /// Deterministic completion-order jitter for tests: when set, each
-    /// worker sleeps a pseudo-random (seed, sequence)-hashed 0–2 ms before
-    /// handing its response to the emitter, shuffling completion order
+    /// request is followed by a pseudo-random (seed, sequence)-hashed
+    /// 0–2 ms sleep, shuffling the order in which chunks complete
     /// without touching response bytes. Production callers leave this
     /// `None`.
     pub completion_jitter: Option<u64>,
@@ -88,8 +109,8 @@ impl Default for PipelineOptions {
     }
 }
 
-/// Per-request wall-time distribution in microseconds, measured from a
-/// worker popping the line to its response being serialized.
+/// Per-request wall-time distribution in microseconds, measured around
+/// each request's parse, handling and serialization.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Requests measured.
@@ -114,14 +135,17 @@ pub struct PipelineStats {
     pub serve: ServeStats,
     /// Worker threads the session ran with.
     pub workers: usize,
-    /// High-water mark of the bounded request queue — how far the reader
-    /// ran ahead of the slowest worker before back-pressure engaged.
+    /// High-water mark of request *lines* handed over but not yet picked
+    /// up by a worker — how far the reader ran ahead of the slowest
+    /// worker before back-pressure engaged. With one worker, the largest
+    /// chunk answered inline.
     pub queue_depth_max: u64,
     /// Per-request latency distribution.
     pub latency: LatencyStats,
 }
 
-/// The internal latency histogram behind [`LatencyStats`].
+/// The internal latency histogram behind [`LatencyStats`]. Each worker
+/// keeps its own; they are merged when the session ends.
 #[derive(Debug)]
 struct LatencyHist {
     count: u64,
@@ -151,6 +175,16 @@ impl LatencyHist {
         self.buckets[bucket.min(LATENCY_BUCKETS - 1)] += 1;
     }
 
+    fn merge(&mut self, other: &LatencyHist) {
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+    }
+
     fn stats(&self) -> LatencyStats {
         LatencyStats {
             count: self.count,
@@ -162,9 +196,232 @@ impl LatencyHist {
     }
 }
 
-/// The bounded reader→worker queue.
+/// One request line of a [`Chunk`].
 #[derive(Debug)]
-struct RequestQueue {
+enum Line {
+    /// The line's text, as a byte range of [`Chunk::text`].
+    Text(Range<usize>),
+    /// A line longer than [`MAX_LINE_BYTES`]; its bytes were dropped.
+    TooLong,
+}
+
+/// Consecutive non-blank request lines, numbered from `first_seq`, with
+/// their text in one buffer.
+#[derive(Debug)]
+struct Chunk {
+    first_seq: u64,
+    text: String,
+    lines: Vec<Line>,
+}
+
+impl Chunk {
+    fn len(&self) -> u64 {
+        self.lines.len() as u64
+    }
+
+    /// Adds one line given without its `\n`, the way `BufRead::lines`
+    /// yields it: a `\r` before the newline is stripped and a line that is
+    /// blank after `trim` is skipped. Invalid UTF-8 is `lines`' error.
+    fn push(&mut self, line: &[u8], newline: bool) -> io::Result<()> {
+        if line.len() > MAX_LINE_BYTES {
+            self.lines.push(Line::TooLong);
+            return Ok(());
+        }
+        let line = match line.strip_suffix(b"\r") {
+            Some(stripped) if newline => stripped,
+            _ => line,
+        };
+        let text = std::str::from_utf8(line).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        if !text.trim().is_empty() {
+            let start = self.text.len();
+            self.text.push_str(text);
+            self.lines.push(Line::Text(start..self.text.len()));
+        }
+        Ok(())
+    }
+}
+
+/// A line that began in an earlier buffer fill.
+#[derive(Debug, Default)]
+struct Partial {
+    bytes: Vec<u8>,
+    /// The line already exceeds [`MAX_LINE_BYTES`]; the rest of it is
+    /// dropped up to its newline.
+    overlong: bool,
+}
+
+impl Partial {
+    /// Holds the unterminated tail of a buffer fill.
+    fn carry(&mut self, tail: &[u8]) {
+        if self.overlong {
+            return;
+        }
+        if self.bytes.len() + tail.len() > MAX_LINE_BYTES {
+            self.bytes = Vec::new();
+            self.overlong = true;
+        } else {
+            self.bytes.extend_from_slice(tail);
+        }
+    }
+
+    /// Ends the line with its last bytes `head` and adds it to `chunk`.
+    fn finish(&mut self, head: &[u8], newline: bool, chunk: &mut Chunk) -> io::Result<()> {
+        if std::mem::take(&mut self.overlong) {
+            chunk.lines.push(Line::TooLong);
+            return Ok(());
+        }
+        if self.bytes.is_empty() {
+            return chunk.push(head, newline);
+        }
+        // At most one buffer fill past the cap; `push` drops it if over.
+        self.bytes.extend_from_slice(head);
+        let result = chunk.push(&self.bytes, newline);
+        self.bytes.clear();
+        result
+    }
+}
+
+/// The one request reader: splits a [`BufRead`] into chunks of lines
+/// exactly as `BufRead::lines` splits it into lines, minus blank ones.
+#[derive(Debug)]
+struct Splitter<R> {
+    input: R,
+    next_seq: u64,
+    partial: Partial,
+    /// An error found after the lines of the chunk that carried them.
+    error: Option<io::Error>,
+    eof: bool,
+}
+
+impl<R: BufRead> Splitter<R> {
+    fn new(input: R) -> Self {
+        Splitter {
+            input,
+            next_seq: 0,
+            partial: Partial::default(),
+            error: None,
+            eof: false,
+        }
+    }
+
+    /// The next chunk: every complete line already in the input's buffer,
+    /// up to [`CHUNK_LINES`]. Reads (and so may block) only while it has
+    /// no line to hand over. `None` at EOF; after an input error, the
+    /// lines before it come first and the error next.
+    fn next_chunk(&mut self) -> io::Result<Option<Chunk>> {
+        if let Some(err) = self.error.take() {
+            return Err(err);
+        }
+        let mut chunk = Chunk {
+            first_seq: self.next_seq,
+            text: String::new(),
+            lines: Vec::new(),
+        };
+        while chunk.lines.is_empty() && self.error.is_none() && !self.eof {
+            let buf = match self.input.fill_buf() {
+                Ok(buf) => buf,
+                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
+                Err(err) => return Err(err),
+            };
+            if buf.is_empty() {
+                // EOF: a final line without a newline still counts.
+                self.eof = true;
+                self.error = self.partial.finish(&[], false, &mut chunk).err();
+                break;
+            }
+            let mut used = 0;
+            while chunk.lines.len() < CHUNK_LINES && self.error.is_none() {
+                let rest = &buf[used..];
+                let Some(end) = rest.iter().position(|&b| b == b'\n') else {
+                    self.partial.carry(rest);
+                    used = buf.len();
+                    break;
+                };
+                used += end + 1;
+                self.error = self.partial.finish(&rest[..end], true, &mut chunk).err();
+            }
+            self.input.consume(used);
+        }
+        if chunk.lines.is_empty() {
+            return self.error.take().map_or(Ok(None), Err);
+        }
+        self.next_seq += chunk.len();
+        Ok(Some(chunk))
+    }
+}
+
+/// A chunk's serialized responses, one line each, in sequence order.
+#[derive(Debug)]
+struct Answered {
+    first_seq: u64,
+    lines: u64,
+    bytes: Vec<u8>,
+    /// A response that failed to serialize. `bytes` stops before it, and
+    /// the session ends with it as an `InvalidData` error.
+    error: Option<ApiError>,
+}
+
+/// Answers a chunk's lines in order through the service's per-line
+/// funnel, timing each request into `latency`.
+fn answer(
+    service: &FleetService,
+    chunk: &Chunk,
+    jitter: Option<u64>,
+    latency: &mut LatencyHist,
+) -> Answered {
+    let mut answered = Answered {
+        first_seq: chunk.first_seq,
+        lines: chunk.len(),
+        bytes: Vec::new(),
+        error: None,
+    };
+    for (seq, line) in (chunk.first_seq..).zip(&chunk.lines) {
+        let start = Instant::now();
+        let response = match line {
+            Line::Text(range) => service.handle_line(&chunk.text[range.clone()]),
+            Line::TooLong => service.reject_line(ApiError::parse(format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes"
+            ))),
+        };
+        latency.record(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+        if let Some(seed) = jitter {
+            std::thread::sleep(std::time::Duration::from_nanos(jitter_ns(seed, seq)));
+        }
+        match response {
+            Ok(json) => {
+                answered.bytes.extend_from_slice(json.as_bytes());
+                answered.bytes.push(b'\n');
+            }
+            Err(err) => {
+                answered.error = Some(err);
+                break;
+            }
+        }
+    }
+    answered
+}
+
+/// Writes answered lines; a serialization failure among them is flushed
+/// up to and then returned as the transport error.
+fn write_answered(output: &mut impl Write, answered: Answered) -> io::Result<()> {
+    output.write_all(&answered.bytes)?;
+    match answered.error {
+        None => Ok(()),
+        Some(err) => {
+            output.flush()?;
+            Err(io::Error::new(io::ErrorKind::InvalidData, err.message))
+        }
+    }
+}
+
+/// The bounded reader→worker queue of chunks.
+#[derive(Debug)]
+struct ChunkQueue {
     state: Mutex<QueueState>,
     not_full: Condvar,
     not_empty: Condvar,
@@ -173,18 +430,21 @@ struct RequestQueue {
 
 #[derive(Debug)]
 struct QueueState {
-    items: VecDeque<(u64, String)>,
-    closed: bool,
+    chunks: VecDeque<Chunk>,
+    /// Lines in `chunks`.
+    lines: u64,
     high_water: u64,
+    closed: bool,
 }
 
-impl RequestQueue {
+impl ChunkQueue {
     fn new(capacity: usize) -> Self {
-        RequestQueue {
+        ChunkQueue {
             state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
+                chunks: VecDeque::new(),
+                lines: 0,
                 high_water: 0,
+                closed: false,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -193,28 +453,38 @@ impl RequestQueue {
     }
 
     /// Blocks while the queue is full (back-pressure on the reader).
-    fn push(&self, seq: u64, line: String) {
+    /// `false` once the queue is closed: the chunk was not queued.
+    fn push(&self, chunk: Chunk) -> bool {
         let mut state = self.state.lock().expect("request queue poisoned");
-        while state.items.len() >= self.capacity {
+        while state.chunks.len() >= self.capacity && !state.closed {
             state = self.not_full.wait(state).expect("request queue poisoned");
         }
-        state.items.push_back((seq, line));
-        state.high_water = state.high_water.max(state.items.len() as u64);
+        if state.closed {
+            return false;
+        }
+        state.lines += chunk.len();
+        state.high_water = state.high_water.max(state.lines);
+        state.chunks.push_back(chunk);
+        drop(state);
         self.not_empty.notify_one();
+        true
     }
 
     fn close(&self) {
         self.state.lock().expect("request queue poisoned").closed = true;
         self.not_empty.notify_all();
+        self.not_full.notify_all();
     }
 
     /// `None` once the queue is both drained and closed.
-    fn pop(&self) -> Option<(u64, String)> {
+    fn pop(&self) -> Option<Chunk> {
         let mut state = self.state.lock().expect("request queue poisoned");
         loop {
-            if let Some(item) = state.items.pop_front() {
+            if let Some(chunk) = state.chunks.pop_front() {
+                state.lines -= chunk.len();
+                drop(state);
                 self.not_full.notify_one();
-                return Some(item);
+                return Some(chunk);
             }
             if state.closed {
                 return None;
@@ -231,8 +501,8 @@ impl RequestQueue {
     }
 }
 
-/// The worker→emitter reorder buffer: responses keyed by sequence number,
-/// drained strictly in order.
+/// The worker→emitter reorder buffer: answered chunks keyed by their
+/// first sequence number, drained strictly in order.
 #[derive(Debug)]
 struct Reorder {
     state: Mutex<ReorderState>,
@@ -241,8 +511,9 @@ struct Reorder {
 
 #[derive(Debug)]
 struct ReorderState {
+    /// The first sequence number not yet taken by the emitter.
     next: u64,
-    pending: BTreeMap<u64, Result<String, ApiError>>,
+    pending: BTreeMap<u64, Answered>,
     /// Total sequence numbers assigned, set by the reader at EOF; the
     /// emitter is done when `next` reaches it.
     total: Option<u64>,
@@ -260,34 +531,65 @@ impl Reorder {
         }
     }
 
-    fn push(&self, seq: u64, response: Result<String, ApiError>) {
-        self.state
-            .lock()
-            .expect("reorder buffer poisoned")
-            .pending
-            .insert(seq, response);
-        self.ready.notify_all();
+    /// Wakes the emitter only when the chunk is the one it waits for.
+    fn push(&self, answered: Answered) {
+        let mut state = self.state.lock().expect("reorder buffer poisoned");
+        let awaited = answered.first_seq == state.next;
+        state.pending.insert(answered.first_seq, answered);
+        drop(state);
+        if awaited {
+            self.ready.notify_one();
+        }
     }
 
     fn set_total(&self, total: u64) {
         self.state.lock().expect("reorder buffer poisoned").total = Some(total);
-        self.ready.notify_all();
+        self.ready.notify_one();
     }
 
-    /// The next in-order response; `None` once every assigned sequence
-    /// number has been emitted.
-    fn next_in_order(&self) -> Option<Result<String, ApiError>> {
+    /// The run of chunks ready in sequence order, as one. With `wait`,
+    /// blocks until there is one, so `None` then means every line has
+    /// been taken.
+    fn take_ready(&self, wait: bool) -> Option<Answered> {
         let mut state = self.state.lock().expect("reorder buffer poisoned");
         loop {
             let next = state.next;
-            if let Some(response) = state.pending.remove(&next) {
-                state.next += 1;
-                return Some(response);
+            if let Some(mut run) = state.pending.remove(&next) {
+                state.next += run.lines;
+                while run.error.is_none() {
+                    let next = state.next;
+                    let Some(more) = state.pending.remove(&next) else {
+                        break;
+                    };
+                    state.next += more.lines;
+                    run.bytes.extend_from_slice(&more.bytes);
+                    run.error = more.error;
+                }
+                return Some(run);
             }
-            if state.total == Some(next) {
+            if !wait || state.total == Some(next) {
                 return None;
             }
             state = self.ready.wait(state).expect("reorder buffer poisoned");
+        }
+    }
+}
+
+/// The emitter: writes every run of ready chunks as one buffer and
+/// flushes only when the next chunk is not ready yet.
+fn emit(reorder: &Reorder, output: &mut impl Write) -> io::Result<()> {
+    let mut flushed = true;
+    loop {
+        match reorder.take_ready(flushed) {
+            Some(run) => {
+                write_answered(output, run)?;
+                flushed = false;
+            }
+            None if flushed => return Ok(()),
+            None => {
+                output.flush()?;
+                flushed = true;
+            }
         }
     }
 }
@@ -300,93 +602,114 @@ fn jitter_ns(seed: u64, seq: u64) -> u64 {
     (z ^ (z >> 31)) % 2_000_000
 }
 
+/// Serves on the caller's thread: the one reader, the per-line funnel and
+/// the write path of [`serve_concurrent`], with no threads. Each chunk is
+/// flushed before the next read, which may block.
+pub(crate) fn serve_inline(
+    service: &FleetService,
+    input: impl BufRead,
+    mut output: impl Write,
+    jitter: Option<u64>,
+) -> io::Result<PipelineStats> {
+    let mut splitter = Splitter::new(input);
+    let mut latency = LatencyHist::new();
+    let mut queue_depth_max = 0;
+    while let Some(chunk) = splitter.next_chunk()? {
+        queue_depth_max = queue_depth_max.max(chunk.len());
+        write_answered(&mut output, answer(service, &chunk, jitter, &mut latency))?;
+        output.flush()?;
+    }
+    Ok(PipelineStats {
+        serve: service.stats(),
+        workers: 1,
+        queue_depth_max,
+        latency: latency.stats(),
+    })
+}
+
 /// Runs the LDJSON request loop concurrently until EOF and returns the
 /// session stats. The output byte stream is identical to
 /// [`crate::serve::serve`] on the same input for every worker count: the
-/// reader tags each line with a sequence number, workers answer in
-/// parallel through the same per-line funnel, and the emitter
-/// re-serializes responses strictly in sequence order, flushing after
-/// every line.
+/// reader hands over chunks of whatever complete lines are buffered,
+/// workers answer them in parallel through the same per-line funnel, and
+/// the emitter re-serializes the chunks strictly in sequence order. It
+/// flushes whenever the next chunk is not ready yet, so a request/reply
+/// client over a pipe always receives its answer before it must send
+/// again. With one worker everything runs inline on the caller's thread.
+///
+/// Lines are split as `BufRead::lines` splits them (`\n` or `\r\n`, a
+/// final line without a newline included); blank lines are skipped. A
+/// line longer than [`MAX_LINE_BYTES`] is answered with a `parse` error.
 ///
 /// # Errors
 ///
-/// Only transport I/O errors (reading the input, writing or flushing the
-/// output) abort the loop; request-level problems are answered in-band as
-/// `Error` response lines, exactly as in sequential serving.
+/// Only transport I/O errors (reading the input, invalid UTF-8 in it,
+/// writing or flushing the output) abort the loop, after every response
+/// before the failure has been written; request-level problems are
+/// answered in-band as `Error` response lines, exactly as in sequential
+/// serving.
 pub fn serve_concurrent(
     service: &FleetService,
     input: impl BufRead,
     mut output: impl Write + Send,
     options: &PipelineOptions,
-) -> std::io::Result<PipelineStats> {
+) -> io::Result<PipelineStats> {
     let workers = options.workers.max(1);
-    let queue = RequestQueue::new(workers * 4);
+    let jitter = options.completion_jitter;
+    if workers == 1 {
+        return serve_inline(service, input, output, jitter);
+    }
+    let mut splitter = Splitter::new(input);
+    let queue = ChunkQueue::new(2 * workers);
     let reorder = Reorder::new();
-    let latency = Mutex::new(LatencyHist::new());
 
-    let io_result: std::io::Result<()> = std::thread::scope(|scope| {
-        let emitter = scope.spawn(|| -> std::io::Result<()> {
-            while let Some(response) = reorder.next_in_order() {
-                let json = response.map_err(|err| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, err.message)
-                })?;
-                writeln!(output, "{json}")?;
-                output.flush()?;
+    let (read_result, emit_result, latency) = std::thread::scope(|scope| {
+        let emitter = scope.spawn(|| {
+            let result = emit(&reorder, &mut output);
+            if result.is_err() {
+                // Nothing more can be written: stop the reader.
+                queue.close();
             }
-            Ok(())
+            result
         });
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some((seq, line)) = queue.pop() {
-                    let start = Instant::now();
-                    let response = service.handle_line(&line);
-                    let elapsed_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut latency = LatencyHist::new();
+                    while let Some(chunk) = queue.pop() {
+                        reorder.push(answer(service, &chunk, jitter, &mut latency));
+                    }
                     latency
-                        .lock()
-                        .expect("latency histogram poisoned")
-                        .record(elapsed_us);
-                    if let Some(seed) = options.completion_jitter {
-                        std::thread::sleep(std::time::Duration::from_nanos(jitter_ns(seed, seq)));
-                    }
-                    reorder.push(seq, response);
-                }
-            });
-        }
+                })
+            })
+            .collect();
 
-        // The reader runs on the caller's thread.
-        let mut seq = 0u64;
-        let mut read_error = None;
-        for line in input.lines() {
-            match line {
-                Ok(line) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    queue.push(seq, line);
-                    seq += 1;
-                }
-                Err(err) => {
-                    read_error = Some(err);
+        // The reader runs on the caller's thread, until EOF, an input
+        // error, or a closed queue.
+        let read_result = (|| {
+            while let Some(chunk) = splitter.next_chunk()? {
+                if !queue.push(chunk) {
                     break;
                 }
             }
-        }
+            Ok(())
+        })();
         queue.close();
-        reorder.set_total(seq);
+        reorder.set_total(splitter.next_seq);
         let emit_result = emitter.join().expect("emitter thread panicked");
-        match read_error {
-            Some(err) => Err(err),
-            None => emit_result,
+        let mut latency = LatencyHist::new();
+        for worker in pool {
+            latency.merge(&worker.join().expect("serve worker panicked"));
         }
+        (read_result, emit_result, latency)
     });
-    io_result?;
+    read_result.and(emit_result)?;
 
-    let latency_stats = latency.lock().expect("latency histogram poisoned").stats();
     Ok(PipelineStats {
         serve: service.stats(),
         workers,
         queue_depth_max: queue.high_water(),
-        latency: latency_stats,
+        latency: latency.stats(),
     })
 }
 
@@ -566,6 +889,69 @@ impl RescanCache {
 mod tests {
     use super::*;
     use std::sync::Barrier;
+
+    /// Every line the splitter hands over (`None` for an over-long one)
+    /// and the error that ended the input, checking the chunk numbering.
+    fn split(input: impl BufRead) -> (Vec<Option<String>>, Option<io::Error>) {
+        let mut splitter = Splitter::new(input);
+        let mut lines = Vec::new();
+        loop {
+            match splitter.next_chunk() {
+                Ok(Some(chunk)) => {
+                    assert_eq!(chunk.first_seq, lines.len() as u64);
+                    assert!(chunk.lines.len() <= CHUNK_LINES);
+                    lines.extend(chunk.lines.iter().map(|line| match line {
+                        Line::Text(range) => Some(chunk.text[range.clone()].to_owned()),
+                        Line::TooLong => None,
+                    }));
+                }
+                Ok(None) => return (lines, None),
+                Err(err) => return (lines, Some(err)),
+            }
+        }
+    }
+
+    #[test]
+    fn splitter_hands_over_the_non_blank_lines_of_buf_read_lines() {
+        // CRLF, blank and whitespace-only lines (a no-break space too), a
+        // `\r` that ends no line, chunks' worth of lines and a final line
+        // without a newline.
+        let mut input = b"a\r\nb\n\n  \t\n\r\nc\r\r\n\rd\r\n \xc2\xa0 \n".to_vec();
+        for i in 0..150 {
+            input.extend_from_slice(format!("line {i}\n").as_bytes());
+        }
+        input.extend_from_slice(b"last\r");
+        let expected: Vec<Option<String>> = input
+            .lines()
+            .map(Result::unwrap)
+            .filter(|line| !line.trim().is_empty())
+            .map(Some)
+            .collect();
+        assert_eq!(expected.len(), 5 + 150);
+        assert_eq!(split(&input[..]).0, expected);
+        for capacity in [1, 2, 3, 64] {
+            let (lines, error) = split(io::BufReader::with_capacity(capacity, &input[..]));
+            assert_eq!(lines, expected, "{capacity}-byte reads");
+            assert!(error.is_none());
+        }
+    }
+
+    #[test]
+    fn splitter_drops_over_long_lines_and_reports_invalid_utf8_after_the_lines_before_it() {
+        let mut input = vec![b'x'; MAX_LINE_BYTES];
+        input.push(b'\n');
+        input.resize(input.len() + MAX_LINE_BYTES + 1, b'y');
+        input.extend_from_slice(b"\nok\n\xff\nnever\n");
+        for capacity in [4096, input.len()] {
+            let (lines, error) = split(io::BufReader::with_capacity(capacity, &input[..]));
+            let longest = "x".repeat(MAX_LINE_BYTES);
+            assert_eq!(lines, [Some(longest), None, Some("ok".to_owned())]);
+            let error = error.expect("invalid UTF-8 ends the input");
+            let reference = input.lines().find_map(Result::err).unwrap();
+            assert_eq!(error.kind(), reference.kind());
+            assert_eq!(error.to_string(), reference.to_string());
+        }
+    }
 
     fn row(fill: u16) -> Vec<u16> {
         vec![fill; 8]

@@ -11,9 +11,9 @@
 //! the exact one; the envelope only ever changes *where* it comes from.
 //!
 //! [`serve`] runs the LDJSON transport: one request JSON per input line,
-//! one response JSON per output line, same order. A malformed line
-//! produces an `Error` response (kind `parse`) and the loop continues;
-//! EOF ends the session and returns the counters.
+//! one response JSON per output line, same order. A malformed or
+//! over-long line produces an `Error` response (kind `parse`) and the
+//! loop continues; EOF ends the session and returns the counters.
 
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +25,7 @@ use crate::api::{ApiError, FleetRequest, FleetResponse};
 use crate::artifact::FleetStore;
 use crate::config::FleetError;
 use crate::model::{fit_store, DeviceModel, FidelityReport};
-use crate::pipeline::RescanCache;
+use crate::pipeline::{serve_inline, RescanCache};
 use crate::population::{FleetCostModel, PopulationSummary};
 use crate::query;
 
@@ -241,9 +241,8 @@ impl FleetService {
     }
 
     /// Answers one raw LDJSON request line: parse, handle, serialize —
-    /// the single per-line funnel shared by the sequential [`serve`] loop
-    /// and the concurrent pipeline, so the two transports produce
-    /// byte-identical response lines by construction.
+    /// the single per-line funnel of every serving path, so all worker
+    /// counts produce byte-identical response lines by construction.
     ///
     /// # Errors
     ///
@@ -251,26 +250,29 @@ impl FleetService {
     /// abort the transport); a malformed request is answered in-band as
     /// an `Error` response line.
     pub(crate) fn handle_line(&self, line: &str) -> Result<String, ApiError> {
-        let response = match serde_json::from_str::<FleetRequest>(line) {
-            Ok(request) => self.handle(&request),
-            Err(err) => {
-                self.queries_served.fetch_add(1, Ordering::Relaxed);
-                FleetResponse::Error(ApiError::parse(format!("bad request line: {err}")))
-            }
-        };
-        response.to_json()
+        match serde_json::from_str::<FleetRequest>(line) {
+            Ok(request) => self.handle(&request).to_json(),
+            Err(err) => self.reject_line(ApiError::parse(format!("bad request line: {err}"))),
+        }
+    }
+
+    /// Answers a request line the transport could not parse with `err`,
+    /// counting it as served.
+    pub(crate) fn reject_line(&self, err: ApiError) -> Result<String, ApiError> {
+        self.queries_served.fetch_add(1, Ordering::Relaxed);
+        FleetResponse::Error(err).to_json()
     }
 }
 
-/// Runs the LDJSON request loop sequentially until EOF and returns the
-/// session stats. This is the reference implementation the concurrent
-/// pipeline ([`crate::pipeline::serve_concurrent`]) is byte-identity
-/// proptested against.
+/// Runs the LDJSON request loop on the caller's thread until EOF and
+/// returns the session stats. This is the one-worker case of
+/// [`crate::pipeline::serve_concurrent`]: the same line reader, per-line
+/// funnel and write path, with no threads.
 ///
-/// The output is flushed after **every** response line, not only at EOF:
-/// a request/reply client over a pipe sends its next request only after
-/// reading the previous answer, and would deadlock behind a buffered
-/// writer that holds responses until the session ends.
+/// Responses are flushed after every chunk of lines the reader hands
+/// over, so before any read that may block: a request/reply client over
+/// a pipe sends its next request only after reading the previous answer,
+/// and would deadlock behind a writer that held responses back.
 ///
 /// # Errors
 ///
@@ -279,20 +281,9 @@ impl FleetService {
 pub fn serve(
     service: &FleetService,
     input: impl BufRead,
-    mut output: impl Write,
+    output: impl Write,
 ) -> std::io::Result<ServeStats> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let json = service
-            .handle_line(&line)
-            .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err.message))?;
-        writeln!(output, "{json}")?;
-        output.flush()?;
-    }
-    Ok(service.stats())
+    serve_inline(service, input, output, None).map(|stats| stats.serve)
 }
 
 #[cfg(test)]

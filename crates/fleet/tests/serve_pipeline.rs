@@ -1,14 +1,20 @@
 //! Property and concurrency tests for the serving pipeline: the
-//! concurrent runtime's output byte stream is identical to sequential
-//! serving at every worker count (even under adversarial completion
-//! jitter), and the single-flight rescan cache collapses K concurrent
-//! identical model-envelope misses into exactly one kernel rescan.
+//! concurrent runtime's output byte stream is identical to a per-line
+//! oracle at every worker count (even under adversarial completion
+//! jitter and reads that split lines anywhere), the one line reader
+//! reproduces `BufRead::lines` on its edge cases, a pipelined client never
+//! deadlocks, over-long lines are answered in-band, and the single-flight
+//! rescan cache collapses K concurrent identical model-envelope misses
+//! into exactly one kernel rescan.
 
-use std::sync::Barrier;
+use std::io::{self, BufRead, Read, Write};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
+use std::time::Duration;
 
+use hbm_fleet::pipeline::CHUNK_LINES;
 use hbm_fleet::{
-    artifact, model, sweep, FleetConfig, FleetRequest, FleetResponse, FleetService, FleetStore,
-    PipelineOptions,
+    artifact, model, serve_concurrent, sweep, ApiError, FleetConfig, FleetRequest, FleetResponse,
+    FleetService, FleetStore, PipelineOptions, MAX_LINE_BYTES,
 };
 use hbm_units::Millivolts;
 use proptest::prelude::*;
@@ -67,62 +73,348 @@ fn mixed_request_lines(devices: u32, salt: u64) -> Vec<String> {
     lines
 }
 
+/// What serving an input gave: the bytes written, and the transport error
+/// that ended the session, if any.
+#[derive(Debug, PartialEq)]
+struct Served {
+    output: String,
+    error: Option<(io::ErrorKind, String)>,
+    queries: u64,
+}
+
+/// The reference transcript, independent of the pipeline's line reader:
+/// `BufRead::lines` splits the input, and every non-blank line is served
+/// on its own by a one-line `serve::serve` session.
+fn per_line_oracle(store: &FleetStore, input: &[u8]) -> Served {
+    let service = FleetService::new(store.clone());
+    let mut output = Vec::new();
+    let mut error = None;
+    for line in input.lines() {
+        match line {
+            Ok(line) if line.trim().is_empty() => {}
+            Ok(line) => {
+                hbm_fleet::serve::serve(&service, line.as_bytes(), &mut output).unwrap();
+            }
+            Err(err) => {
+                error = Some((err.kind(), err.to_string()));
+                break;
+            }
+        }
+    }
+    Served {
+        output: String::from_utf8(output).unwrap(),
+        error,
+        queries: service.stats().queries_served,
+    }
+}
+
+/// Serves `input` through the pipeline at `workers` workers.
+fn pipelined(
+    store: &FleetStore,
+    input: impl BufRead,
+    workers: usize,
+    completion_jitter: Option<u64>,
+) -> Served {
+    let service = FleetService::new(store.clone());
+    let mut output = Vec::new();
+    let options = PipelineOptions {
+        workers,
+        completion_jitter,
+    };
+    let result = serve_concurrent(&service, input, &mut output, &options);
+    if let Ok(stats) = &result {
+        assert_eq!(stats.workers, workers);
+        assert_eq!(
+            stats.latency.count, stats.serve.queries_served,
+            "every request must be timed"
+        );
+    }
+    Served {
+        output: String::from_utf8(output).unwrap(),
+        error: result.err().map(|err| (err.kind(), err.to_string())),
+        queries: service.stats().queries_served,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The tentpole invariant: for every worker count, with adversarial
-    /// per-request completion jitter shuffling the order workers finish
-    /// in, the concurrent pipeline's output bytes equal sequential
-    /// serving's — and so do the request-level serving counters.
+    /// per-request completion jitter shuffling the order chunks finish
+    /// in and reads that split the input anywhere, the pipeline's output
+    /// bytes and request count equal the per-line oracle's.
     #[test]
     fn concurrent_serving_is_byte_identical_to_sequential(
         devices in 3u32..8,
         base_seed in 0u64..100_000,
         jitter_seed in any::<u64>(),
+        step in 1usize..64,
+        whole_input in any::<bool>(),
     ) {
+
         let store = model_only_store(devices, base_seed);
         let input = mixed_request_lines(devices, base_seed).join("\n") + "\n";
-
-        let sequential_service = FleetService::new(store.clone());
-        let mut sequential_out = Vec::new();
-        let sequential_stats = hbm_fleet::serve::serve(
-            &sequential_service,
-            input.as_bytes(),
-            &mut sequential_out,
-        ).unwrap();
+        let oracle = per_line_oracle(&store, input.as_bytes());
+        prop_assert_eq!(oracle.error.as_ref(), None);
 
         for workers in [1usize, 2, 4, 8] {
-            let service = FleetService::new(store.clone());
-            let mut out = Vec::new();
+            let served = if whole_input {
+                pipelined(&store, input.as_bytes(), workers, Some(jitter_seed))
+            } else {
+                let input = io::BufReader::with_capacity(step, input.as_bytes());
+                pipelined(&store, input, workers, Some(jitter_seed))
+            };
+            prop_assert_eq!(&served, &oracle, "diverged at {} workers", workers);
+        }
+    }
+}
+
+/// A request stream over several chunks that exercises every case the
+/// line reader must treat as `BufRead::lines` does: CRLF endings, blank
+/// and whitespace-only lines (skipped), a `\r` that does not end a line,
+/// and a final line without a newline.
+fn edge_case_input(devices: u32) -> Vec<u8> {
+    let mut input = String::new();
+    for round in 0..16u32 {
+        for (i, line) in mixed_request_lines(devices, u64::from(round))
+            .iter()
+            .enumerate()
+        {
+            let ending = match (i + round as usize) % 5 {
+                0 => "\r\n",
+                1 => "\n \t \n",
+                2 => "\n\r\n",
+                _ => "\n",
+            };
+            input.push_str(line);
+            input.push_str(ending);
+        }
+    }
+    input.push_str("   \n\"Summary\"\r\r\n");
+    input.push_str("{\"Recommend\":{\"device_id\":1,\"target_rate\":0.01,\"min_pcs\":16}}");
+    input.into_bytes()
+}
+
+#[test]
+fn line_reader_edge_cases_match_the_per_line_oracle() {
+    let store = model_only_store(4, 11);
+    let input = edge_case_input(4);
+    let oracle = per_line_oracle(&store, &input);
+    assert_eq!(oracle.error, None);
+    let answered = oracle.output.lines().count();
+    assert!(
+        answered > 2 * CHUNK_LINES,
+        "the input must span several chunks: {answered} lines"
+    );
+    assert!(oracle.output.ends_with('\n'));
+    for workers in [1usize, 2, 4] {
+        assert_eq!(pipelined(&store, &input[..], workers, None), oracle);
+        for step in [1, 7, 4096] {
+            let served = pipelined(
+                &store,
+                io::BufReader::with_capacity(step, &input[..]),
+                workers,
+                None,
+            );
+            assert_eq!(served, oracle, "{workers} workers, {step}-byte reads");
+        }
+    }
+}
+
+#[test]
+fn invalid_utf8_ends_the_session_after_the_lines_before_it() {
+    let store = model_only_store(4, 11);
+    let mut input = edge_case_input(4);
+    input.extend_from_slice(b"\n\"Summary\"\n{\"Recommend\":\xff\xfe}\n\"Summary\"\n");
+    let oracle = per_line_oracle(&store, &input);
+    let (kind, _) = oracle.error.clone().expect("lines() rejects the line");
+    assert_eq!(kind, io::ErrorKind::InvalidData);
+    assert!(oracle.output.lines().count() > CHUNK_LINES);
+    for workers in [1usize, 2, 4] {
+        assert_eq!(pipelined(&store, &input[..], workers, None), oracle);
+        let served = pipelined(
+            &store,
+            io::BufReader::with_capacity(1, &input[..]),
+            workers,
+            None,
+        );
+        assert_eq!(served, oracle, "{workers} workers, 1-byte reads");
+    }
+}
+
+#[test]
+fn over_long_lines_are_answered_in_band_and_the_session_goes_on() {
+    let store = model_only_store(4, 11);
+    let first = "{\"Recommend\":{\"device_id\":1,\"target_rate\":0.01,\"min_pcs\":16}}";
+    let last = "\"Summary\"";
+    let longest = "z".repeat(MAX_LINE_BYTES);
+    let mut input = format!("{first}\n").into_bytes();
+    input.resize(input.len() + 2 * MAX_LINE_BYTES, b'x');
+    // The longest line served is answered as the malformed request it is.
+    input.extend_from_slice(format!("\n{last}\n{longest}\n").as_bytes());
+    // An over-long final line without a newline.
+    input.resize(input.len() + MAX_LINE_BYTES + 1, b'y');
+
+    let too_long = FleetResponse::Error(ApiError::parse(format!(
+        "request line exceeds {MAX_LINE_BYTES} bytes"
+    )))
+    .to_json()
+    .unwrap();
+    let good = per_line_oracle(&store, format!("{first}\n{last}\n{longest}\n").as_bytes());
+    let good: Vec<&str> = good.output.lines().collect();
+    assert!(good[2].contains("bad request line"), "{}", good[2]);
+    let expected = Served {
+        output: format!(
+            "{}\n{too_long}\n{}\n{}\n{too_long}\n",
+            good[0], good[1], good[2]
+        ),
+        error: None,
+        queries: 5,
+    };
+    for workers in [1usize, 4] {
+        assert_eq!(pipelined(&store, &input[..], workers, None), expected);
+        let served = pipelined(
+            &store,
+            io::BufReader::with_capacity(4096, &input[..]),
+            workers,
+            None,
+        );
+        assert_eq!(served, expected, "{workers} workers, 4 KiB reads");
+    }
+}
+
+/// A client that keeps `DEPTH` requests in flight: the server's input
+/// hands over request `i + DEPTH` only after response `i` has been
+/// flushed to the server's output.
+struct InFlight {
+    lines: Vec<String>,
+    state: Mutex<FlightState>,
+    flushed: Condvar,
+}
+
+#[derive(Default)]
+struct FlightState {
+    handed: usize,
+    answered: usize,
+    unflushed: Vec<u8>,
+    output: Vec<u8>,
+}
+
+impl InFlight {
+    const DEPTH: usize = 2;
+}
+
+struct ClientRequests {
+    client: Arc<InFlight>,
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl Read for ClientRequests {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let available = self.fill_buf()?;
+        let n = available.len().min(out.len());
+        out[..n].copy_from_slice(&available[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for ClientRequests {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        if self.pos == self.buf.len() {
+            let client = &*self.client;
+            let total = client.lines.len();
+            let mut state = client.state.lock().unwrap();
+            while state.handed < total && state.handed >= state.answered + InFlight::DEPTH {
+                state = client.flushed.wait(state).unwrap();
+            }
+            self.buf.clear();
+            self.pos = 0;
+            while state.handed < total && state.handed < state.answered + InFlight::DEPTH {
+                self.buf
+                    .extend_from_slice(client.lines[state.handed].as_bytes());
+                self.buf.push(b'\n');
+                state.handed += 1;
+            }
+        }
+        Ok(&self.buf[self.pos..])
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.pos = (self.pos + amt).min(self.buf.len());
+    }
+}
+
+struct ClientResponses(Arc<InFlight>);
+
+impl Write for ClientResponses {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        self.0
+            .state
+            .lock()
+            .unwrap()
+            .unflushed
+            .extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    /// Only flushed bytes reach the client, as over a pipe.
+    fn flush(&mut self) -> io::Result<()> {
+        let mut state = self.0.state.lock().unwrap();
+        let bytes = std::mem::take(&mut state.unflushed);
+        state.answered += bytes.iter().filter(|&&b| b == b'\n').count();
+        state.output.extend_from_slice(&bytes);
+        self.0.flushed.notify_all();
+        Ok(())
+    }
+}
+
+#[test]
+fn a_client_with_two_requests_in_flight_never_deadlocks() {
+    let store = model_only_store(4, 11);
+    let lines: Vec<String> = (0..8u64)
+        .flat_map(|salt| mixed_request_lines(4, salt))
+        .filter(|line| !line.trim().is_empty())
+        .collect();
+    assert!(lines.len() > CHUNK_LINES);
+    let oracle = per_line_oracle(&store, (lines.join("\n") + "\n").as_bytes());
+
+    for workers in [1usize, 2] {
+        let client = Arc::new(InFlight {
+            lines: lines.clone(),
+            state: Mutex::new(FlightState::default()),
+            flushed: Condvar::new(),
+        });
+        let requests = ClientRequests {
+            client: client.clone(),
+            buf: Vec::new(),
+            pos: 0,
+        };
+        let responses = ClientResponses(client.clone());
+        let service = FleetService::new(store.clone());
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
             let options = PipelineOptions {
                 workers,
-                completion_jitter: Some(jitter_seed),
+                completion_jitter: None,
             };
-            let pipeline = hbm_fleet::serve_concurrent(
-                &service,
-                input.as_bytes(),
-                &mut out,
-                &options,
-            ).unwrap();
-            prop_assert_eq!(
-                std::str::from_utf8(&out).unwrap(),
-                std::str::from_utf8(&sequential_out).unwrap(),
-                "output diverged at {} workers",
-                workers
-            );
-            prop_assert_eq!(
-                pipeline.serve.queries_served,
-                sequential_stats.queries_served,
-                "request count diverged at {} workers",
-                workers
-            );
-            prop_assert_eq!(pipeline.workers, workers);
-            prop_assert_eq!(
-                pipeline.latency.count,
-                sequential_stats.queries_served,
-                "every request must be timed"
-            );
-        }
+            let result = serve_concurrent(&service, requests, responses, &options);
+            let _ = done.send(result.map(|stats| stats.serve.queries_served));
+        });
+        let served = finished
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| {
+                panic!("deadlock at {workers} workers: the server held a line back")
+            })
+            .unwrap();
+        assert_eq!(served, lines.len() as u64);
+        let state = client.state.lock().unwrap();
+        assert!(state.unflushed.is_empty(), "every response must be flushed");
+        assert_eq!(
+            String::from_utf8(state.output.clone()).unwrap(),
+            oracle.output
+        );
     }
 }
 

@@ -135,7 +135,26 @@ printf '%s\n' \
     | ./target/release/hbmctl serve --artifact "$chbfa" \
         --serve-workers 4 2>/dev/null >"$s4json"
 cmp "$s1json" "$s4json"
-rm -f "$hbfa" "$chbfa" "$sjson" "$s1json" "$s4json"
+# The same at scale: 2,400 request lines, far more than stdin's 8 KiB
+# buffer, so chunks and lines straddle buffer refills. Every non-blank
+# line gets exactly one response.
+sreq="$(mktemp -u /tmp/hbmctl-serve-requests-XXXXXX.jsonl)"
+awk 'BEGIN {
+    for (i = 0; i < 2400; i++) {
+        kind = i % 8
+        if (kind == 5) print "\"Summary\""
+        else if (kind == 6) print "not json"
+        else if (kind == 7) print (i % 16 == 7 ? "" : "   ")
+        else printf "{\"Recommend\":{\"device_id\":%d,\"target_rate\":%g,\"min_pcs\":16}}\n", i % 4, 10 ^ -(1 + i % 4)
+    }
+}' >"$sreq"
+./target/release/hbmctl serve --artifact "$chbfa" --serve-workers 1 \
+    <"$sreq" 2>/dev/null >"$s1json"
+./target/release/hbmctl serve --artifact "$chbfa" --serve-workers 4 \
+    <"$sreq" 2>/dev/null >"$s4json"
+cmp "$s1json" "$s4json"
+test "$(wc -l <"$s4json")" -eq "$(grep -c '[^[:space:]]' "$sreq")"
+rm -f "$hbfa" "$chbfa" "$sjson" "$s1json" "$s4json" "$sreq"
 
 # Smoke: a flip-only throughput descent and a latency-budgeted descent on
 # the same seed, pinned byte-for-byte against committed goldens — and the
