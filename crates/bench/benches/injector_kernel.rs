@@ -2,7 +2,8 @@
 //! (tile probability cache + geometric skip enumeration) against the naive
 //! per-word reference path, per voltage; the bit-sliced dense-region
 //! kernel against the forced-scalar walk in the dense regime (≤ 860 mV);
-//! and a `quick()`-shaped reliability sweep in both execution modes. Every
+//! coupled count descents over fleet devices at 1, 17 and 391 knots; and
+//! a `quick()`-shaped reliability sweep in both execution modes. Every
 //! comparison asserts bit-identical results before recording timings to
 //! `BENCH_injector_kernel.json`.
 //!
@@ -14,6 +15,7 @@ use std::time::Instant;
 
 use hbm_device::{HbmGeometry, PcIndex, WordOffset};
 use hbm_faults::{FaultFieldMode, FaultInjector, FaultModelParams, KernelBackend, MaskKernel};
+use hbm_fleet::FleetConfig;
 use hbm_undervolt::{ExecutionMode, Platform, ReliabilityConfig, ReliabilityTester};
 use hbm_units::Millivolts;
 use serde::Serialize;
@@ -26,6 +28,13 @@ const WORDS: u64 = 8192;
 /// accumulated, so per-call times stay resolvable even when the cached
 /// path finishes in nanoseconds.
 const MIN_SAMPLE_SECS: f64 = 2e-3;
+/// The fleet sweep's device shape: every pseudo channel, 64 words each.
+/// The descent section times this many fleet devices per call.
+const FLEET_DEVICES: u32 = 8;
+/// Alternating timing rounds of the descent section.
+const DESCENT_ROUNDS: u32 = 20;
+const FLEET_PCS: u8 = 32;
+const FLEET_WORDS: u64 = 64;
 
 #[derive(Serialize)]
 struct VoltageEntry {
@@ -46,6 +55,16 @@ struct DenseEntry {
 }
 
 #[derive(Serialize)]
+struct DescentEntry {
+    knots: usize,
+    from_mv: u32,
+    to_mv: u32,
+    device_secs: f64,
+    ns_per_bit: f64,
+    faulty_bits_at_last_knot: u64,
+}
+
+#[derive(Serialize)]
 struct SweepEntry {
     traffic_secs: f64,
     cached_secs: f64,
@@ -63,6 +82,10 @@ struct Record {
     safe_region_min_speedup: f64,
     dense: Vec<DenseEntry>,
     dense_region_min_speedup: f64,
+    descent_devices: u32,
+    descent_pcs: u8,
+    descent_words_per_pc: u64,
+    descent: Vec<DescentEntry>,
     sweep: SweepEntry,
 }
 
@@ -203,6 +226,85 @@ fn main() {
         "dense-region bit-sliced speedup regressed below 8x: {dense_region_min_speedup:.1}x"
     );
 
+    // Coupled count descents in the fleet sweep's shape: every pseudo
+    // channel's first 64 words of fleet devices (their own seeds), along
+    // a descending grid. Each call pays its own per-tile knot searches, as
+    // `fleet sweep` does. Every knot's count is checked against a
+    // from-scratch `count_range` there. The grids are timed in alternating
+    // rounds, best call kept, so a slow phase of a shared host does not
+    // land on one grid alone.
+    let fleet = FleetConfig::default();
+    let devices: Vec<FaultInjector> = (0..FLEET_DEVICES)
+        .map(|d| {
+            let seed = fleet.device_spec(d).seed;
+            FaultInjector::new(FaultModelParams::date21(), fleet.geometry, seed)
+        })
+        .collect();
+    let pcs: Vec<PcIndex> = (0..FLEET_PCS)
+        .map(|i| PcIndex::new(i).expect("pc"))
+        .collect();
+    let grids = [(820u32, 820u32, 1usize), (900, 820, 5), (1200, 810, 1)];
+    let schedules: Vec<Vec<Millivolts>> = grids
+        .iter()
+        .map(|&(from, to, step)| (to..=from).rev().step_by(step).map(Millivolts).collect())
+        .collect();
+    // Per-knot totals over every device and pseudo channel.
+    let descend = |schedule: &[Millivolts]| {
+        let mut per_knot = vec![0u64; schedule.len()];
+        for injector in &devices {
+            let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+            for &pc in &pcs {
+                let counts = kernel.count_descent(pc, 0..FLEET_WORDS, schedule);
+                for (total, count) in per_knot.iter_mut().zip(counts) {
+                    *total += count;
+                }
+            }
+        }
+        per_knot
+    };
+    let mut best = vec![f64::INFINITY; schedules.len()];
+    for _ in 0..DESCENT_ROUNDS {
+        for (schedule, best) in schedules.iter().zip(&mut best) {
+            let start = Instant::now();
+            std::hint::black_box(descend(schedule));
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    let mut descent = Vec::new();
+    for ((&(from_mv, to_mv, _), schedule), call_secs) in grids.iter().zip(&schedules).zip(best) {
+        let per_knot = descend(schedule);
+        for (&v, &count) in schedule.iter().zip(&per_knot) {
+            let mut scanned = 0;
+            for injector in &devices {
+                let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+                for &pc in &pcs {
+                    let (c0, c1) = kernel.count_range(pc, 0..FLEET_WORDS, v);
+                    scanned += c0 + c1;
+                }
+            }
+            assert_eq!(
+                count, scanned,
+                "count descent disagrees with count_range at {v}"
+            );
+        }
+        let last = per_knot[schedule.len() - 1];
+        let device_secs = call_secs / f64::from(FLEET_DEVICES);
+        let ns_per_bit = device_secs / (f64::from(FLEET_PCS) * FLEET_WORDS as f64 * 256.0) * 1e9;
+        println!(
+            "  descent {from_mv}->{to_mv} mV ({} knots): {:>8.3} ms/device, {ns_per_bit:.2} ns/bit ({last} faulty bits at {to_mv} mV)",
+            schedule.len(),
+            device_secs * 1e3,
+        );
+        descent.push(DescentEntry {
+            knots: schedule.len(),
+            from_mv,
+            to_mv,
+            device_secs,
+            ns_per_bit,
+            faulty_bits_at_last_knot: last,
+        });
+    }
+
     let (traffic_secs, traffic_faults) = time_sweep(ExecutionMode::Traffic);
     let (cached_secs, cached_faults) = time_sweep(ExecutionMode::CachedMasks);
     assert_eq!(
@@ -227,6 +329,10 @@ fn main() {
         safe_region_min_speedup,
         dense,
         dense_region_min_speedup,
+        descent_devices: FLEET_DEVICES,
+        descent_pcs: FLEET_PCS,
+        descent_words_per_pc: FLEET_WORDS,
+        descent,
         sweep: SweepEntry {
             traffic_secs,
             cached_secs,

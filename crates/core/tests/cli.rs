@@ -800,3 +800,66 @@ fn fleet_summary_csv_round_trips_columns() {
     );
     let _ = std::fs::remove_file(&artifact);
 }
+
+/// A checkpoint nested far past the JSON parser's depth bound is refused
+/// with the typed checkpoint error (exit 1), not a stack overflow.
+#[test]
+fn deeply_nested_checkpoint_is_a_runtime_error() {
+    let path = temp_path("nested");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let out = hbmctl(&[
+        "sweep",
+        "--from",
+        "900",
+        "--to",
+        "890",
+        "--step",
+        "10",
+        "--words",
+        "8",
+        "--checkpoint",
+        &path,
+        "--resume",
+    ]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(exit_code(&out), 1, "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    assert!(stderr.contains("checkpoint"), "{stderr}");
+    assert!(stderr.contains("recursion limit"), "{stderr}");
+}
+
+/// A serve session answers a 1 MiB line of `[` in-band with a `parse`
+/// error and goes on to the next request, at one worker and at four.
+#[test]
+fn serve_answers_a_deeply_nested_line_in_band() {
+    let artifact = temp_path("fleet-nested");
+    let _ = std::fs::remove_file(&artifact);
+    let out = hbmctl(&[
+        "fleet",
+        "sweep",
+        "--devices",
+        "2",
+        "--words",
+        "8",
+        "--out",
+        &artifact,
+    ]);
+    assert_eq!(exit_code(&out), 0, "{out:?}");
+    let summary = "\"Summary\"";
+    let input = format!("{summary}\n{}\n{summary}\n", "[".repeat(1 << 20));
+    for workers in ["1", "4"] {
+        let out = hbmctl_with_stdin(
+            &["serve", "--artifact", &artifact, "--serve-workers", workers],
+            &input,
+        );
+        assert_eq!(exit_code(&out), 0, "{workers} workers: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), 3, "{workers} workers: {stdout}");
+        assert_eq!(lines[0], lines[2], "{workers} workers");
+        assert!(lines[1].contains("\"parse\""), "{}", lines[1]);
+        assert!(lines[1].contains("recursion limit"), "{}", lines[1]);
+    }
+    let _ = std::fs::remove_file(&artifact);
+}

@@ -85,7 +85,7 @@ pub enum FaultPolarity {
 ///      integer images by [`crate::hash::unit_cutoff`], and the 256 bits
 ///      are produced a 64-bit lane at a time as `u64` bitplanes — one
 ///      integer mix and two integer compares per bit, in one loop that is
-///      also compiled for AVX-512 behind the runtime feature probe.
+///      also compiled for AVX2 and AVX-512 behind the runtime feature probe.
 ///      The cutoffs are exact, so equality with arm (a) is a theorem,
 ///      enforced end to end by the `bitsliced_matches_scalar` proptests.
 ///
@@ -165,69 +165,138 @@ struct TileCuts {
     cut1: u64,
 }
 
-/// One tile-and-class knot lookup of a count descent: the exact integer
-/// fault cutoffs at every knot, plus a table over the top byte of a raw
-/// threshold so that most bits find their knot with one load instead of
-/// a binary search.
+/// One tile's knot lookup in a descent: the exact integer fault cutoffs of
+/// both polarity classes at every knot, plus a table over a keyed
+/// threshold's bucket ([`bitsliced::keyed_thresholds`]) so that most bits
+/// find their first failing knot with one load, and the rest with a scan
+/// of the few cutoffs inside their bucket.
 #[derive(Debug, Clone)]
 struct KnotSearch {
-    /// Cutoffs along the descent, non-decreasing.
-    cuts: Vec<u64>,
-    /// `buckets[hi >> KNOT_BUCKET_SHIFT]`: the slot every raw threshold of
-    /// that bucket shares, or `u32::MAX` when a cutoff splits the bucket.
-    buckets: Vec<u32>,
+    /// Per class (stuck-at-0, then stuck-at-1), the cutoffs along the
+    /// descent, non-decreasing.
+    cuts: [Vec<u64>; 2],
+    /// `buckets[bucket(key)]`: the number of the class's cutoffs at or
+    /// below the bucket's first threshold — the slot every keyed threshold
+    /// of the bucket shares — with [`SPLIT_BUCKET`] set when a cutoff
+    /// splits the bucket.
+    buckets: [u32; KEY_BUCKETS],
 }
 
 /// Raw thresholds are 32-bit; their top byte picks a [`KnotSearch`] bucket.
 const KNOT_BUCKET_SHIFT: u32 = 24;
 
+/// Buckets of a keyed threshold: its bits 24 and up, `class × 256 + top
+/// byte`.
+const KEY_BUCKETS: usize = 2 << (32 - KNOT_BUCKET_SHIFT);
+
+/// The flag of a [`KnotSearch`] bucket whose thresholds do not share a
+/// slot. Slots stay below it: a descent has at most `u16::MAX` knots.
+const SPLIT_BUCKET: u32 = 1 << 31;
+
 impl KnotSearch {
-    /// The lookup of one class's cutoffs along a descent.
+    /// The lookup of one tile's cutoffs along a descent, stuck-at-0 class
+    /// first.
     ///
     /// # Panics
     ///
     /// Panics if the cutoffs fall anywhere along the descent — the coupled
     /// field's monotonicity rules that out.
-    fn new(cuts: Vec<u64>) -> Self {
-        assert!(
-            cuts.windows(2).all(|c| c[0] <= c[1]),
-            "fault cutoffs fall along a descending schedule: {cuts:?}"
-        );
+    fn new(cuts: [Vec<u64>; 2]) -> Self {
         let width = 1u64 << KNOT_BUCKET_SHIFT;
-        let mut below = 0; // cutoffs at or below the bucket's first value
-        let buckets = (0..1u64 << (32 - KNOT_BUCKET_SHIFT))
-            .map(|bucket| {
-                let first = bucket * width;
-                while below < cuts.len() && cuts[below] <= first {
+        let mut buckets = [0u32; KEY_BUCKETS];
+        for (class, table) in cuts.iter().zip(buckets.chunks_exact_mut(KEY_BUCKETS / 2)) {
+            assert!(
+                class.windows(2).all(|c| c[0] <= c[1]),
+                "fault cutoffs fall along a descending schedule: {class:?}"
+            );
+            let mut below = 0; // cutoffs at or below the bucket's first threshold
+            for (first, entry) in (0..).step_by(width as usize).zip(table) {
+                while below < class.len() && class[below] <= first {
                     below += 1;
                 }
-                if cuts.get(below).is_some_and(|&cut| cut < first + width) {
-                    u32::MAX
-                } else {
-                    below as u32
-                }
-            })
-            .collect();
+                let split = class.get(below).is_some_and(|&cut| cut < first + width);
+                *entry = below as u32 | if split { SPLIT_BUCKET } else { 0 };
+            }
+        }
         KnotSearch { cuts, buckets }
     }
 
-    /// The cutoff at the last knot: a raw threshold at or above it never
-    /// fails.
-    fn last(&self) -> u64 {
-        *self
-            .cuts
-            .last()
-            .expect("a count descent has at least one knot")
+    /// Whether no bit of the tile fails at any knot.
+    fn clean(&self) -> bool {
+        self.cuts
+            .iter()
+            .all(|class| class.last().is_none_or(|&cut| cut == 0))
     }
 
-    /// The number of knots whose cutoff is at or below `hi` — the index of
-    /// the first knot at which a bit with raw threshold `hi` fails.
-    fn slot(&self, hi: u64) -> usize {
-        match self.buckets[(hi >> KNOT_BUCKET_SHIFT) as usize] {
-            u32::MAX => self.cuts.partition_point(|&cut| cut <= hi),
-            slot => slot as usize,
+    /// The number of knots whose cutoff is at or below the raw threshold of
+    /// keyed threshold `key` — the index of the first knot at which the bit
+    /// fails, or the number of knots when it is clean at every knot.
+    fn slot(&self, key: u64) -> usize {
+        match self.buckets[bucket(key)] {
+            entry if entry & SPLIT_BUCKET != 0 => self.exact(key),
+            entry => entry as usize,
         }
     }
+
+    /// [`KnotSearch::slot`] for the bits of split buckets: the cutoffs
+    /// below the bucket plus those inside it that the threshold reaches.
+    fn exact(&self, key: u64) -> usize {
+        let below = (self.buckets[bucket(key)] & !SPLIT_BUCKET) as usize;
+        let hi = key & 0xFFFF_FFFF;
+        let end = ((hi >> KNOT_BUCKET_SHIFT) + 1) << KNOT_BUCKET_SHIFT;
+        let inside = self.cuts[(key >> 32) as usize & 1][below..]
+            .iter()
+            .take_while(|&&cut| cut < end);
+        below + inside.filter(|&&cut| cut <= hi).count()
+    }
+
+    /// Counts one word's keyed thresholds: each bit adds one to its
+    /// bucket's entry of `counts`, without a branch. The bits of buckets a
+    /// cutoff splits are also gathered in `split` by a branch-free append,
+    /// and go straight to their exact first knot in `hist` (whose last
+    /// slot collects bits clean at every knot); [`KnotSearch::fold_counts`]
+    /// skips their buckets.
+    ///
+    /// Adding each bit to `hist[self.slot(key)]` instead is simpler but
+    /// slower: most bits of a tile land in one or a few slots (all of them
+    /// in one at a single knot), so those read-modify-writes form long
+    /// dependency chains, while the bucket counts spread over 512 entries.
+    fn count_word(
+        &self,
+        keys: &[u64; 256],
+        counts: &mut [u64; KEY_BUCKETS],
+        split: &mut [u64; 256],
+        hist: &mut [u64],
+    ) {
+        let mut n = 0;
+        for &key in keys {
+            let b = bucket(key);
+            counts[b] += 1;
+            // `n` never passes the bit index, so the mask only drops the
+            // bounds check.
+            split[n & 255] = key;
+            n += usize::from(self.buckets[b] >= SPLIT_BUCKET);
+        }
+        for &key in &split[..n] {
+            hist[self.exact(key)] += 1;
+        }
+    }
+
+    /// Folds a tile's bucket counts into `hist` through the bucket table,
+    /// once per tile. Split buckets are skipped: their bits are already in
+    /// `hist`.
+    fn fold_counts(&self, counts: &[u64; KEY_BUCKETS], hist: &mut [u64]) {
+        for (&count, &entry) in counts.iter().zip(&self.buckets) {
+            if entry < SPLIT_BUCKET {
+                hist[entry as usize] += count;
+            }
+        }
+    }
+}
+
+/// The bucket of a keyed threshold: `class × 256 + top byte`.
+fn bucket(key: u64) -> usize {
+    (key >> KNOT_BUCKET_SHIFT) as usize & (KEY_BUCKETS - 1)
 }
 
 /// The (bank, row-region) tiling of a pseudo channel: the granularity at
@@ -567,18 +636,24 @@ impl FaultInjector {
 
     /// Class-conditional fault probabilities `(c0, c1)` of one tile at
     /// `supply` (below the guardband): the single-tile body of every tile
-    /// table, shared with [`FaultInjector::coupled_count_descent`].
+    /// table.
     fn tile_class_probabilities(&self, pc: PcIndex, tile: usize, supply: Millivolts) -> (f64, f64) {
+        self.params
+            .class_probabilities(supply.to_volts(), self.tile_shift(pc, tile))
+    }
+
+    /// The variation shift of one tile, constant across voltages.
+    fn tile_shift(&self, pc: PcIndex, tile: usize) -> Volts {
         let var = &self.params.variation;
         let (bank, region) = self.grid.bank_and_region(tile);
         // Exactly the per-word path's shift composition — the term order
         // matters, f64 addition is not associative.
-        let shift = self.shift_table.pc_shift_volts(pc)
-            + var.bank_shift_volts(self.seed, pc, bank)
-            + var.region_shift_volts_by_index(self.seed, pc, bank, region)
-            + var.temperature_shift_volts(self.temperature);
-        self.params
-            .class_probabilities(supply.to_volts(), Volts(shift))
+        Volts(
+            self.shift_table.pc_shift_volts(pc)
+                + var.bank_shift_volts(self.seed, pc, bank)
+                + var.region_shift_volts_by_index(self.seed, pc, bank, region)
+                + var.temperature_shift_volts(self.temperature),
+        )
     }
 
     /// The gate index of `pc`, or `None` for geometries too large to index.
@@ -1375,31 +1450,33 @@ impl FaultInjector {
         (n0, n1)
     }
 
-    /// The one per-bit loop of every coupled-field descent: calls
-    /// `on_bit(word, bit, stuck_at_zero, knot)` for each bit of `words` that
-    /// fails at some knot of the strictly descending `schedule`, with the
-    /// index of the first knot at which it fails, in ascending word and then
-    /// bit order.
+    /// The one hashing pass of every coupled-field descent: calls
+    /// `on_word(word, touched, knots, keys)` for each word of `words` in
+    /// ascending order whose tile fails at some knot of the strictly
+    /// descending `schedule`, with the tile's [`KnotSearch`] and every
+    /// bit's keyed threshold ([`bitsliced::keyed_thresholds`], compiled
+    /// for `isa`). `touched` numbers the tiles in the order the range
+    /// first touches them; the returned searches are in that order.
     ///
-    /// One hash pass over the range, no masks: each tile the range touches
-    /// gets the exact integer cutoffs ([`unit_cutoff`]) of both classes at
-    /// every knot (zero at or above the guardband), non-decreasing along
-    /// the descent because the coupled field is monotone. A bit fails first
-    /// at the first knot whose cutoff exceeds its raw threshold, found by
-    /// [`KnotSearch::slot`]. Words of tiles that stay clean at every knot
-    /// are not hashed.
+    /// No masks and no per-bit call: each tile the range touches gets the
+    /// exact integer cutoffs ([`unit_cutoff`]) of both classes at every
+    /// knot (zero at or above the guardband), non-decreasing along the
+    /// descent because the coupled field is monotone. A bit fails first at
+    /// the first knot whose cutoff exceeds its raw threshold. Words of
+    /// tiles that stay clean at every knot are not hashed.
     ///
     /// # Panics
     ///
     /// Panics when `schedule` is not strictly descending or has more than
     /// `u16::MAX` knots, or when `words` runs past the pseudo channel.
-    fn coupled_descent_walk<F: FnMut(u64, u32, bool, u16)>(
+    fn coupled_descent_words(
         &self,
         pc: PcIndex,
         words: Range<u64>,
         schedule: &[Millivolts],
-        mut on_bit: F,
-    ) {
+        isa: InstructionSet,
+        mut on_word: impl FnMut(u64, usize, &KnotSearch, &[u64; 256]),
+    ) -> Vec<KnotSearch> {
         assert!(
             schedule.windows(2).all(|w| w[0] > w[1]),
             "descent schedule must be strictly descending: {schedule:?}"
@@ -1410,8 +1487,9 @@ impl FaultInjector {
             u16::MAX,
             schedule.len()
         );
+        let mut searches = Vec::new();
         if schedule.is_empty() || words.is_empty() {
-            return;
+            return searches;
         }
         assert!(
             words.end <= self.grid.words_per_pc,
@@ -1421,43 +1499,58 @@ impl FaultInjector {
         );
         let class_cut = unit_cutoff(self.params.stuck0_share);
         let pcu = u64::from(pc.as_u8());
-        // Per touched tile, the knot search of each polarity class.
-        let mut searches: Vec<Option<[KnotSearch; 2]>> = vec![None; self.grid.tile_count];
+        // Per tile, its place among the touched tiles.
+        let mut place = vec![usize::MAX; self.grid.tile_count];
+        let mut keys = [0u64; 256];
         for w in words {
             let tile = self.grid.tile_of(w);
-            let [class0, class1] =
-                searches[tile].get_or_insert_with(|| self.tile_knot_searches(pc, tile, schedule));
-            if class0.last() == 0 && class1.last() == 0 {
+            if place[tile] == usize::MAX {
+                place[tile] = searches.len();
+                searches.push(self.tile_knot_search(pc, tile, schedule));
+            }
+            let knots = &searches[place[tile]];
+            if knots.clean() {
                 continue; // no bit of this word fails at any knot
             }
             let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
-            for bit in 0..Word256::BITS {
-                let h = mix64(prefix ^ u64::from(bit));
-                let hi = h >> 32;
-                let stuck_at_zero = h & 0xFFFF_FFFF < class_cut;
-                let class = if stuck_at_zero { &*class0 } else { &*class1 };
-                if hi < class.last() {
-                    on_bit(w, bit, stuck_at_zero, class.slot(hi) as u16);
-                }
-            }
+            bitsliced::keyed_thresholds(prefix, class_cut, isa, &mut keys);
+            on_word(w, place[tile], knots, &keys);
         }
+        searches
     }
 
     /// Union coupled-field fault-bit counts of one pseudo channel along a
     /// strictly descending `schedule`: entry `k` is the stuck-at count (both
     /// polarities) over `words` at `schedule[k]`, equal to
-    /// [`crate::MaskKernel::count_range`] at that knot. A histogram of the
-    /// descent walk's first-failing knots, prefix-summed.
+    /// [`crate::MaskKernel::count_range`] at that knot.
+    ///
+    /// Each touched tile counts its bits per bucket of the keyed threshold
+    /// ([`KnotSearch::count_word`]) and folds those counts into the
+    /// first-failing knots once, at the end ([`KnotSearch::fold_counts`]);
+    /// prefix sums of that histogram are the counts.
     pub(crate) fn coupled_count_descent(
         &self,
         pc: PcIndex,
         words: Range<u64>,
         schedule: &[Millivolts],
+        isa: InstructionSet,
     ) -> Vec<u64> {
-        let mut hist = vec![0u64; schedule.len()];
-        self.coupled_descent_walk(pc, words, schedule, |_, _, _, knot| {
-            hist[usize::from(knot)] += 1;
-        });
+        // Per first knot; the extra last slot collects the clean bits.
+        let mut hist = vec![0u64; schedule.len() + 1];
+        // Per touched tile, its bucket counts.
+        let mut counts: Vec<[u64; KEY_BUCKETS]> = Vec::new();
+        let mut split = [0u64; 256];
+        let searches =
+            self.coupled_descent_words(pc, words, schedule, isa, |_, touched, knots, keys| {
+                if touched >= counts.len() {
+                    counts.resize(touched + 1, [0; KEY_BUCKETS]);
+                }
+                knots.count_word(keys, &mut counts[touched], &mut split, &mut hist);
+            });
+        for (knots, counts) in searches.iter().zip(&counts) {
+            knots.fold_counts(counts, &mut hist);
+        }
+        hist.pop();
         let mut total = 0u64;
         for slot in &mut hist {
             total += *slot;
@@ -1469,71 +1562,60 @@ impl FaultInjector {
     /// Streams every word of `words` that fails at some knot of `schedule`
     /// to `f` in ascending offset order, with its `(stuck0, stuck1)` masks
     /// at the last knot and each bit's first-failing knot index (`u16::MAX`
-    /// for the bits clean at every knot) — the descent walk, gathered per
-    /// word. A word's masks at knot `k` are its bits whose first knot is at
-    /// most `k`.
+    /// for the bits clean at every knot), read per bit from the tile's
+    /// [`KnotSearch::slot`]. A word's masks at knot `k` are its bits whose
+    /// first knot is at most `k`.
     pub(crate) fn coupled_knot_descent(
         &self,
         pc: PcIndex,
         words: Range<u64>,
         schedule: &[Millivolts],
+        isa: InstructionSet,
         f: &mut KnotDescentFn<'_>,
     ) {
-        let mut word = None;
-        // The word's stuck-at-1 and stuck-at-0 lanes, indexed by class so
-        // that the random polarity of each bit costs no branch.
-        let mut planes = [[0u64; 4]; 2];
-        let mut knots = [u16::MAX; 256];
-        self.coupled_descent_walk(pc, words, schedule, |w, bit, stuck_at_zero, knot| {
-            if word != Some(w) {
-                if let Some(done) = word.replace(w) {
-                    f(
-                        WordOffset(done),
-                        Word256(planes[1]),
-                        Word256(planes[0]),
-                        &knots,
-                    );
-                    planes = [[0; 4]; 2];
-                    knots = [u16::MAX; 256];
-                }
+        let last = schedule.len();
+        self.coupled_descent_words(pc, words, schedule, isa, |w, _, knots, keys| {
+            // The word's stuck-at-0 and stuck-at-1 lanes, indexed by class
+            // so that the random polarity of each bit costs no branch.
+            let mut planes = [[0u64; 4]; 2];
+            let mut first = [u16::MAX; 256];
+            for (bit, &key) in keys.iter().enumerate() {
+                let slot = knots.slot(key);
+                let fails = slot < last;
+                planes[(key >> 32) as usize & 1][bit / 64] |= u64::from(fails) << (bit % 64);
+                first[bit] = if fails { slot as u16 } else { u16::MAX };
             }
-            planes[usize::from(stuck_at_zero)][(bit / 64) as usize] |= 1 << (bit % 64);
-            knots[bit as usize] = knot;
+            if planes != [[0; 4]; 2] {
+                f(
+                    WordOffset(w),
+                    Word256(planes[0]),
+                    Word256(planes[1]),
+                    &first,
+                );
+            }
         });
-        if let Some(done) = word {
-            f(
-                WordOffset(done),
-                Word256(planes[1]),
-                Word256(planes[0]),
-                &knots,
-            );
-        }
     }
 
-    /// One tile's knot searches (stuck-at-0 class, then stuck-at-1) over
-    /// the exact integer fault cutoffs at every knot of `schedule`, zero at
-    /// or above the guardband.
-    fn tile_knot_searches(
-        &self,
-        pc: PcIndex,
-        tile: usize,
-        schedule: &[Millivolts],
-    ) -> [KnotSearch; 2] {
+    /// One tile's knot search over the exact integer fault cutoffs of both
+    /// classes at every knot of `schedule`, zero at or above the
+    /// guardband. The tile's variation shift is computed once for all
+    /// knots.
+    fn tile_knot_search(&self, pc: PcIndex, tile: usize, schedule: &[Millivolts]) -> KnotSearch {
+        let shift = self.tile_shift(pc, tile);
         let probs: Vec<(f64, f64)> = schedule
             .iter()
             .map(|&v| {
                 if v >= self.params.landmarks.v_min {
                     (0.0, 0.0)
                 } else {
-                    self.tile_class_probabilities(pc, tile, v)
+                    self.params.class_probabilities(v.to_volts(), shift)
                 }
             })
             .collect();
-        [
+        KnotSearch::new([
             probs.iter().map(|p| unit_cutoff(p.0)).collect(),
             probs.iter().map(|p| unit_cutoff(p.1)).collect(),
-        ]
-        .map(KnotSearch::new)
+        ])
     }
 }
 
@@ -1588,7 +1670,8 @@ mod tests {
             vec![end],
             vec![7, 200 * width + 3, end - 1, end],
         ] {
-            let search = KnotSearch::new(cuts.clone());
+            // The same cutoffs for both classes of a tile.
+            let knots = KnotSearch::new([cuts.clone(), cuts.clone()]);
             let probes = cuts
                 .iter()
                 .flat_map(|&cut| [cut.saturating_sub(1), cut, cut + 1])
@@ -1596,15 +1679,77 @@ mod tests {
                 .filter(|&hi| hi < end);
             for hi in probes {
                 let expected = cuts.partition_point(|&cut| cut <= hi);
-                assert_eq!(search.slot(hi), expected, "cuts {cuts:?}, hi {hi}");
+                for class in 0..2 {
+                    let key = class << 32 | hi;
+                    assert_eq!(knots.slot(key), expected, "cuts {cuts:?}, key {key:#x}");
+                }
             }
         }
+    }
+
+    /// Folds keyed thresholds into one tile's first-knot histogram, a word
+    /// of 256 keys at a time, and checks it against a binary search per
+    /// key.
+    fn assert_fold_is_exact(cuts: [Vec<u64>; 2], thresholds: &[u64]) {
+        let knots = KnotSearch::new(cuts.clone());
+        let len = cuts[0].len();
+        let mut keys: Vec<u64> = thresholds.iter().flat_map(|&t| [t, 1 << 32 | t]).collect();
+        let pad = keys.len().next_multiple_of(256) - keys.len();
+        keys.extend_from_within(..pad);
+        let mut expected = vec![0u64; len + 1];
+        for &key in &keys {
+            let class = &cuts[(key >> 32) as usize];
+            expected[class.partition_point(|&cut| cut <= key & 0xFFFF_FFFF)] += 1;
+        }
+        let mut hist = vec![0u64; len + 1];
+        let mut counts = [0u64; KEY_BUCKETS];
+        let mut split = [0u64; 256];
+        for word in keys.chunks_exact(256) {
+            let word: &[u64; 256] = word.try_into().unwrap();
+            knots.count_word(word, &mut counts, &mut split, &mut hist);
+        }
+        knots.fold_counts(&counts, &mut hist);
+        assert_eq!(hist, expected, "cuts {cuts:?}");
+    }
+
+    #[test]
+    fn histogram_fold_is_exact_at_the_bucket_edges() {
+        let width = 1u64 << KNOT_BUCKET_SHIFT;
+        let end = 1u64 << 32;
+        // Cutoffs at 0, at exact bucket multiples, one either side of
+        // them, several inside one bucket, and at 2³².
+        let edges = vec![
+            0,
+            0,
+            width,
+            3 * width - 1,
+            3 * width,
+            3 * width + 1,
+            17 * width + 5,
+            17 * width + 9,
+            255 * width,
+            end,
+        ];
+        let never = vec![0; edges.len()];
+        let thresholds: Vec<u64> = (0..256)
+            .flat_map(|b| [b * width, b * width + 1, b * width + width - 1])
+            .chain(edges.iter().flat_map(|&c| [c.saturating_sub(1), c, c + 1]))
+            .filter(|&t| t < end)
+            .collect();
+        // One class never fails; then the other; then both share the edges.
+        assert_fold_is_exact([edges.clone(), never.clone()], &thresholds);
+        assert_fold_is_exact([never.clone(), edges.clone()], &thresholds);
+        assert_fold_is_exact([edges.clone(), edges], &thresholds);
+        // A single knot: nothing fails, or everything does.
+        assert_fold_is_exact([vec![0], vec![0]], &thresholds);
+        assert_fold_is_exact([vec![end], vec![end]], &thresholds);
+        assert!(KnotSearch::new([never.clone(), never]).clean());
     }
 
     #[test]
     #[should_panic(expected = "fall along a descending schedule")]
     fn knot_search_refuses_falling_cutoffs() {
-        let _ = KnotSearch::new(vec![5, 3]);
+        let _ = KnotSearch::new([vec![0, 0], vec![5, 3]]);
     }
 
     #[test]

@@ -1,33 +1,41 @@
-//! Portable bit-sliced mask generation: whole 256-bit words hashed a
-//! 64-bit lane at a time, with the per-bit polarity/threshold comparisons
-//! turned into integer compares against per-tile cutoffs and packed into
-//! `u64` bitplanes.
+//! Portable bit-sliced word loops: whole 256-bit words hashed a 64-bit lane
+//! at a time, with no per-bit branch and no per-bit call.
 //!
 //! The scalar kernel draws each bit as `h = mix64(prefix ^ bit)` (the
 //! [`crate::hash::combine`] chain over `(seed, pc, word, tag)` folded into
 //! `prefix` once per word) and then compares the two 32-bit halves of `h`
 //! against `f64` probabilities through [`crate::hash::unit_pair`]. Here the
 //! probabilities arrive pre-converted to their exact integer images by
-//! [`crate::hash::unit_cutoff`], so each bit costs one mix and two integer
+//! [`crate::hash::unit_cutoff`], so each bit costs one mix and integer
 //! compares. Bit-for-bit equality with the scalar path is a theorem (the
 //! cutoffs are exact), enforced end to end by the `bitsliced_matches_scalar`
-//! proptests.
+//! proptests. There are two loops:
 //!
-//! There is one loop, [`bit_planes_portable`], compiled twice: once for the
-//! baseline target, and once inside [`bit_planes_avx512`], whose
-//! `#[target_feature]` list lets LLVM vectorize the same loop with native
-//! 64-bit multiplies (`vpmullq`) and mask-register compares. Both compiles
-//! run the same integer arithmetic, so they agree bit for bit.
+//! - [`bit_planes`] packs one voltage's compares into the `(stuck0,
+//!   stuck1)` bitplanes of the per-voltage field and of coupled masks;
+//! - [`keyed_thresholds`] writes every bit's raw threshold, tagged with its
+//!   polarity class, into a word-sized array for the coupled descents. Its
+//!   top nine bits (`class × 256 + top byte`) index a descent's per-tile
+//!   bucket tables: the count descent folds them through a per-tile
+//!   histogram without a branch, and the knot descent turns them into each
+//!   bit's first failing knot. Only the bits of the few buckets a knot's
+//!   cutoff splits take a scan of the cutoffs inside their bucket.
+//!
+//! Each loop is compiled three times from the same source: for the baseline
+//! target, inside [`run_avx2`], and inside [`run_avx512`], whose
+//! `#[target_feature]` lists let LLVM vectorize the mixes (AVX-512 brings
+//! native 64-bit multiplies, `vpmullq`, and mask-register compares). Every
+//! compile runs the same integer arithmetic, so they agree bit for bit.
 
 use hbm_device::Word256;
 
 use super::InstructionSet;
 use crate::hash::mix64;
 
-/// Generates one word's `(stuck0, stuck1)` bitplanes for the per-voltage
-/// field: bit `b` is stuck-at-0 iff its class half is below `class_cut` and
-/// its threshold half is below `cut0`; stuck-at-1 iff the class half is at
-/// or above `class_cut` and the threshold half is below `cut1`.
+/// Generates one word's `(stuck0, stuck1)` bitplanes: bit `b` is
+/// stuck-at-0 iff its class half is below `class_cut` and its threshold
+/// half is below `cut0`; stuck-at-1 iff the class half is at or above
+/// `class_cut` and the threshold half is below `cut1`.
 pub(crate) fn bit_planes(
     prefix: u64,
     class_cut: u64,
@@ -35,23 +43,92 @@ pub(crate) fn bit_planes(
     cut1: u64,
     isa: InstructionSet,
 ) -> (Word256, Word256) {
+    let mut out = (Word256::ZERO, Word256::ZERO);
+    run(
+        isa,
+        prefix,
+        WordLoop::Planes {
+            class_cut,
+            cut0,
+            cut1,
+            out: &mut out,
+        },
+    );
+    out
+}
+
+/// Writes each bit's *keyed threshold* into `out`: the raw threshold half
+/// `h >> 32` of its hash, with its polarity class in bit 32 (0 when the
+/// class half is below `class_cut`, i.e. stuck-at-0; 1 for stuck-at-1).
+/// A keyed threshold's bits 24 and up are its bucket, `class × 256 + top
+/// byte`.
+pub(crate) fn keyed_thresholds(
+    prefix: u64,
+    class_cut: u64,
+    isa: InstructionSet,
+    out: &mut [u64; 256],
+) {
+    run(isa, prefix, WordLoop::Keys { class_cut, out });
+}
+
+/// One word's work for the vector loops.
+enum WordLoop<'a> {
+    /// [`bit_planes`].
+    Planes {
+        class_cut: u64,
+        cut0: u64,
+        cut1: u64,
+        out: &'a mut (Word256, Word256),
+    },
+    /// [`keyed_thresholds`].
+    Keys {
+        class_cut: u64,
+        out: &'a mut [u64; 256],
+    },
+}
+
+/// Runs one word's loop in the compile `isa` names.
+fn run(isa: InstructionSet, prefix: u64, job: WordLoop<'_>) {
     match isa {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         InstructionSet::Avx512 => {
-            debug_assert!(avx512_detected(), "AVX-512 planes without hardware support");
+            debug_assert!(avx512_detected(), "AVX-512 loops without hardware support");
             // SAFETY: only `InstructionSet::detect` constructs `Avx512`, and
             // only after `avx512_detected` confirmed that the running CPU
-            // has every feature `bit_planes_avx512` is compiled for.
-            unsafe { bit_planes_avx512(prefix, class_cut, cut0, cut1) }
+            // has every feature `run_avx512` is compiled for.
+            unsafe { run_avx512(prefix, job) }
         }
-        _ => bit_planes_portable(prefix, class_cut, cut0, cut1),
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        InstructionSet::Avx2 => {
+            debug_assert!(avx2_detected(), "AVX2 loops without hardware support");
+            // SAFETY: only `InstructionSet::detect` constructs `Avx2`, and
+            // only after `avx2_detected` confirmed that the running CPU has
+            // every feature `run_avx2` is compiled for.
+            unsafe { run_avx2(prefix, job) }
+        }
+        _ => run_portable(prefix, job),
     }
 }
 
-/// The bit-plane loop, inlined into both compiles of [`bit_planes`].
+/// Both loops, inlined into every compile of [`run`].
 #[inline(always)]
-fn bit_planes_portable(prefix: u64, class_cut: u64, cut0: u64, cut1: u64) -> (Word256, Word256) {
+fn run_portable(prefix: u64, job: WordLoop<'_>) {
+    match job {
+        WordLoop::Planes {
+            class_cut,
+            cut0,
+            cut1,
+            out,
+        } => *out = planes_loop(prefix, class_cut, cut0, cut1),
+        WordLoop::Keys { class_cut, out } => keys_loop(prefix, class_cut, out),
+    }
+}
+
+/// The bit-plane loop.
+#[inline(always)]
+fn planes_loop(prefix: u64, class_cut: u64, cut0: u64, cut1: u64) -> (Word256, Word256) {
     let mut plane0 = [0u64; 4];
     let mut plane1 = [0u64; 4];
     for (lane, (p0, p1)) in plane0.iter_mut().zip(plane1.iter_mut()).enumerate() {
@@ -71,24 +148,50 @@ fn bit_planes_portable(prefix: u64, class_cut: u64, cut0: u64, cut1: u64) -> (Wo
     (Word256(plane0), Word256(plane1))
 }
 
-/// [`bit_planes_portable`] compiled for AVX-512: `avx512dq` brings the
-/// native 64-bit multiply. Its feature list and the probe in
-/// [`avx512_detected`] must name the same features. (Adding `avx512vl`,
-/// `avx512bw`, `bmi2` and the like emits the same instructions.)
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq")]
-fn bit_planes_avx512(prefix: u64, class_cut: u64, cut0: u64, cut1: u64) -> (Word256, Word256) {
-    bit_planes_portable(prefix, class_cut, cut0, cut1)
+/// The keyed-threshold loop.
+#[inline(always)]
+fn keys_loop(prefix: u64, class_cut: u64, out: &mut [u64; 256]) {
+    for (b, key) in (0u64..).zip(out.iter_mut()) {
+        let h = mix64(prefix ^ b);
+        *key = (u64::from(h & 0xFFFF_FFFF >= class_cut) << 32) | (h >> 32);
+    }
 }
 
-/// Whether the running CPU has every feature [`bit_planes_avx512`] is
-/// compiled for. Must list exactly the wrapper's `#[target_feature]` list,
-/// which `avx512_probe_checks_exactly_the_wrapper_features` compares. The
-/// older features `avx512f` implies (AVX2, FMA) come with every AVX-512 CPU.
+/// [`run_portable`] compiled for AVX-512: `avx512dq` brings the native
+/// 64-bit multiply. Its feature list and the probe in [`avx512_detected`]
+/// must name the same features. (Adding `avx512vl`, `avx512bw`, `bmi2` and
+/// the like emits the same instructions.)
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+fn run_avx512(prefix: u64, job: WordLoop<'_>) {
+    run_portable(prefix, job);
+}
+
+/// [`run_portable`] compiled for AVX2: four 64-bit lanes per vector, the
+/// multiplies built from 32-bit halves. Its feature list and the probe in
+/// [`avx2_detected`] must name the same features.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2(prefix: u64, job: WordLoop<'_>) {
+    run_portable(prefix, job);
+}
+
+/// Whether the running CPU has every feature [`run_avx512`] is compiled
+/// for. Must list exactly the wrapper's `#[target_feature]` list, which
+/// `every_probe_checks_exactly_its_wrapper_features` compares. The older
+/// features `avx512f` implies (AVX2, FMA) come with every AVX-512 CPU.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx512_detected() -> bool {
     use std::arch::is_x86_feature_detected as has;
     has!("avx512f") && has!("avx512dq")
+}
+
+/// Whether the running CPU has every feature [`run_avx2`] is compiled for;
+/// the same contract as [`avx512_detected`].
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn avx2_detected() -> bool {
+    use std::arch::is_x86_feature_detected as has;
+    has!("avx2")
 }
 
 #[cfg(test)]
@@ -96,13 +199,28 @@ mod tests {
     use super::*;
     use crate::hash::combine;
 
+    /// Every compile of the loops this host can run, portable first.
+    fn runnable_arms() -> Vec<InstructionSet> {
+        let mut arms = vec![InstructionSet::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_detected() {
+                arms.push(InstructionSet::Avx2);
+            }
+            if avx512_detected() {
+                arms.push(InstructionSet::Avx512);
+            }
+        }
+        arms
+    }
+
     #[test]
     fn planes_agree_with_direct_per_bit_hashing() {
         for seed in 0..8u64 {
             let prefix = combine(&[seed, 3, 77, 0x6269_7400]);
             let class_cut = 1u64 << 31; // ~half the bits in class 0
             let (cut0, cut1) = (1u64 << 30, 1u64 << 29);
-            let (s0, s1) = bit_planes_portable(prefix, class_cut, cut0, cut1);
+            let (s0, s1) = planes_loop(prefix, class_cut, cut0, cut1);
             for bit in 0..256u32 {
                 let h = mix64(prefix ^ u64::from(bit));
                 let is0 = (h & 0xFFFF_FFFF) < class_cut;
@@ -115,18 +233,47 @@ mod tests {
         }
     }
 
-    /// Asserts that the probed tier and the portable tier agree on one word.
-    fn assert_tiers_agree(prefix: u64, class_cut: u64, cut0: u64, cut1: u64) {
-        let probed = InstructionSet::detect();
-        assert_eq!(
-            bit_planes(prefix, class_cut, cut0, cut1, probed),
-            bit_planes(prefix, class_cut, cut0, cut1, InstructionSet::Portable),
-            "{probed:?} diverged at prefix {prefix:#x}, cuts ({class_cut}, {cut0}, {cut1})"
-        );
+    #[test]
+    fn keys_agree_with_direct_per_bit_hashing() {
+        for seed in 0..8u64 {
+            let prefix = combine(&[seed, 3, 77, 0x6362_6974]);
+            let class_cut = 1u64 << 31;
+            let mut keys = [0u64; 256];
+            keys_loop(prefix, class_cut, &mut keys);
+            for (bit, &key) in keys.iter().enumerate() {
+                let h = mix64(prefix ^ bit as u64);
+                let stuck_at_one = (h & 0xFFFF_FFFF) >= class_cut;
+                assert_eq!(key >> 32, u64::from(stuck_at_one), "seed {seed} bit {bit}");
+                assert_eq!(key & 0xFFFF_FFFF, h >> 32, "seed {seed} bit {bit}");
+                assert_eq!(key >> 24, u64::from(stuck_at_one) * 256 + (h >> 56));
+            }
+        }
+    }
+
+    /// Asserts that every runnable compile agrees with the portable one on
+    /// both loops for one word.
+    fn assert_arms_agree(prefix: u64, class_cut: u64, cut0: u64, cut1: u64) {
+        let portable = InstructionSet::Portable;
+        let planes = bit_planes(prefix, class_cut, cut0, cut1, portable);
+        let mut keys = [0u64; 256];
+        keyed_thresholds(prefix, class_cut, portable, &mut keys);
+        for arm in runnable_arms() {
+            assert_eq!(
+                bit_planes(prefix, class_cut, cut0, cut1, arm),
+                planes,
+                "{arm:?} planes diverged at prefix {prefix:#x}, cuts ({class_cut}, {cut0}, {cut1})"
+            );
+            let mut arm_keys = [0u64; 256];
+            keyed_thresholds(prefix, class_cut, arm, &mut arm_keys);
+            assert_eq!(
+                arm_keys, keys,
+                "{arm:?} keys diverged at prefix {prefix:#x}, class cut {class_cut}"
+            );
+        }
     }
 
     #[test]
-    fn probed_tier_matches_portable_tier_at_the_cut_edges() {
+    fn every_arm_matches_the_portable_arm_at_the_cut_edges() {
         for seed in 0..64u64 {
             let prefix = combine(&[seed, seed % 7, seed * 31, 0x6269_7400]);
             for (class_cut, cut0, cut1) in [
@@ -143,18 +290,18 @@ mod tests {
                     seed << 24,
                 ),
             ] {
-                assert_tiers_agree(prefix, class_cut, cut0, cut1);
+                assert_arms_agree(prefix, class_cut, cut0, cut1);
             }
         }
     }
 
     #[test]
-    fn probed_tier_matches_portable_tier_on_hashed_prefixes() {
+    fn every_arm_matches_the_portable_arm_on_hashed_prefixes() {
         // Cutoffs live in `0..=2³²` (`unit_cutoff`'s range).
         let cut = |h: u64| h % ((1 << 32) + 1);
         for i in 0..10_000u64 {
             let prefix = combine(&[i, 0x7072_6566]);
-            assert_tiers_agree(
+            assert_arms_agree(
                 prefix,
                 cut(mix64(prefix ^ 1)),
                 cut(mix64(prefix ^ 2)),
@@ -165,32 +312,57 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx512_probe_checks_exactly_the_wrapper_features() {
+    fn every_probe_checks_exactly_its_wrapper_features() {
         use std::collections::BTreeSet;
         let source = include_str!("bitsliced.rs");
-        let wrapper: BTreeSet<&str> = source
+        // Each wrapper: its `#[target_feature]` list, then `fn run_<arm>(`.
+        let wrappers: Vec<(&str, BTreeSet<&str>)> = source
             .split("#[target_feature(enable = \"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .expect("the wrapper's feature list")
-            .split(',')
-            .collect();
-        let probe = source
-            .split("fn avx512_detected() -> bool {")
-            .nth(1)
-            .and_then(|rest| rest.split("\n}\n").next())
-            .expect("the probe's body");
-        let probed: BTreeSet<&str> = probe
-            .split("has!(\"")
             .skip(1)
-            .filter_map(|rest| rest.split('"').next())
+            .map(|rest| {
+                let (list, body) = rest.split_once('"').expect("a closed feature list");
+                let arm = body
+                    .split_once("fn run_")
+                    .and_then(|(_, name)| name.split_once('('))
+                    .expect("the wrapper's name")
+                    .0;
+                (arm, list.split(',').collect())
+            })
             .collect();
-        assert!(wrapper.contains("avx512dq"), "{wrapper:?}");
-        assert_eq!(wrapper, probed, "wrapper and probe feature lists differ");
-        // With the lists equal, `Avx512` implies every wrapper feature.
+        let arms: BTreeSet<&str> = wrappers.iter().map(|(arm, _)| *arm).collect();
+        assert_eq!(arms, BTreeSet::from(["avx2", "avx512"]), "{wrappers:?}");
+        for (arm, features) in &wrappers {
+            let probe = source
+                .split(&format!("fn {arm}_detected() -> bool {{"))
+                .nth(1)
+                .and_then(|rest| rest.split("\n}\n").next())
+                .unwrap_or_else(|| panic!("no probe for the {arm} wrapper"));
+            let probed: BTreeSet<&str> = probe
+                .split("has!(\"")
+                .skip(1)
+                .filter_map(|rest| rest.split('"').next())
+                .collect();
+            assert_eq!(
+                *features, probed,
+                "{arm}: wrapper and probe feature lists differ"
+            );
+            // The feature each tier exists for: the AVX-512 compile's
+            // native 64-bit multiply (`vpmullq`) needs `avx512dq`.
+            let required = match *arm {
+                "avx512" => ["avx512f", "avx512dq"].as_slice(),
+                _ => ["avx2"].as_slice(),
+            };
+            for feature in required {
+                assert!(features.contains(feature), "{arm}: {features:?}");
+            }
+        }
+        // With the lists equal, each tier implies every feature of its
+        // wrapper; detection prefers the wider one.
+        let detected = InstructionSet::detect();
+        assert_eq!(detected == InstructionSet::Avx512, avx512_detected());
         assert_eq!(
-            InstructionSet::detect() == InstructionSet::Avx512,
-            avx512_detected()
+            detected == InstructionSet::Avx2,
+            avx2_detected() && !avx512_detected()
         );
     }
 }

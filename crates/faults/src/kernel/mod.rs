@@ -15,8 +15,8 @@
 //! | Backend                      | Dense tiles                     | Sparse tiles   |
 //! |------------------------------|---------------------------------|----------------|
 //! | [`KernelBackend::Scalar`]    | per-bit scalar                  | per-bit scalar |
-//! | [`KernelBackend::BitSliced`] | bit-sliced (AVX-512 if probed)  | bit-sliced     |
-//! | [`KernelBackend::Auto`]      | bit-sliced (AVX-512 if probed)  | per-bit scalar |
+//! | [`KernelBackend::BitSliced`] | bit-sliced (widest probed SIMD) | bit-sliced     |
+//! | [`KernelBackend::Auto`]      | bit-sliced (widest probed SIMD) | per-bit scalar |
 //!
 //! The bit-sliced path hashes whole 256-bit words a 64-bit lane at a time
 //! and turns the per-bit polarity/threshold comparisons into integer
@@ -70,14 +70,18 @@ pub enum KernelBackend {
     Auto,
 }
 
-/// The compile of the bit-plane loop the bit-sliced kernel runs, probed at
-/// runtime so one binary adapts to its host. Both compiles are the same
-/// source loop and agree bit for bit.
+/// The compile of the word loops the bit-sliced kernel and the coupled
+/// descents run, probed at runtime so one binary adapts to its host. Every
+/// compile is the same source loop and agrees bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstructionSet {
-    /// The loop compiled for the baseline target — correct everywhere.
+    /// The loops compiled for the baseline target — correct everywhere.
     Portable,
-    /// The loop compiled with AVX-512 enabled, which LLVM vectorizes with
+    /// The loops compiled with AVX2 enabled: four 64-bit lanes per vector.
+    /// Only ever constructed by [`InstructionSet::detect`], after it
+    /// confirms every feature that compile uses.
+    Avx2,
+    /// The loops compiled with AVX-512 enabled, which LLVM vectorizes with
     /// native 64-bit multiplies and mask-register compares. Only ever
     /// constructed by [`InstructionSet::detect`], after it confirms every
     /// feature that compile uses.
@@ -85,13 +89,19 @@ pub enum InstructionSet {
 }
 
 impl InstructionSet {
-    /// Probes the running CPU: [`InstructionSet::Avx512`] when it has every
-    /// feature of the AVX-512 compile, otherwise [`InstructionSet::Portable`].
+    /// Probes the running CPU for the widest compile it can run:
+    /// [`InstructionSet::Avx512`], then [`InstructionSet::Avx2`], otherwise
+    /// [`InstructionSet::Portable`].
     #[must_use]
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
-        if bitsliced::avx512_detected() {
-            return InstructionSet::Avx512;
+        {
+            if bitsliced::avx512_detected() {
+                return InstructionSet::Avx512;
+            }
+            if bitsliced::avx2_detected() {
+                return InstructionSet::Avx2;
+            }
         }
         InstructionSet::Portable
     }
@@ -149,7 +159,7 @@ impl BackendSel {
 /// A coupled-field sweep down a voltage grid needs no per-point rescan:
 /// [`MaskKernel::count_descent`] and [`MaskKernel::knot_descent`] hash the
 /// range once and place every failing bit at the first knot where it
-/// fails, and both are folds over the same per-bit walk.
+/// fails, and both are folds over the same per-word hashing loop.
 ///
 /// The concrete implementation is [`FieldKernel`], obtained from
 /// [`FaultInjector::kernel`]. The trait is dyn-compatible (callbacks take
@@ -211,14 +221,20 @@ pub trait MaskKernel {
     ///
     /// # Performance
     ///
-    /// One hash pass over the range: about `words × 256` mixes, plus a
-    /// search over the knots for each bit that fails at the last knot. The
-    /// search is one load from a per-tile table over the top byte of the
-    /// bit's raw threshold, and a binary search over the knots' integer
-    /// cutoffs only where a cutoff splits that byte's range. Words of tiles
-    /// that stay clean at every knot are not hashed. No mask is built, so
-    /// extra knots cost only their cutoffs. Every backend gets the same
-    /// counts from the same pass.
+    /// One hash pass over the range, with no per-bit call: the word loop
+    /// (the widest compile [`InstructionSet::detect`] finds)
+    /// hashes all 256 bits of a word at once and writes each bit's raw
+    /// threshold tagged with its polarity class. The fold adds every bit to
+    /// a per-tile histogram over class and top byte, one increment each
+    /// and no branch.
+    /// Each touched tile's histogram is folded into the knots once, through
+    /// a table that maps a top byte to the knot where its thresholds first
+    /// fail. Only bits whose top byte a knot's cutoff splits are placed one
+    /// by one, against the few cutoffs inside that byte's range. The fixed
+    /// cost is that table, built per tile the range touches from the
+    /// knots' integer cutoffs, so extra knots cost only their cutoffs.
+    /// Words of tiles that stay clean at every knot are not hashed. Every
+    /// backend gets the same counts from the same pass.
     ///
     /// # Panics
     ///
@@ -235,8 +251,14 @@ pub trait MaskKernel {
     /// bits whose index is at most `k`, equal to
     /// [`MaskKernel::faulty_words`] at `schedule[k]`.
     ///
-    /// Same pass and cost as [`MaskKernel::count_descent`]; a 1 mV grid
-    /// from 1.20 V to 0.81 V is 391 knots.
+    /// # Performance
+    ///
+    /// The same hashing loop and per-tile tables as
+    /// [`MaskKernel::count_descent`]. Instead of the histogram, the fold
+    /// builds each word's planes and first knots from the tagged
+    /// thresholds: one table load per bit, and a short scan of the cutoffs
+    /// inside the bit's top-byte range where a cutoff splits it. A 1 mV
+    /// grid from 1.20 V to 0.81 V is 391 knots.
     ///
     /// # Panics
     ///
@@ -373,7 +395,8 @@ impl MaskKernel for FieldKernel<'_> {
                 panic!("count descents require FaultFieldMode::MonotoneCoupled")
             }
             FaultFieldMode::MonotoneCoupled => {
-                self.injector.coupled_count_descent(pc, words, schedule)
+                self.injector
+                    .coupled_count_descent(pc, words, schedule, self.sel.isa())
             }
         }
     }
@@ -390,7 +413,8 @@ impl MaskKernel for FieldKernel<'_> {
                 panic!("knot descents require FaultFieldMode::MonotoneCoupled")
             }
             FaultFieldMode::MonotoneCoupled => {
-                self.injector.coupled_knot_descent(pc, words, schedule, f)
+                self.injector
+                    .coupled_knot_descent(pc, words, schedule, self.sel.isa(), f)
             }
         }
     }

@@ -55,10 +55,10 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the bit-sliced kernel enters its AVX-512
-// compile through one `unsafe` call, made after a runtime feature probe
-// under a scoped allow (`kernel::bitsliced::bit_planes`). Everything else
-// stays safe.
+// `deny` rather than `forbid`: the bit-sliced word loops enter their AVX2
+// and AVX-512 compiles through one `unsafe` call each, made after a runtime
+// feature probe under a scoped allow (`kernel::bitsliced::run`). Everything
+// else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

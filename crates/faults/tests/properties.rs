@@ -344,6 +344,39 @@ proptest! {
         }
     }
 
+    /// The count descent equals per-knot `count_range` on random strictly
+    /// descending schedules of 1–64 knots between 1200 and 810 mV, over
+    /// ranges that start inside a tile and cross at least one tile
+    /// boundary (a tile spans one 32-word row of one bank), under both
+    /// backends' compiles of the hashing loop.
+    #[test]
+    fn count_descent_matches_count_range_on_random_schedules(
+        seed in any::<u64>(),
+        pc_index in 0u8..32,
+        knots in proptest::collection::vec(810u32..=1200, 1..=64),
+        row in 0u64..240,
+        into_tile in 1u64..32,
+        len in 1u64..400,
+    ) {
+        let inj = injector(seed);
+        let pc = PcIndex::new(pc_index).unwrap();
+        let mut knots = knots;
+        knots.sort_unstable_by(|a, b| b.cmp(a));
+        knots.dedup();
+        let schedule: Vec<Millivolts> = knots.into_iter().map(Millivolts).collect();
+        let start = row * 32 + into_tile;
+        let range = start..(start + (32 - into_tile) + len).min(8192);
+        for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
+            let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, backend);
+            let counts = kernel.count_descent(pc, range.clone(), &schedule);
+            prop_assert_eq!(counts.len(), schedule.len());
+            for (&v, &count) in schedule.iter().zip(&counts) {
+                let (n0, n1) = kernel.count_range(pc, range.clone(), v);
+                prop_assert_eq!(count, n0 + n1, "{:?} diverged from count_range at {}", backend, v);
+            }
+        }
+    }
+
     /// The two fault fields share one analytic model, so their aggregate
     /// fault counts agree statistically at any voltage — near the guardband
     /// (where both are essentially zero), mid-slope, and at saturation.

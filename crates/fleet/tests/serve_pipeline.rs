@@ -283,6 +283,37 @@ fn over_long_lines_are_answered_in_band_and_the_session_goes_on() {
     }
 }
 
+#[test]
+fn a_deeply_nested_line_is_answered_in_band_and_the_session_goes_on() {
+    let store = model_only_store(4, 11);
+    let first = "{\"Recommend\":{\"device_id\":1,\"target_rate\":0.01,\"min_pcs\":16}}";
+    let last = "\"Summary\"";
+    // 1 MiB of `[`: the longest line served, nested far past the parser's
+    // depth bound.
+    let nested = "[".repeat(MAX_LINE_BYTES);
+    let input = format!("{first}\n{nested}\n{last}\n");
+    let expected = per_line_oracle(&store, input.as_bytes());
+    let responses: Vec<&str> = expected.output.lines().collect();
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    let rejected: FleetResponse = serde_json::from_str(responses[1]).unwrap();
+    let FleetResponse::Error(err) = rejected else {
+        panic!(
+            "a nested line must be answered with an error: {}",
+            responses[1]
+        );
+    };
+    assert_eq!(err.kind, "parse");
+    assert!(err.message.contains("recursion limit"), "{}", err.message);
+    assert!(responses[2].contains("Summary"), "{}", responses[2]);
+    for workers in [1usize, 4] {
+        assert_eq!(
+            pipelined(&store, input.as_bytes(), workers, None),
+            expected,
+            "{workers} workers"
+        );
+    }
+}
+
 /// A client that keeps `DEPTH` requests in flight: the server's input
 /// hands over request `i + DEPTH` only after response `i` has been
 /// flushed to the server's output.

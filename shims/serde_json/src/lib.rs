@@ -131,15 +131,24 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`from_str`] accepts, as in
+/// the real `serde_json`. The parser recurses once per level, so the bound
+/// keeps hostile input from overflowing the stack; it also bounds the
+/// recursive drop of the parsed tree.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 fn parse_value(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -182,8 +191,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::custom(format!(
+                        "recursion limit exceeded: more than {MAX_DEPTH} nested arrays \
+                         and objects at offset {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error::custom(format!(
                 "unexpected {:?} at offset {}",
@@ -403,6 +427,26 @@ mod tests {
         assert_eq!(to_string(&0.1f64).unwrap(), "0.1");
         let back: f64 = from_str("1.0").unwrap();
         assert_eq!(back, 1.0);
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(from_str::<Value>(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(from_str::<Value>(&nested(MAX_DEPTH, "{\"a\":", "}").replace(":}", ":1}")).is_ok());
+        for text in [
+            nested(MAX_DEPTH + 1, "[", "]"),
+            nested(MAX_DEPTH + 1, "{\"a\":", "}"),
+            "[".repeat(200_000),
+        ] {
+            let err = from_str::<Value>(&text).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
+        // Siblings do not add depth.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1, "[", "]"); 3].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
     }
 
     #[test]
