@@ -904,7 +904,8 @@ fn fleet_fidelity(args: &Args) -> Result<(), CliError> {
 
 /// `hbmctl serve`: load one artifact and answer typed requests over
 /// stdin/stdout as line-delimited JSON until EOF — no per-query artifact
-/// load, model-first recommendations, exact evidence only on fallback.
+/// load; a recommendation comes from a cached rescan row, else the model
+/// envelope, else exact evidence.
 ///
 /// All worker counts route through the serving pipeline
 /// ([`hbm_fleet::serve_concurrent`]): one reader hands the workers chunks

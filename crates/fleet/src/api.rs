@@ -115,7 +115,8 @@ impl FleetResponse {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ApiError {
     /// Machine-readable class: `config` (caller error, CLI exit 2),
-    /// `unknown-device`, `artifact`, `version`, `io`, `parse`, `runtime`.
+    /// `unknown-device`, `artifact`, `version`, `io`, `parse`, `runtime`,
+    /// `internal`.
     pub kind: String,
     /// Human-readable description.
     pub message: String,
@@ -145,6 +146,16 @@ impl ApiError {
     pub fn runtime(message: impl Into<String>) -> ApiError {
         ApiError {
             kind: "runtime".into(),
+            message: message.into(),
+        }
+    }
+
+    /// A request whose handling panicked: a defect of the service, not of
+    /// the request. The session answers it and goes on.
+    #[must_use]
+    pub fn internal(message: impl Into<String>) -> ApiError {
+        ApiError {
+            kind: "internal".into(),
             message: message.into(),
         }
     }

@@ -402,6 +402,21 @@ impl FleetStore {
             crash_jitter_mv: read_u16(40),
             weak_rate_threshold: f64::from_bits(read_u64(48)),
         };
+        // FleetConfig::validate's bounds. At most 65,280 bits per pseudo
+        // channel keep every count a u16 below CRASHED_KNOT, and a rate
+        // threshold of at most 1 admits no crashed cell.
+        if !(1..=255).contains(&meta.words_per_pc) {
+            return Err(FleetError::Artifact(format!(
+                "words per pseudo channel {} outside 1..=255",
+                meta.words_per_pc
+            )));
+        }
+        if !(0.0..=1.0).contains(&meta.weak_rate_threshold) {
+            return Err(FleetError::Artifact(format!(
+                "weak-rate threshold {} outside [0, 1]",
+                meta.weak_rate_threshold
+            )));
+        }
         let column_count = read_u32(44) as usize;
         if version == ARTIFACT_VERSION_V1 && column_count != V1_COLUMN_COUNT {
             return Err(FleetError::Artifact(format!(
@@ -936,6 +951,37 @@ mod tests {
             crafted[8..16].fill(0xFF);
             crafted[16..20].copy_from_slice(&1u32.to_le_bytes());
             assert!(FleetStore::from_bytes(crafted).is_err());
+        }
+    }
+
+    #[test]
+    fn header_fields_outside_the_config_bounds_are_artifact_errors() {
+        let (cfg, records) = artifact_fixture();
+        let bytes = encode(&cfg, &records);
+        let field = |at: std::ops::Range<usize>, value: [u8; 8]| {
+            let mut crafted = bytes.clone();
+            crafted[at].copy_from_slice(&value);
+            FleetStore::from_bytes(crafted)
+        };
+        for words in [0u64, 256, u64::MAX] {
+            match field(32..40, words.to_le_bytes()) {
+                Err(FleetError::Artifact(msg)) => assert!(msg.contains("words"), "{msg}"),
+                other => panic!("{words} words per PC: {other:?}"),
+            }
+        }
+        for threshold in [-0.5f64, 1.5, f64::NAN, f64::INFINITY] {
+            match field(48..56, threshold.to_bits().to_le_bytes()) {
+                Err(FleetError::Artifact(msg)) => assert!(msg.contains("threshold"), "{msg}"),
+                other => panic!("threshold {threshold}: {other:?}"),
+            }
+        }
+        for words in [1u64, 255] {
+            let store = field(32..40, words.to_le_bytes()).unwrap();
+            assert_eq!(store.meta().words_per_pc, words);
+        }
+        for threshold in [0.0f64, 1.0] {
+            let store = field(48..56, threshold.to_bits().to_le_bytes()).unwrap();
+            assert_eq!(store.meta().weak_rate_threshold, threshold);
         }
     }
 

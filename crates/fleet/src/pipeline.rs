@@ -6,31 +6,37 @@
 //! # Pipeline shape
 //!
 //! ```text
-//!            bounded queue                 reorder buffer
+//!                 queue                       reorder buffer
 //! reader ──▶ chunks of lines ──▶ worker ×N ──▶ answered chunks ──▶ emitter ──▶ output
-//!  splits     ≤ 64 lines each,    answer each   keyed by first     writes every ready
-//!  what is    2 × N chunks deep   line, timed   sequence number;   chunk as one buffer,
-//!  buffered   (back-pressure)     in a local    workers may        flushes when the next
-//!                                 histogram     finish out of      one is not ready
-//!                                               order
+//!  splits     ≤ 64 lines each     answer each   keyed by first     writes every ready
+//!  what is                        line, timed   sequence number;   chunk as one buffer,
+//!  buffered                       in a local    workers may        flushes when the
+//!                                 histogram     finish out of      next one is not
+//!                                               order              ready
+//!    └──────────── at most 4 × N chunks in flight, reader to emitter ─────────┘
 //! ```
 //!
 //! The reader runs on the caller's thread. It splits every complete line
 //! already in the input's buffer into one chunk (at most
-//! [`CHUNK_LINES`] lines), numbers the lines, and pushes the chunk into a
-//! bounded queue (capacity `2 × workers` chunks, so a slow worker
-//! back-pressures the reader instead of buffering the whole input). It
-//! blocks in a read only after everything already read has been pushed,
-//! so a client with requests in flight never waits behind a line the
-//! reader holds back. A [`std::thread::scope`] worker pool pops whole
-//! chunks, answers each line through the same `FleetService::handle_line`
-//! funnel, and inserts the chunk's serialized responses into a reorder
-//! buffer. A dedicated emitter thread drains that buffer strictly in
-//! sequence order and writes every chunk that is ready as one buffer. It
-//! flushes whenever the next chunk is not ready yet: a request/reply
-//! client over a pipe sends nothing until it has read its last response,
-//! so the emitter always reaches "not ready" and flushes before the
-//! client can block on it.
+//! [`CHUNK_LINES`] lines), numbers the lines, and queues the chunk for
+//! the workers. One window bounds the whole pipeline: the reader hands
+//! over a chunk only while fewer than `4 × workers` chunks are handed over
+//! and not yet taken by the emitter — queued, being answered, or parked in
+//! the reorder buffer behind a slower one. A line stuck in one worker, a
+//! rescan or a whole-store fidelity fit, so stops the reader after a
+//! fixed number of chunks instead of letting the other workers park
+//! answers for the whole input. The reader blocks in a read only after
+//! everything already read has been handed over, so a client with
+//! requests in flight never waits behind a line the reader holds back. A
+//! [`std::thread::scope`] worker pool pops whole chunks, answers each
+//! line through the same `FleetService::handle_line` funnel, and inserts
+//! the chunk's serialized responses into the reorder buffer. A dedicated
+//! emitter thread drains that buffer strictly in sequence order and
+//! writes every chunk that is ready as one buffer. It flushes whenever the
+//! next chunk is not ready yet: a request/reply client over a pipe sends
+//! nothing until it has read its last response, so the emitter always
+//! reaches "not ready" and flushes before the client can block on it. When
+//! a write fails, the emitter stops the reader and the workers.
 //!
 //! Locks, wake-ups and flushes are paid per chunk, not per line. With one
 //! worker the same reader, funnel and write path run inline on the
@@ -60,11 +66,15 @@
 //! requester becomes the flight leader and runs the kernel, every
 //! concurrent requester for the same device blocks on the in-flight
 //! result instead of rescanning — N identical concurrent misses perform
-//! exactly one kernel rescan.
+//! exactly one kernel rescan. A leader that panics wakes its waiters to
+//! fail the same way, and the next request starts a new flight. Once a
+//! row is cached, the service reads it ([`RescanCache::peek`]) before it
+//! consults the device's envelope at all.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufRead, Write};
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -86,6 +96,11 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// The most lines the reader hands to a worker at once.
 pub const CHUNK_LINES: usize = 64;
+
+/// Chunks in flight per worker — handed over by the reader and not yet
+/// taken by the emitter, whether queued, being answered or parked out of
+/// order. The reader waits while the window is full.
+const WINDOW_CHUNKS_PER_WORKER: usize = 4;
 
 /// Options for [`serve_concurrent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -419,13 +434,13 @@ fn write_answered(output: &mut impl Write, answered: Answered) -> io::Result<()>
     }
 }
 
-/// The bounded reader→worker queue of chunks.
+/// The reader→worker queue of chunks. It needs no bound of its own: the
+/// reader hands over a chunk only inside the in-flight window
+/// ([`Reorder::wait_for_room`]), which bounds the queue too.
 #[derive(Debug)]
 struct ChunkQueue {
     state: Mutex<QueueState>,
-    not_full: Condvar,
     not_empty: Condvar,
-    capacity: usize,
 }
 
 #[derive(Debug)]
@@ -438,7 +453,7 @@ struct QueueState {
 }
 
 impl ChunkQueue {
-    fn new(capacity: usize) -> Self {
+    fn new() -> Self {
         ChunkQueue {
             state: Mutex::new(QueueState {
                 chunks: VecDeque::new(),
@@ -446,19 +461,14 @@ impl ChunkQueue {
                 high_water: 0,
                 closed: false,
             }),
-            not_full: Condvar::new(),
             not_empty: Condvar::new(),
-            capacity: capacity.max(1),
         }
     }
 
-    /// Blocks while the queue is full (back-pressure on the reader).
-    /// `false` once the queue is closed: the chunk was not queued.
+    /// Queues a chunk for the workers. `false` once the queue is closed:
+    /// the chunk was not queued.
     fn push(&self, chunk: Chunk) -> bool {
         let mut state = self.state.lock().expect("request queue poisoned");
-        while state.chunks.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).expect("request queue poisoned");
-        }
         if state.closed {
             return false;
         }
@@ -473,7 +483,6 @@ impl ChunkQueue {
     fn close(&self) {
         self.state.lock().expect("request queue poisoned").closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 
     /// `None` once the queue is both drained and closed.
@@ -482,8 +491,6 @@ impl ChunkQueue {
         loop {
             if let Some(chunk) = state.chunks.pop_front() {
                 state.lines -= chunk.len();
-                drop(state);
-                self.not_full.notify_one();
                 return Some(chunk);
             }
             if state.closed {
@@ -502,33 +509,60 @@ impl ChunkQueue {
 }
 
 /// The worker→emitter reorder buffer: answered chunks keyed by their
-/// first sequence number, drained strictly in order.
+/// first sequence number, drained strictly in order. It also keeps the
+/// pipeline's one in-flight bound ([`Reorder::wait_for_room`]).
 #[derive(Debug)]
 struct Reorder {
     state: Mutex<ReorderState>,
     ready: Condvar,
+    room: Condvar,
+    window: u64,
 }
 
 #[derive(Debug)]
 struct ReorderState {
     /// The first sequence number not yet taken by the emitter.
     next: u64,
+    /// Chunks taken by the emitter.
+    taken: u64,
     pending: BTreeMap<u64, Answered>,
     /// Total sequence numbers assigned, set by the reader at EOF; the
     /// emitter is done when `next` reaches it.
     total: Option<u64>,
+    /// The emitter has stopped: nothing more will be taken.
+    closed: bool,
 }
 
 impl Reorder {
-    fn new() -> Self {
+    fn new(window: usize) -> Self {
         Reorder {
             state: Mutex::new(ReorderState {
                 next: 0,
+                taken: 0,
                 pending: BTreeMap::new(),
                 total: None,
+                closed: false,
             }),
             ready: Condvar::new(),
+            room: Condvar::new(),
+            window: window.max(1) as u64,
         }
+    }
+
+    /// Blocks the reader, which has handed over `handed` chunks, until one
+    /// more fits the in-flight window. `false` once the emitter stopped.
+    fn wait_for_room(&self, handed: u64) -> bool {
+        let mut state = self.state.lock().expect("reorder buffer poisoned");
+        while handed - state.taken >= self.window && !state.closed {
+            state = self.room.wait(state).expect("reorder buffer poisoned");
+        }
+        !state.closed
+    }
+
+    /// Stops the reader: the emitter writes nothing more.
+    fn close(&self) {
+        self.state.lock().expect("reorder buffer poisoned").closed = true;
+        self.room.notify_one();
     }
 
     /// Wakes the emitter only when the chunk is the one it waits for.
@@ -556,15 +590,19 @@ impl Reorder {
             let next = state.next;
             if let Some(mut run) = state.pending.remove(&next) {
                 state.next += run.lines;
+                state.taken += 1;
                 while run.error.is_none() {
                     let next = state.next;
                     let Some(more) = state.pending.remove(&next) else {
                         break;
                     };
                     state.next += more.lines;
+                    state.taken += 1;
                     run.bytes.extend_from_slice(&more.bytes);
                     run.error = more.error;
                 }
+                drop(state);
+                self.room.notify_one();
                 return Some(run);
             }
             if !wait || state.total == Some(next) {
@@ -660,14 +698,16 @@ pub fn serve_concurrent(
         return serve_inline(service, input, output, jitter);
     }
     let mut splitter = Splitter::new(input);
-    let queue = ChunkQueue::new(2 * workers);
-    let reorder = Reorder::new();
+    let queue = ChunkQueue::new();
+    let reorder = Reorder::new(WINDOW_CHUNKS_PER_WORKER * workers);
 
     let (read_result, emit_result, latency) = std::thread::scope(|scope| {
         let emitter = scope.spawn(|| {
             let result = emit(&reorder, &mut output);
             if result.is_err() {
-                // Nothing more can be written: stop the reader.
+                // Nothing more can be written: stop the reader and the
+                // workers.
+                reorder.close();
                 queue.close();
             }
             result
@@ -685,12 +725,14 @@ pub fn serve_concurrent(
             .collect();
 
         // The reader runs on the caller's thread, until EOF, an input
-        // error, or a closed queue.
+        // error, or a stopped emitter.
         let read_result = (|| {
+            let mut handed = 0;
             while let Some(chunk) = splitter.next_chunk()? {
-                if !queue.push(chunk) {
+                if !reorder.wait_for_room(handed) || !queue.push(chunk) {
                     break;
                 }
+                handed += 1;
             }
             Ok(())
         })();
@@ -768,8 +810,24 @@ struct CacheEntry {
 /// on the condvar.
 #[derive(Debug)]
 struct Flight {
-    done: Mutex<Option<Result<Arc<Vec<u16>>, FleetError>>>,
+    state: Mutex<FlightState>,
     finished: Condvar,
+}
+
+#[derive(Debug)]
+enum FlightState {
+    Running,
+    Done(Result<Arc<Vec<u16>>, FleetError>),
+    /// The leader panicked; its waiters panic too, each answered in-band
+    /// by the per-line panic guard.
+    Abandoned,
+}
+
+impl Flight {
+    fn land(&self, state: FlightState) {
+        *self.state.lock().expect("flight poisoned") = state;
+        self.finished.notify_all();
+    }
 }
 
 impl RescanCache {
@@ -802,6 +860,26 @@ impl RescanCache {
         }
     }
 
+    /// The cached count row for `key`, if one is ready: a cache hit, with
+    /// no rescan and no wait on one in flight.
+    pub(crate) fn peek(&self, key: u32) -> Option<Arc<Vec<u16>>> {
+        if self.budget_bytes == 0 {
+            return None;
+        }
+        let mut inner = self.inner.lock().expect("rescan cache poisoned");
+        self.hit(&mut inner, key)
+    }
+
+    /// Takes a ready row as a hit, refreshing its LRU position.
+    fn hit(&self, inner: &mut CacheInner, key: u32) -> Option<Arc<Vec<u16>>> {
+        inner.tick += 1;
+        let tick = inner.tick;
+        let entry = inner.ready.get_mut(&key)?;
+        entry.last_used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(entry.counts.clone())
+    }
+
     /// The memoized count row for `key`, computing it at most once across
     /// concurrent callers. `compute` must be a pure function of `key` (it
     /// is for kernel rescans: counts derive from `(config, device_id)`
@@ -818,12 +896,8 @@ impl RescanCache {
 
         let flight = {
             let mut inner = self.inner.lock().expect("rescan cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.ready.get_mut(&key) {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(entry.counts.clone());
+            if let Some(counts) = self.hit(&mut inner, key) {
+                return Ok(counts);
             }
             if let Some(flight) = inner.inflight.get(&key) {
                 // Someone else is already rescanning this device: wait for
@@ -831,14 +905,18 @@ impl RescanCache {
                 let flight = flight.clone();
                 drop(inner);
                 self.singleflight_waits.fetch_add(1, Ordering::Relaxed);
-                let mut done = flight.done.lock().expect("flight poisoned");
-                while done.is_none() {
-                    done = flight.finished.wait(done).expect("flight poisoned");
+                let mut state = flight.state.lock().expect("flight poisoned");
+                while matches!(*state, FlightState::Running) {
+                    state = flight.finished.wait(state).expect("flight poisoned");
                 }
-                return done.clone().expect("flight resolved");
+                if let FlightState::Done(result) = &*state {
+                    return result.clone();
+                }
+                drop(state);
+                panic!("the rescan of device {key} this request waited for panicked");
             }
             let flight = Arc::new(Flight {
-                done: Mutex::new(None),
+                state: Mutex::new(FlightState::Running),
                 finished: Condvar::new(),
             });
             inner.inflight.insert(key, flight.clone());
@@ -848,9 +926,21 @@ impl RescanCache {
         // This caller is the flight leader: run the kernel outside the
         // cache lock, publish to waiters, then install the entry.
         self.kernel_rescans.fetch_add(1, Ordering::Relaxed);
-        let result = compute().map(Arc::new);
-        *flight.done.lock().expect("flight poisoned") = Some(result.clone());
-        flight.finished.notify_all();
+        let result = match panic::catch_unwind(AssertUnwindSafe(compute)) {
+            Ok(result) => result.map(Arc::new),
+            Err(payload) => {
+                // Waiters would block forever on a leader that unwinds; the
+                // next request for the device starts a new flight.
+                flight.land(FlightState::Abandoned);
+                self.inner
+                    .lock()
+                    .expect("rescan cache poisoned")
+                    .inflight
+                    .remove(&key);
+                panic::resume_unwind(payload);
+            }
+        };
+        flight.land(FlightState::Done(result.clone()));
 
         let mut inner = self.inner.lock().expect("rescan cache poisoned");
         inner.inflight.remove(&key);
@@ -888,6 +978,7 @@ impl RescanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::FleetResponse;
     use std::sync::Barrier;
 
     /// Every line the splitter hands over (`None` for an over-long one)
@@ -1022,5 +1113,249 @@ mod tests {
         let ok = cache.get_or_rescan(9, || Ok(row(3))).unwrap();
         assert_eq!(*ok, row(3));
         assert_eq!(cache.counters().kernel_rescans, 2);
+    }
+
+    #[test]
+    fn a_panicking_rescan_fails_its_waiters_instead_of_hanging() {
+        let cache = RescanCache::new(1 << 20);
+        let threads = 4;
+        let barrier = Barrier::new(threads);
+        let outcomes: Vec<bool> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        panic::catch_unwind(AssertUnwindSafe(|| {
+                            cache.get_or_rescan(5, || -> Result<Vec<u16>, FleetError> {
+                                std::thread::sleep(std::time::Duration::from_millis(25));
+                                panic!("rescan defect");
+                            })
+                        }))
+                        .is_err()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(outcomes, vec![true; threads], "leader and waiters fail");
+        // The abandoned flight is gone: the next request rescans anew.
+        assert_eq!(*cache.get_or_rescan(5, || Ok(row(4))).unwrap(), row(4));
+    }
+
+    /// A three-device fleet over a clean grid: cheap to sweep and serve.
+    fn service() -> FleetService {
+        let cfg = crate::FleetConfig {
+            devices: 3,
+            workers: 1,
+            words_per_pc: 8,
+            from: hbm_units::Millivolts(1000),
+            down_to: hbm_units::Millivolts(960),
+            step: hbm_units::Millivolts(20),
+            weak_reference: hbm_units::Millivolts(980),
+            ..crate::FleetConfig::default()
+        };
+        let records = crate::sweep::run(&cfg).unwrap().records;
+        let bytes = crate::artifact::encode(&cfg, &records);
+        FleetService::new(crate::FleetStore::from_bytes(bytes).unwrap())
+    }
+
+    /// Serves `input` on a thread of its own; `None` when the session has
+    /// not ended within a minute.
+    fn serve_with_deadline(
+        service: FleetService,
+        input: impl BufRead + Send + 'static,
+        output: impl Write + Send + 'static,
+        workers: usize,
+    ) -> Option<(io::Result<PipelineStats>, FleetService)> {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let options = PipelineOptions {
+                workers,
+                completion_jitter: None,
+            };
+            let result = serve_concurrent(&service, input, output, &options);
+            let _ = done.send((result, service));
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .ok()
+    }
+
+    /// A `Vec` output that the test can read after the session.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Shared {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_in_band_at_every_worker_count() {
+        fn panic_on_summary(line: &str) {
+            assert_ne!(line, "\"Summary\"", "injected defect");
+        }
+        let mut input = String::new();
+        for i in 0..200 {
+            input.push_str(match i % 4 {
+                0 => "\"Summary\"\n",
+                1 => "{\"Recommend\":{\"device_id\":1,\"target_rate\":0.01,\"min_pcs\":16}}\n",
+                2 => "not json\n",
+                _ => "{\"Recommend\":{\"device_id\":9,\"target_rate\":0.01,\"min_pcs\":16}}\n",
+            });
+        }
+        let mut healthy = Vec::new();
+        serve_inline(&service(), input.as_bytes(), &mut healthy, None).unwrap();
+        let healthy = String::from_utf8(healthy).unwrap();
+
+        for workers in [1, 2, 4] {
+            let output = Shared::default();
+            let (result, service) = serve_with_deadline(
+                service().with_line_hook(panic_on_summary),
+                io::Cursor::new(input.clone().into_bytes()),
+                output.clone(),
+                workers,
+            )
+            .unwrap_or_else(|| panic!("a panicking request hung {workers} workers"));
+            let stats = result.unwrap();
+            assert_eq!(stats.serve.queries_served, 200);
+            assert_eq!(stats.latency.count, 200);
+            assert_eq!(service.stats().queries_served, 200);
+            let served = String::from_utf8(output.0.lock().unwrap().clone()).unwrap();
+            assert_eq!(served.lines().count(), 200, "{workers} workers");
+            for (i, (got, want)) in served.lines().zip(healthy.lines()).enumerate() {
+                if i % 4 == 0 {
+                    let FleetResponse::Error(err) = serde_json::from_str(got).unwrap() else {
+                        panic!("line {i}: {got}");
+                    };
+                    assert_eq!(err.kind, "internal", "line {i}");
+                    assert!(err.message.contains("injected defect"), "{}", err.message);
+                } else {
+                    assert_eq!(got, want, "line {i} at {workers} workers");
+                }
+            }
+        }
+    }
+
+    /// Input bytes the reader has consumed, and how many it had consumed
+    /// when the slow line was answered.
+    static CONSUMED: AtomicU64 = AtomicU64::new(0);
+    static CONSUMED_AT_SLOW: AtomicU64 = AtomicU64::new(u64::MAX);
+    const SLOW: &str = "\"slow\"";
+
+    /// Request bytes that count what the reader consumes.
+    struct Counted(io::Cursor<Vec<u8>>);
+
+    impl io::Read for Counted {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.read(out)?;
+            CONSUMED.fetch_add(n as u64, Ordering::SeqCst);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Counted {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            self.0.fill_buf()
+        }
+
+        fn consume(&mut self, amt: usize) {
+            CONSUMED.fetch_add(amt as u64, Ordering::SeqCst);
+            self.0.consume(amt);
+        }
+    }
+
+    #[test]
+    fn a_slow_line_holds_the_reader_within_the_in_flight_window() {
+        fn slow(line: &str) {
+            if line == SLOW {
+                // Long enough for the other worker to answer every other
+                // line, were the reader free to hand them over.
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                CONSUMED_AT_SLOW.store(CONSUMED.load(Ordering::SeqCst), Ordering::SeqCst);
+            }
+        }
+        // Every line is 9 bytes: `"slow"` or `not json`, and its newline.
+        let lines = 50 * CHUNK_LINES;
+        let mut input = format!("{SLOW}\n").into_bytes();
+        for _ in 1..lines {
+            input.extend_from_slice(b"not json\n");
+        }
+        let workers = 2;
+        let output = Shared::default();
+        let (result, _) = serve_with_deadline(
+            service().with_line_hook(slow),
+            Counted(io::Cursor::new(input)),
+            output.clone(),
+            workers,
+        )
+        .expect("the session ends");
+        result.unwrap();
+        assert_eq!(
+            output
+                .0
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count(),
+            lines
+        );
+        // The chunks in the window, plus the one the reader holds.
+        let window_lines = (WINDOW_CHUNKS_PER_WORKER * workers + 1) * CHUNK_LINES;
+        let read_lines = CONSUMED_AT_SLOW.load(Ordering::SeqCst) / 9;
+        assert!(
+            read_lines as usize <= window_lines,
+            "the reader ran {read_lines} lines ahead of a stuck line"
+        );
+    }
+
+    /// Endless request lines.
+    struct Endless;
+
+    impl io::Read for Endless {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.fill_buf()?.len().min(out.len());
+            out[..n].copy_from_slice(&self.fill_buf()?[..n]);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for Endless {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            Ok(b"not json\nnot json\nnot json\nnot json\n")
+        }
+
+        fn consume(&mut self, _: usize) {}
+    }
+
+    /// An output that fails every write, slowly enough that the reader
+    /// has filled the in-flight window and waits for room.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            Err(io::Error::new(io::ErrorKind::BrokenPipe, "closed"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_emitter_error_stops_the_reader() {
+        for workers in [2, 4] {
+            let (result, _) = serve_with_deadline(service(), Endless, Broken, workers)
+                .unwrap_or_else(|| panic!("the reader outlived the emitter at {workers} workers"));
+            assert_eq!(result.unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+        }
     }
 }

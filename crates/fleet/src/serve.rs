@@ -2,20 +2,31 @@
 //!
 //! [`FleetService`] wraps a [`FleetStore`] and answers [`FleetRequest`]s
 //! without re-opening the artifact per query — the whole point of the
-//! compressed format. Recommendations are served **model-first**: the
-//! per-device [`crate::model::DeviceModel`] decides every cell through
-//! its fidelity envelope, and only when a cell is genuinely undecidable
-//! does the service fall back to exact evidence — the stored FAULTS
-//! column when the artifact kept it, else an on-demand kernel rescan
-//! reconstructed from the header. Either way the answer is identical to
-//! the exact one; the envelope only ever changes *where* it comes from.
+//! compressed format. A `Recommend` takes the cheapest evidence that
+//! decides it, in this order:
+//!
+//! 1. **cached row** — on a model-only store, a device whose exact counts
+//!    a kernel rescan already derived this session is answered from the
+//!    rescan cache (a cache hit), without consulting the model;
+//! 2. **envelope** — the device's integer envelope bounds, built once per
+//!    session from its [`crate::model::DeviceModel`], decide every cell
+//!    they can; the answer stands unless a cell it depends on is
+//!    undecidable;
+//! 3. **exact evidence** — the stored FAULTS column when the artifact kept
+//!    it, else an on-demand kernel rescan reconstructed from the header,
+//!    through the single-flight rescan cache.
+//!
+//! Every route gives the answer the exact counts give; the order only
+//! changes *where* it comes from, never the response bytes.
 //!
 //! [`serve`] runs the LDJSON transport: one request JSON per input line,
 //! one response JSON per output line, same order. A malformed or
-//! over-long line produces an `Error` response (kind `parse`) and the
-//! loop continues; EOF ends the session and returns the counters.
+//! over-long line produces an `Error` response (kind `parse`), a request
+//! whose handling panics one of kind `internal`, and the loop continues;
+//! EOF ends the session and returns the counters.
 
 use std::io::{BufRead, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -27,7 +38,7 @@ use crate::config::FleetError;
 use crate::model::{fit_store, DeviceModel, FidelityReport};
 use crate::pipeline::{serve_inline, RescanCache};
 use crate::population::{FleetCostModel, PopulationSummary};
-use crate::query;
+use crate::query::{self, CountBounds};
 
 /// Default rescan-cache byte budget (`hbmctl serve --rescan-cache-mb 64`).
 pub const DEFAULT_RESCAN_CACHE_BYTES: usize = 64 * 1024 * 1024;
@@ -39,8 +50,8 @@ pub struct ServeStats {
     pub queries_served: u64,
     /// Recommendations answered purely from the compressed model.
     pub compressed_hits: u64,
-    /// Recommendations that needed exact evidence (stored column or
-    /// kernel rescan).
+    /// Recommendations answered from exact evidence: a cached rescanned
+    /// row, the stored column or a kernel rescan.
     pub exact_rescans: u64,
     /// Size of the loaded MODEL column in bytes (0 when absent).
     pub model_bytes: u64,
@@ -65,11 +76,17 @@ pub struct FleetService {
     exact_rescans: AtomicU64,
     /// Single-flight LRU cache over kernel-rescanned count rows.
     rescan_cache: RescanCache,
-    /// Per-device decoded models, decoded at most once per session.
-    models: Vec<OnceLock<Option<DeviceModel>>>,
+    /// Per-device integer envelope bounds ([`query::envelope_bounds`]),
+    /// built from the decoded model at most once per session; `None`
+    /// when the store has no MODEL column.
+    envelopes: Vec<OnceLock<Option<Box<[CountBounds]>>>>,
     /// The fidelity path's full model table (stored-column decode or a
     /// whole-store fit), built at most once per session.
     fitted: OnceLock<Result<Arc<Vec<DeviceModel>>, ApiError>>,
+    /// Runs first on every request line, inside the panic guard: lets
+    /// unit tests make a line slow or panic.
+    #[cfg(test)]
+    line_hook: Option<fn(&str)>,
 }
 
 impl FleetService {
@@ -92,9 +109,18 @@ impl FleetService {
             compressed_hits: AtomicU64::new(0),
             exact_rescans: AtomicU64::new(0),
             rescan_cache: RescanCache::new(budget_bytes),
-            models: (0..devices).map(|_| OnceLock::new()).collect(),
+            envelopes: (0..devices).map(|_| OnceLock::new()).collect(),
             fitted: OnceLock::new(),
+            #[cfg(test)]
+            line_hook: None,
         }
+    }
+
+    /// Runs `hook` first on every request line.
+    #[cfg(test)]
+    pub(crate) fn with_line_hook(mut self, hook: fn(&str)) -> FleetService {
+        self.line_hook = Some(hook);
+        self
     }
 
     /// The wrapped store.
@@ -129,6 +155,11 @@ impl FleetService {
     /// parameters come back as [`FleetResponse::Error`].
     pub fn handle(&self, request: &FleetRequest) -> FleetResponse {
         self.queries_served.fetch_add(1, Ordering::Relaxed);
+        self.respond(request)
+    }
+
+    /// [`FleetService::handle`] without counting the request.
+    fn respond(&self, request: &FleetRequest) -> FleetResponse {
         if let Err(err) = request.validate(self.store.meta().pc_count) {
             return FleetResponse::Error(err);
         }
@@ -161,17 +192,26 @@ impl FleetService {
             Ok(row) => row,
             Err(err) => return FleetResponse::Error(ApiError::from(&err)),
         };
-        if let Some(model) = self.cached_model(row) {
-            if let Some(rec) =
-                query::recommend_model(&self.store, row, &model, target_rate, min_pcs)
-            {
-                self.compressed_hits.fetch_add(1, Ordering::Relaxed);
-                return FleetResponse::Recommendation(rec);
+        let exact_stored = self.store.has_exact_counts();
+        // A row already rescanned is exact evidence in hand: cheaper than
+        // the envelope, and never ambiguous.
+        let cached = (!exact_stored)
+            .then(|| self.rescan_cache.peek(device_id))
+            .flatten();
+        if cached.is_none() {
+            if let Some(envelope) = self.envelope(row) {
+                if let Some(rec) =
+                    query::recommend_envelope(&self.store, row, envelope, target_rate, min_pcs)
+                {
+                    self.compressed_hits.fetch_add(1, Ordering::Relaxed);
+                    return FleetResponse::Recommendation(rec);
+                }
             }
         }
-        // No model column, or the envelope abstained: exact evidence.
+        // A cached row, no model column, or the envelope abstained: exact
+        // evidence.
         self.exact_rescans.fetch_add(1, Ordering::Relaxed);
-        if self.store.has_exact_counts() {
+        if exact_stored {
             return FleetResponse::Recommendation(query::recommend_exact(
                 &self.store,
                 row,
@@ -179,7 +219,7 @@ impl FleetService {
                 min_pcs,
             ));
         }
-        match self.rescan_row(row) {
+        match cached.map_or_else(|| self.rescan_row(row), Ok) {
             Ok(counts) => FleetResponse::Recommendation(query::recommend_from_counts(
                 &self.store,
                 row,
@@ -191,11 +231,16 @@ impl FleetService {
         }
     }
 
-    /// The device's decoded model, decoded at most once per session.
-    fn cached_model(&self, row: usize) -> Option<DeviceModel> {
-        self.models[row]
-            .get_or_init(|| self.store.model(row))
-            .clone()
+    /// The device's integer envelope bounds, built at most once per
+    /// session.
+    fn envelope(&self, row: usize) -> Option<&[CountBounds]> {
+        self.envelopes[row]
+            .get_or_init(|| {
+                self.store
+                    .model(row)
+                    .map(|model| query::envelope_bounds(&self.store, &model).into_boxed_slice())
+            })
+            .as_deref()
     }
 
     /// The device's exact count row via the single-flight rescan cache:
@@ -244,16 +289,41 @@ impl FleetService {
     /// the single per-line funnel of every serving path, so all worker
     /// counts produce byte-identical response lines by construction.
     ///
+    /// A panic while answering is caught here and answered in-band with
+    /// an `internal` error, so one defective request costs its own answer
+    /// and not the session.
+    ///
     /// # Errors
     ///
     /// Only response *serialization* failures surface as `Err` (they
     /// abort the transport); a malformed request is answered in-band as
     /// an `Error` response line.
     pub(crate) fn handle_line(&self, line: &str) -> Result<String, ApiError> {
-        match serde_json::from_str::<FleetRequest>(line) {
-            Ok(request) => self.handle(&request).to_json(),
-            Err(err) => self.reject_line(ApiError::parse(format!("bad request line: {err}"))),
-        }
+        self.queries_served.fetch_add(1, Ordering::Relaxed);
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if let Some(hook) = self.line_hook {
+                hook(line);
+            }
+            match serde_json::from_str::<FleetRequest>(line) {
+                Ok(request) => self.respond(&request),
+                Err(err) => {
+                    FleetResponse::Error(ApiError::parse(format!("bad request line: {err}")))
+                }
+            }
+            .to_json()
+        }))
+        .unwrap_or_else(|payload| {
+            let cause = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            FleetResponse::Error(ApiError::internal(format!(
+                "answering the request panicked: {cause}"
+            )))
+            .to_json()
+        })
     }
 
     /// Answers a request line the transport could not parse with `err`,

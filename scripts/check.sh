@@ -27,6 +27,12 @@ cargo test --workspace -q
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
+# The end-to-end benchmark is a package of its own, outside the workspace:
+# its unit tests, among them the check that BENCHMARK.json declares
+# exactly the metrics its binary prints.
+echo "==> cargo test --offline --manifest-path e2e-bench/Cargo.toml -q"
+cargo test --offline --manifest-path e2e-bench/Cargo.toml -q
+
 # Smoke: a checkpointed supervised sweep resumes from its own file.
 echo "==> hbmctl sweep --checkpoint/--resume smoke"
 ckpt="$(mktemp -u /tmp/hbmctl-check-XXXXXX.json)"
@@ -99,8 +105,11 @@ sjson="$(mktemp -u /tmp/hbmctl-serve-XXXXXX.jsonl)"
 ./target/release/hbmctl fleet sweep --devices 3 --words 8 \
     --from 960 --to 820 --step 20 --weak-reference 900 \
     --out "$hbfa" >/dev/null
+khbfa="$(mktemp -u /tmp/hbmctl-fleet-keep-XXXXXX.hbfa)"
 ./target/release/hbmctl fleet compress --artifact "$hbfa" \
     --out "$chbfa" >/dev/null
+./target/release/hbmctl fleet compress --artifact "$hbfa" \
+    --out "$khbfa" --keep-exact >/dev/null
 ./target/release/hbmctl fleet fidelity --artifact "$hbfa" >/dev/null
 printf '%s\n' \
     '{"Recommend":{"device_id":1,"target_rate":0.01,"min_pcs":16}}' \
@@ -154,7 +163,13 @@ awk 'BEGIN {
     <"$sreq" 2>/dev/null >"$s4json"
 cmp "$s1json" "$s4json"
 test "$(wc -l <"$s4json")" -eq "$(grep -c '[^[:space:]]' "$sreq")"
-rm -f "$hbfa" "$chbfa" "$sjson" "$s1json" "$s4json" "$sreq"
+# Evidence routing never changes bytes: the artifact that kept its exact
+# FAULTS column answers from the stored counts where the model-only one
+# rescans or reads its rescan cache, and the output is the same.
+./target/release/hbmctl serve --artifact "$khbfa" --serve-workers 4 \
+    <"$sreq" 2>/dev/null >"$s1json"
+cmp "$s1json" "$s4json"
+rm -f "$hbfa" "$chbfa" "$khbfa" "$sjson" "$s1json" "$s4json" "$sreq"
 
 # Smoke: a flip-only throughput descent and a latency-budgeted descent on
 # the same seed, pinned byte-for-byte against committed goldens — and the
