@@ -1,8 +1,8 @@
 //! Kernel bench for the region-tiled fault injector: the cached path
-//! (tile probability cache + geometric skip enumeration) against the naive
-//! per-word reference path, per voltage; the bit-sliced dense-region
+//! (tile probability cache + activation-index enumeration) against the
+//! naive per-word reference path, per voltage; the bit-sliced dense-region
 //! kernel against the forced-scalar walk in the dense regime (≤ 860 mV);
-//! coupled count descents over fleet devices at 1, 17 and 391 knots; and
+//! count descents over fleet devices at 1, 17 and 391 knots; and
 //! a `quick()`-shaped reliability sweep in both execution modes. Every
 //! comparison asserts bit-identical results before recording timings to
 //! `BENCH_injector_kernel.json`.
@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use hbm_device::{HbmGeometry, PcIndex, WordOffset};
-use hbm_faults::{FaultFieldMode, FaultInjector, FaultModelParams, KernelBackend, MaskKernel};
+use hbm_faults::{FaultInjector, FaultModelParams, KernelBackend, MaskKernel};
 use hbm_fleet::FleetConfig;
 use hbm_undervolt::{ExecutionMode, Platform, ReliabilityConfig, ReliabilityTester};
 use hbm_units::Millivolts;
@@ -137,9 +137,9 @@ fn main() {
         SEED,
     );
     let pc = PcIndex::new(0).expect("pc0");
-    let auto = injector.kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto);
-    let scalar = injector.kernel(FaultFieldMode::PerVoltage, KernelBackend::Scalar);
-    let sliced = injector.kernel(FaultFieldMode::PerVoltage, KernelBackend::BitSliced);
+    let auto = injector.kernel(KernelBackend::Auto);
+    let scalar = injector.kernel(KernelBackend::Scalar);
+    let sliced = injector.kernel(KernelBackend::BitSliced);
     println!("injector_kernel: seed {SEED}, {WORDS} words per PC, best of {ITERATIONS}");
 
     let mut per_voltage = Vec::new();
@@ -226,7 +226,7 @@ fn main() {
         "dense-region bit-sliced speedup regressed below 8x: {dense_region_min_speedup:.1}x"
     );
 
-    // Coupled count descents in the fleet sweep's shape: every pseudo
+    // Count descents in the fleet sweep's shape: every pseudo
     // channel's first 64 words of fleet devices (their own seeds), along
     // a descending grid. Each call pays its own per-tile knot searches, as
     // `fleet sweep` does. Every knot's count is checked against a
@@ -252,7 +252,7 @@ fn main() {
     let descend = |schedule: &[Millivolts]| {
         let mut per_knot = vec![0u64; schedule.len()];
         for injector in &devices {
-            let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+            let kernel = injector.kernel(KernelBackend::Auto);
             for &pc in &pcs {
                 let counts = kernel.count_descent(pc, 0..FLEET_WORDS, schedule);
                 for (total, count) in per_knot.iter_mut().zip(counts) {
@@ -276,7 +276,7 @@ fn main() {
         for (&v, &count) in schedule.iter().zip(&per_knot) {
             let mut scanned = 0;
             for injector in &devices {
-                let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+                let kernel = injector.kernel(KernelBackend::Auto);
                 for &pc in &pcs {
                     let (c0, c1) = kernel.count_range(pc, 0..FLEET_WORDS, v);
                     scanned += c0 + c1;

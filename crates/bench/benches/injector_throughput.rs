@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hbm_device::{HbmGeometry, PcIndex, WordOffset};
-use hbm_faults::{FaultFieldMode, FaultInjector, FaultModelParams, KernelBackend, MaskKernel};
+use hbm_faults::{FaultInjector, FaultModelParams, KernelBackend, MaskKernel};
 use hbm_units::Millivolts;
 
 fn bench_injector(c: &mut Criterion) {
@@ -13,7 +13,7 @@ fn bench_injector(c: &mut Criterion) {
     let words = 4096u64;
 
     for backend in [KernelBackend::Scalar, KernelBackend::BitSliced] {
-        let kernel = injector.kernel(FaultFieldMode::PerVoltage, backend);
+        let kernel = injector.kernel(backend);
         let name = format!("{backend:?}").to_lowercase();
         let mut group = c.benchmark_group(format!("injector_masks/{name}"));
         group.throughput(Throughput::Elements(words));

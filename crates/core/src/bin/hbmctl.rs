@@ -14,7 +14,6 @@
 //!                    [--from MV] [--to MV] [--step MV]
 //!                    [--batch N] [--words N] [--sample N]
 //!                    [--exec cached|traffic]
-//!                    [--fault-field per-voltage|coupled]
 //! hbmctl sweep       [reliability flags] [--checkpoint FILE] [--resume]
 //!                    [--retries N] [--point-deadline MS] [--v-crash MV]
 //!                    [--transient-prob P] [--transient-window MV]
@@ -61,10 +60,10 @@ use hbm_power::HbmPowerModel;
 use hbm_traffic::DataPattern;
 use hbm_undervolt::report::{to_json, Render};
 use hbm_undervolt::{
-    summarize, ExecutionMode, Experiment, FaultFieldMode, GovernorConfig, GovernorScenario,
-    GuardbandFinder, JsonlSink, PlanRequest, Platform, PowerSweep, ProgressSink, ReliabilityConfig,
-    ReliabilityTester, SweepCheckpoint, SweepConfig, SystemClock, Telemetry, TestScope,
-    TradeOffAnalysis, VoltageSweep, WorkloadMode,
+    summarize, ExecutionMode, Experiment, GovernorConfig, GovernorScenario, GuardbandFinder,
+    JsonlSink, PlanRequest, Platform, PowerSweep, ProgressSink, ReliabilityConfig,
+    ReliabilityTester, SweepConfig, SystemClock, Telemetry, TestScope, TradeOffAnalysis,
+    VoltageSweep, WorkloadMode,
 };
 use hbm_units::{Millivolts, Ratio};
 
@@ -72,8 +71,7 @@ use hbm_units::{Millivolts, Ratio};
 const BOOLEAN_FLAGS: &[&str] = &["resume", "progress", "keep-exact"];
 
 /// The measurement flags `reliability` and `sweep` share.
-const RELIABILITY_FLAGS: &str =
-    "seed workers format from to step batch words sample exec fault-field";
+const RELIABILITY_FLAGS: &str = "seed workers format from to step batch words sample exec";
 
 /// The flags each command reads, as space-separated lists mirroring
 /// [`USAGE`]; any other flag is a usage error. `fleet` subcommands are
@@ -219,7 +217,7 @@ const USAGE: &str = "usage:
   hbmctl power-sweep [--seed N] [--workers N] [--format text|csv|json]
   hbmctl reliability [--seed N] [--workers N] [--format text|csv|json]
                      [--from MV] [--to MV] [--step MV] [--batch N] [--words N] [--sample N]
-                     [--exec cached|traffic] [--fault-field per-voltage|coupled]
+                     [--exec cached|traffic]
   hbmctl sweep       [reliability flags] [--checkpoint FILE] [--resume]
                      [--retries N] [--point-deadline MS] [--v-crash MV]
                      [--transient-prob P] [--transient-window MV]
@@ -338,12 +336,6 @@ fn reliability_config(args: &Args) -> Result<ReliabilityConfig, CliError> {
             )))
         }
     };
-    let field_token: String = args.flag("fault-field", "per-voltage".to_owned())?;
-    let fault_field = FaultFieldMode::from_token(&field_token).ok_or_else(|| {
-        CliError::config(format!(
-            "unknown fault field: {field_token} (use per-voltage or coupled)"
-        ))
-    })?;
 
     Ok(ReliabilityConfig {
         sweep: VoltageSweep::new(from, to, step).map_err(|e| CliError::config(e.to_string()))?,
@@ -353,7 +345,6 @@ fn reliability_config(args: &Args) -> Result<ReliabilityConfig, CliError> {
         words_per_pc: Some(words),
         sample_words: sample,
         mode,
-        fault_field,
     })
 }
 
@@ -362,9 +353,7 @@ fn reliability_config(args: &Args) -> Result<ReliabilityConfig, CliError> {
 /// measurement, assembled through the unified [`SweepConfig`].
 fn supervised_sweep(seed: u64, workers: usize, args: &Args) -> Result<(), CliError> {
     let format: String = args.flag("format", "text".to_owned())?;
-    let reliability = reliability_config(args)?;
-    let fault_field = reliability.fault_field;
-    let mut config = SweepConfig::from_reliability(reliability)
+    let mut config = SweepConfig::from_reliability(reliability_config(args)?)
         .seed(seed)
         .workers(workers)
         .retries(args.flag("retries", 3u32)?);
@@ -383,17 +372,11 @@ fn supervised_sweep(seed: u64, workers: usize, args: &Args) -> Result<(), CliErr
         let window: Millivolts = args.flag("transient-window", Millivolts(50))?;
         config = config.transient_crashes(TransientCrashModel::new(probability, window));
     }
-    let checkpoint_path = args.optional::<String>("checkpoint")?;
-    if let Some(path) = &checkpoint_path {
-        config = config.checkpoint(path.clone());
+    if let Some(path) = args.optional::<String>("checkpoint")? {
+        config = config.checkpoint(path);
     }
     let resume: bool = args.flag("resume", false)?;
     config = config.resume(resume);
-    if resume {
-        if let Some(path) = &checkpoint_path {
-            check_resume_fault_field(path, fault_field)?;
-        }
-    }
 
     // Observation: --trace-file streams the typed event log as JSONL (in
     // diffable mode, so traces for one campaign compare byte-for-byte
@@ -426,34 +409,6 @@ fn supervised_sweep(seed: u64, workers: usize, args: &Args) -> Result<(), CliErr
     let report = result.map_err(|e| CliError::runtime(e.to_string()))?;
     render(&report, &format)?;
     eprintln!("hbmctl: {}", summarize(&report));
-    Ok(())
-}
-
-/// Rejects `--resume` when the checkpoint on disk was recorded under a
-/// different `--fault-field` mode: the two fields assign faults to
-/// different concrete bits, so splicing their points into one report
-/// would silently mix incompatible measurements. This is a *usage*
-/// mistake (exit 2); a file that does not parse as a current-format
-/// checkpoint is left for the supervisor's own validation, which reports
-/// it as a runtime error (exit 1).
-fn check_resume_fault_field(path: &str, requested: FaultFieldMode) -> Result<(), CliError> {
-    let Ok(contents) = std::fs::read_to_string(path) else {
-        return Ok(());
-    };
-    let Ok(checkpoint) = serde_json::from_str::<SweepCheckpoint>(&contents) else {
-        return Ok(());
-    };
-    let Ok(config) = serde_json::from_str::<ReliabilityConfig>(&checkpoint.config_json) else {
-        return Ok(());
-    };
-    if config.fault_field != requested {
-        return Err(CliError::config(format!(
-            "--resume: checkpoint {path} was recorded with --fault-field {}, \
-             but this run requests --fault-field {}",
-            config.fault_field.as_token(),
-            requested.as_token()
-        )));
-    }
     Ok(())
 }
 

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use hbm_device::{DeviceError, PcIndex, PcShard, PortId, Word256, WordOffset};
-use hbm_faults::{FaultFieldMode, FaultInjector, FieldKernel, KernelBackend, MaskKernel};
+use hbm_faults::{FaultInjector, FieldKernel, KernelBackend, MaskKernel};
 use hbm_traffic::{DataPattern, MacroProgram, MemoryPort, PortStats, TrafficGenerator};
 use hbm_units::Millivolts;
 
@@ -157,9 +157,9 @@ enum MaskSet {
         samples: Vec<(u64, Word256, Word256)>,
     },
     /// Per-pattern pass statistics with no masks stored at all: folded
-    /// *during* a dense-regime enumeration, or read from a coupled-field
-    /// descent row. The working set stays O(patterns) even when nearly
-    /// every word of the range is faulty. Mask sums commute, so the fold
+    /// *during* a dense-regime enumeration, or read from a descent row.
+    /// The working set stays O(patterns) even when nearly every word of
+    /// the range is faulty. Mask sums commute, so the fold
     /// is identical to replaying a collected vector.
     Streamed {
         words: u64,
@@ -292,10 +292,9 @@ fn build_sequential(
 /// after all builders join — so the trace is identical at every worker
 /// count.
 ///
-/// `kernel` supplies the masks: the fault field it was built for decides
-/// which faults exist, and its backend only how fast they are found (the
-/// sweeps pass [`hbm_faults::KernelBackend::Auto`]; tests pass the scalar
-/// reference). `patterns` is needed up front because dense-regime
+/// `kernel` supplies the masks: its backend decides only how fast the
+/// faults are found, never which (the sweeps pass
+/// [`hbm_faults::KernelBackend::Auto`]; tests pass the scalar reference). `patterns` is needed up front because dense-regime
 /// sequential builds fold their per-pattern statistics during enumeration
 /// (streaming mode) instead of collecting masks.
 ///
@@ -316,7 +315,7 @@ pub(crate) fn build_mask_sets(
 ) -> Result<Vec<PortMasks>, ExperimentError> {
     check_enabled(platform, ports)?;
     let seed = platform.seed();
-    let build = move |port: PortId| -> PortMasks {
+    let build = move |&port: &PortId| -> PortMasks {
         let pc = port.direct_pc();
         let set = match sample_words {
             None => build_sequential(kernel, pc, words, voltage, patterns),
@@ -332,27 +331,38 @@ pub(crate) fn build_mask_sets(
         };
         PortMasks { port, set }
     };
-    let workers = platform.workers().min(ports.len()).max(1);
-    let sets: Vec<PortMasks> = if workers <= 1 {
-        ports.iter().map(|&p| build(p)).collect()
-    } else {
-        let chunk = ports.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ports
-                .chunks(chunk)
-                .map(|slice| {
-                    let build = &build;
-                    scope.spawn(move || slice.iter().map(|&p| build(p)).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("mask builder thread panicked"))
-                .collect()
-        })
-    };
+    let sets = shard_map(ports, platform.workers(), build);
     emit_shards_done(&sets, telemetry);
     Ok(sets)
+}
+
+/// Runs `build` on every port of `ports` across up to `workers` scoped
+/// threads, one contiguous chunk of ports per thread, and returns the
+/// results in `ports` order regardless of scheduling. The shard loop of
+/// both mask-set builders; with one worker it is a plain loop.
+fn shard_map<R: Send>(
+    ports: &[PortId],
+    workers: usize,
+    build: impl Fn(&PortId) -> R + Sync,
+) -> Vec<R> {
+    let workers = workers.min(ports.len()).max(1);
+    if workers <= 1 {
+        return ports.iter().map(build).collect();
+    }
+    let chunk = ports.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = ports
+            .chunks(chunk)
+            .map(|slice| {
+                let build = &build;
+                scope.spawn(move || slice.iter().map(build).collect::<Vec<_>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("mask builder thread panicked"))
+            .collect()
+    })
 }
 
 /// [`DeviceError::PortDisabled`] for the first disabled port of `ports` —
@@ -380,24 +390,27 @@ fn emit_shards_done(sets: &[PortMasks], telemetry: &Telemetry) {
     }
 }
 
-/// The coupled-field descent rows a platform has computed: for each
-/// `(port, words, voltage)`, the per-pattern statistics one write/read-back
-/// pass over `0..words` of the port measures at that voltage. A row is a
+/// The descent rows a platform has computed: for each `(port, words,
+/// voltage)`, the per-pattern statistics one write/read-back pass over
+/// `0..words` of the port measures at that voltage. A row is a
 /// pure function of the fault realization, so it stays valid across power
 /// cycles, retries and sweeps until the temperature changes.
 pub(crate) type DescentRows = BTreeMap<(u8, u64, Millivolts), Vec<(DataPattern, PortStats)>>;
 
-/// The coupled-field counterpart of [`build_mask_sets`] for sequential
-/// walks: every port's set is its descent row at `schedule[0]`, handed out
-/// as a [`MaskSet::Streamed`] set. A port without a row there first runs
-/// one [`MaskKernel::knot_descent`] over the whole `schedule` (this voltage
-/// and every lower one the sweep will visit) and keeps a row per knot, so
-/// the following points read rows instead of enumerating masks.
+/// The descending counterpart of [`build_mask_sets`] for sequential walks:
+/// every port's set is its descent row at `schedule[0]`, handed out as a
+/// [`MaskSet::Streamed`] set. The ports without a row there first run one
+/// [`MaskKernel::knot_descent`] each over the whole `schedule` (this
+/// voltage and every lower one the sweep will visit), sharded across the
+/// platform's workers like [`build_mask_sets`]; a row per knot is kept
+/// once they join, so the following points read rows instead of
+/// enumerating masks.
 ///
 /// The rows are bit-identical to a from-scratch [`build_mask_sets`] at each
 /// knot: the descent's masks at a knot are exactly the enumeration's there
-/// (for every backend), and the row is the same per-word sum. Ports are
-/// descended one after another; the events match [`build_mask_sets`].
+/// (for every backend), and the row is the same per-word sum. A row is a
+/// pure function of its port, so the worker count changes nothing; the
+/// events match [`build_mask_sets`].
 ///
 /// Returns the sets in `ports` order plus the words the point's descents
 /// hashed (zero when every row was already known).
@@ -416,36 +429,38 @@ pub(crate) fn build_mask_sets_descended(
 ) -> Result<(Vec<PortMasks>, u64), ExperimentError> {
     check_enabled(platform, ports)?;
     let voltage = schedule[0];
-    let mut descended = 0;
-    let mut sets = Vec::with_capacity(ports.len());
+    let known = platform.descent_rows();
+    let mut missing: Vec<PortId> = Vec::new();
     for &port in ports {
-        let key = (port.as_u8(), words, voltage);
-        let known = platform
-            .descent_rows()
-            .get(&key)
-            .is_some_and(|row| row.iter().map(|(p, _)| p).eq(patterns));
-        if !known {
-            let kernel = platform
-                .injector()
-                .kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
-            let rows = descent_rows(kernel, port.direct_pc(), words, schedule, patterns);
-            descended += words;
-            for (&v, row) in schedule.iter().zip(rows) {
-                platform
-                    .descent_rows()
-                    .insert((port.as_u8(), words, v), row);
-            }
+        let row = known.get(&(port.as_u8(), words, voltage));
+        if !row.is_some_and(|row| row.iter().map(|(p, _)| p).eq(patterns))
+            && !missing.contains(&port)
+        {
+            missing.push(port);
         }
-        sets.push(PortMasks {
+    }
+    let kernel = platform.injector().kernel(KernelBackend::Auto);
+    let descents = shard_map(&missing, platform.workers(), |port| {
+        descent_rows(kernel, port.direct_pc(), words, schedule, patterns)
+    });
+    let rows = platform.descent_rows();
+    for (port, port_rows) in missing.iter().zip(descents) {
+        for (&v, row) in schedule.iter().zip(port_rows) {
+            rows.insert((port.as_u8(), words, v), row);
+        }
+    }
+    let sets: Vec<PortMasks> = ports
+        .iter()
+        .map(|&port| PortMasks {
             port,
             set: MaskSet::Streamed {
                 words,
-                stats: platform.descent_rows()[&key].clone(),
+                stats: rows[&(port.as_u8(), words, voltage)].clone(),
             },
-        });
-    }
+        })
+        .collect();
     emit_shards_done(&sets, telemetry);
-    Ok((sets, descended))
+    Ok((sets, words * missing.len() as u64))
 }
 
 /// One port's descent rows: for every knot of `schedule`, the per-pattern
@@ -511,7 +526,6 @@ fn descent_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hbm_faults::{FaultFieldMode, KernelBackend};
 
     fn jobs_for(
         platform: &Platform,
@@ -574,9 +588,7 @@ mod tests {
                 128,
                 sample_words,
                 Millivolts(860),
-                platform
-                    .injector()
-                    .kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto),
+                platform.injector().kernel(KernelBackend::Auto),
                 &[DataPattern::AllOnes, DataPattern::Checkerboard],
                 Telemetry::disabled(),
             )
@@ -619,9 +631,7 @@ mod tests {
                 256,
                 None,
                 Millivolts(880),
-                platform
-                    .injector()
-                    .kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto),
+                platform.injector().kernel(KernelBackend::Auto),
                 &[DataPattern::AllOnes],
                 Telemetry::disabled(),
             )
@@ -646,9 +656,7 @@ mod tests {
             64,
             None,
             Millivolts(900),
-            platform
-                .injector()
-                .kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto),
+            platform.injector().kernel(KernelBackend::Auto),
             &[DataPattern::AllOnes],
             Telemetry::disabled(),
         )
@@ -664,11 +672,10 @@ mod tests {
 
     #[test]
     fn auto_kernel_never_changes_results_vs_forced_scalar() {
-        // The backend only changes speed: in both fault fields, at every
-        // point of the quick grid and deep in the dense region, the
-        // density-adaptive kernel builds the same mask sets as the scalar
-        // reference — sequential, sampled and, for the coupled field,
-        // every descent row.
+        // The backend only changes speed: at every point of the quick grid
+        // and deep in the dense region, the density-adaptive kernel builds
+        // the same mask sets as the scalar reference — sequential, sampled
+        // and every descent row.
         let platform = Platform::builder().seed(7).build();
         let ports: Vec<PortId> = (0..platform.geometry().total_pcs())
             .map(|i| PortId::new(i).unwrap())
@@ -680,48 +687,45 @@ mod tests {
         voltages.sort_unstable_by(|a, b| b.cmp(a));
         voltages.dedup();
         let words = 512;
-        for field in [FaultFieldMode::PerVoltage, FaultFieldMode::MonotoneCoupled] {
-            let scalar = platform.injector().kernel(field, KernelBackend::Scalar);
-            let auto = platform.injector().kernel(field, KernelBackend::Auto);
-            // Per port, each backend's descent rows over the whole grid.
-            let rows: Vec<_> = ports
-                .iter()
-                .filter(|_| field == FaultFieldMode::MonotoneCoupled)
-                .map(|port| {
-                    [scalar, auto].map(|kernel| {
-                        descent_rows(kernel, port.direct_pc(), words, &voltages, &patterns)
-                    })
+        let scalar = platform.injector().kernel(KernelBackend::Scalar);
+        let auto = platform.injector().kernel(KernelBackend::Auto);
+        // Per port, each backend's descent rows over the whole grid.
+        let rows: Vec<_> = ports
+            .iter()
+            .map(|port| {
+                [scalar, auto].map(|kernel| {
+                    descent_rows(kernel, port.direct_pc(), words, &voltages, &patterns)
                 })
-                .collect();
-            for (k, &v) in voltages.iter().enumerate() {
-                let build = |kernel, sample_words| {
-                    build_mask_sets(
-                        &platform,
-                        &ports,
-                        words,
-                        sample_words,
-                        v,
-                        kernel,
-                        &patterns,
-                        Telemetry::disabled(),
-                    )
-                    .unwrap()
-                };
-                let reference = build(scalar, None);
-                assert_eq!(build(auto, None), reference, "{field:?} at {v}");
-                assert_eq!(
-                    build(auto, Some(96)),
-                    build(scalar, Some(96)),
-                    "{field:?} sampled at {v}"
-                );
-                for (port_rows, set) in rows.iter().zip(&reference) {
-                    for backend_rows in port_rows {
-                        assert_eq!(
-                            backend_rows[k],
-                            row_of(set, &patterns),
-                            "descent row at {v}"
-                        );
-                    }
+            })
+            .collect();
+        for (k, &v) in voltages.iter().enumerate() {
+            let build = |kernel, sample_words| {
+                build_mask_sets(
+                    &platform,
+                    &ports,
+                    words,
+                    sample_words,
+                    v,
+                    kernel,
+                    &patterns,
+                    Telemetry::disabled(),
+                )
+                .unwrap()
+            };
+            let reference = build(scalar, None);
+            assert_eq!(build(auto, None), reference, "at {v}");
+            assert_eq!(
+                build(auto, Some(96)),
+                build(scalar, Some(96)),
+                "sampled at {v}"
+            );
+            for (port_rows, set) in rows.iter().zip(&reference) {
+                for backend_rows in port_rows {
+                    assert_eq!(
+                        backend_rows[k],
+                        row_of(set, &patterns),
+                        "descent row at {v}"
+                    );
                 }
             }
         }
@@ -745,9 +749,7 @@ mod tests {
             .unwrap()
         };
         let rescan = |platform: &Platform, v| {
-            let kernel = platform
-                .injector()
-                .kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+            let kernel = platform.injector().kernel(KernelBackend::Auto);
             build_mask_sets(
                 platform,
                 &ports,

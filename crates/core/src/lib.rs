@@ -129,7 +129,6 @@ pub use governor::{
     GovernorScenarioRow, GovernorVariant, TripReason, UndervoltGovernor, WorkloadMode,
 };
 pub use guardband::{GuardbandFinder, GuardbandReport};
-pub use hbm_faults::FaultFieldMode;
 pub use platform::{Platform, PlatformBuilder, PowerSample, UndervoltedPort};
 pub use power_test::{PowerPoint, PowerSweep, PowerSweepReport};
 pub use reliability::{

@@ -244,8 +244,8 @@ pub struct Platform {
     timing_stretch: TimingStretchModel,
     seed: u64,
     workers: usize,
-    /// Coupled-field descent rows measured on this testbed so far; they
-    /// hold until the temperature changes the fault realization.
+    /// Descent rows measured on this testbed so far; they hold until the
+    /// temperature changes the fault realization.
     descent_rows: DescentRows,
 }
 
@@ -339,8 +339,8 @@ impl Platform {
         &mut self.device
     }
 
-    /// The coupled-field descent rows computed on this testbed, for the
-    /// sweeps that read and add to them.
+    /// The descent rows computed on this testbed, for the sweeps that read
+    /// and add to them.
     pub(crate) fn descent_rows(&mut self) -> &mut DescentRows {
         &mut self.descent_rows
     }
@@ -758,13 +758,13 @@ mod tests {
     #[test]
     fn temperature_change_reaches_the_injector_cache() {
         use hbm_device::PcIndex;
-        use hbm_faults::{FaultFieldMode, KernelBackend, MaskKernel};
+        use hbm_faults::{KernelBackend, MaskKernel};
         let mut p = platform();
         p.set_voltage(Millivolts(880)).unwrap();
         let pc = PcIndex::new(0).unwrap();
         let count = |p: &Platform| {
             p.injector()
-                .kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto)
+                .kernel(KernelBackend::Auto)
                 .count_range(pc, 0..512, Millivolts(880))
         };
         // Warm the injector's region probability cache at ambient …

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use hbm_device::{DeviceError, PcIndex, PortId};
-use hbm_faults::{pc_stream, FaultFieldMode, KernelBackend};
+use hbm_faults::{pc_stream, KernelBackend};
 use hbm_traffic::{DataPattern, MacroProgram, PortStats};
 use hbm_units::{Millivolts, Ratio};
 use rand::Rng;
@@ -71,6 +71,9 @@ pub enum ExecutionMode {
     /// [`ExecutionMode::Traffic`] — the model's faults are deterministic at
     /// a fixed voltage, so each pass observes the same counts — but the
     /// per-word cost is paid once instead of `batch_size × patterns` times.
+    /// Fault sets only grow as the voltage descends, so a sequential
+    /// (unsampled) sweep measures each port with one hash pass at its first
+    /// point and reads every later point from that pass's per-voltage rows.
     #[default]
     CachedMasks,
     /// Full AXI emulation: every batch pass writes and reads back through
@@ -101,19 +104,11 @@ pub struct ReliabilityConfig {
     pub sample_words: Option<u64>,
     /// Which kernel executes each voltage point (default:
     /// [`ExecutionMode::CachedMasks`]).
-    pub mode: ExecutionMode,
-    /// How the fault injector keys per-bit randomness across the sweep
-    /// (default: [`FaultFieldMode::PerVoltage`], bit-compatible with every
-    /// existing report). Under [`FaultFieldMode::MonotoneCoupled`] fault
-    /// sets are inclusion-monotone across descending voltage, so a
-    /// sequential (unsampled) sweep measures each port with one hash pass
-    /// at its first point and reads every later point from that pass's
-    /// per-voltage rows.
     ///
     /// How the kernel runs — scalar or bit-sliced per tile, one descent or
     /// a rescan per point — is decided by the kernel itself and never
     /// changes results, so it is not part of the configuration.
-    pub fault_field: FaultFieldMode,
+    pub mode: ExecutionMode,
 }
 
 impl ReliabilityConfig {
@@ -129,7 +124,6 @@ impl ReliabilityConfig {
             words_per_pc: None,
             sample_words: None,
             mode: ExecutionMode::CachedMasks,
-            fault_field: FaultFieldMode::PerVoltage,
         }
     }
 
@@ -146,7 +140,6 @@ impl ReliabilityConfig {
             words_per_pc: Some(512),
             sample_words: None,
             mode: ExecutionMode::CachedMasks,
-            fault_field: FaultFieldMode::PerVoltage,
         }
     }
 
@@ -171,13 +164,6 @@ impl ReliabilityConfig {
         if self.sample_words == Some(0) {
             return Err(ExperimentError::config(
                 "sampled mode needs at least one word per pseudo channel",
-            ));
-        }
-        if self.fault_field == FaultFieldMode::MonotoneCoupled
-            && self.mode == ExecutionMode::Traffic
-        {
-            return Err(ExperimentError::config(
-                "the coupled fault field supports only the cached-mask kernel",
             ));
         }
         Ok(())
@@ -229,7 +215,7 @@ pub struct VoltagePoint {
     /// performed per wall-clock second at this point. In cached-mask mode
     /// each word's masks are computed once per voltage, so this is far
     /// below `words_per_second`; in traffic mode every read evaluates a
-    /// mask. A coupled-field sequential sweep charges a port's one descent
+    /// mask. A sequential sweep charges a port's one descent
     /// (every word, once) to the point that ran it and reads later points
     /// from its rows, at a rate of zero. `None` for crashed points, like
     /// `words_per_second`.
@@ -646,10 +632,10 @@ impl ReliabilityTester {
     /// replay is exact, not an approximation (asserted by the
     /// `cached_and_traffic_modes_agree` tests).
     ///
-    /// A coupled-field sequential walk reads the point from the ports'
-    /// descent rows instead ([`engine::build_mask_sets_descended`]): the
-    /// first point that needs a port descends it over this voltage and
-    /// every lower one of the sweep, and is charged the descent's words.
+    /// A sequential walk reads the point from the ports' descent rows
+    /// ([`engine::build_mask_sets_descended`]): the first point that needs
+    /// a port descends it over this voltage and every lower one of the
+    /// sweep, and is charged the descent's words. Sampled points rescan.
     fn run_point_cached(
         &self,
         platform: &mut Platform,
@@ -658,9 +644,7 @@ impl ReliabilityTester {
         voltage: Millivolts,
         telemetry: &Telemetry,
     ) -> Result<(Vec<PatternOutcome>, PointWork), ExperimentError> {
-        let (mask_sets, masks) = if self.config.fault_field == FaultFieldMode::MonotoneCoupled
-            && self.config.sample_words.is_none()
-        {
+        let (mask_sets, masks) = if self.config.sample_words.is_none() {
             let schedule: Vec<Millivolts> = std::iter::once(voltage)
                 .chain(self.config.sweep.iter().filter(|&v| v < voltage))
                 .collect();
@@ -679,9 +663,7 @@ impl ReliabilityTester {
                 words,
                 self.config.sample_words,
                 voltage,
-                platform
-                    .injector()
-                    .kernel(self.config.fault_field, KernelBackend::Auto),
+                platform.injector().kernel(KernelBackend::Auto),
                 &self.config.patterns,
                 telemetry,
             )?;
@@ -818,25 +800,16 @@ mod tests {
         let mut c = ReliabilityConfig::quick();
         c.scope = TestScope::Ports(vec![]);
         assert!(ReliabilityTester::new(c).is_err());
-
-        // The coupled field has no traffic-mode kernel.
-        let mut c = ReliabilityConfig::quick();
-        c.fault_field = FaultFieldMode::MonotoneCoupled;
-        c.mode = ExecutionMode::Traffic;
-        assert!(ReliabilityTester::new(c).is_err());
     }
 
     /// The sweep rescanned point by point through the per-voltage
-    /// enumeration ([`engine::build_mask_sets`]) that the coupled-field
-    /// descent rows replace. The grids it is used on stay above the crash
-    /// cliff.
+    /// enumeration ([`engine::build_mask_sets`]) that the descent rows
+    /// replace. The grids it is used on stay above the crash cliff.
     fn rescan_points(tester: &ReliabilityTester) -> Vec<VoltagePoint> {
         let platform = platform();
         let ports = tester.scoped_ports(&platform).unwrap();
         let config = tester.config();
-        let kernel = platform
-            .injector()
-            .kernel(config.fault_field, KernelBackend::Auto);
+        let kernel = platform.injector().kernel(KernelBackend::Auto);
         let words = config.words_per_pc.unwrap();
         config
             .sweep
@@ -865,9 +838,8 @@ mod tests {
     }
 
     #[test]
-    fn coupled_descent_sweep_matches_from_scratch_rescans() {
+    fn descent_sweep_matches_from_scratch_rescans() {
         let mut config = ReliabilityConfig::quick();
-        config.fault_field = FaultFieldMode::MonotoneCoupled;
         config.scope = TestScope::Ports(vec![0, 1, 2, 3]);
         // Offset-dependent patterns exercise the per-pattern descent fold.
         config.patterns = vec![
@@ -893,34 +865,6 @@ mod tests {
             .collect();
         assert!(masks[0] > 0.0, "the first point descends every port");
         assert!(masks[1..].iter().all(|&m| m == 0.0), "{masks:?}");
-    }
-
-    #[test]
-    fn coupled_rescan_sweep_shows_the_paper_phenomenology() {
-        // The coupled field shares the analytic model, so the qualitative
-        // results — guardband, growth, polarity split — must survive the
-        // re-keying.
-        let mut config = ReliabilityConfig::quick();
-        config.fault_field = FaultFieldMode::MonotoneCoupled;
-        let points = rescan_points(&ReliabilityTester::new(config).unwrap());
-        let totals: Vec<f64> = points
-            .iter()
-            .filter(|p| !p.crashed)
-            .map(VoltagePoint::total_mean_faults)
-            .collect();
-        assert!(
-            totals.windows(2).all(|w| w[0] <= w[1]),
-            "non-monotone: {totals:?}"
-        );
-        assert!(totals.last().copied().unwrap_or(0.0) > 0.0);
-        for point in points.iter().filter(|p| !p.crashed) {
-            if let Some(ones) = point.outcome(DataPattern::AllOnes) {
-                assert_eq!(ones.flips_0to1, 0);
-            }
-            if let Some(zeros) = point.outcome(DataPattern::AllZeros) {
-                assert_eq!(zeros.flips_1to0, 0);
-            }
-        }
     }
 
     #[test]
@@ -953,8 +897,14 @@ mod tests {
             .run(&mut platform())
             .unwrap();
         assert_eq!(traffic.checked_bits_per_run, cached.checked_bits_per_run);
+        // The cached run reads every point after the first from its
+        // descent rows.
+        assert!(cached.points[1..]
+            .iter()
+            .all(|p| p.masks_per_second == Some(0.0)));
         // Full equality per point, including per-port statistics — the
-        // mask replay must be bit-identical to the literal procedure.
+        // descent rows must be bit-identical to reading every word back
+        // through the fault model, pass by pass.
         assert_eq!(traffic.points, cached.points);
     }
 
@@ -986,12 +936,10 @@ mod tests {
                 "at {}",
                 point.voltage
             );
-            assert!(
-                point.masks_per_second.unwrap() > 0.0,
-                "at {}",
-                point.voltage
-            );
+            // Only the first point descends; the rest read its rows.
+            assert!(point.masks_per_second.is_some(), "at {}", point.voltage);
         }
+        assert!(report.points[0].masks_per_second.unwrap() > 0.0);
         let mut scaled = report.points[0].clone();
         let original = scaled.clone();
         scaled.words_per_second = scaled.words_per_second.map(|r| r * 2.0);

@@ -52,8 +52,10 @@ use crate::telemetry::{Telemetry, TelemetryEvent};
 /// carry-forward knobs are gone from [`ReliabilityConfig`] and the
 /// checkpoint (the kernel picks its own path; every path is
 /// bit-identical); 6 — the mask-reuse ratio is gone from [`VoltagePoint`]
-/// (coupled sweeps read every point from one descent per port).
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// (coupled sweeps read every point from one descent per port); 7 — the
+/// fault field is gone from [`ReliabilityConfig`]: the coupled field is the
+/// only one, so a version-6 file may hold per-voltage points.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// The supply every recovery power cycle restarts at.
 const NOMINAL_RESTART: Millivolts = Millivolts(1200);
@@ -936,7 +938,6 @@ mod tests {
     use crate::reliability::TestScope;
     use crate::sweep::VoltageSweep;
     use hbm_device::TransientCrashModel;
-    use hbm_faults::FaultFieldMode;
     use hbm_traffic::DataPattern;
 
     fn tiny_config(from: u32, to: u32) -> ReliabilityConfig {
@@ -1120,8 +1121,10 @@ mod tests {
         assert!(err.to_string().contains("configuration"), "{err}");
 
         // Foreign versions: a future one, a version-4 file, which still
-        // recorded the kernel backend, and a version-5 file, whose points
-        // still carry the mask-reuse ratio.
+        // recorded the kernel backend, a version-5 file, whose points still
+        // carry the mask-reuse ratio, and a version-6 file, whose
+        // configuration names the per-voltage fault field its points were
+        // measured in.
         let checkpoint: SweepCheckpoint =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let text = serde_json::to_string(&checkpoint).unwrap();
@@ -1132,10 +1135,18 @@ mod tests {
             "\"mask_reuse\":null,\"masks_per_second\":",
         );
         assert!(v5.contains("\"mask_reuse\""), "{v5}");
+        let mode = r#"\"mode\":\"CachedMasks\""#;
+        let v6 = text.replacen(&current, "\"version\":6", 1).replacen(
+            mode,
+            &format!(r#"{mode},\"fault_field\":\"PerVoltage\""#),
+            1,
+        );
+        assert!(v6.contains("fault_field"), "{v6}");
         for foreign in [
             text.replacen(&current, "\"version\":99", 1),
             text.replacen(&current, "\"version\":4,\"kernel\":\"auto\"", 1),
             v5,
+            v6,
         ] {
             std::fs::write(&path, &foreign).unwrap();
             let err = SweepSupervisor::from_config(config.clone())
@@ -1174,47 +1185,13 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ExperimentError::Interrupted { .. }));
 
-        // A fresh process resumes from the checkpoint.
+        // A fresh process resumes from the checkpoint. Descent rows are
+        // process-local state that the checkpoint does not persist: the
+        // resumed run descends the schedule that remains.
         let mut resumed_platform = Platform::builder().seed(7).build();
         let resumed = supervisor.run(&mut resumed_platform).unwrap();
         assert_eq!(resumed.resumed_points, 2);
         assert_eq!(resumed, reference, "resume must be bit-identical");
-
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn coupled_killed_and_resumed_run_matches_the_uninterrupted_run() {
-        // Descent rows are process-local state that a checkpoint does not
-        // persist. A resumed coupled run descends the schedule that remains
-        // and must still be bit-identical to the uninterrupted one.
-        let path = temp_path("resume-coupled");
-        let _ = std::fs::remove_file(&path);
-        let mut config = tiny_config(850, 790); // crosses the crash cliff
-        config.fault_field = FaultFieldMode::MonotoneCoupled;
-
-        let mut reference_platform = Platform::builder().seed(7).build();
-        let reference = SweepSupervisor::from_config(config.clone())
-            .unwrap()
-            .run(&mut reference_platform)
-            .unwrap();
-
-        let supervisor = SweepSupervisor::from_config(config)
-            .unwrap()
-            .checkpoint(&path)
-            .resume(true);
-        let mut platform = Platform::builder().seed(7).build();
-        let err = supervisor
-            .clone()
-            .abort_after(2)
-            .run(&mut platform)
-            .unwrap_err();
-        assert!(matches!(err, ExperimentError::Interrupted { .. }));
-
-        let mut resumed_platform = Platform::builder().seed(7).build();
-        let resumed = supervisor.run(&mut resumed_platform).unwrap();
-        assert_eq!(resumed.resumed_points, 2);
-        assert_eq!(resumed, reference, "coupled resume must be bit-identical");
 
         let _ = std::fs::remove_file(&path);
     }

@@ -10,7 +10,6 @@
 //! can never drift apart.
 
 use hbm_device::TransientCrashModel;
-use hbm_faults::FaultFieldMode;
 use hbm_traffic::DataPattern;
 use hbm_units::Millivolts;
 
@@ -161,13 +160,6 @@ impl SweepConfig {
     #[must_use]
     pub fn mode(mut self, mode: ExecutionMode) -> Self {
         self.reliability.mode = mode;
-        self
-    }
-
-    /// How the fault injector keys per-bit randomness across the sweep.
-    #[must_use]
-    pub fn fault_field(mut self, field: FaultFieldMode) -> Self {
-        self.reliability.fault_field = field;
         self
     }
 

@@ -64,31 +64,6 @@ pub fn unit(hash: u64) -> f64 {
     (hash >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The 53-bit sort key underlying [`unit`]: `key_unit(gate_key(h))` equals
-/// `unit(h)` exactly, and the key order equals the uniform order.
-///
-/// The skip-sampling gate index stores these keys instead of `f64` uniforms
-/// so gated prefixes can be located with integer binary search.
-///
-/// # Examples
-///
-/// ```
-/// use hbm_faults::hash::{gate_key, key_unit, mix64, unit};
-///
-/// let h = mix64(99);
-/// assert_eq!(key_unit(gate_key(h)), unit(h));
-/// ```
-#[must_use]
-pub fn gate_key(hash: u64) -> u64 {
-    hash >> 11
-}
-
-/// Maps a 53-bit [`gate_key`] back to the uniform it represents.
-#[must_use]
-pub fn key_unit(key: u64) -> f64 {
-    key as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Splits a 64-bit hash into two independent 32-bit uniforms in `[0, 1)`.
 #[must_use]
 pub fn unit_pair(hash: u64) -> (f64, f64) {
@@ -176,18 +151,6 @@ mod tests {
         }
         let mean = sum / f64::from(n as u32);
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn gate_key_roundtrips_through_unit() {
-        for i in 0..10_000u64 {
-            let h = mix64(i);
-            assert_eq!(key_unit(gate_key(h)), unit(h), "hash {h:#x}");
-        }
-        // Key order is uniform order: monotonicity is what lets the gate
-        // index binary-search a probability threshold.
-        let (a, b) = (mix64(3), mix64(4));
-        assert_eq!(gate_key(a) < gate_key(b), unit(a) < unit(b));
     }
 
     #[test]

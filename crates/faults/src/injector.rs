@@ -9,8 +9,8 @@ use hbm_device::{BankId, HbmGeometry, PcIndex, Word256, WordOffset};
 use hbm_units::{Celsius, Millivolts, Volts};
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{combine, gate_key, key_unit, mix64, unit, unit_cutoff, unit_pair};
-use crate::kernel::{bitsliced, BackendSel, InstructionSet, KnotDescentFn};
+use crate::hash::{combine, mix64, unit_cutoff, unit_pair};
+use crate::kernel::{bitsliced, BackendSel, InstructionSet, KernelBackend, KnotDescentFn};
 use crate::params::FaultModelParams;
 use crate::variation::ShiftTable;
 
@@ -27,75 +27,70 @@ pub enum FaultPolarity {
 
 /// Deterministic fault injector.
 ///
-/// For every `(pseudo channel, word offset, bit)` and supply voltage, the
-/// injector decides whether the bit is stuck and in which polarity, as a
-/// pure function of the device seed. Key properties (all property-tested):
+/// Every `(pseudo channel, word offset, bit)` owns one polarity class and
+/// one persistent threshold in `[0, 1)`, both drawn once from a
+/// counter-based hash of the device seed and the bit's address. The bit is
+/// stuck at supply `v` exactly when its class's fault probability `c(v)` at
+/// the bit's location exceeds the threshold, so each bit has one failure
+/// voltage. Key properties (all property-tested):
 ///
 /// - **guardband**: no faults at or above V_min;
 /// - **determinism**: identical masks for identical inputs;
-/// - **monotonicity**: the faulty-bit set only grows as voltage drops;
+/// - **monotonicity**: each polarity's faulty-bit set only grows as voltage
+///   drops, by construction;
 /// - **exact rates**: the expected per-bit fault probability equals
 ///   `share_π × c_π(v_eff)` per polarity class.
 ///
 /// # Performance
 ///
-/// The query kernel is a four-level pipeline; each level removes work the
+/// A range query runs a three-level pipeline; each level removes work the
 /// level below would otherwise repeat. With `W` words per pseudo channel,
-/// `T` (PC, bank, row-region) tiles and `F` gated words at the queried
+/// `T` (PC, bank, row-region) tiles and `F` faulty words at the queried
 /// voltage:
 ///
 /// 1. **Region-tile probability cache.** The local variation shift — and
-///    therefore the class probabilities `(c0, c1)`, the word gates
-///    `p_any = 1 − (1 − s·c)^256` and the conditional per-bit thresholds
-///    `c / p_any` — is constant within a tile. They are computed once per
-///    `(PC, voltage, temperature)` into a `T`-entry table (`O(T)` response
-///    curve evaluations instead of `O(W)`) and invalidated when the
-///    temperature changes. A per-word query is then a shift-and-mask tile
-///    lookup.
-/// 2. **Geometric skip enumeration of gated words.** The per-word gate
-///    draws `unit(hash(seed, pc, offset, class))` never depend on voltage —
-///    only the threshold `p_any` does. Per class and tile, the injector
-///    keeps the words sorted by their gate draw (a voltage-independent,
-///    build-once index), so the gated set at any voltage is a prefix found
-///    by binary search: `O(T·log W + F)` per range scan instead of `O(W)`
-///    gate hashes. Within the sorted prefix, the offset gaps between
-///    consecutive gated words follow the geometric distribution implied by
-///    `p_any` — this is the deterministic, replayable equivalent of drawing
-///    skip distances from that distribution, so fault-free and low-fault
-///    voltages cost `O(F)`, not `O(W)`. (Geometries too large to index fall
-///    back to a per-word gate walk that still uses level 1.)
-/// 3. **Density-adaptive dispatch.** Per tile, the backend selector
-///    ([`crate::KernelBackend`], resolved to a
-///    [`crate::kernel`]-internal choice through the runtime
-///    [`crate::InstructionSet`] probe) compares the tile's word-gate
-///    probability against a density threshold. Sparse tiles — the safe
-///    region and the fault onset — keep the scalar per-bit enumeration of
-///    level 4a. Dense tiles, where most words gate open and per-bit work
-///    dominates, switch to the bit-sliced generation of level 4b. `Scalar`
-///    and `BitSliced` force one arm; `Auto` applies the threshold.
-/// 4. **Per-bit mask generation**, in one of two bit-identical arms:
-///    - **(a) scalar enumeration**: each of the 256 bits hashes and tests
-///      its class-conditional draw against `c / p_any` as an `f64`
-///      comparison. Because `c ↦ c/(1−(1−sc)^256)` is increasing (chord
-///      slope of a concave function through the origin), monotonicity in
-///      voltage is preserved and the per-bit marginal probability is
-///      exactly `s·c`.
-///    - **(b) bit-sliced generation**: the word's hash prefix is combined
-///      once, the per-tile `f64` thresholds are converted to their exact
-///      integer images by [`crate::hash::unit_cutoff`], and the 256 bits
-///      are produced a 64-bit lane at a time as `u64` bitplanes — one
-///      integer mix and two integer compares per bit, in one loop that is
-///      also compiled for AVX2 and AVX-512 behind the runtime feature probe.
+///    therefore the class probabilities `(c0, c1)` and the word-level
+///    any-fault probabilities `p_any = 1 − (1 − s·c)^256` — is constant
+///    within a tile. They are computed once per `(PC, voltage,
+///    temperature)` into a `T`-entry table (`O(T)` response-curve
+///    evaluations instead of `O(W)`) and invalidated when the temperature
+///    changes. A per-word query is then a shift-and-mask tile lookup.
+/// 2. **Activation index.** A word has a faulty bit of class `π` exactly
+///    when its smallest class-`π` threshold is below `c_π`. Per class and
+///    tile, the injector keeps the words sorted by that minimum (built once
+///    per PC with one hash pass; voltage- and temperature-free), so the
+///    faulty words at any voltage form a prefix found by binary search:
+///    `O(T·log W + F)` per range scan instead of `O(W)` word hashes. The
+///    prefix predicate and the per-bit test are the same comparison, so
+///    membership is exact. (Geometries too large to index fall back to a
+///    per-word walk that still uses level 1.)
+/// 3. **Density-adaptive mask generation**, in one of two bit-identical
+///    arms, picked per tile by the backend selector
+///    ([`crate::KernelBackend`], resolved through the runtime
+///    [`crate::InstructionSet`] probe) from the tile's `p_any`:
+///    - **(a) scalar**: each of the 256 bits hashes and tests its
+///      threshold against `c` as an `f64` comparison — sparse tiles, where
+///      few words survive level 2;
+///    - **(b) bit-sliced**: the word's hash prefix is combined once, the
+///      tile's `f64` probabilities are converted to their exact integer
+///      images by [`crate::hash::unit_cutoff`], and the 256 bits are
+///      produced a 64-bit lane at a time as `u64` bitplanes — one integer
+///      mix and two integer compares per bit, in one loop that is also
+///      compiled for AVX2 and AVX-512 behind the runtime feature probe.
 ///      The cutoffs are exact, so equality with arm (a) is a theorem,
 ///      enforced end to end by the `bitsliced_matches_scalar` proptests.
 ///
-/// A range scan therefore costs `O(T·log W + F·256)` after the `O(W log W)`
-/// one-time index build, and a single-word query costs the tile lookup plus
-/// two gate hashes. All four levels sit behind the [`crate::MaskKernel`]
-/// trait ([`FaultInjector::kernel`] constructs one); the pre-cache per-word
-/// oracle is kept as [`crate::MaskKernel::reference_masks`] (selected at the
-/// experiment layer by `ExecutionMode::Traffic`); property tests assert all
-/// paths are bit-identical.
+/// A range scan therefore costs `O(T·log W + F·256)` after the one-time
+/// index build. A single-word query ([`FaultInjector::stuck_masks`],
+/// [`FaultInjector::observe`]) has no words to skip and always hashes the
+/// whole word in arm (b). A sweep down a voltage grid rescans nothing:
+/// [`crate::MaskKernel::count_descent`] and
+/// [`crate::MaskKernel::knot_descent`] hash a range once and place every
+/// bit at the first knot where it fails. All of it sits behind the
+/// [`crate::MaskKernel`] trait ([`FaultInjector::kernel`] constructs one);
+/// [`crate::MaskKernel::reference_masks`] recomputes a word from scratch
+/// (per-word shift, scalar bit walk) as the oracle the property tests hold
+/// every path to.
 ///
 /// # Examples
 ///
@@ -128,11 +123,9 @@ pub struct FaultInjector {
     /// Per-PC tile probability tables for the most recent
     /// `(voltage, temperature)`; rebuilt lazily on any mismatch.
     tile_cache: RwLock<Vec<Option<Arc<TileTable>>>>,
-    /// Per-PC sorted gate-draw indexes; voltage- and temperature-free.
-    gate_index: RwLock<Vec<Option<Arc<GateIndex>>>>,
-    /// Per-PC coupled-field activation indexes (per-class sorted minimum
-    /// bit thresholds); voltage- and temperature-free.
-    coupled_index: RwLock<Vec<Option<Arc<CoupledIndex>>>>,
+    /// Per-PC activation indexes (per-class sorted minimum bit
+    /// thresholds); voltage- and temperature-free.
+    activation_index: RwLock<Vec<Option<Arc<ActivationIndex>>>>,
     /// Lifetime tile-table lookups served from `tile_cache`.
     cache_hits: AtomicU64,
     /// Lifetime tile-table lookups that had to rebuild the table.
@@ -143,16 +136,12 @@ pub struct FaultInjector {
     sparse_tiles_scalar: AtomicU64,
 }
 
-/// Domain-separation tags for the hash streams.
-const TAG_GATE0: u64 = 0x6761_7430;
-const TAG_GATE1: u64 = 0x6761_7431;
-const TAG_BIT: u64 = 0x6269_7400;
-/// Coupled-field per-bit persistent thresholds ("cbit"); a domain distinct
-/// from `TAG_BIT` so the two fault fields are statistically independent.
+/// Domain-separation tag of the per-bit hash stream ("cbit"): each bit's
+/// polarity class and persistent threshold.
 const TAG_CBIT: u64 = 0x6362_6974;
 
-/// Largest pseudo channel (in words) the gate index is built for; larger
-/// geometries fall back to per-word gate hashing (still tile-cached).
+/// Largest pseudo channel (in words) the activation index is built for;
+/// larger geometries fall back to a per-word walk (still tile-cached).
 const MAX_INDEXED_WORDS_PER_PC: u64 = 1 << 16;
 
 /// One tile's thresholds converted to their exact integer images for the
@@ -199,7 +188,7 @@ impl KnotSearch {
     ///
     /// # Panics
     ///
-    /// Panics if the cutoffs fall anywhere along the descent — the coupled
+    /// Panics if the cutoffs fall anywhere along the descent — the
     /// field's monotonicity rules that out.
     fn new(cuts: [Vec<u64>; 2]) -> Self {
         let width = 1u64 << KNOT_BUCKET_SHIFT;
@@ -350,19 +339,17 @@ impl TileGrid {
     }
 }
 
-/// Everything the bit-enumeration kernel needs about one tile at one
-/// `(voltage, temperature)`.
+/// What mask generation needs about one tile at one `(voltage,
+/// temperature)`.
 #[derive(Debug, Clone, Copy)]
 struct TileProbs {
     /// Class-conditional fault probabilities.
     c0: f64,
     c1: f64,
-    /// Word-level any-fault gate probabilities, `1 − (1 − s·c)^256`.
+    /// Word-level any-fault probabilities, `1 − (1 − s·c)^256`: the
+    /// density the backend dispatch and the expected active fraction read.
     p_any0: f64,
     p_any1: f64,
-    /// Conditional per-bit thresholds within a gated word, `(c/p_any).min(1)`.
-    cond0: f64,
-    cond1: f64,
 }
 
 /// One pseudo channel's tile probabilities at a fixed voltage and
@@ -374,44 +361,14 @@ struct TileTable {
     tiles: Vec<TileProbs>,
 }
 
-/// One polarity class's gate draws for a pseudo channel, grouped by tile and
-/// sorted by draw so the gated words at any voltage form a binary-searchable
-/// prefix.
+/// One polarity class of the word-activation index for a pseudo channel:
+/// every word's minimum per-bit threshold, grouped by tile and sorted, so
+/// the words with at least one faulty bit of the class at probability `c`
+/// form a binary-searchable prefix. The per-bit fault test and the prefix
+/// predicate are the *same* comparison (`threshold < c`), so prefix
+/// membership is exact — no recheck.
 #[derive(Debug)]
-struct GateClassIndex {
-    /// Slice bounds of each tile in `keys`/`offsets` (length `tiles + 1`).
-    starts: Vec<u32>,
-    /// 53-bit gate keys (see [`gate_key`]), ascending within each tile.
-    keys: Vec<u64>,
-    /// Word offsets, parallel to `keys`.
-    offsets: Vec<u32>,
-}
-
-impl GateClassIndex {
-    /// The offsets of tile `tile` whose gate draw passes `p_any`.
-    fn gated(&self, tile: usize, p_any: f64) -> &[u32] {
-        let lo = self.starts[tile] as usize;
-        let hi = self.starts[tile + 1] as usize;
-        let n = self.keys[lo..hi].partition_point(|&k| key_unit(k) < p_any);
-        &self.offsets[lo..lo + n]
-    }
-}
-
-/// Both classes' gate indexes for one pseudo channel.
-#[derive(Debug)]
-struct GateIndex {
-    class0: GateClassIndex,
-    class1: GateClassIndex,
-}
-
-/// One polarity class of the coupled field's word-activation index for a
-/// pseudo channel: every word's minimum per-bit threshold, grouped by tile
-/// and sorted, so the words with at least one faulty bit of the class at
-/// probability `c` form a binary-searchable prefix. The per-bit fault test
-/// and the prefix predicate are the *same* comparison (`threshold < c`),
-/// so prefix membership is exact — no conditional rescaling, no recheck.
-#[derive(Debug)]
-struct CoupledClassIndex {
+struct ActivationClassIndex {
     /// Slice bounds of each tile in `thresholds`/`offsets` (length
     /// `tiles + 1`).
     starts: Vec<u32>,
@@ -423,7 +380,7 @@ struct CoupledClassIndex {
     by_word: Vec<f64>,
 }
 
-impl CoupledClassIndex {
+impl ActivationClassIndex {
     /// The offsets of tile `tile` with at least one faulty bit of this
     /// class at class probability `c`.
     fn active(&self, tile: usize, c: f64) -> &[u32] {
@@ -436,9 +393,9 @@ impl CoupledClassIndex {
 
 /// Both classes' activation indexes for one pseudo channel.
 #[derive(Debug)]
-struct CoupledIndex {
-    class0: CoupledClassIndex,
-    class1: CoupledClassIndex,
+struct ActivationIndex {
+    class0: ActivationClassIndex,
+    class1: ActivationClassIndex,
 }
 
 impl Clone for FaultInjector {
@@ -454,11 +411,10 @@ impl Clone for FaultInjector {
             // share them cheaply; each clone invalidates independently (its
             // own locks), so diverging temperatures cannot cross-pollute.
             tile_cache: RwLock::new(self.tile_cache.read().expect("tile cache poisoned").clone()),
-            gate_index: RwLock::new(self.gate_index.read().expect("gate index poisoned").clone()),
-            coupled_index: RwLock::new(
-                self.coupled_index
+            activation_index: RwLock::new(
+                self.activation_index
                     .read()
-                    .expect("coupled index poisoned")
+                    .expect("activation index poisoned")
                     .clone(),
             ),
             cache_hits: AtomicU64::new(self.cache_hits.load(Ordering::Relaxed)),
@@ -492,8 +448,7 @@ impl FaultInjector {
             shift_table,
             grid,
             tile_cache: RwLock::new(vec![None; pcs]),
-            gate_index: RwLock::new(vec![None; pcs]),
-            coupled_index: RwLock::new(vec![None; pcs]),
+            activation_index: RwLock::new(vec![None; pcs]),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             dense_tiles_bitsliced: AtomicU64::new(0),
@@ -557,8 +512,8 @@ impl FaultInjector {
     /// Sets the operating temperature (the study keeps it at 35 ± 1 °C).
     ///
     /// Invalidates the region-tile probability cache: local shifts depend on
-    /// temperature. The gate index survives — gate draws are functions of
-    /// `(seed, PC, offset)` only.
+    /// temperature. The activation index survives — bit thresholds are
+    /// functions of `(seed, PC, offset, bit)` only.
     pub fn set_temperature(&mut self, temperature: Celsius) {
         self.temperature = temperature;
         for slot in self
@@ -607,23 +562,11 @@ impl FaultInjector {
         let tiles = (0..self.grid.tile_count)
             .map(|tile| {
                 let (c0, c1) = self.tile_class_probabilities(pc, tile, supply);
-                let p_any0 = p_any(s0 * c0);
-                let p_any1 = p_any(s1 * c1);
                 TileProbs {
                     c0,
                     c1,
-                    p_any0,
-                    p_any1,
-                    cond0: if p_any0 > 0.0 {
-                        (c0 / p_any0).min(1.0)
-                    } else {
-                        0.0
-                    },
-                    cond1: if p_any1 > 0.0 {
-                        (c1 / p_any1).min(1.0)
-                    } else {
-                        0.0
-                    },
+                    p_any0: p_any(s0 * c0),
+                    p_any1: p_any(s1 * c1),
                 }
             })
             .collect();
@@ -654,51 +597,6 @@ impl FaultInjector {
                 + var.region_shift_volts_by_index(self.seed, pc, bank, region)
                 + var.temperature_shift_volts(self.temperature),
         )
-    }
-
-    /// The gate index of `pc`, or `None` for geometries too large to index.
-    fn pc_gate_index(&self, pc: PcIndex) -> Option<Arc<GateIndex>> {
-        if self.grid.words_per_pc > MAX_INDEXED_WORDS_PER_PC {
-            return None;
-        }
-        {
-            let cache = self.gate_index.read().expect("gate index poisoned");
-            if let Some(index) = &cache[pc.as_usize()] {
-                return Some(Arc::clone(index));
-            }
-        }
-        let index = Arc::new(GateIndex {
-            class0: self.build_class_index(pc, TAG_GATE0),
-            class1: self.build_class_index(pc, TAG_GATE1),
-        });
-        self.gate_index.write().expect("gate index poisoned")[pc.as_usize()] =
-            Some(Arc::clone(&index));
-        Some(index)
-    }
-
-    fn build_class_index(&self, pc: PcIndex, tag: u64) -> GateClassIndex {
-        let pcu = u64::from(pc.as_u8());
-        let mut entries: Vec<(u32, u64, u32)> = (0..self.grid.words_per_pc)
-            .map(|w| {
-                let tile = self.grid.tile_of(w) as u32;
-                (tile, gate_key(combine(&[self.seed, pcu, w, tag])), w as u32)
-            })
-            .collect();
-        entries.sort_unstable();
-        let mut starts = vec![0u32; self.grid.tile_count + 1];
-        for &(tile, _, _) in &entries {
-            starts[tile as usize + 1] += 1;
-        }
-        let mut acc = 0u32;
-        for s in &mut starts {
-            acc += *s;
-            *s = acc;
-        }
-        GateClassIndex {
-            starts,
-            keys: entries.iter().map(|&(_, key, _)| key).collect(),
-            offsets: entries.iter().map(|&(_, _, w)| w).collect(),
-        }
     }
 
     /// Class-conditional fault probabilities `(c_stuck0, c_stuck1)` at a
@@ -747,13 +645,100 @@ impl FaultInjector {
         offset: WordOffset,
         supply: Millivolts,
     ) -> (Word256, Word256) {
-        self.stuck_masks_sel(pc, offset, supply, BackendSel::Scalar)
+        self.masks_sel(
+            pc,
+            offset,
+            supply,
+            BackendSel::from_backend(KernelBackend::Auto),
+        )
+    }
+
+    /// The per-word reference oracle behind
+    /// [`crate::MaskKernel::reference_masks`]: the word's local shift and
+    /// class probabilities recomputed from scratch, then the scalar bit
+    /// walk. No tile cache, no index, no bit-sliced arm.
+    pub(crate) fn reference_masks(
+        &self,
+        pc: PcIndex,
+        offset: WordOffset,
+        supply: Millivolts,
+    ) -> (Word256, Word256) {
+        let (c0, c1) = self.class_probabilities_per_word(pc, offset, supply);
+        self.word_masks(pc, offset.0, c0, c1)
+    }
+
+    /// One word's stuck masks against the class probabilities: the scalar
+    /// arm, one hash and one `f64` comparison per bit.
+    fn word_masks(&self, pc: PcIndex, w: u64, c0: f64, c1: f64) -> (Word256, Word256) {
+        if c0 == 0.0 && c1 == 0.0 {
+            return (Word256::ZERO, Word256::ZERO);
+        }
+        let s0_share = self.params.stuck0_share;
+        let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_CBIT]);
+        let mut stuck0 = Word256::ZERO;
+        let mut stuck1 = Word256::ZERO;
+        for bit in 0u32..Word256::BITS {
+            let h = mix64(prefix ^ u64::from(bit));
+            let (class_u, t) = unit_pair(h);
+            if class_u < s0_share {
+                if t < c0 {
+                    stuck0 = stuck0.with_bit_set(bit);
+                }
+            } else if t < c1 {
+                stuck1 = stuck1.with_bit_set(bit);
+            }
+        }
+        (stuck0, stuck1)
+    }
+
+    /// Dispatches one word through the tile's plan: the scalar walk, or the
+    /// bit-sliced planes of the word's counter hashes against the tile's
+    /// integer cutoffs.
+    fn word_masks_sel(
+        &self,
+        pc: PcIndex,
+        w: u64,
+        probs: &TileProbs,
+        plan: Option<TileCuts>,
+        isa: InstructionSet,
+    ) -> (Word256, Word256) {
+        match plan {
+            Some(cuts) => {
+                let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_CBIT]);
+                bitsliced::bit_planes(prefix, cuts.class_cut, cuts.cut0, cuts.cut1, isa)
+            }
+            None => self.word_masks(pc, w, probs.c0, probs.c1),
+        }
+    }
+
+    /// One tile's probabilities as exact integer cutoffs for the bit-sliced
+    /// arm.
+    fn tile_cuts(&self, probs: &TileProbs) -> TileCuts {
+        TileCuts {
+            class_cut: unit_cutoff(self.params.stuck0_share),
+            cut0: unit_cutoff(probs.c0),
+            cut1: unit_cutoff(probs.c1),
+        }
+    }
+
+    /// The per-tile dispatch decision of a range scan: `None` keeps the
+    /// scalar arm, `Some` carries the cutoffs for the bit-sliced arm. Bumps
+    /// the lifetime dispatch counters.
+    fn tile_plan(&self, sel: BackendSel, probs: &TileProbs) -> Option<TileCuts> {
+        if !sel.bitsliced_for_tile(probs.p_any0.max(probs.p_any1)) {
+            self.sparse_tiles_scalar.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        self.dense_tiles_bitsliced.fetch_add(1, Ordering::Relaxed);
+        Some(self.tile_cuts(probs))
     }
 
     /// Backend-selected [`FaultInjector::stuck_masks`]: the single-word
-    /// entry point of [`crate::MaskKernel::masks`]. Single-word queries do
-    /// not touch the dispatch counters — those track range-scan tiles.
-    pub(crate) fn stuck_masks_sel(
+    /// entry point of [`crate::MaskKernel::masks`]. A single word has no
+    /// neighbours to skip, so every backend but the forced scalar one
+    /// hashes it whole in the bit-sliced arm. Single-word queries do not
+    /// touch the dispatch counters — those track range-scan tiles.
+    pub(crate) fn masks_sel(
         &self,
         pc: PcIndex,
         offset: WordOffset,
@@ -765,157 +750,11 @@ impl FaultInjector {
         }
         let table = self.tile_table(pc, supply);
         let probs = table.tiles[self.grid.tile_of(offset.0)];
-        let plan = sel
-            .bitsliced_for_tile(probs.p_any0.max(probs.p_any1))
-            .then(|| self.tile_cuts(&probs, false));
-        self.masks_from_probs_sel(pc, offset.0, probs, plan, sel.isa())
-    }
-
-    /// Reference per-word implementation of [`FaultInjector::stuck_masks`]:
-    /// the pre-cache kernel, recomputing shift, probabilities and gates from
-    /// scratch for every word. The scalar oracle every backend is tested
-    /// against, reachable through [`crate::MaskKernel::reference_masks`].
-    pub(crate) fn stuck_masks_per_word_impl(
-        &self,
-        pc: PcIndex,
-        offset: WordOffset,
-        supply: Millivolts,
-    ) -> (Word256, Word256) {
-        let (c0, c1) = self.class_probabilities_per_word(pc, offset, supply);
-        if c0 == 0.0 && c1 == 0.0 {
-            return (Word256::ZERO, Word256::ZERO);
-        }
-
-        let s0 = self.params.stuck0_share;
-        let s1 = self.params.stuck1_share();
-        // Word-level any-fault gates, one per polarity class.
-        let p_any0 = p_any(s0 * c0);
-        let p_any1 = p_any(s1 * c1);
-        let base = &[self.seed, u64::from(pc.as_u8()), offset.0];
-        let gate0 = p_any0 > 0.0 && unit(combine(&[base[0], base[1], base[2], TAG_GATE0])) < p_any0;
-        let gate1 = p_any1 > 0.0 && unit(combine(&[base[0], base[1], base[2], TAG_GATE1])) < p_any1;
-        if !gate0 && !gate1 {
-            return (Word256::ZERO, Word256::ZERO);
-        }
-
-        // Conditional per-bit thresholds within a gated word.
-        let cond0 = if gate0 { (c0 / p_any0).min(1.0) } else { 0.0 };
-        let cond1 = if gate1 { (c1 / p_any1).min(1.0) } else { 0.0 };
-        self.enumerate_bits(pc, offset.0, cond0, cond1)
-    }
-
-    /// The gate tests and bit enumeration for one word with its tile
-    /// probabilities already in hand. `plan` carries the tile's integer
-    /// cutoffs when the dispatch chose the bit-sliced arm; gate tests stay
-    /// scalar either way (two hashes per word, identical in both arms).
-    fn masks_from_probs_sel(
-        &self,
-        pc: PcIndex,
-        w: u64,
-        probs: TileProbs,
-        plan: Option<TileCuts>,
-        isa: InstructionSet,
-    ) -> (Word256, Word256) {
         if probs.c0 == 0.0 && probs.c1 == 0.0 {
             return (Word256::ZERO, Word256::ZERO);
         }
-        let pcu = u64::from(pc.as_u8());
-        let gate0 =
-            probs.p_any0 > 0.0 && unit(combine(&[self.seed, pcu, w, TAG_GATE0])) < probs.p_any0;
-        let gate1 =
-            probs.p_any1 > 0.0 && unit(combine(&[self.seed, pcu, w, TAG_GATE1])) < probs.p_any1;
-        if !gate0 && !gate1 {
-            return (Word256::ZERO, Word256::ZERO);
-        }
-        match plan {
-            Some(cuts) => self.enumerate_bits_sliced(
-                pc,
-                w,
-                if gate0 { cuts.cut0 } else { 0 },
-                if gate1 { cuts.cut1 } else { 0 },
-                cuts.class_cut,
-                isa,
-            ),
-            None => self.enumerate_bits(
-                pc,
-                w,
-                if gate0 { probs.cond0 } else { 0.0 },
-                if gate1 { probs.cond1 } else { 0.0 },
-            ),
-        }
-    }
-
-    /// The scalar-arm [`FaultInjector::masks_from_probs_sel`].
-    fn masks_from_probs(&self, pc: PcIndex, w: u64, probs: TileProbs) -> (Word256, Word256) {
-        self.masks_from_probs_sel(pc, w, probs, None, InstructionSet::Portable)
-    }
-
-    /// One tile's probabilities as exact integer cutoffs for the bit-sliced
-    /// arm: the per-voltage field compares bits against the conditional
-    /// thresholds of gated words, the coupled field against the raw class
-    /// probabilities.
-    fn tile_cuts(&self, probs: &TileProbs, coupled: bool) -> TileCuts {
-        let (t0, t1) = if coupled {
-            (probs.c0, probs.c1)
-        } else {
-            (probs.cond0, probs.cond1)
-        };
-        TileCuts {
-            class_cut: unit_cutoff(self.params.stuck0_share),
-            cut0: unit_cutoff(t0),
-            cut1: unit_cutoff(t1),
-        }
-    }
-
-    /// The per-tile dispatch decision of a range scan: `None` keeps the
-    /// scalar arm, `Some` carries the cutoffs for the bit-sliced arm. Bumps
-    /// the lifetime dispatch counters.
-    fn tile_plan(&self, sel: BackendSel, probs: &TileProbs, coupled: bool) -> Option<TileCuts> {
-        if !sel.bitsliced_for_tile(probs.p_any0.max(probs.p_any1)) {
-            self.sparse_tiles_scalar.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        self.dense_tiles_bitsliced.fetch_add(1, Ordering::Relaxed);
-        Some(self.tile_cuts(probs, coupled))
-    }
-
-    /// The per-bit draws of a gated word against the class-conditional
-    /// thresholds (zero for an ungated class).
-    fn enumerate_bits(&self, pc: PcIndex, w: u64, cond0: f64, cond1: f64) -> (Word256, Word256) {
-        let s0 = self.params.stuck0_share;
-        let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_BIT]);
-        let mut stuck0 = Word256::ZERO;
-        let mut stuck1 = Word256::ZERO;
-        for bit in 0u32..Word256::BITS {
-            let h = mix64(prefix ^ u64::from(bit));
-            let (class_u, thresh_u) = unit_pair(h);
-            if class_u < s0 {
-                if thresh_u < cond0 {
-                    stuck0 = stuck0.with_bit_set(bit);
-                }
-            } else if thresh_u < cond1 {
-                stuck1 = stuck1.with_bit_set(bit);
-            }
-        }
-        (stuck0, stuck1)
-    }
-
-    /// The bit-sliced arm of [`FaultInjector::enumerate_bits`]: the word's
-    /// hash prefix is combined once (`combine` folds each suffix part with
-    /// one `mix64`, so `combine(&[.., TAG_BIT, bit])` equals
-    /// `mix64(prefix ^ bit)`), and the 256 bits are generated as `u64`
-    /// bitplanes against the tile's integer cutoffs.
-    fn enumerate_bits_sliced(
-        &self,
-        pc: PcIndex,
-        w: u64,
-        cut0: u64,
-        cut1: u64,
-        class_cut: u64,
-        isa: InstructionSet,
-    ) -> (Word256, Word256) {
-        let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_BIT]);
-        bitsliced::bit_planes(prefix, class_cut, cut0, cut1, isa)
+        let plan = (!matches!(sel, BackendSel::Scalar)).then(|| self.tile_cuts(&probs));
+        self.word_masks_sel(pc, offset.0, &probs, plan, sel.isa())
     }
 
     /// Applies the fault model to a stored word: what a read at `supply`
@@ -958,166 +797,6 @@ impl FaultInjector {
         }
     }
 
-    /// Runs `f` over every faulty word of the range, in unspecified order,
-    /// through the skip-sampling kernel where the geometry is indexed, with
-    /// the per-tile backend dispatch of `sel`.
-    fn for_each_faulty_sel<F: FnMut(u64, Word256, Word256)>(
-        &self,
-        pc: PcIndex,
-        words: &Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-        mut f: F,
-    ) {
-        if words.is_empty() || supply >= self.params.landmarks.v_min {
-            return;
-        }
-        assert!(
-            words.end <= self.grid.words_per_pc,
-            "word range end {} out of range for geometry ({} words/pc)",
-            words.end,
-            self.grid.words_per_pc
-        );
-        let table = self.tile_table(pc, supply);
-        let pcu = u64::from(pc.as_u8());
-        let Some(index) = self.pc_gate_index(pc) else {
-            // Unindexed fallback: per-word gate hashes over the tile cache,
-            // the dispatch decision memoized per visited tile.
-            let mut plans: Vec<Option<Option<TileCuts>>> = vec![None; self.grid.tile_count];
-            for w in words.clone() {
-                let tile = self.grid.tile_of(w);
-                let probs = table.tiles[tile];
-                if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                    continue;
-                }
-                let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs, false));
-                let (s0, s1) = self.masks_from_probs_sel(pc, w, probs, plan, sel.isa());
-                if !(s0.is_zero() && s1.is_zero()) {
-                    f(w, s0, s1);
-                }
-            }
-            return;
-        };
-        for (tile, probs) in table.tiles.iter().enumerate() {
-            if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                continue;
-            }
-            let plan = self.tile_plan(sel, probs, false);
-            // Words whose class-0 gate passes; their class-1 gate is an
-            // extra hash test, exactly as in the per-word path.
-            for &w32 in index.class0.gated(tile, probs.p_any0) {
-                let w = u64::from(w32);
-                if !words.contains(&w) {
-                    continue;
-                }
-                let gate1 = probs.p_any1 > 0.0
-                    && unit(combine(&[self.seed, pcu, w, TAG_GATE1])) < probs.p_any1;
-                let (s0, s1) = match plan {
-                    Some(cuts) => self.enumerate_bits_sliced(
-                        pc,
-                        w,
-                        cuts.cut0,
-                        if gate1 { cuts.cut1 } else { 0 },
-                        cuts.class_cut,
-                        sel.isa(),
-                    ),
-                    None => self.enumerate_bits(
-                        pc,
-                        w,
-                        probs.cond0,
-                        if gate1 { probs.cond1 } else { 0.0 },
-                    ),
-                };
-                if !(s0.is_zero() && s1.is_zero()) {
-                    f(w, s0, s1);
-                }
-            }
-            // Words gated only by class 1 (class-0-gated ones were already
-            // handled above — the recomputed gate-0 test reproduces the
-            // prefix membership exactly).
-            for &w32 in index.class1.gated(tile, probs.p_any1) {
-                let w = u64::from(w32);
-                if !words.contains(&w) {
-                    continue;
-                }
-                let gate0 = probs.p_any0 > 0.0
-                    && unit(combine(&[self.seed, pcu, w, TAG_GATE0])) < probs.p_any0;
-                if gate0 {
-                    continue;
-                }
-                let (s0, s1) = match plan {
-                    Some(cuts) => {
-                        self.enumerate_bits_sliced(pc, w, 0, cuts.cut1, cuts.class_cut, sel.isa())
-                    }
-                    None => self.enumerate_bits(pc, w, 0.0, probs.cond1),
-                };
-                if !(s0.is_zero() && s1.is_zero()) {
-                    f(w, s0, s1);
-                }
-            }
-        }
-    }
-
-    /// Counts faulty bits of each polarity over a contiguous word range of
-    /// one pseudo channel: `(stuck-at-0, stuck-at-1)`.
-    ///
-    /// This is what a write/read-back test with both data patterns measures.
-    pub(crate) fn count_range_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> (u64, u64) {
-        let mut n0 = 0u64;
-        let mut n1 = 0u64;
-        self.for_each_faulty_sel(pc, &words, supply, sel, |_, s0, s1| {
-            n0 += u64::from(s0.count_ones());
-            n1 += u64::from(s1.count_ones());
-        });
-        (n0, n1)
-    }
-
-    /// Collects the faulty words of a range in ascending offset order,
-    /// yielding `(offset, stuck0, stuck1)` per faulty word. This is the
-    /// bulk-kernel entry point the cached-mask execution mode reuses across
-    /// batch passes and data patterns.
-    pub(crate) fn faulty_words_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        let mut out = Vec::new();
-        self.for_each_faulty_sel(pc, &words, supply, sel, |w, s0, s1| {
-            out.push((WordOffset(w), s0, s1));
-        });
-        out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
-        out
-    }
-
-    /// Streams every faulty word of the range through `f` as
-    /// `(offset, stuck0, stuck1)`, in unspecified order, without
-    /// materializing a mask vector. This is the zero-allocation counterpart
-    /// of [`FaultInjector::faulty_words_sel`] for callers that fold the
-    /// masks into order-independent aggregates (sums, counts) on the fly —
-    /// the dense-fault regime where a collected vector would rival the size
-    /// of the scanned range itself. Takes a `dyn` callback so the
-    /// [`crate::MaskKernel`] trait stays object-safe.
-    pub(crate) fn for_each_faulty_word_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-        f: &mut dyn FnMut(WordOffset, Word256, Word256),
-    ) {
-        self.for_each_faulty_sel(pc, &words, supply, sel, |w, s0, s1| {
-            f(WordOffset(w), s0, s1);
-        });
-    }
-
     /// Iterates over the *faulty* words of a range in ascending offset
     /// order, yielding `(offset, stuck0, stuck1)` and skipping clean words —
     /// the fast path for building fault maps and health scans in the
@@ -1142,80 +821,37 @@ impl FaultInjector {
         let table = self.tile_table(pc, supply);
         Box::new(words.filter_map(move |w| {
             let probs = table.tiles[self.grid.tile_of(w)];
-            let (s0, s1) = self.masks_from_probs(pc, w, probs);
+            let (s0, s1) = self.word_masks(pc, w, probs.c0, probs.c1);
             (!(s0.is_zero() && s1.is_zero())).then_some((WordOffset(w), s0, s1))
         }))
     }
 
-    // ------------------------------------------------------------------
-    // Coupled fault field (`FaultFieldMode::MonotoneCoupled`)
-    // ------------------------------------------------------------------
-
-    /// One word's coupled-field stuck masks against the class
-    /// probabilities.
-    fn coupled_word(&self, pc: PcIndex, w: u64, c0: f64, c1: f64) -> (Word256, Word256) {
-        let s0_share = self.params.stuck0_share;
-        let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_CBIT]);
-        let mut stuck0 = Word256::ZERO;
-        let mut stuck1 = Word256::ZERO;
-        for bit in 0u32..Word256::BITS {
-            let h = mix64(prefix ^ u64::from(bit));
-            let (class_u, t) = unit_pair(h);
-            if class_u < s0_share {
-                if t < c0 {
-                    stuck0 = stuck0.with_bit_set(bit);
-                }
-            } else if t < c1 {
-                stuck1 = stuck1.with_bit_set(bit);
-            }
-        }
-        (stuck0, stuck1)
-    }
-
-    /// Dispatches one coupled word through the tile's plan: the scalar
-    /// walk, or the bit-sliced planes of the word's counter hashes against
-    /// the tile's integer cutoffs (the coupled field has no word gates, so
-    /// its planes are exactly the per-voltage kernel's at the raw class
-    /// probabilities).
-    fn coupled_word_sel(
-        &self,
-        pc: PcIndex,
-        w: u64,
-        probs: &TileProbs,
-        plan: Option<TileCuts>,
-        isa: InstructionSet,
-    ) -> (Word256, Word256) {
-        match plan {
-            Some(cuts) => {
-                let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_CBIT]);
-                bitsliced::bit_planes(prefix, cuts.class_cut, cuts.cut0, cuts.cut1, isa)
-            }
-            None => self.coupled_word(pc, w, probs.c0, probs.c1),
-        }
-    }
-
-    /// The coupled-field activation index of `pc`, or `None` for geometries
-    /// too large to index.
-    fn pc_coupled_index(&self, pc: PcIndex) -> Option<Arc<CoupledIndex>> {
+    /// The activation index of `pc`, or `None` for geometries too large to
+    /// index.
+    fn pc_activation_index(&self, pc: PcIndex) -> Option<Arc<ActivationIndex>> {
         if self.grid.words_per_pc > MAX_INDEXED_WORDS_PER_PC {
             return None;
         }
         {
-            let cache = self.coupled_index.read().expect("coupled index poisoned");
+            let cache = self
+                .activation_index
+                .read()
+                .expect("activation index poisoned");
             if let Some(index) = &cache[pc.as_usize()] {
                 return Some(Arc::clone(index));
             }
         }
-        let index = Arc::new(self.build_coupled_index(pc));
-        self.coupled_index.write().expect("coupled index poisoned")[pc.as_usize()] =
-            Some(Arc::clone(&index));
+        let index = Arc::new(self.build_activation_index(pc));
+        self.activation_index
+            .write()
+            .expect("activation index poisoned")[pc.as_usize()] = Some(Arc::clone(&index));
         Some(index)
     }
 
     /// One pass over every bit of the pseudo channel, recording each word's
     /// minimum threshold per class; thresholds never depend on voltage or
     /// temperature, so the index is built once per PC.
-    fn build_coupled_index(&self, pc: PcIndex) -> CoupledIndex {
+    fn build_activation_index(&self, pc: PcIndex) -> ActivationIndex {
         let s0_share = self.params.stuck0_share;
         let pcu = u64::from(pc.as_u8());
         let words = usize::try_from(self.grid.words_per_pc).expect("indexed geometry fits usize");
@@ -1236,13 +872,13 @@ impl FaultInjector {
             by0[w as usize] = m0;
             by1[w as usize] = m1;
         }
-        CoupledIndex {
+        ActivationIndex {
             class0: self.sorted_threshold_index(by0),
             class1: self.sorted_threshold_index(by1),
         }
     }
 
-    fn sorted_threshold_index(&self, by_word: Vec<f64>) -> CoupledClassIndex {
+    fn sorted_threshold_index(&self, by_word: Vec<f64>) -> ActivationClassIndex {
         let mut entries: Vec<(u32, f64, u32)> = by_word
             .iter()
             .enumerate()
@@ -1259,7 +895,7 @@ impl FaultInjector {
             acc += *s;
             *s = acc;
         }
-        CoupledClassIndex {
+        ActivationClassIndex {
             starts,
             thresholds: entries.iter().map(|&(_, t, _)| t).collect(),
             offsets: entries.iter().map(|&(_, _, w)| w).collect(),
@@ -1267,43 +903,11 @@ impl FaultInjector {
         }
     }
 
-    /// Computes the stuck-at masks of one word at a supply voltage under
-    /// the coupled fault field ([`crate::FaultFieldMode::MonotoneCoupled`]).
-    ///
-    /// Each `(pc, word, bit)` owns one persistent threshold drawn from a
-    /// counter-based hash of the device seed and the bit's address; the bit
-    /// is faulty iff its polarity class's fault probability at `supply`
-    /// exceeds the threshold. Masks are disjoint, deterministic, guardband
-    /// fault-free, and inclusion-monotone across descending voltage by
-    /// construction. The expected per-bit fault rate equals the legacy
-    /// field's (`share_π × c_π`), so the two fields are statistically
-    /// interchangeable at any single voltage.
-    ///
-    /// Single-word queries do not touch the dispatch counters.
-    pub(crate) fn coupled_stuck_masks_sel(
-        &self,
-        pc: PcIndex,
-        offset: WordOffset,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> (Word256, Word256) {
-        if supply >= self.params.landmarks.v_min {
-            return (Word256::ZERO, Word256::ZERO);
-        }
-        let table = self.tile_table(pc, supply);
-        let probs = table.tiles[self.grid.tile_of(offset.0)];
-        if probs.c0 == 0.0 && probs.c1 == 0.0 {
-            return (Word256::ZERO, Word256::ZERO);
-        }
-        let plan = sel
-            .bitsliced_for_tile(probs.p_any0.max(probs.p_any1))
-            .then(|| self.tile_cuts(&probs, true));
-        self.coupled_word_sel(pc, offset.0, &probs, plan, sel.isa())
-    }
-
-    /// Runs `f` over every word of the range with at least one
-    /// coupled-field faulty bit, in unspecified order, yielding its masks.
-    fn coupled_for_each_active<F: FnMut(u64, Word256, Word256)>(
+    /// Runs `f` over every word of the range with at least one faulty bit,
+    /// in unspecified order, yielding its masks: through the activation
+    /// index where the geometry is indexed, with the per-tile backend
+    /// dispatch of `sel`.
+    fn for_each_active<F: FnMut(u64, Word256, Word256)>(
         &self,
         pc: PcIndex,
         words: &Range<u64>,
@@ -1321,7 +925,7 @@ impl FaultInjector {
             self.grid.words_per_pc
         );
         let table = self.tile_table(pc, supply);
-        let Some(index) = self.pc_coupled_index(pc) else {
+        let Some(index) = self.pc_activation_index(pc) else {
             // Unindexed fallback: per-word bit walk over the tile cache,
             // the dispatch decision memoized per visited tile.
             let mut plans: Vec<Option<Option<TileCuts>>> = vec![None; self.grid.tile_count];
@@ -1331,8 +935,8 @@ impl FaultInjector {
                 if probs.c0 == 0.0 && probs.c1 == 0.0 {
                     continue;
                 }
-                let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs, true));
-                let (s0, s1) = self.coupled_word_sel(pc, w, &probs, plan, sel.isa());
+                let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs));
+                let (s0, s1) = self.word_masks_sel(pc, w, &probs, plan, sel.isa());
                 if !(s0.is_zero() && s1.is_zero()) {
                     f(w, s0, s1);
                 }
@@ -1343,7 +947,7 @@ impl FaultInjector {
             if probs.c0 == 0.0 && probs.c1 == 0.0 {
                 continue;
             }
-            let plan = self.tile_plan(sel, probs, true);
+            let plan = self.tile_plan(sel, probs);
             // Words whose class-0 minimum threshold is crossed; each has at
             // least one stuck-at-0 bit by the prefix predicate.
             for &w32 in index.class0.active(tile, probs.c0) {
@@ -1351,7 +955,7 @@ impl FaultInjector {
                 if !words.contains(&w) {
                     continue;
                 }
-                let (s0, s1) = self.coupled_word_sel(pc, w, probs, plan, sel.isa());
+                let (s0, s1) = self.word_masks_sel(pc, w, probs, plan, sel.isa());
                 f(w, s0, s1);
             }
             // Words active only through class 1 (class-0-active words were
@@ -1365,16 +969,17 @@ impl FaultInjector {
                 if index.class0.by_word[w32 as usize] < probs.c0 {
                     continue;
                 }
-                let (s0, s1) = self.coupled_word_sel(pc, w, probs, plan, sel.isa());
+                let (s0, s1) = self.word_masks_sel(pc, w, probs, plan, sel.isa());
                 f(w, s0, s1);
             }
         }
     }
 
-    /// Collects the coupled-field faulty words of a range in ascending
-    /// offset order — the [`crate::FaultFieldMode::MonotoneCoupled`]
-    /// counterpart of [`FaultInjector::faulty_words_sel`].
-    pub(crate) fn coupled_faulty_words_sel(
+    /// Collects the faulty words of a range in ascending offset order,
+    /// yielding `(offset, stuck0, stuck1)` per faulty word. This is the
+    /// bulk-kernel entry point the cached-mask execution mode reuses across
+    /// batch passes and data patterns.
+    pub(crate) fn faulty_words_sel(
         &self,
         pc: PcIndex,
         words: Range<u64>,
@@ -1382,20 +987,22 @@ impl FaultInjector {
         sel: BackendSel,
     ) -> Vec<(WordOffset, Word256, Word256)> {
         let mut out = Vec::new();
-        self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1| {
+        self.for_each_active(pc, &words, supply, sel, |w, s0, s1| {
             out.push((WordOffset(w), s0, s1));
         });
         out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
         out
     }
 
-    /// Streams every coupled-field faulty word of the range through `f` as
-    /// `(offset, stuck0, stuck1)`, in unspecified order — the
-    /// [`crate::FaultFieldMode::MonotoneCoupled`] counterpart of
-    /// [`FaultInjector::for_each_faulty_word_sel`] for dense-regime
-    /// streaming folds. Takes a `dyn` callback so the [`crate::MaskKernel`]
-    /// trait stays object-safe.
-    pub(crate) fn coupled_for_each_faulty_sel(
+    /// Streams every faulty word of the range through `f` as
+    /// `(offset, stuck0, stuck1)`, in unspecified order, without
+    /// materializing a mask vector: the zero-allocation counterpart of
+    /// [`FaultInjector::faulty_words_sel`] for callers that fold the masks
+    /// into order-independent aggregates (sums, counts) on the fly — the
+    /// dense-fault regime where a collected vector would rival the size of
+    /// the scanned range itself. Takes a `dyn` callback so the
+    /// [`crate::MaskKernel`] trait stays object-safe.
+    pub(crate) fn for_each_faulty_sel(
         &self,
         pc: PcIndex,
         words: Range<u64>,
@@ -1403,16 +1010,15 @@ impl FaultInjector {
         sel: BackendSel,
         f: &mut dyn FnMut(WordOffset, Word256, Word256),
     ) {
-        self.coupled_for_each_active(pc, &words, supply, sel, |w, s0, s1| {
+        self.for_each_active(pc, &words, supply, sel, |w, s0, s1| {
             f(WordOffset(w), s0, s1);
         });
     }
 
     /// The expected fraction of words with at least one faulty bit at
     /// `supply`, averaged over the pseudo channel's tiles — `0.0` in the
-    /// guardband. Identical for both fault-field modes (they share the
-    /// analytic model) and cheap to evaluate (tile cache hit plus a pass
-    /// over the tile probabilities), so callers can use it to pick between
+    /// guardband. Cheap to evaluate (tile cache hit plus a pass over the
+    /// tile probabilities), so callers can use it to pick between
     /// collecting faulty-word vectors (sparse regime) and streaming folds
     /// (dense regime) *before* enumerating anything.
     #[must_use]
@@ -1432,9 +1038,11 @@ impl FaultInjector {
         sum / table.tiles.len() as f64
     }
 
-    /// Counts coupled-field faulty bits of each polarity over a contiguous
-    /// word range: `(stuck-at-0, stuck-at-1)`.
-    pub(crate) fn coupled_count_range_sel(
+    /// Counts faulty bits of each polarity over a contiguous word range of
+    /// one pseudo channel: `(stuck-at-0, stuck-at-1)`.
+    ///
+    /// This is what a write/read-back test with both data patterns measures.
+    pub(crate) fn count_range_sel(
         &self,
         pc: PcIndex,
         words: Range<u64>,
@@ -1443,14 +1051,14 @@ impl FaultInjector {
     ) -> (u64, u64) {
         let mut n0 = 0u64;
         let mut n1 = 0u64;
-        self.coupled_for_each_active(pc, &words, supply, sel, |_, s0, s1| {
+        self.for_each_active(pc, &words, supply, sel, |_, s0, s1| {
             n0 += u64::from(s0.count_ones());
             n1 += u64::from(s1.count_ones());
         });
         (n0, n1)
     }
 
-    /// The one hashing pass of every coupled-field descent: calls
+    /// The one hashing pass of every descent: calls
     /// `on_word(word, touched, knots, keys)` for each word of `words` in
     /// ascending order whose tile fails at some knot of the strictly
     /// descending `schedule`, with the tile's [`KnotSearch`] and every
@@ -1461,7 +1069,7 @@ impl FaultInjector {
     /// No masks and no per-bit call: each tile the range touches gets the
     /// exact integer cutoffs ([`unit_cutoff`]) of both classes at every
     /// knot (zero at or above the guardband), non-decreasing along the
-    /// descent because the coupled field is monotone. A bit fails first at
+    /// descent because the field is monotone. A bit fails first at
     /// the first knot whose cutoff exceeds its raw threshold. Words of
     /// tiles that stay clean at every knot are not hashed.
     ///
@@ -1469,7 +1077,7 @@ impl FaultInjector {
     ///
     /// Panics when `schedule` is not strictly descending or has more than
     /// `u16::MAX` knots, or when `words` runs past the pseudo channel.
-    fn coupled_descent_words(
+    fn descent_words(
         &self,
         pc: PcIndex,
         words: Range<u64>,
@@ -1519,7 +1127,7 @@ impl FaultInjector {
         searches
     }
 
-    /// Union coupled-field fault-bit counts of one pseudo channel along a
+    /// Union fault-bit counts of one pseudo channel along a
     /// strictly descending `schedule`: entry `k` is the stuck-at count (both
     /// polarities) over `words` at `schedule[k]`, equal to
     /// [`crate::MaskKernel::count_range`] at that knot.
@@ -1528,7 +1136,7 @@ impl FaultInjector {
     /// ([`KnotSearch::count_word`]) and folds those counts into the
     /// first-failing knots once, at the end ([`KnotSearch::fold_counts`]);
     /// prefix sums of that histogram are the counts.
-    pub(crate) fn coupled_count_descent(
+    pub(crate) fn count_descent(
         &self,
         pc: PcIndex,
         words: Range<u64>,
@@ -1540,13 +1148,12 @@ impl FaultInjector {
         // Per touched tile, its bucket counts.
         let mut counts: Vec<[u64; KEY_BUCKETS]> = Vec::new();
         let mut split = [0u64; 256];
-        let searches =
-            self.coupled_descent_words(pc, words, schedule, isa, |_, touched, knots, keys| {
-                if touched >= counts.len() {
-                    counts.resize(touched + 1, [0; KEY_BUCKETS]);
-                }
-                knots.count_word(keys, &mut counts[touched], &mut split, &mut hist);
-            });
+        let searches = self.descent_words(pc, words, schedule, isa, |_, touched, knots, keys| {
+            if touched >= counts.len() {
+                counts.resize(touched + 1, [0; KEY_BUCKETS]);
+            }
+            knots.count_word(keys, &mut counts[touched], &mut split, &mut hist);
+        });
         for (knots, counts) in searches.iter().zip(&counts) {
             knots.fold_counts(counts, &mut hist);
         }
@@ -1565,7 +1172,7 @@ impl FaultInjector {
     /// for the bits clean at every knot), read per bit from the tile's
     /// [`KnotSearch::slot`]. A word's masks at knot `k` are its bits whose
     /// first knot is at most `k`.
-    pub(crate) fn coupled_knot_descent(
+    pub(crate) fn knot_descent(
         &self,
         pc: PcIndex,
         words: Range<u64>,
@@ -1574,7 +1181,7 @@ impl FaultInjector {
         f: &mut KnotDescentFn<'_>,
     ) {
         let last = schedule.len();
-        self.coupled_descent_words(pc, words, schedule, isa, |w, _, knots, keys| {
+        self.descent_words(pc, words, schedule, isa, |w, _, knots, keys| {
             // The word's stuck-at-0 and stuck-at-1 lanes, indexed by class
             // so that the random polarity of each bit costs no branch.
             let mut planes = [[0u64; 4]; 2];
@@ -1634,17 +1241,12 @@ fn p_any(p_bit: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FaultFieldMode, FieldKernel, KernelBackend, MaskKernel};
+    use crate::{FieldKernel, KernelBackend, MaskKernel};
 
-    /// The scalar per-voltage kernel: the reference the other backends are
-    /// compared against.
-    fn legacy(inj: &FaultInjector) -> FieldKernel<'_> {
-        inj.kernel(FaultFieldMode::PerVoltage, KernelBackend::Scalar)
-    }
-
-    /// The scalar coupled-field kernel.
-    fn coupled(inj: &FaultInjector) -> FieldKernel<'_> {
-        inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar)
+    /// The scalar kernel: the reference the other backends are compared
+    /// against.
+    fn scalar(inj: &FaultInjector) -> FieldKernel<'_> {
+        inj.kernel(KernelBackend::Scalar)
     }
 
     fn injector() -> FaultInjector {
@@ -1769,8 +1371,11 @@ mod tests {
         let inj = injector();
         for v in [1200u32, 1100, 1000, 990, 980] {
             for w in 0..256 {
-                let (s0, s1) = inj.stuck_masks(pc(5), WordOffset(w), Millivolts(v));
-                assert!(s0.is_zero() && s1.is_zero(), "fault at {v} mV");
+                let v = Millivolts(v);
+                let (s0, s1) = inj.stuck_masks(pc(5), WordOffset(w), v);
+                assert!(s0.is_zero() && s1.is_zero(), "fault at {v}");
+                let (s0, s1) = scalar(&inj).masks(pc(5), WordOffset(w), v);
+                assert!(s0.is_zero() && s1.is_zero(), "scalar fault at {v}");
             }
         }
     }
@@ -1778,17 +1383,19 @@ mod tests {
     #[test]
     fn saturation_makes_everything_faulty() {
         let inj = injector();
+        let v = Millivolts(820);
         for w in 0..64 {
-            let (s0, s1) = inj.stuck_masks(pc(0), WordOffset(w), Millivolts(820));
+            let (s0, s1) = inj.stuck_masks(pc(0), WordOffset(w), v);
             assert_eq!((s0 | s1).count_ones(), 256, "word {w} not fully faulty");
             assert!((s0 & s1).is_zero());
+            assert_eq!(scalar(&inj).masks(pc(0), WordOffset(w), v), (s0, s1));
         }
     }
 
     #[test]
     fn polarity_split_near_configured_share() {
         let inj = injector();
-        let (n0, n1) = legacy(&inj).count_range(pc(0), 0..2048, Millivolts(820));
+        let (n0, n1) = scalar(&inj).count_range(pc(0), 0..2048, Millivolts(820));
         let total = (n0 + n1) as f64;
         let share0 = n0 as f64 / total;
         assert!((share0 - 0.47).abs() < 0.02, "share0 = {share0}");
@@ -1849,15 +1456,17 @@ mod tests {
     #[test]
     fn fault_set_monotone_in_voltage() {
         let inj = injector();
-        // Sweep down in 10 mV steps; the union mask may only grow.
+        // Sweep down in 10 mV steps; each polarity's set may only grow.
         for w in 0..128u64 {
-            let mut prev = Word256::ZERO;
+            let mut prev0 = Word256::ZERO;
+            let mut prev1 = Word256::ZERO;
             let mut v = Millivolts(980);
             while v >= Millivolts(820) {
                 let (s0, s1) = inj.stuck_masks(pc(2), WordOffset(w), v);
-                let union = s0 | s1;
-                assert_eq!(union & prev, prev, "fault set shrank at {v} word {w}");
-                prev = union;
+                assert_eq!(s0 & prev0, prev0, "stuck-0 set shrank at {v} word {w}");
+                assert_eq!(s1 & prev1, prev1, "stuck-1 set shrank at {v} word {w}");
+                prev0 = s0;
+                prev1 = s1;
                 v = v.saturating_sub(Millivolts(10));
             }
         }
@@ -1906,7 +1515,7 @@ mod tests {
         let inj = injector();
         let v = Millivolts(860);
         let words = 8192u64;
-        let (n0, n1) = legacy(&inj).count_range(pc(7), 0..words, v);
+        let (n0, n1) = scalar(&inj).count_range(pc(7), 0..words, v);
         let measured = (n0 + n1) as f64 / (words as f64 * 256.0);
 
         // Average the analytic rate over the same words.
@@ -1930,8 +1539,8 @@ mod tests {
         hot.set_temperature(Celsius(55.0));
         let cold = injector();
         let v = Millivolts(900);
-        let (h0, h1) = legacy(&hot).count_range(pc(0), 0..4096, v);
-        let (c0, c1) = legacy(&cold).count_range(pc(0), 0..4096, v);
+        let (h0, h1) = scalar(&hot).count_range(pc(0), 0..4096, v);
+        let (c0, c1) = scalar(&cold).count_range(pc(0), 0..4096, v);
         assert!(h0 + h1 >= c0 + c1, "hot {h0}+{h1} vs cold {c0}+{c1}");
     }
 
@@ -1941,7 +1550,7 @@ mod tests {
         let v = Millivolts(880);
         let scanned: Vec<_> = inj.scan_faulty(pc(4), 0..4096, v).collect();
         // Same totals as the counting walk.
-        let (n0, n1) = legacy(&inj).count_range(pc(4), 0..4096, v);
+        let (n0, n1) = scalar(&inj).count_range(pc(4), 0..4096, v);
         let scan0: u64 = scanned
             .iter()
             .map(|(_, s0, _)| u64::from(s0.count_ones()))
@@ -1962,19 +1571,6 @@ mod tests {
     }
 
     #[test]
-    fn conditional_threshold_monotone_in_c() {
-        // c / p_any(s·c) must be increasing in c so fault sets are monotone.
-        let s = 0.47;
-        let mut last = 0.0;
-        for i in 1..=10_000 {
-            let c = f64::from(i) / 10_000.0;
-            let ratio = c / p_any(s * c);
-            assert!(ratio >= last, "non-monotone at c = {c}");
-            last = ratio;
-        }
-    }
-
-    #[test]
     fn cached_kernel_matches_reference_path() {
         let inj = injector();
         for v in [1000u32, 990, 979, 960, 930, 900, 870, 840, 820] {
@@ -1983,7 +1579,7 @@ mod tests {
                 let w = WordOffset(w);
                 assert_eq!(
                     inj.stuck_masks(pc(6), w, v),
-                    inj.stuck_masks_per_word_impl(pc(6), w, v),
+                    inj.reference_masks(pc(6), w, v),
                     "masks diverge at {v} {w}"
                 );
                 assert_eq!(
@@ -2004,15 +1600,43 @@ mod tests {
             let mut n0 = 0u64;
             let mut n1 = 0u64;
             for w in range.clone() {
-                let (s0, s1) = inj.stuck_masks_per_word_impl(pc(4), WordOffset(w), v);
+                let (s0, s1) = inj.reference_masks(pc(4), WordOffset(w), v);
                 n0 += u64::from(s0.count_ones());
                 n1 += u64::from(s1.count_ones());
             }
             assert_eq!(
-                legacy(&inj).count_range(pc(4), range, v),
+                scalar(&inj).count_range(pc(4), range, v),
                 (n0, n1),
                 "at {v}"
             );
+        }
+    }
+
+    #[test]
+    fn enumeration_matches_per_word_masks() {
+        let inj = injector();
+        for v in [990u32, 965, 940, 900, 870, 840] {
+            let v = Millivolts(v);
+            let range = 0u64..2048;
+            let mut expected = Vec::new();
+            for w in range.clone() {
+                let (s0, s1) = scalar(&inj).masks(pc(6), WordOffset(w), v);
+                if !(s0.is_zero() && s1.is_zero()) {
+                    expected.push((WordOffset(w), s0, s1));
+                }
+            }
+            let bulk = scalar(&inj).faulty_words(pc(6), range.clone(), v);
+            assert_eq!(bulk, expected, "enumeration diverges at {v}");
+            let (n0, n1) = scalar(&inj).count_range(pc(6), range, v);
+            let sum0: u64 = expected
+                .iter()
+                .map(|(_, s0, _)| u64::from(s0.count_ones()))
+                .sum();
+            let sum1: u64 = expected
+                .iter()
+                .map(|(_, _, s1)| u64::from(s1.count_ones()))
+                .sum();
+            assert_eq!((n0, n1), (sum0, sum1), "counts diverge at {v}");
         }
     }
 
@@ -2021,25 +1645,25 @@ mod tests {
         let mut inj = injector();
         let v = Millivolts(900);
         // Populate the tile cache at ambient …
-        let cold = legacy(&inj).count_range(pc(0), 0..4096, v);
+        let cold = scalar(&inj).count_range(pc(0), 0..4096, v);
         // … then heat the device: cached tile probabilities must be rebuilt,
         // matching an injector that never cached at ambient.
         inj.set_temperature(Celsius(55.0));
         let mut fresh = injector();
         fresh.set_temperature(Celsius(55.0));
         assert_eq!(
-            legacy(&inj).count_range(pc(0), 0..4096, v),
-            legacy(&fresh).count_range(pc(0), 0..4096, v)
+            scalar(&inj).count_range(pc(0), 0..4096, v),
+            scalar(&fresh).count_range(pc(0), 0..4096, v)
         );
         assert_ne!(
-            legacy(&inj).count_range(pc(0), 0..4096, v),
+            scalar(&inj).count_range(pc(0), 0..4096, v),
             cold,
             "a 20 °C rise must change the fault count at 900 mV"
         );
         for w in 0..64 {
             assert_eq!(
                 inj.stuck_masks(pc(0), WordOffset(w), v),
-                inj.stuck_masks_per_word_impl(pc(0), WordOffset(w), v),
+                inj.reference_masks(pc(0), WordOffset(w), v),
                 "stale tile cache leaked after temperature change"
             );
         }
@@ -2049,11 +1673,11 @@ mod tests {
     fn clones_invalidate_independently() {
         let mut original = injector();
         let v = Millivolts(900);
-        let at_ambient = legacy(&original).count_range(pc(0), 0..512, v); // warm cache
+        let at_ambient = scalar(&original).count_range(pc(0), 0..512, v); // warm cache
         let clone = original.clone();
         original.set_temperature(Celsius(55.0));
         assert_eq!(
-            legacy(&clone).count_range(pc(0), 0..512, v),
+            scalar(&clone).count_range(pc(0), 0..512, v),
             at_ambient,
             "heating the original must not touch the clone's cache"
         );
@@ -2063,7 +1687,7 @@ mod tests {
     fn faulty_words_sorted_and_matches_scan() {
         let inj = injector();
         let v = Millivolts(870);
-        let bulk = legacy(&inj).faulty_words(pc(2), 0..4096, v);
+        let bulk = scalar(&inj).faulty_words(pc(2), 0..4096, v);
         assert!(bulk.windows(2).all(|w| w[0].0 .0 < w[1].0 .0));
         let scanned: Vec<_> = inj.scan_faulty(pc(2), 0..4096, v).collect();
         assert_eq!(bulk, scanned);
@@ -2071,148 +1695,24 @@ mod tests {
 
     #[test]
     fn unindexed_geometry_uses_tile_cache_fallback() {
-        // 131072 words/pc exceeds the gate-index cap, exercising the
+        // 131072 words/pc exceeds the activation-index cap, exercising the
         // per-word fallback over the tile cache.
         let geometry = HbmGeometry::vcu128().scaled(64);
         assert!(geometry.words_per_pc() > MAX_INDEXED_WORDS_PER_PC);
         let inj = FaultInjector::new(FaultModelParams::date21(), geometry, 77);
-        for v in [990u32, 900, 850] {
+        for v in [990u32, 940, 900, 880, 850] {
             let v = Millivolts(v);
-            let mut n0 = 0u64;
-            let mut n1 = 0u64;
+            let mut expected = Vec::new();
             for w in 0..2048 {
-                let (s0, s1) = inj.stuck_masks_per_word_impl(pc(1), WordOffset(w), v);
-                n0 += u64::from(s0.count_ones());
-                n1 += u64::from(s1.count_ones());
+                let (s0, s1) = inj.reference_masks(pc(1), WordOffset(w), v);
+                if !(s0.is_zero() && s1.is_zero()) {
+                    expected.push((WordOffset(w), s0, s1));
+                }
             }
-            assert_eq!(
-                legacy(&inj).count_range(pc(1), 0..2048, v),
-                (n0, n1),
-                "at {v}"
-            );
+            let bulk = scalar(&inj).faulty_words(pc(1), 0..2048, v);
+            assert_eq!(bulk, expected, "unindexed enumeration diverges at {v}");
             let lazy: Vec<_> = inj.scan_faulty(pc(1), 0..2048, v).collect();
-            assert_eq!(
-                lazy,
-                legacy(&inj).faulty_words(pc(1), 0..2048, v),
-                "lazy scan and bulk collection diverge at {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn coupled_guardband_is_fault_free() {
-        let inj = injector();
-        for v in [1200u32, 1000, 990, 980] {
-            for w in 0..128 {
-                let (s0, s1) = coupled(&inj).masks(pc(5), WordOffset(w), Millivolts(v));
-                assert!(s0.is_zero() && s1.is_zero(), "coupled fault at {v} mV");
-            }
-        }
-    }
-
-    #[test]
-    fn coupled_masks_disjoint_deterministic_and_saturating() {
-        let inj = injector();
-        for w in 0..64 {
-            let v = Millivolts(820);
-            let (s0, s1) = coupled(&inj).masks(pc(0), WordOffset(w), v);
-            assert_eq!((s0 | s1).count_ones(), 256, "word {w} not fully faulty");
-            assert!((s0 & s1).is_zero());
-            assert_eq!(coupled(&inj).masks(pc(0), WordOffset(w), v), (s0, s1));
-        }
-        // The coupled field is a different specimen realization than the
-        // legacy field at the same seed (distinct hash domains).
-        let mid = Millivolts(870);
-        let differs = (0..512).any(|w| {
-            coupled(&inj).masks(pc(0), WordOffset(w), mid)
-                != inj.stuck_masks(pc(0), WordOffset(w), mid)
-        });
-        assert!(differs, "coupled and legacy fields should not coincide");
-    }
-
-    #[test]
-    fn coupled_fault_set_monotone_in_voltage() {
-        let inj = injector();
-        for w in 0..128u64 {
-            let mut prev0 = Word256::ZERO;
-            let mut prev1 = Word256::ZERO;
-            let mut v = Millivolts(980);
-            while v >= Millivolts(820) {
-                let (s0, s1) = coupled(&inj).masks(pc(2), WordOffset(w), v);
-                assert_eq!(s0 & prev0, prev0, "stuck-0 set shrank at {v} word {w}");
-                assert_eq!(s1 & prev1, prev1, "stuck-1 set shrank at {v} word {w}");
-                prev0 = s0;
-                prev1 = s1;
-                v = v.saturating_sub(Millivolts(10));
-            }
-        }
-    }
-
-    #[test]
-    fn coupled_enumeration_matches_per_word_masks() {
-        let inj = injector();
-        for v in [990u32, 965, 940, 900, 870, 840] {
-            let v = Millivolts(v);
-            let range = 0u64..2048;
-            let mut expected = Vec::new();
-            for w in range.clone() {
-                let (s0, s1) = coupled(&inj).masks(pc(6), WordOffset(w), v);
-                if !(s0.is_zero() && s1.is_zero()) {
-                    expected.push((WordOffset(w), s0, s1));
-                }
-            }
-            let bulk = coupled(&inj).faulty_words(pc(6), range.clone(), v);
-            assert_eq!(bulk, expected, "coupled enumeration diverges at {v}");
-            let (n0, n1) = coupled(&inj).count_range(pc(6), range, v);
-            let sum0: u64 = expected
-                .iter()
-                .map(|(_, s0, _)| u64::from(s0.count_ones()))
-                .sum();
-            let sum1: u64 = expected
-                .iter()
-                .map(|(_, _, s1)| u64::from(s1.count_ones()))
-                .sum();
-            assert_eq!((n0, n1), (sum0, sum1), "coupled counts diverge at {v}");
-        }
-    }
-
-    #[test]
-    fn coupled_rate_tracks_legacy_rate() {
-        // Same marginal per-bit probability `s·c` in both fields: aggregate
-        // counts over a decent sample must agree statistically.
-        let inj = injector();
-        let v = Millivolts(860);
-        let (l0, l1) = legacy(&inj).count_range(pc(7), 0..8192, v);
-        let (c0, c1) = coupled(&inj).count_range(pc(7), 0..8192, v);
-        let legacy = (l0 + l1) as f64;
-        let coupled = (c0 + c1) as f64;
-        let ratio = coupled / legacy;
-        assert!(
-            (0.8..1.25).contains(&ratio),
-            "coupled {coupled} vs legacy {legacy}"
-        );
-    }
-
-    #[test]
-    fn coupled_unindexed_geometry_falls_back() {
-        let geometry = HbmGeometry::vcu128().scaled(64);
-        assert!(geometry.words_per_pc() > MAX_INDEXED_WORDS_PER_PC);
-        let inj = FaultInjector::new(FaultModelParams::date21(), geometry, 77);
-        let range = 0u64..1024;
-        for v in [940u32, 880] {
-            let v = Millivolts(v);
-            let mut expected = Vec::new();
-            for w in range.clone() {
-                let (s0, s1) = coupled(&inj).masks(pc(1), WordOffset(w), v);
-                if !(s0.is_zero() && s1.is_zero()) {
-                    expected.push((WordOffset(w), s0, s1));
-                }
-            }
-            assert_eq!(
-                coupled(&inj).faulty_words(pc(1), range.clone(), v),
-                expected,
-                "unindexed coupled enumeration diverges at {v}"
-            );
+            assert_eq!(lazy, bulk, "lazy scan and bulk collection diverge at {v}");
         }
     }
 }

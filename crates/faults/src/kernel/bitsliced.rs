@@ -11,10 +11,10 @@
 //! cutoffs are exact), enforced end to end by the `bitsliced_matches_scalar`
 //! proptests. There are two loops:
 //!
-//! - [`bit_planes`] packs one voltage's compares into the `(stuck0,
-//!   stuck1)` bitplanes of the per-voltage field and of coupled masks;
+//! - [`bit_planes`] packs one voltage's compares into a word's `(stuck0,
+//!   stuck1)` bitplanes;
 //! - [`keyed_thresholds`] writes every bit's raw threshold, tagged with its
-//!   polarity class, into a word-sized array for the coupled descents. Its
+//!   polarity class, into a word-sized array for the descents. Its
 //!   top nine bits (`class × 256 + top byte`) index a descent's per-tile
 //!   bucket tables: the count descent folds them through a per-tile
 //!   histogram without a branch, and the knot descent turns them into each

@@ -1,14 +1,12 @@
 //! The unified mask-generation kernel API.
 //!
 //! Historically the injector accreted one entry point per enumeration
-//! strategy (the per-word reference path, the tiled scan, the coupled
-//! family, the descents), and every caller had to match on
-//! [`FaultFieldMode`] to pick the right family. This module collapses them
-//! behind one [`MaskKernel`] trait: callers obtain a kernel with
-//! [`FaultInjector::kernel`], and every mask query dispatches on the
-//! configured fault field internally. Production code always asks for
-//! [`KernelBackend::Auto`]; the forced backends exist so tests and benches
-//! can compare against a fixed reference.
+//! strategy (the per-word reference path, the tiled scan, the descents).
+//! This module collapses them behind one [`MaskKernel`] trait: callers
+//! obtain a kernel with [`FaultInjector::kernel`] and ask it for masks,
+//! enumerations, counts or a descent of the one fault field. Production
+//! code always asks for [`KernelBackend::Auto`]; the forced backends exist
+//! so tests and benches can compare against a fixed reference.
 //!
 //! # Backends
 //!
@@ -24,29 +22,30 @@
 //! ([`crate::hash::unit_cutoff`]), packing the results into `u64`
 //! bitplanes. It is bit-identical to the scalar path by construction — the
 //! cutoffs are the exact integer images of the scalar `f64` comparisons —
-//! which the `bitsliced_matches_scalar` proptests enforce for both fault
-//! fields.
+//! which the `bitsliced_matches_scalar` proptests enforce.
 //!
-//! `Auto` (the default) decides per tile from the injector's cached tile
-//! probabilities: a tile is *dense* when either polarity's word-gate
-//! probability reaches [`DENSE_TILE_P_ANY`], i.e. when enough words of the
-//! tile are expected to need per-bit enumeration that whole-word hashing
-//! beats the skip-sampled scalar walk.
+//! `Auto` (the default) decides per tile of a range scan from the
+//! injector's cached tile probabilities: a tile is *dense* when either
+//! polarity's word-level any-fault probability reaches
+//! [`DENSE_TILE_P_ANY`], i.e. when enough words of the tile are expected to
+//! be faulty that whole-word hashing beats walking the activation index's
+//! few faulty words bit by bit. A single-word query has nothing to skip,
+//! so `Auto` and `BitSliced` always hash it whole. The descents run one
+//! loop for every backend.
 
 use std::ops::Range;
 
 use hbm_device::{PcIndex, Word256, WordOffset};
 use hbm_units::Millivolts;
 
-use crate::field::FaultFieldMode;
 use crate::injector::FaultInjector;
 
 pub(crate) mod bitsliced;
 
-/// Word-gate probability at which [`KernelBackend::Auto`] switches a tile
-/// from scalar sparse enumeration to bit-sliced dense generation: one gated
-/// word expected per 256, the point where hashing whole words stops losing
-/// to the geometric skip walk.
+/// Word-level any-fault probability at which [`KernelBackend::Auto`]
+/// switches a tile from scalar sparse enumeration to bit-sliced dense
+/// generation: one faulty word expected per 256, the point where hashing
+/// whole words stops losing to the activation index's skip walk.
 pub(crate) const DENSE_TILE_P_ANY: f64 = 1.0 / 256.0;
 
 /// Which implementation generates stuck-at masks.
@@ -70,7 +69,7 @@ pub enum KernelBackend {
     Auto,
 }
 
-/// The compile of the word loops the bit-sliced kernel and the coupled
+/// The compile of the word loops the bit-sliced kernel and the
 /// descents run, probed at runtime so one binary adapts to its host. Every
 /// compile is the same source loop and agrees bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +127,8 @@ impl BackendSel {
         }
     }
 
-    /// The dispatch rule: whether a tile whose larger word-gate probability
-    /// is `p_any_max` takes the bit-sliced path.
+    /// The dispatch rule: whether a tile whose larger word-level any-fault
+    /// probability is `p_any_max` takes the bit-sliced path.
     pub(crate) fn bitsliced_for_tile(self, p_any_max: f64) -> bool {
         match self {
             BackendSel::Scalar => false,
@@ -150,13 +149,12 @@ impl BackendSel {
 
 /// One unified interface to every mask-generation strategy.
 ///
-/// A `MaskKernel` binds a [`FaultInjector`], a [`FaultFieldMode`], and a
-/// [`KernelBackend`]: callers ask for masks, enumerations, counts, or a
-/// descent and the kernel routes the query to the right field family and
-/// backend. All backends are bit-identical for a given field, so swapping
-/// backends never changes results — only speed.
+/// A `MaskKernel` binds a [`FaultInjector`] and a [`KernelBackend`]:
+/// callers ask for masks, enumerations, counts, or a descent and the
+/// kernel routes the query to the backend. All backends are bit-identical,
+/// so swapping backends never changes results — only speed.
 ///
-/// A coupled-field sweep down a voltage grid needs no per-point rescan:
+/// A sweep down a voltage grid needs no per-point rescan:
 /// [`MaskKernel::count_descent`] and [`MaskKernel::knot_descent`] hash the
 /// range once and place every failing bit at the first knot where it
 /// fails, and both are folds over the same per-word hashing loop.
@@ -164,20 +162,18 @@ impl BackendSel {
 /// The concrete implementation is [`FieldKernel`], obtained from
 /// [`FaultInjector::kernel`]. The trait is dyn-compatible (callbacks take
 /// `&mut dyn FnMut`) so runtimes can hold `Box<dyn MaskKernel>` when the
-/// field/backend pair is decided at runtime.
+/// backend is decided at runtime.
 pub trait MaskKernel {
-    /// The fault field this kernel enumerates.
-    fn field(&self) -> FaultFieldMode;
-
     /// The backend policy this kernel was built with.
     fn backend(&self) -> KernelBackend;
 
     /// The `(stuck0, stuck1)` masks of one word at `supply`.
     fn masks(&self, pc: PcIndex, offset: WordOffset, supply: Millivolts) -> (Word256, Word256);
 
-    /// The per-word reference oracle: recomputes the word's masks without
-    /// any cached tile state (scalar, for either field). Slow; exists for
-    /// the bit-identity tests and benches.
+    /// The per-word reference oracle: recomputes the word's local shift and
+    /// class probabilities without any cached tile state, then walks its
+    /// bits one by one. Slow; exists for the bit-identity tests and
+    /// benches.
     fn reference_masks(
         &self,
         pc: PcIndex,
@@ -238,9 +234,8 @@ pub trait MaskKernel {
     ///
     /// # Panics
     ///
-    /// Panics under [`FaultFieldMode::PerVoltage`], which re-keys every
-    /// point and so has no descent, and when `schedule` is not strictly
-    /// descending or has more than `u16::MAX` knots.
+    /// Panics when `schedule` is not strictly descending or has more than
+    /// `u16::MAX` knots.
     fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64>;
 
     /// The per-word form of [`MaskKernel::count_descent`]: calls `f` once
@@ -278,25 +273,23 @@ pub trait MaskKernel {
 pub type KnotDescentFn<'a> = dyn FnMut(WordOffset, Word256, Word256, &[u16; 256]) + 'a;
 
 /// The concrete [`MaskKernel`]: a borrowed [`FaultInjector`] plus the
-/// field/backend pair, cheap to construct and `Copy` so parallel engine
-/// workers can share one per-point kernel by value.
+/// backend, cheap to construct and `Copy` so parallel engine workers can
+/// share one per-point kernel by value.
 #[derive(Debug, Clone, Copy)]
 pub struct FieldKernel<'a> {
     injector: &'a FaultInjector,
-    field: FaultFieldMode,
     backend: KernelBackend,
     sel: BackendSel,
 }
 
 impl FaultInjector {
-    /// A [`MaskKernel`] over this injector for `field`, generating masks
-    /// with `backend`. Construction probes the instruction set once; the
-    /// kernel borrows the injector, so all cached tile state is shared.
+    /// A [`MaskKernel`] over this injector, generating masks with
+    /// `backend`. Construction probes the instruction set once; the kernel
+    /// borrows the injector, so all cached tile state is shared.
     #[must_use]
-    pub fn kernel(&self, field: FaultFieldMode, backend: KernelBackend) -> FieldKernel<'_> {
+    pub fn kernel(&self, backend: KernelBackend) -> FieldKernel<'_> {
         FieldKernel {
             injector: self,
-            field,
             backend,
             sel: BackendSel::from_backend(backend),
         }
@@ -304,23 +297,12 @@ impl FaultInjector {
 }
 
 impl MaskKernel for FieldKernel<'_> {
-    fn field(&self) -> FaultFieldMode {
-        self.field
-    }
-
     fn backend(&self) -> KernelBackend {
         self.backend
     }
 
     fn masks(&self, pc: PcIndex, offset: WordOffset, supply: Millivolts) -> (Word256, Word256) {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                self.injector.stuck_masks_sel(pc, offset, supply, self.sel)
-            }
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_stuck_masks_sel(pc, offset, supply, self.sel),
-        }
+        self.injector.masks_sel(pc, offset, supply, self.sel)
     }
 
     fn reference_masks(
@@ -329,15 +311,7 @@ impl MaskKernel for FieldKernel<'_> {
         offset: WordOffset,
         supply: Millivolts,
     ) -> (Word256, Word256) {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                self.injector.stuck_masks_per_word_impl(pc, offset, supply)
-            }
-            FaultFieldMode::MonotoneCoupled => {
-                self.injector
-                    .coupled_stuck_masks_sel(pc, offset, supply, BackendSel::Scalar)
-            }
-        }
+        self.injector.reference_masks(pc, offset, supply)
     }
 
     fn faulty_words(
@@ -346,14 +320,7 @@ impl MaskKernel for FieldKernel<'_> {
         words: Range<u64>,
         supply: Millivolts,
     ) -> Vec<(WordOffset, Word256, Word256)> {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                self.injector.faulty_words_sel(pc, words, supply, self.sel)
-            }
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_faulty_words_sel(pc, words, supply, self.sel),
-        }
+        self.injector.faulty_words_sel(pc, words, supply, self.sel)
     }
 
     fn for_each_faulty_word(
@@ -363,42 +330,21 @@ impl MaskKernel for FieldKernel<'_> {
         supply: Millivolts,
         f: &mut dyn FnMut(WordOffset, Word256, Word256),
     ) {
-        match self.field {
-            FaultFieldMode::PerVoltage => self
-                .injector
-                .for_each_faulty_word_sel(pc, words, supply, self.sel, f),
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_for_each_faulty_sel(pc, words, supply, self.sel, f),
-        }
+        self.injector
+            .for_each_faulty_sel(pc, words, supply, self.sel, f);
     }
 
     fn count_range(&self, pc: PcIndex, words: Range<u64>, supply: Millivolts) -> (u64, u64) {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                self.injector.count_range_sel(pc, words, supply, self.sel)
-            }
-            FaultFieldMode::MonotoneCoupled => self
-                .injector
-                .coupled_count_range_sel(pc, words, supply, self.sel),
-        }
+        self.injector.count_range_sel(pc, words, supply, self.sel)
     }
 
     fn expected_active_fraction(&self, pc: PcIndex, supply: Millivolts) -> f64 {
-        // Field-independent: both fields share the analytic tile model.
         self.injector.expected_active_fraction(pc, supply)
     }
 
     fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64> {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                panic!("count descents require FaultFieldMode::MonotoneCoupled")
-            }
-            FaultFieldMode::MonotoneCoupled => {
-                self.injector
-                    .coupled_count_descent(pc, words, schedule, self.sel.isa())
-            }
-        }
+        self.injector
+            .count_descent(pc, words, schedule, self.sel.isa())
     }
 
     fn knot_descent(
@@ -408,15 +354,8 @@ impl MaskKernel for FieldKernel<'_> {
         schedule: &[Millivolts],
         f: &mut KnotDescentFn<'_>,
     ) {
-        match self.field {
-            FaultFieldMode::PerVoltage => {
-                panic!("knot descents require FaultFieldMode::MonotoneCoupled")
-            }
-            FaultFieldMode::MonotoneCoupled => {
-                self.injector
-                    .coupled_knot_descent(pc, words, schedule, self.sel.isa(), f)
-            }
-        }
+        self.injector
+            .knot_descent(pc, words, schedule, self.sel.isa(), f);
     }
 }
 
@@ -444,16 +383,12 @@ mod tests {
     fn kernel_reports_its_configuration() {
         let injector =
             FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 1);
-        for field in [FaultFieldMode::PerVoltage, FaultFieldMode::MonotoneCoupled] {
-            for backend in [
-                KernelBackend::Scalar,
-                KernelBackend::BitSliced,
-                KernelBackend::Auto,
-            ] {
-                let kernel = injector.kernel(field, backend);
-                assert_eq!(kernel.field(), field);
-                assert_eq!(kernel.backend(), backend);
-            }
+        for backend in [
+            KernelBackend::Scalar,
+            KernelBackend::BitSliced,
+            KernelBackend::Auto,
+        ] {
+            assert_eq!(injector.kernel(backend).backend(), backend);
         }
     }
 
@@ -461,7 +396,7 @@ mod tests {
     fn count_descent_matches_per_knot_counts() {
         let injector =
             FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 9);
-        let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+        let kernel = injector.kernel(KernelBackend::Auto);
         let pc = PcIndex::new(3).unwrap();
         let schedule: Vec<Millivolts> = [980u32, 940, 900, 860].map(Millivolts).to_vec();
         let counts = kernel.count_descent(pc, 0..64, &schedule);
@@ -477,7 +412,7 @@ mod tests {
     fn count_descent_refuses_a_repeated_knot() {
         let injector =
             FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 9);
-        let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+        let kernel = injector.kernel(KernelBackend::Auto);
         let pc = PcIndex::new(0).unwrap();
         let _ = kernel.count_descent(pc, 0..64, &[Millivolts(900), Millivolts(900)]);
     }
@@ -487,7 +422,7 @@ mod tests {
     fn count_descent_refuses_an_ascent() {
         let injector =
             FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 9);
-        let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar);
+        let kernel = injector.kernel(KernelBackend::Scalar);
         let pc = PcIndex::new(0).unwrap();
         let _ = kernel.count_descent(pc, 0..64, &[Millivolts(880), Millivolts(900)]);
     }
@@ -497,7 +432,7 @@ mod tests {
         // The CLI's finest grid: 1200 → 810 mV in 1 mV steps.
         let injector =
             FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 7);
-        let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+        let kernel = injector.kernel(KernelBackend::Auto);
         let pc = PcIndex::new(5).unwrap();
         let words = 100..228;
         let schedule: Vec<Millivolts> = (810..=1200).rev().map(Millivolts).collect();
@@ -520,15 +455,5 @@ mod tests {
             assert_eq!(totals[k], counts.0 + counts.1, "count_descent at {v}");
         }
         assert!(totals[390] > 0, "810 mV must show faults");
-    }
-
-    #[test]
-    #[should_panic(expected = "MonotoneCoupled")]
-    fn per_voltage_kernel_refuses_a_descent() {
-        let injector =
-            FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 1);
-        let kernel = injector.kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto);
-        let pc = PcIndex::new(0).unwrap();
-        kernel.knot_descent(pc, 0..64, &[Millivolts(900)], &mut |_, _, _, _| {});
     }
 }

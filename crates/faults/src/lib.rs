@@ -65,7 +65,6 @@
 mod analytic;
 mod error;
 mod fault_map;
-mod field;
 pub mod hash;
 mod injector;
 mod kernel;
@@ -79,7 +78,6 @@ mod variation;
 pub use analytic::RatePredictor;
 pub use error::FaultModelError;
 pub use fault_map::{FaultMap, PcRateEntry, PcRateProfile};
-pub use field::FaultFieldMode;
 pub use injector::{FaultInjector, FaultPolarity};
 pub use kernel::{FieldKernel, InstructionSet, KernelBackend, KnotDescentFn, MaskKernel};
 pub use landmarks::VoltageLandmarks;

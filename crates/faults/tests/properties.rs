@@ -2,8 +2,8 @@
 
 use hbm_device::{HbmGeometry, PcIndex, Word256, WordOffset};
 use hbm_faults::{
-    FaultFieldMode, FaultInjector, FaultMap, FaultModelParams, FieldKernel, KernelBackend,
-    MaskKernel, RatePredictor,
+    FaultInjector, FaultMap, FaultModelParams, FieldKernel, KernelBackend, MaskKernel,
+    RatePredictor,
 };
 use hbm_units::{Celsius, Millivolts, Ratio};
 use proptest::prelude::*;
@@ -16,15 +16,10 @@ fn injector(seed: u64) -> FaultInjector {
     )
 }
 
-/// The scalar per-voltage kernel: the reference every other backend is
-/// checked against.
-fn legacy(inj: &FaultInjector) -> FieldKernel<'_> {
-    inj.kernel(FaultFieldMode::PerVoltage, KernelBackend::Scalar)
-}
-
-/// The scalar coupled-field kernel.
-fn coupled(inj: &FaultInjector) -> FieldKernel<'_> {
-    inj.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Scalar)
+/// The scalar kernel: the reference every other backend is checked
+/// against.
+fn scalar(inj: &FaultInjector) -> FieldKernel<'_> {
+    inj.kernel(KernelBackend::Scalar)
 }
 
 /// The range and descending schedule of one descent case: ranges that
@@ -150,10 +145,9 @@ proptest! {
         }
     }
 
-    /// Tentpole guarantee of the region-tiled kernel: the cached path (tile
-    /// probability cache + geometric skip enumeration) is bit-identical to
-    /// the naive per-word reference path for any seed, voltage, PC and
-    /// temperature.
+    /// The cached single-word path (tile probability cache + bit-sliced
+    /// planes) is bit-identical to the naive per-word reference path for
+    /// any seed, voltage, PC and temperature.
     #[test]
     fn kernel_bit_identical_to_per_word_reference(
         seed in any::<u64>(),
@@ -167,12 +161,13 @@ proptest! {
         let pc = PcIndex::new(pc_index).unwrap();
         let v = Millivolts(mv);
         let w = WordOffset(word);
-        let kernel = inj.kernel(FaultFieldMode::PerVoltage, KernelBackend::Auto);
+        let kernel = inj.kernel(KernelBackend::Auto);
         prop_assert_eq!(inj.stuck_masks(pc, w, v), kernel.reference_masks(pc, w, v));
     }
 
-    /// The skip-sampling range enumeration visits exactly the faulty words
-    /// the reference path finds — same counts, same masks, no extras.
+    /// The activation-index range enumeration visits exactly the faulty
+    /// words the reference path finds — same counts, same masks, no
+    /// extras.
     #[test]
     fn kernel_enumeration_matches_reference(
         seed in any::<u64>(),
@@ -185,7 +180,7 @@ proptest! {
         let pc = PcIndex::new(pc_index).unwrap();
         let v = Millivolts(mv);
         let range = start..(start + len).min(8192);
-        let reference = inj.kernel(FaultFieldMode::PerVoltage, KernelBackend::Scalar);
+        let reference = scalar(&inj);
         let mut expected = Vec::new();
         for w in range.clone() {
             let (s0, s1) = reference.reference_masks(pc, WordOffset(w), v);
@@ -193,38 +188,17 @@ proptest! {
                 expected.push((WordOffset(w), s0, s1));
             }
         }
-        prop_assert_eq!(legacy(&inj).faulty_words(pc, range.clone(), v), expected.clone());
-        let counted = legacy(&inj).count_range(pc, range, v);
+        prop_assert_eq!(scalar(&inj).faulty_words(pc, range.clone(), v), expected.clone());
+        let counted = scalar(&inj).count_range(pc, range, v);
         let sum0: u64 = expected.iter().map(|(_, s0, _)| u64::from(s0.count_ones())).sum();
         let sum1: u64 = expected.iter().map(|(_, _, s1)| u64::from(s1.count_ones())).sum();
         prop_assert_eq!(counted, (sum0, sum1));
     }
 
-    /// Coupled-field inclusion monotonicity by construction: dropping the
-    /// voltage can only grow each polarity's fault set, for any seed,
-    /// address and descent step.
-    #[test]
-    fn coupled_fault_sets_monotone(
-        seed in any::<u64>(),
-        pc_index in 0u8..32,
-        word in 0u64..8192,
-        hi in 811u32..980,
-        delta in 1u32..120,
-    ) {
-        let inj = injector(seed);
-        let pc = PcIndex::new(pc_index).unwrap();
-        let lo = Millivolts(hi.saturating_sub(delta).max(810));
-        let hi = Millivolts(hi);
-        let (hi0, hi1) = coupled(&inj).masks(pc, WordOffset(word), hi);
-        let (lo0, lo1) = coupled(&inj).masks(pc, WordOffset(word), lo);
-        prop_assert_eq!(lo0 & hi0, hi0, "coupled stuck-at-0 set shrank");
-        prop_assert_eq!(lo1 & hi1, hi1, "coupled stuck-at-1 set shrank");
-    }
-
     /// Tentpole guarantee of the bit-sliced kernel: every [`MaskKernel`]
     /// backend is bit-identical to the scalar oracle — same enumerations,
-    /// same counts, same per-word masks — in both fault fields, for any
-    /// seed, range, voltage and temperature.
+    /// same counts, same per-word masks — for any seed, range, voltage and
+    /// temperature.
     #[test]
     fn bitsliced_matches_scalar(
         seed in any::<u64>(),
@@ -239,26 +213,24 @@ proptest! {
         let pc = PcIndex::new(pc_index).unwrap();
         let v = Millivolts(mv);
         let range = start..(start + len).min(8192);
-        for field in [FaultFieldMode::PerVoltage, FaultFieldMode::MonotoneCoupled] {
-            let scalar = inj.kernel(field, KernelBackend::Scalar);
-            for backend in [KernelBackend::BitSliced, KernelBackend::Auto] {
-                let kernel = inj.kernel(field, backend);
-                prop_assert_eq!(
-                    kernel.faulty_words(pc, range.clone(), v),
-                    scalar.faulty_words(pc, range.clone(), v),
-                    "{:?}/{:?} enumeration diverged at {}", field, backend, v
-                );
-                prop_assert_eq!(
-                    kernel.count_range(pc, range.clone(), v),
-                    scalar.count_range(pc, range.clone(), v),
-                    "{:?}/{:?} counts diverged at {}", field, backend, v
-                );
-                prop_assert_eq!(
-                    kernel.masks(pc, WordOffset(start), v),
-                    kernel.reference_masks(pc, WordOffset(start), v),
-                    "{:?}/{:?} single-word masks diverged at {}", field, backend, v
-                );
-            }
+        let scalar = scalar(&inj);
+        for backend in [KernelBackend::BitSliced, KernelBackend::Auto] {
+            let kernel = inj.kernel(backend);
+            prop_assert_eq!(
+                kernel.faulty_words(pc, range.clone(), v),
+                scalar.faulty_words(pc, range.clone(), v),
+                "{:?} enumeration diverged at {}", backend, v
+            );
+            prop_assert_eq!(
+                kernel.count_range(pc, range.clone(), v),
+                scalar.count_range(pc, range.clone(), v),
+                "{:?} counts diverged at {}", backend, v
+            );
+            prop_assert_eq!(
+                kernel.masks(pc, WordOffset(start), v),
+                kernel.reference_masks(pc, WordOffset(start), v),
+                "{:?} single-word masks diverged at {}", backend, v
+            );
         }
     }
 
@@ -281,7 +253,7 @@ proptest! {
         let (range, schedule) =
             descent_case(range_shape, start, len, schedule_shape, first_mv, step, knots);
         for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
-            let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, backend);
+            let kernel = inj.kernel(backend);
             let counts = kernel.count_descent(pc, range.clone(), &schedule);
             prop_assert_eq!(counts.len(), schedule.len());
             for (&v, &count) in schedule.iter().zip(&counts) {
@@ -312,7 +284,7 @@ proptest! {
         let (range, schedule) =
             descent_case(range_shape, start, len, schedule_shape, first_mv, step, knots);
         let mut descended = Vec::new();
-        coupled(&inj).knot_descent(pc, range.clone(), &schedule, &mut |w, s0, s1, first| {
+        scalar(&inj).knot_descent(pc, range.clone(), &schedule, &mut |w, s0, s1, first| {
             descended.push((w, s0, s1, *first));
         });
         prop_assert!(descended.windows(2).all(|p| p[0].0 < p[1].0), "offsets not ascending");
@@ -328,7 +300,7 @@ proptest! {
                 .filter(|(_, s0, s1)| !(s0.is_zero() && s1.is_zero()))
                 .collect();
             for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
-                let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, backend);
+                let kernel = inj.kernel(backend);
                 prop_assert_eq!(
                     &rebuilt,
                     &kernel.faulty_words(pc, range.clone(), v),
@@ -367,37 +339,12 @@ proptest! {
         let start = row * 32 + into_tile;
         let range = start..(start + (32 - into_tile) + len).min(8192);
         for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
-            let kernel = inj.kernel(FaultFieldMode::MonotoneCoupled, backend);
+            let kernel = inj.kernel(backend);
             let counts = kernel.count_descent(pc, range.clone(), &schedule);
             prop_assert_eq!(counts.len(), schedule.len());
             for (&v, &count) in schedule.iter().zip(&counts) {
                 let (n0, n1) = kernel.count_range(pc, range.clone(), v);
                 prop_assert_eq!(count, n0 + n1, "{:?} diverged from count_range at {}", backend, v);
-            }
-        }
-    }
-
-    /// The two fault fields share one analytic model, so their aggregate
-    /// fault counts agree statistically at any voltage — near the guardband
-    /// (where both are essentially zero), mid-slope, and at saturation.
-    #[test]
-    fn legacy_and_coupled_rates_agree(seed in any::<u64>(), pc_index in 0u8..32) {
-        let inj = injector(seed);
-        let pc = PcIndex::new(pc_index).unwrap();
-        for mv in [970u32, 960, 840] {
-            let v = Millivolts(mv);
-            let (l0, l1) = legacy(&inj).count_range(pc, 0..8192, v);
-            let (c0, c1) = coupled(&inj).count_range(pc, 0..8192, v);
-            for (legacy, coupled, class) in [(l0, c0, "stuck0"), (l1, c1, "stuck1")] {
-                let scale = legacy.max(coupled) as f64;
-                let diff = legacy.abs_diff(coupled) as f64;
-                // Two independent binomial draws of the same expectation:
-                // allow a generous relative band plus an absolute floor so
-                // near-zero counts (high voltages) never flake.
-                prop_assert!(
-                    diff <= 0.25 * scale + 64.0,
-                    "{class} at {v}: legacy {legacy} vs coupled {coupled}"
-                );
             }
         }
     }

@@ -417,6 +417,13 @@ impl FleetStore {
                 meta.weak_rate_threshold
             )));
         }
+        // The WEAK_PCS bitmap is a u32 with one bit per pseudo channel.
+        if !(1..=32).contains(&meta.pc_count) {
+            return Err(FleetError::Artifact(format!(
+                "pseudo-channel count {} outside 1..=32",
+                meta.pc_count
+            )));
+        }
         let column_count = read_u32(44) as usize;
         if version == ARTIFACT_VERSION_V1 && column_count != V1_COLUMN_COUNT {
             return Err(FleetError::Artifact(format!(
@@ -439,6 +446,13 @@ impl FleetStore {
         let knots: Vec<Millivolts> = (0..meta.knot_count as usize)
             .map(|k| Millivolts(u32::from(read_u16(HEADER_LEN + k * 2))))
             .collect();
+        // The model and query readers measure each knot's depth below the
+        // first one, `knots[0] - knots[k]`.
+        if knots.is_empty() || knots.windows(2).any(|pair| pair[0] <= pair[1]) {
+            return Err(FleetError::Artifact(format!(
+                "knot table {knots:?} is not a non-empty, strictly descending grid"
+            )));
+        }
 
         let n = meta.device_count as usize;
         let Some(cells) = n
@@ -958,31 +972,57 @@ mod tests {
     fn header_fields_outside_the_config_bounds_are_artifact_errors() {
         let (cfg, records) = artifact_fixture();
         let bytes = encode(&cfg, &records);
-        let field = |at: std::ops::Range<usize>, value: [u8; 8]| {
+        let field = |at: std::ops::Range<usize>, value: &[u8]| {
             let mut crafted = bytes.clone();
-            crafted[at].copy_from_slice(&value);
+            crafted[at].copy_from_slice(value);
             FleetStore::from_bytes(crafted)
         };
         for words in [0u64, 256, u64::MAX] {
-            match field(32..40, words.to_le_bytes()) {
+            match field(32..40, &words.to_le_bytes()) {
                 Err(FleetError::Artifact(msg)) => assert!(msg.contains("words"), "{msg}"),
                 other => panic!("{words} words per PC: {other:?}"),
             }
         }
         for threshold in [-0.5f64, 1.5, f64::NAN, f64::INFINITY] {
-            match field(48..56, threshold.to_bits().to_le_bytes()) {
+            match field(48..56, &threshold.to_bits().to_le_bytes()) {
                 Err(FleetError::Artifact(msg)) => assert!(msg.contains("threshold"), "{msg}"),
                 other => panic!("threshold {threshold}: {other:?}"),
             }
         }
+        // The WEAK_PCS bitmap has 32 bits.
+        for pcs in [0u32, 33, u32::MAX] {
+            match field(12..16, &pcs.to_le_bytes()) {
+                Err(FleetError::Artifact(msg)) => assert!(msg.contains("pseudo-channel"), "{msg}"),
+                other => panic!("{pcs} pseudo channels: {other:?}"),
+            }
+        }
+        // The fixture's knots are 980, 940 and 900 mV, after the 64-byte
+        // header: no knots at all, an ascending pair and a repeated knot.
+        let knot = |mv: u16| mv.to_le_bytes();
+        for (at, value) in [
+            (16..20, 0u32.to_le_bytes().to_vec()),
+            (64..68, [knot(940), knot(980)].concat()),
+            (66..68, knot(980).to_vec()),
+            (68..70, knot(940).to_vec()),
+        ] {
+            match field(at.clone(), &value) {
+                Err(FleetError::Artifact(msg)) => assert!(msg.contains("knot table"), "{msg}"),
+                other => panic!("bytes {at:?} = {value:?}: {other:?}"),
+            }
+        }
         for words in [1u64, 255] {
-            let store = field(32..40, words.to_le_bytes()).unwrap();
+            let store = field(32..40, &words.to_le_bytes()).unwrap();
             assert_eq!(store.meta().words_per_pc, words);
         }
         for threshold in [0.0f64, 1.0] {
-            let store = field(48..56, threshold.to_bits().to_le_bytes()).unwrap();
+            let store = field(48..56, &threshold.to_bits().to_le_bytes()).unwrap();
             assert_eq!(store.meta().weak_rate_threshold, threshold);
         }
+        let store = field(12..16, &32u32.to_le_bytes());
+        assert!(
+            !matches!(&store, Err(FleetError::Artifact(msg)) if msg.contains("pseudo-channel")),
+            "32 pseudo channels are in bounds: {store:?}"
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper characterizes one board; this crate characterizes a
 //! *population*. `N` simulated devices — each a seed-varied instance of
 //! the process-variation model in `hbm-faults` — are swept through the
-//! coupled-field count descent by a work-stealing thread pool, and the
-//! results land in a compact columnar binary artifact
+//! count descent by a work-stealing thread pool, and the results land in a
+//! compact columnar binary artifact
 //! ([`artifact::encode`] / [`FleetStore`]) that readers can seek without
 //! parsing. On top sit population statistics ([`PopulationSummary`]), a
 //! compressed parametric fault model per device ([`model::DeviceModel`])

@@ -51,8 +51,8 @@ impl DeviceRecord {
     /// `faults` must be pseudo-channel-major with one entry per
     /// `(pc, knot)`; crashed knots carry [`CRASHED_KNOT`]. V_min is the
     /// lowest knot at which every pseudo channel measured zero faults —
-    /// well defined because the coupled fault field is inclusion-monotone
-    /// in descending voltage.
+    /// well defined because the fault field is inclusion-monotone in
+    /// descending voltage.
     ///
     /// # Panics
     ///

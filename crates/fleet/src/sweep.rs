@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use hbm_faults::{FaultFieldMode, FaultInjector, KernelBackend, MaskKernel};
+use hbm_faults::{FaultInjector, KernelBackend, MaskKernel};
 
 use crate::config::{DeviceSpec, FleetConfig, FleetError};
 use crate::record::{DeviceRecord, CRASHED_KNOT};
@@ -128,7 +128,7 @@ pub struct FleetReport {
 #[must_use]
 pub fn characterize_device(cfg: &FleetConfig, spec: DeviceSpec) -> DeviceRecord {
     let injector = FaultInjector::new(cfg.params.clone(), cfg.geometry, spec.seed);
-    let kernel = injector.kernel(FaultFieldMode::MonotoneCoupled, KernelBackend::Auto);
+    let kernel = injector.kernel(KernelBackend::Auto);
     let knots = cfg.knots();
     let words = 0..cfg.words_per_pc;
     let pcs = cfg.geometry.total_pcs();

@@ -55,27 +55,27 @@ cmp "$trace1" "$trace4"
 grep -q SweepCompleted "$trace1"
 rm -f "$trace1" "$trace4"
 
-# Smoke: coupled-field sweeps are byte-identical to committed goldens at 1
+# Smoke: fixed-seed sweeps are byte-identical to committed goldens at 1
 # and 4 workers — a 5 mV grid over 512 words that ends in two crashed
 # points, and a 10 mV grid over 5000 words.
-echo "==> hbmctl sweep --fault-field coupled golden smoke"
+echo "==> hbmctl sweep golden smoke"
 for workers in 1 4; do
     ./target/release/hbmctl sweep --seed 7 --from 950 --to 800 --step 5 \
-        --words 512 --fault-field coupled --format csv --workers "$workers" \
+        --words 512 --format csv --workers "$workers" \
         2>/dev/null | cmp - scripts/golden/sweep_coupled_bit.csv
     ./target/release/hbmctl sweep --seed 7 --from 950 --to 800 --step 10 \
-        --words 5000 --fault-field coupled --format csv --workers "$workers" \
+        --words 5000 --format csv --workers "$workers" \
         2>/dev/null | cmp - scripts/golden/sweep_coupled_word.csv
 done
 
-# Smoke: the paper's own per-voltage sweep, 1.20 -> 0.81 V over 8192 words,
-# is byte-identical to a committed golden at 1 and 4 workers. Its dense
-# points run the bit-sliced kernel.
-echo "==> hbmctl sweep per-voltage golden smoke"
-for workers in 1 4; do
+# Smoke: the paper's own sweep, 1.20 -> 0.81 V over 8192 words, is
+# byte-identical to a committed golden at 1, 2 and 4 workers. Its ports'
+# descents are sharded across the workers.
+echo "==> hbmctl sweep paper golden smoke"
+for workers in 1 2 4; do
     ./target/release/hbmctl sweep --seed 7 --from 1200 --to 810 --step 10 \
         --words 8192 --format csv --workers "$workers" \
-        2>/dev/null | cmp - scripts/golden/sweep_per_voltage.csv
+        2>/dev/null | cmp - scripts/golden/sweep_paper.csv
 done
 
 # Smoke: a small fleet sweep persists a columnar artifact the query and

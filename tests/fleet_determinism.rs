@@ -4,7 +4,7 @@
 //! scheduling order, and `hbmctl fleet` results therefore depend only on
 //! `(config, device_id)`.
 //!
-//! The fleet runner counts each device's faults with the coupled-field
+//! The fleet runner counts each device's faults with the fault
 //! kernel directly — no DRAM arrays, no AXI traffic. The last two tests
 //! prove that this is the same measurement as the supervised platform
 //! stack: the per-device campaign assembled through `SweepConfig` and run
@@ -12,7 +12,6 @@
 //! for the kernel runner's crash-floor cutoff, yields identical records.
 
 use hbm_undervolt_suite::device::HbmGeometry;
-use hbm_undervolt_suite::faults::FaultFieldMode;
 use hbm_undervolt_suite::fleet::{
     artifact, characterize_device, sweep, ArtifactMeta, DeviceRecord, DeviceSpec, FleetConfig,
     FleetCostModel, PopulationSummary, CRASHED_KNOT,
@@ -83,7 +82,7 @@ fn every_device_is_swept_exactly_once() {
 }
 
 /// Characterizes one fleet device through the supervised platform stack:
-/// a coupled-field cached-mask campaign over the fleet's knot grid.
+/// a cached-mask campaign over the fleet's knot grid.
 fn supervised_device_record(cfg: &FleetConfig, spec: DeviceSpec) -> DeviceRecord {
     assert_eq!(cfg.geometry, HbmGeometry::vcu128_reduced());
     let knots = cfg.knots();
@@ -99,7 +98,6 @@ fn supervised_device_record(cfg: &FleetConfig, spec: DeviceSpec) -> DeviceRecord
         .words_per_pc(Some(cfg.words_per_pc))
         .sample_words(None)
         .mode(ExecutionMode::CachedMasks)
-        .fault_field(FaultFieldMode::MonotoneCoupled)
         .retries(0)
         .run()
         .unwrap();

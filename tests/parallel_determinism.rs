@@ -5,7 +5,7 @@
 use hbm_undervolt_suite::traffic::DataPattern;
 use hbm_undervolt_suite::undervolt::{
     ExecutionMode, GuardbandFinder, Platform, ReliabilityConfig, ReliabilityReport,
-    ReliabilityTester,
+    ReliabilityTester, TestScope,
 };
 use hbm_units::Millivolts;
 
@@ -39,6 +39,36 @@ fn parallel_reliability_reports_are_bit_identical() {
                 run_with(seed, workers, &config),
                 "seed {seed}, {workers} workers"
             );
+        }
+    }
+}
+
+#[test]
+fn descended_reports_are_bit_identical() {
+    // Cached sequential sweeps read every point from one descent per port,
+    // and the ports' descents are sharded across the workers: the whole
+    // port set, and an odd subset whose shards differ in size.
+    let full = ReliabilityConfig::quick();
+    let mut subset = full.clone();
+    subset.scope = TestScope::Ports(vec![0, 4, 5, 18, 31]);
+    for config in [full, subset] {
+        for seed in [3u64, 7, 11] {
+            let sequential = run_with(seed, 1, &config);
+            assert!(
+                sequential
+                    .points
+                    .iter()
+                    .any(|p| p.total_mean_faults() > 0.0),
+                "seed {seed}: the sweep must observe faults for the comparison to mean anything"
+            );
+            for workers in [2usize, 4, 8] {
+                assert_eq!(
+                    sequential,
+                    run_with(seed, workers, &config),
+                    "seed {seed}, {workers} workers, scope {:?}",
+                    config.scope
+                );
+            }
         }
     }
 }

@@ -136,7 +136,6 @@ proptest! {
             // The subject here is the parallel traffic engine itself, so
             // force the literal write/read-back path.
             mode: ExecutionMode::Traffic,
-            ..ReliabilityConfig::date21()
         };
         let tester = ReliabilityTester::new(config).unwrap();
         let mut sequential = Platform::builder().seed(seed).workers(1).build();
