@@ -2,8 +2,9 @@
 //! (tile probability cache + activation-index enumeration) against the
 //! naive per-word reference path, per voltage; the bit-sliced dense-region
 //! kernel against the forced-scalar walk in the dense regime (≤ 860 mV);
-//! count descents over fleet devices at 1, 17 and 391 knots; and
-//! a `quick()`-shaped reliability sweep in both execution modes. Every
+//! count descents over fleet devices at 1, 17 and 391 knots; the paper
+//! sweep's all-1s/all-0s descent rows; and a `quick()`-shaped reliability
+//! sweep in both execution modes. Every
 //! comparison asserts bit-identical results before recording timings to
 //! `BENCH_injector_kernel.json`.
 //!
@@ -14,7 +15,7 @@
 use std::time::Instant;
 
 use hbm_device::{HbmGeometry, PcIndex, WordOffset};
-use hbm_faults::{FaultInjector, FaultModelParams, KernelBackend, MaskKernel};
+use hbm_faults::{Exposure, FaultInjector, FaultModelParams, KernelBackend, MaskKernel, Written};
 use hbm_fleet::FleetConfig;
 use hbm_undervolt::{ExecutionMode, Platform, ReliabilityConfig, ReliabilityTester};
 use hbm_units::Millivolts;
@@ -65,6 +66,19 @@ struct DescentEntry {
 }
 
 #[derive(Serialize)]
+struct PaperDescentEntry {
+    pcs: u8,
+    words_per_pc: u64,
+    knots: usize,
+    from_mv: u32,
+    to_mv: u32,
+    rows_secs: f64,
+    rows_ns_per_bit: f64,
+    count_secs: f64,
+    count_ns_per_bit: f64,
+}
+
+#[derive(Serialize)]
 struct SweepEntry {
     traffic_secs: f64,
     cached_secs: f64,
@@ -86,6 +100,7 @@ struct Record {
     descent_pcs: u8,
     descent_words_per_pc: u64,
     descent: Vec<DescentEntry>,
+    paper_descent: PaperDescentEntry,
     sweep: SweepEntry,
 }
 
@@ -305,6 +320,65 @@ fn main() {
         });
     }
 
+    // The paper sweep's descent rows: every pseudo channel of one device,
+    // 8192 words each, read back under all-1s and all-0s writes at each of
+    // the 40 knots from 1.20 V to 0.81 V. Every knot's rows are checked
+    // against `count_range` per class there; the count descent over the
+    // same shape is timed beside them, in alternating rounds.
+    let paper: Vec<Millivolts> = (810..=1200).rev().step_by(10).map(Millivolts).collect();
+    let written = [Written::Ones, Written::Zeros];
+    let rows_of = || -> Vec<Vec<Vec<Exposure>>> {
+        pcs.iter()
+            .map(|&pc| auto.exposure_descent(pc, 0..WORDS, &paper, &written))
+            .collect()
+    };
+    let counts_of = || -> Vec<Vec<u64>> {
+        pcs.iter()
+            .map(|&pc| auto.count_descent(pc, 0..WORDS, &paper))
+            .collect()
+    };
+    let (mut rows_secs, mut count_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ITERATIONS {
+        let start = Instant::now();
+        std::hint::black_box(rows_of());
+        rows_secs = rows_secs.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        std::hint::black_box(counts_of());
+        count_secs = count_secs.min(start.elapsed().as_secs_f64());
+    }
+    for (&pc, (rows, counts)) in pcs.iter().zip(rows_of().iter().zip(counts_of())) {
+        for (k, &v) in paper.iter().enumerate() {
+            let (n0, n1) = auto.count_range(pc, 0..WORDS, v);
+            let [ones, zeros] = [&rows[k][0], &rows[k][1]];
+            assert_eq!(
+                (ones.stuck0, ones.stuck1, zeros.stuck0, zeros.stuck1),
+                (n0, 0, 0, n1),
+                "descent rows disagree with count_range at {v} on {pc:?}"
+            );
+            assert_eq!(counts[k], n0 + n1, "count descent at {v} on {pc:?}");
+        }
+    }
+    let paper_bits = f64::from(FLEET_PCS) * WORDS as f64 * 256.0;
+    let paper_descent = PaperDescentEntry {
+        pcs: FLEET_PCS,
+        words_per_pc: WORDS,
+        knots: paper.len(),
+        from_mv: 1200,
+        to_mv: 810,
+        rows_secs,
+        rows_ns_per_bit: rows_secs / paper_bits * 1e9,
+        count_secs,
+        count_ns_per_bit: count_secs / paper_bits * 1e9,
+    };
+    println!(
+        "  paper rows 1200->810 mV ({} knots, {FLEET_PCS} PCs x {WORDS} words): rows {:.3} s ({:.2} ns/bit), count {:.3} s ({:.2} ns/bit)",
+        paper.len(),
+        rows_secs,
+        paper_descent.rows_ns_per_bit,
+        count_secs,
+        paper_descent.count_ns_per_bit,
+    );
+
     let (traffic_secs, traffic_faults) = time_sweep(ExecutionMode::Traffic);
     let (cached_secs, cached_faults) = time_sweep(ExecutionMode::CachedMasks);
     assert_eq!(
@@ -333,6 +407,7 @@ fn main() {
         descent_pcs: FLEET_PCS,
         descent_words_per_pc: FLEET_WORDS,
         descent,
+        paper_descent,
         sweep: SweepEntry {
             traffic_secs,
             cached_secs,

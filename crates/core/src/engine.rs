@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use hbm_device::{DeviceError, PcIndex, PcShard, PortId, Word256, WordOffset};
-use hbm_faults::{FaultInjector, FieldKernel, KernelBackend, MaskKernel};
+use hbm_faults::{FaultInjector, FieldKernel, KernelBackend, MaskKernel, Written};
 use hbm_traffic::{DataPattern, MacroProgram, MemoryPort, PortStats, TrafficGenerator};
 use hbm_units::Millivolts;
 
@@ -400,15 +400,15 @@ pub(crate) type DescentRows = BTreeMap<(u8, u64, Millivolts), Vec<(DataPattern, 
 /// The descending counterpart of [`build_mask_sets`] for sequential walks:
 /// every port's set is its descent row at `schedule[0]`, handed out as a
 /// [`MaskSet::Streamed`] set. The ports without a row there first run one
-/// [`MaskKernel::knot_descent`] each over the whole `schedule` (this
+/// [`MaskKernel::exposure_descent`] each over the whole `schedule` (this
 /// voltage and every lower one the sweep will visit), sharded across the
 /// platform's workers like [`build_mask_sets`]; a row per knot is kept
 /// once they join, so the following points read rows instead of
 /// enumerating masks.
 ///
 /// The rows are bit-identical to a from-scratch [`build_mask_sets`] at each
-/// knot: the descent's masks at a knot are exactly the enumeration's there
-/// (for every backend), and the row is the same per-word sum. A row is a
+/// knot: the descent's counts at a knot are exactly a fold of the
+/// enumeration's masks there (for every backend). A row is a
 /// pure function of its port, so the worker count changes nothing; the
 /// events match [`build_mask_sets`].
 ///
@@ -464,13 +464,9 @@ pub(crate) fn build_mask_sets_descended(
 }
 
 /// One port's descent rows: for every knot of `schedule`, the per-pattern
-/// statistics one pass over `0..words` measures there.
-///
-/// Each word the descent yields adds, per pattern, its exposed bits — the
-/// stuck-at-0 bits the pattern writes as 1 (1→0 flips) and the stuck-at-1
-/// bits it writes as 0 (0→1 flips) — to the histogram slot of the knot
-/// where each bit first fails, and counts the word as faulty from its
-/// lowest exposed knot on. Prefix sums over the knots give the rows.
+/// statistics one pass over `0..words` measures there, read from one
+/// [`MaskKernel::exposure_descent`]. An all-1s or all-0s pattern is passed
+/// as such, so its flips cost the descent nothing per bit.
 fn descent_rows(
     kernel: FieldKernel<'_>,
     pc: PcIndex,
@@ -478,49 +474,39 @@ fn descent_rows(
     schedule: &[Millivolts],
     patterns: &[DataPattern],
 ) -> Vec<Vec<(DataPattern, PortStats)>> {
-    // Per pattern and knot: faulty words, 1→0 flips, 0→1 flips that first
-    // appear there.
-    let mut firsts = vec![vec![[0u64; 3]; schedule.len()]; patterns.len()];
-    kernel.knot_descent(pc, 0..words, schedule, &mut |offset, s0, s1, knots| {
-        for (pattern, hist) in patterns.iter().zip(&mut firsts) {
-            let expected = pattern.word_at(offset.0);
-            let mut first_exposed = u16::MAX;
-            for (exposed, slot) in [(s0 & expected, 1), (s1 & !expected, 2)] {
-                for (lane, &bits) in exposed.0.iter().enumerate() {
-                    let mut rest = bits;
-                    while rest != 0 {
-                        let knot = knots[lane * 64 + rest.trailing_zeros() as usize];
-                        hist[usize::from(knot)][slot] += 1;
-                        first_exposed = first_exposed.min(knot);
-                        rest &= rest - 1;
-                    }
-                }
-            }
-            if first_exposed != u16::MAX {
-                hist[usize::from(first_exposed)][0] += 1;
-            }
-        }
-    });
-    let mut rows = vec![Vec::with_capacity(patterns.len()); schedule.len()];
-    for (&pattern, hist) in patterns.iter().zip(&firsts) {
-        let mut total = [0u64; 3];
-        for (row, first) in rows.iter_mut().zip(hist) {
-            for (sum, n) in total.iter_mut().zip(first) {
-                *sum += n;
-            }
-            row.push((
-                pattern,
-                PortStats {
-                    words_written: words,
-                    words_read: words,
-                    faulty_words: total[0],
-                    flips_1to0: total[1],
-                    flips_0to1: total[2],
-                },
-            ));
-        }
-    }
-    rows
+    let word_at: Vec<_> = patterns
+        .iter()
+        .map(|&pattern| move |offset| pattern.word_at(offset))
+        .collect();
+    let written: Vec<Written<'_>> = patterns
+        .iter()
+        .zip(&word_at)
+        .map(|(pattern, at)| match pattern {
+            DataPattern::AllOnes => Written::Ones,
+            DataPattern::AllZeros => Written::Zeros,
+            _ => Written::Words(at),
+        })
+        .collect();
+    kernel
+        .exposure_descent(pc, 0..words, schedule, &written)
+        .into_iter()
+        .map(|row| {
+            patterns
+                .iter()
+                .zip(row)
+                .map(|(&pattern, exposure)| {
+                    let stats = PortStats {
+                        words_written: words,
+                        words_read: words,
+                        faulty_words: exposure.faulty_words,
+                        flips_1to0: exposure.stuck0,
+                        flips_0to1: exposure.stuck1,
+                    };
+                    (pattern, stats)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -778,6 +778,7 @@ struct PointWork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hbm_device::Word256;
 
     fn platform() -> Platform {
         Platform::builder().seed(7).build()
@@ -846,8 +847,18 @@ mod tests {
             DataPattern::AllOnes,
             DataPattern::AllZeros,
             DataPattern::Checkerboard,
+            DataPattern::InverseCheckerboard,
+            DataPattern::WalkingOnes,
             DataPattern::Prbs { seed: 0x5eed },
             DataPattern::AddressAsData,
+            DataPattern::Custom(Word256([
+                0x9e37_79b9_7f4a_7c15,
+                0xbf58_476d_1ce4_e5b9,
+                0x94d0_49bb_1331_11eb,
+                0x2545_f491_4f6c_dd1d,
+            ])),
+            // Written word by word, though it writes what `AllOnes` does.
+            DataPattern::Custom(Word256::ONES),
         ];
         let tester = ReliabilityTester::new(config).unwrap();
 

@@ -10,7 +10,7 @@ use hbm_units::{Celsius, Millivolts, Volts};
 use serde::{Deserialize, Serialize};
 
 use crate::hash::{combine, mix64, unit_cutoff, unit_pair};
-use crate::kernel::{bitsliced, BackendSel, InstructionSet, KernelBackend, KnotDescentFn};
+use crate::kernel::{bitsliced, BackendSel, Exposure, InstructionSet, KernelBackend, Written};
 use crate::params::FaultModelParams;
 use crate::variation::ShiftTable;
 
@@ -85,8 +85,8 @@ pub enum FaultPolarity {
 /// [`FaultInjector::observe`]) has no words to skip and always hashes the
 /// whole word in arm (b). A sweep down a voltage grid rescans nothing:
 /// [`crate::MaskKernel::count_descent`] and
-/// [`crate::MaskKernel::knot_descent`] hash a range once and place every
-/// bit at the first knot where it fails. All of it sits behind the
+/// [`crate::MaskKernel::exposure_descent`] hash a range once and place
+/// every bit at the first knot where it fails. All of it sits behind the
 /// [`crate::MaskKernel`] trait ([`FaultInjector::kernel`] constructs one);
 /// [`crate::MaskKernel::reference_masks`] recomputes a word from scratch
 /// (per-word shift, scalar bit walk) as the oracle the property tests hold
@@ -242,9 +242,9 @@ impl KnotSearch {
     /// Counts one word's keyed thresholds: each bit adds one to its
     /// bucket's entry of `counts`, without a branch. The bits of buckets a
     /// cutoff splits are also gathered in `split` by a branch-free append,
-    /// and go straight to their exact first knot in `hist` (whose last
-    /// slot collects bits clean at every knot); [`KnotSearch::fold_counts`]
-    /// skips their buckets.
+    /// and go straight to their exact first knot and class in `hist`
+    /// (whose last slot collects bits clean at every knot);
+    /// [`KnotSearch::fold_counts`] skips their buckets.
     ///
     /// Adding each bit to `hist[self.slot(key)]` instead is simpler but
     /// slower: most bits of a tile land in one or a few slots (all of them
@@ -255,7 +255,7 @@ impl KnotSearch {
         keys: &[u64; 256],
         counts: &mut [u64; KEY_BUCKETS],
         split: &mut [u64; 256],
-        hist: &mut [u64],
+        hist: &mut [[u64; 2]],
     ) {
         let mut n = 0;
         for &key in keys {
@@ -267,19 +267,63 @@ impl KnotSearch {
             n += usize::from(self.buckets[b] >= SPLIT_BUCKET);
         }
         for &key in &split[..n] {
-            hist[self.exact(key)] += 1;
+            hist[self.exact(key)][(key >> 32) as usize & 1] += 1;
         }
     }
 
-    /// Folds a tile's bucket counts into `hist` through the bucket table,
-    /// once per tile. Split buckets are skipped: their bits are already in
-    /// `hist`.
-    fn fold_counts(&self, counts: &[u64; KEY_BUCKETS], hist: &mut [u64]) {
-        for (&count, &entry) in counts.iter().zip(&self.buckets) {
-            if entry < SPLIT_BUCKET {
-                hist[entry as usize] += count;
+    /// Folds a tile's bucket counts into `hist`, indexed by first knot and
+    /// class, through the bucket table, once per tile. Split buckets are
+    /// skipped: their bits are already in `hist`.
+    fn fold_counts(&self, counts: &[u64; KEY_BUCKETS], hist: &mut [[u64; 2]]) {
+        let per_class = counts.chunks_exact(256).zip(self.buckets.chunks_exact(256));
+        for (class, (counts, entries)) in per_class.enumerate() {
+            for (&count, &entry) in counts.iter().zip(entries) {
+                if entry < SPLIT_BUCKET {
+                    hist[entry as usize][class] += count;
+                }
             }
         }
+    }
+
+    /// The first knot at which a word's exposed bits fail, from the
+    /// smallest raw threshold of its exposed bits of each class, `m0` and
+    /// `m1` (`1 << 32` or more for a class with none); the number of knots
+    /// when none fails. One lookup per failing class is exact:
+    /// [`KnotSearch::slot`] is monotone in the raw threshold within a
+    /// class. A class whose smallest threshold reaches the last cutoff
+    /// fails nowhere and takes no lookup.
+    fn first_exposed(&self, m0: u64, m1: u64) -> usize {
+        let first = |class: u64, m: u64| {
+            let cuts = &self.cuts[class as usize];
+            match cuts.last() {
+                Some(&last) if m < last => self.slot(class << 32 | m),
+                _ => cuts.len(),
+            }
+        };
+        first(0, m0).min(first(1, m1))
+    }
+
+    /// One word's bits that fail at some knot, and its stuck-at-1 bits
+    /// ([`bitsliced::failing_planes`], compiled for `isa`), from its keyed
+    /// thresholds and the smallest raw threshold of each class. A written
+    /// word `w` exposes the failing bits where the stuck-at-1 plane
+    /// differs from `w`: the stuck-at-0 bits written 1 and the stuck-at-1
+    /// bits written 0. A word whose class minima reach the last cutoffs
+    /// has no failing bit and is not scanned.
+    fn failing(
+        &self,
+        keys: &[u64; 256],
+        (m0, m1): (u64, u64),
+        isa: InstructionSet,
+    ) -> (Word256, Word256) {
+        let last = self
+            .cuts
+            .each_ref()
+            .map(|cuts| cuts.last().copied().unwrap_or(0));
+        if m0 >= last[0] && m1 >= last[1] {
+            return (Word256::ZERO, Word256::ZERO);
+        }
+        bitsliced::failing_planes(keys, last, isa)
     }
 }
 
@@ -1127,80 +1171,116 @@ impl FaultInjector {
         searches
     }
 
-    /// Union fault-bit counts of one pseudo channel along a
-    /// strictly descending `schedule`: entry `k` is the stuck-at count (both
-    /// polarities) over `words` at `schedule[k]`, equal to
-    /// [`crate::MaskKernel::count_range`] at that knot.
+    /// The fold of every descent ([`crate::MaskKernel::count_descent`],
+    /// [`crate::MaskKernel::exposure_descent`]). Per knot of the strictly
+    /// descending `schedule`, returns the faulty bits of each class over
+    /// `words` (stuck-at-0, stuck-at-1) and one [`Exposure`] per `written`
+    /// pattern (knot-major: knot `k`'s row is `k * written.len()..`), each
+    /// equal to a [`crate::MaskKernel::faulty_words`] fold at that knot.
+    /// With no pattern, the fold does no per-word work beyond the counts.
     ///
     /// Each touched tile counts its bits per bucket of the keyed threshold
-    /// ([`KnotSearch::count_word`]) and folds those counts into the
-    /// first-failing knots once, at the end ([`KnotSearch::fold_counts`]);
-    /// prefix sums of that histogram are the counts.
-    pub(crate) fn count_descent(
+    /// ([`KnotSearch::count_word`]) and folds the counts into the
+    /// first-failing knots once, at the end ([`KnotSearch::fold_counts`]).
+    /// A bucket carries its class, so an all-1s write's flips are the
+    /// class-0 counts and an all-0s write's the class-1 counts, and such a
+    /// word counts as faulty from the first knot of its smallest threshold
+    /// of the exposed class ([`bitsliced::class_minima`],
+    /// [`KnotSearch::first_exposed`]). An
+    /// offset-dependent pattern walks only the exposed bits that fail at
+    /// some knot ([`KnotSearch::failing`]), placing each at its first
+    /// knot. Prefix sums of the first-knot histograms are the counts.
+    ///
+    /// Always inlined, so that each caller's pattern list is known where
+    /// it is compiled: the count descent's empty one drops the per-word
+    /// pattern code, without which a fleet device's descents ran 4–12 %
+    /// slower.
+    #[inline(always)]
+    pub(crate) fn descent_fold(
         &self,
         pc: PcIndex,
         words: Range<u64>,
         schedule: &[Millivolts],
         isa: InstructionSet,
-    ) -> Vec<u64> {
-        // Per first knot; the extra last slot collects the clean bits.
-        let mut hist = vec![0u64; schedule.len() + 1];
-        // Per touched tile, its bucket counts.
+        written: &[Written<'_>],
+    ) -> (Vec<[u64; 2]>, Vec<Exposure>) {
+        let len = schedule.len();
+        // Per touched tile, the bucket counts of its bits.
         let mut counts: Vec<[u64; KEY_BUCKETS]> = Vec::new();
+        // Per first knot and class, the faulty bits; the extra last knot
+        // collects the bits clean at every knot.
+        let mut bits = vec![[0u64; 2]; len + 1];
+        // Per pattern and first knot, the words it exposes a faulty bit of
+        // and (offset-dependent patterns only) its exposed bits per class.
+        let mut faulty: Vec<_> = written.iter().map(|_| vec![0u64; len + 1]).collect();
+        let mut exposed: Vec<_> = written.iter().map(|_| vec![[0u64; 2]; len + 1]).collect();
         let mut split = [0u64; 256];
-        let searches = self.descent_words(pc, words, schedule, isa, |_, touched, knots, keys| {
+        let searches = self.descent_words(pc, words, schedule, isa, |w, touched, knots, keys| {
             if touched >= counts.len() {
                 counts.resize(touched + 1, [0; KEY_BUCKETS]);
             }
-            knots.count_word(keys, &mut counts[touched], &mut split, &mut hist);
+            knots.count_word(keys, &mut counts[touched], &mut split, &mut bits);
+            if written.is_empty() {
+                return;
+            }
+            let (m0, m1) = bitsliced::class_minima(keys, isa);
+            let mut failing = None;
+            let per_pattern = written.iter().zip(&mut faulty).zip(&mut exposed);
+            for ((pattern, faulty), exposed) in per_pattern {
+                let first = match pattern {
+                    Written::Ones => knots.first_exposed(m0, u64::MAX),
+                    Written::Zeros => knots.first_exposed(u64::MAX, m1),
+                    Written::Words(at) => {
+                        let (fails, stuck1) =
+                            *failing.get_or_insert_with(|| knots.failing(keys, (m0, m1), isa));
+                        let mut first = len;
+                        let lanes = (fails & (stuck1 ^ at(w))).0;
+                        for (lane, mut rest) in (0..).step_by(64).zip(lanes) {
+                            while rest != 0 {
+                                let key = keys[lane + rest.trailing_zeros() as usize];
+                                let slot = knots.slot(key);
+                                exposed[slot][(key >> 32) as usize & 1] += 1;
+                                first = first.min(slot);
+                                rest &= rest - 1;
+                            }
+                        }
+                        first
+                    }
+                };
+                faulty[first] += 1;
+            }
         });
         for (knots, counts) in searches.iter().zip(&counts) {
-            knots.fold_counts(counts, &mut hist);
+            knots.fold_counts(counts, &mut bits);
         }
-        hist.pop();
-        let mut total = 0u64;
-        for slot in &mut hist {
-            total += *slot;
-            *slot = total;
+        for hist in std::iter::once(&mut bits).chain(&mut exposed) {
+            hist.pop();
+            for k in 1..len {
+                hist[k] = [hist[k][0] + hist[k - 1][0], hist[k][1] + hist[k - 1][1]];
+            }
         }
-        hist
-    }
-
-    /// Streams every word of `words` that fails at some knot of `schedule`
-    /// to `f` in ascending offset order, with its `(stuck0, stuck1)` masks
-    /// at the last knot and each bit's first-failing knot index (`u16::MAX`
-    /// for the bits clean at every knot), read per bit from the tile's
-    /// [`KnotSearch::slot`]. A word's masks at knot `k` are its bits whose
-    /// first knot is at most `k`.
-    pub(crate) fn knot_descent(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        schedule: &[Millivolts],
-        isa: InstructionSet,
-        f: &mut KnotDescentFn<'_>,
-    ) {
-        let last = schedule.len();
-        self.descent_words(pc, words, schedule, isa, |w, _, knots, keys| {
-            // The word's stuck-at-0 and stuck-at-1 lanes, indexed by class
-            // so that the random polarity of each bit costs no branch.
-            let mut planes = [[0u64; 4]; 2];
-            let mut first = [u16::MAX; 256];
-            for (bit, &key) in keys.iter().enumerate() {
-                let slot = knots.slot(key);
-                let fails = slot < last;
-                planes[(key >> 32) as usize & 1][bit / 64] |= u64::from(fails) << (bit % 64);
-                first[bit] = if fails { slot as u16 } else { u16::MAX };
+        for faulty in &mut faulty {
+            faulty.pop();
+            for k in 1..len {
+                faulty[k] += faulty[k - 1];
             }
-            if planes != [[0; 4]; 2] {
-                f(
-                    WordOffset(w),
-                    Word256(planes[0]),
-                    Word256(planes[1]),
-                    &first,
-                );
+        }
+        let mut rows = Vec::with_capacity(len * written.len());
+        for k in 0..len {
+            for ((pattern, faulty), exposed) in written.iter().zip(&faulty).zip(&exposed) {
+                let [stuck0, stuck1] = match pattern {
+                    Written::Ones => [bits[k][0], 0],
+                    Written::Zeros => [0, bits[k][1]],
+                    Written::Words(_) => exposed[k],
+                };
+                rows.push(Exposure {
+                    faulty_words: faulty[k],
+                    stuck0,
+                    stuck1,
+                });
             }
-        });
+        }
+        (bits, rows)
     }
 
     /// One tile's knot search over the exact integer fault cutoffs of both
@@ -1298,12 +1378,12 @@ mod tests {
         let mut keys: Vec<u64> = thresholds.iter().flat_map(|&t| [t, 1 << 32 | t]).collect();
         let pad = keys.len().next_multiple_of(256) - keys.len();
         keys.extend_from_within(..pad);
-        let mut expected = vec![0u64; len + 1];
+        let mut expected = vec![[0u64; 2]; len + 1];
         for &key in &keys {
-            let class = &cuts[(key >> 32) as usize];
-            expected[class.partition_point(|&cut| cut <= key & 0xFFFF_FFFF)] += 1;
+            let class = (key >> 32) as usize;
+            expected[cuts[class].partition_point(|&cut| cut <= key & 0xFFFF_FFFF)][class] += 1;
         }
-        let mut hist = vec![0u64; len + 1];
+        let mut hist = vec![[0u64; 2]; len + 1];
         let mut counts = [0u64; KEY_BUCKETS];
         let mut split = [0u64; 256];
         for word in keys.chunks_exact(256) {

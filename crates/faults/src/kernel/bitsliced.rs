@@ -9,23 +9,31 @@
 //! [`crate::hash::unit_cutoff`], so each bit costs one mix and integer
 //! compares. Bit-for-bit equality with the scalar path is a theorem (the
 //! cutoffs are exact), enforced end to end by the `bitsliced_matches_scalar`
-//! proptests. There are two loops:
+//! proptests. There are two hashing loops:
 //!
 //! - [`bit_planes`] packs one voltage's compares into a word's `(stuck0,
 //!   stuck1)` bitplanes;
 //! - [`keyed_thresholds`] writes every bit's raw threshold, tagged with its
-//!   polarity class, into a word-sized array for the descents. Its
-//!   top nine bits (`class × 256 + top byte`) index a descent's per-tile
-//!   bucket tables: the count descent folds them through a per-tile
-//!   histogram without a branch, and the knot descent turns them into each
-//!   bit's first failing knot. Only the bits of the few buckets a knot's
-//!   cutoff splits take a scan of the cutoffs inside their bucket.
+//!   polarity class, into a word-sized array for the descents. Its top
+//!   nine bits (`class × 256 + top byte`) index a descent's per-tile bucket
+//!   tables: the descent fold counts them in a per-tile histogram without
+//!   a branch and maps each bucket onto its first failing knot once per
+//!   tile. Only the bits of the few buckets a knot's cutoff splits take a
+//!   scan of the cutoffs inside their bucket.
 //!
-//! Each loop is compiled three times from the same source: for the baseline
-//! target, inside [`run_avx2`], and inside [`run_avx512`], whose
-//! `#[target_feature]` lists let LLVM vectorize the mixes (AVX-512 brings
-//! native 64-bit multiplies, `vpmullq`, and mask-register compares). Every
-//! compile runs the same integer arithmetic, so they agree bit for bit.
+//! Two reductions over a word's keyed thresholds serve the read-back of
+//! write patterns: [`class_minima`], the smallest threshold of each class,
+//! which gives the word's first faulty knot under an all-1s or all-0s
+//! write with one lookup; and [`failing_planes`], the bits that fail at
+//! some knot of a descent and the stuck-at-1 bits, so that an
+//! offset-dependent write pattern walks only the bits it exposes.
+//!
+//! Each loop and reduction is compiled three times from the same source:
+//! for the baseline target, inside [`run_avx2`], and inside
+//! [`run_avx512`], whose `#[target_feature]` lists let LLVM vectorize the
+//! mixes (AVX-512 brings native 64-bit multiplies, `vpmullq`, and
+//! mask-register compares). Every compile runs the same integer
+//! arithmetic, so they agree bit for bit.
 
 use hbm_device::Word256;
 
@@ -46,8 +54,8 @@ pub(crate) fn bit_planes(
     let mut out = (Word256::ZERO, Word256::ZERO);
     run(
         isa,
-        prefix,
         WordLoop::Planes {
+            prefix,
             class_cut,
             cut0,
             cut1,
@@ -68,13 +76,58 @@ pub(crate) fn keyed_thresholds(
     isa: InstructionSet,
     out: &mut [u64; 256],
 ) {
-    run(isa, prefix, WordLoop::Keys { class_cut, out });
+    run(
+        isa,
+        WordLoop::Keys {
+            prefix,
+            class_cut,
+            out,
+        },
+    );
+}
+
+/// The smallest raw threshold of each class among one word's keyed
+/// thresholds ([`keyed_thresholds`]), `1 << 32` or more for a class with
+/// none.
+pub(crate) fn class_minima(keys: &[u64; 256], isa: InstructionSet) -> (u64, u64) {
+    let mut out = (u64::MAX, u64::MAX);
+    run(
+        isa,
+        WordLoop::Minima {
+            keys,
+            out: &mut out,
+        },
+    );
+    out
+}
+
+/// Marks one word's failing bits from its keyed thresholds
+/// ([`keyed_thresholds`]) and the last, largest cutoff of each class along
+/// a descent: returns `(fails, stuck1)`, where bit `b` of `fails` is set
+/// iff its raw threshold is below its class's last cutoff (it fails at
+/// some knot) and bit `b` of `stuck1` iff it is of class 1.
+pub(crate) fn failing_planes(
+    keys: &[u64; 256],
+    last: [u64; 2],
+    isa: InstructionSet,
+) -> (Word256, Word256) {
+    let mut out = (Word256::ZERO, Word256::ZERO);
+    run(
+        isa,
+        WordLoop::Failing {
+            keys,
+            last,
+            out: &mut out,
+        },
+    );
+    out
 }
 
 /// One word's work for the vector loops.
 enum WordLoop<'a> {
     /// [`bit_planes`].
     Planes {
+        prefix: u64,
         class_cut: u64,
         cut0: u64,
         cut1: u64,
@@ -82,13 +135,25 @@ enum WordLoop<'a> {
     },
     /// [`keyed_thresholds`].
     Keys {
+        prefix: u64,
         class_cut: u64,
         out: &'a mut [u64; 256],
+    },
+    /// [`class_minima`].
+    Minima {
+        keys: &'a [u64; 256],
+        out: &'a mut (u64, u64),
+    },
+    /// [`failing_planes`].
+    Failing {
+        keys: &'a [u64; 256],
+        last: [u64; 2],
+        out: &'a mut (Word256, Word256),
     },
 }
 
 /// Runs one word's loop in the compile `isa` names.
-fn run(isa: InstructionSet, prefix: u64, job: WordLoop<'_>) {
+fn run(isa: InstructionSet, job: WordLoop<'_>) {
     match isa {
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
@@ -97,7 +162,7 @@ fn run(isa: InstructionSet, prefix: u64, job: WordLoop<'_>) {
             // SAFETY: only `InstructionSet::detect` constructs `Avx512`, and
             // only after `avx512_detected` confirmed that the running CPU
             // has every feature `run_avx512` is compiled for.
-            unsafe { run_avx512(prefix, job) }
+            unsafe { run_avx512(job) }
         }
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
@@ -106,23 +171,30 @@ fn run(isa: InstructionSet, prefix: u64, job: WordLoop<'_>) {
             // SAFETY: only `InstructionSet::detect` constructs `Avx2`, and
             // only after `avx2_detected` confirmed that the running CPU has
             // every feature `run_avx2` is compiled for.
-            unsafe { run_avx2(prefix, job) }
+            unsafe { run_avx2(job) }
         }
-        _ => run_portable(prefix, job),
+        _ => run_portable(job),
     }
 }
 
-/// Both loops, inlined into every compile of [`run`].
+/// Every loop, inlined into every compile of [`run`].
 #[inline(always)]
-fn run_portable(prefix: u64, job: WordLoop<'_>) {
+fn run_portable(job: WordLoop<'_>) {
     match job {
         WordLoop::Planes {
+            prefix,
             class_cut,
             cut0,
             cut1,
             out,
         } => *out = planes_loop(prefix, class_cut, cut0, cut1),
-        WordLoop::Keys { class_cut, out } => keys_loop(prefix, class_cut, out),
+        WordLoop::Keys {
+            prefix,
+            class_cut,
+            out,
+        } => keys_loop(prefix, class_cut, out),
+        WordLoop::Minima { keys, out } => *out = minima_loop(keys),
+        WordLoop::Failing { keys, last, out } => *out = failing_loop(keys, last),
     }
 }
 
@@ -157,14 +229,46 @@ fn keys_loop(prefix: u64, class_cut: u64, out: &mut [u64; 256]) {
     }
 }
 
+/// The class-minima reductions. Class-1 keys are `1 << 32` and up, so the
+/// smallest key is a class-0 one when the word has any; subtracting
+/// `1 << 32` wraps the class-0 keys past every class-1 one.
+#[inline(always)]
+fn minima_loop(keys: &[u64; 256]) -> (u64, u64) {
+    let m0 = keys.iter().fold(u64::MAX, |m, &key| m.min(key));
+    let m1 = keys
+        .iter()
+        .fold(u64::MAX, |m, &key| m.min(key.wrapping_sub(1 << 32)));
+    (m0, m1)
+}
+
+/// The failing-bits loop.
+#[inline(always)]
+fn failing_loop(keys: &[u64; 256], last: [u64; 2]) -> (Word256, Word256) {
+    let mut fails = [0u64; 4];
+    let mut stuck1 = [0u64; 4];
+    let lanes = fails.iter_mut().zip(stuck1.iter_mut());
+    for ((f, c), keys) in lanes.zip(keys.chunks_exact(64)) {
+        let (mut m, mut s) = (0u64, 0u64);
+        for (b, &key) in (0u64..).zip(keys) {
+            let class = key >> 32 & 1;
+            let cut = if class == 0 { last[0] } else { last[1] };
+            m |= u64::from(key & 0xFFFF_FFFF < cut) << b;
+            s |= class << b;
+        }
+        *f = m;
+        *c = s;
+    }
+    (Word256(fails), Word256(stuck1))
+}
+
 /// [`run_portable`] compiled for AVX-512: `avx512dq` brings the native
 /// 64-bit multiply. Its feature list and the probe in [`avx512_detected`]
 /// must name the same features. (Adding `avx512vl`, `avx512bw`, `bmi2` and
 /// the like emits the same instructions.)
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-fn run_avx512(prefix: u64, job: WordLoop<'_>) {
-    run_portable(prefix, job);
+fn run_avx512(job: WordLoop<'_>) {
+    run_portable(job);
 }
 
 /// [`run_portable`] compiled for AVX2: four 64-bit lanes per vector, the
@@ -172,8 +276,8 @@ fn run_avx512(prefix: u64, job: WordLoop<'_>) {
 /// [`avx2_detected`] must name the same features.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn run_avx2(prefix: u64, job: WordLoop<'_>) {
-    run_portable(prefix, job);
+fn run_avx2(job: WordLoop<'_>) {
+    run_portable(job);
 }
 
 /// Whether the running CPU has every feature [`run_avx512`] is compiled
@@ -240,6 +344,25 @@ mod tests {
             let class_cut = 1u64 << 31;
             let mut keys = [0u64; 256];
             keys_loop(prefix, class_cut, &mut keys);
+            let (m0, m1) = minima_loop(&keys);
+            // The smallest raw threshold of a class, `1 << 32` for none.
+            let class_min = |class: u64| {
+                let raw = keys.iter().filter(|&&key| key >> 32 == class);
+                raw.map(|&key| key & 0xFFFF_FFFF).min().unwrap_or(1 << 32)
+            };
+            assert_eq!(
+                (m0.min(1 << 32), m1.min(1 << 32)),
+                (class_min(0), class_min(1))
+            );
+            // Each class's last cutoff just above its median threshold.
+            let last = [0, 1].map(|class: u64| class_min(class) + (1 << 31));
+            let (fails, stuck1) = failing_loop(&keys, last);
+            for (bit, &key) in keys.iter().enumerate() {
+                let class = key >> 32;
+                assert_eq!(stuck1.bit(bit as u32), class == 1, "seed {seed} bit {bit}");
+                let below = key & 0xFFFF_FFFF < last[class as usize];
+                assert_eq!(fails.bit(bit as u32), below, "seed {seed} bit {bit}");
+            }
             for (bit, &key) in keys.iter().enumerate() {
                 let h = mix64(prefix ^ bit as u64);
                 let stuck_at_one = (h & 0xFFFF_FFFF) >= class_cut;
@@ -257,6 +380,7 @@ mod tests {
         let planes = bit_planes(prefix, class_cut, cut0, cut1, portable);
         let mut keys = [0u64; 256];
         keyed_thresholds(prefix, class_cut, portable, &mut keys);
+        let minima = class_minima(&keys, portable);
         for arm in runnable_arms() {
             assert_eq!(
                 bit_planes(prefix, class_cut, cut0, cut1, arm),
@@ -265,9 +389,19 @@ mod tests {
             );
             let mut arm_keys = [0u64; 256];
             keyed_thresholds(prefix, class_cut, arm, &mut arm_keys);
+            let arm_minima = class_minima(&arm_keys, arm);
             assert_eq!(
                 arm_keys, keys,
                 "{arm:?} keys diverged at prefix {prefix:#x}, class cut {class_cut}"
+            );
+            assert_eq!(
+                arm_minima, minima,
+                "{arm:?} minima diverged at prefix {prefix:#x}"
+            );
+            assert_eq!(
+                failing_planes(&keys, [cut0, cut1], arm),
+                failing_planes(&keys, [cut0, cut1], portable),
+                "{arm:?} failing planes diverged at prefix {prefix:#x}, cuts ({cut0}, {cut1})"
             );
         }
     }

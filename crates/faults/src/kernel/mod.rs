@@ -155,9 +155,9 @@ impl BackendSel {
 /// so swapping backends never changes results — only speed.
 ///
 /// A sweep down a voltage grid needs no per-point rescan:
-/// [`MaskKernel::count_descent`] and [`MaskKernel::knot_descent`] hash the
-/// range once and place every failing bit at the first knot where it
-/// fails, and both are folds over the same per-word hashing loop.
+/// [`MaskKernel::count_descent`] and [`MaskKernel::exposure_descent`] hash
+/// the range once and place every failing bit at the first knot where it
+/// fails, through one fold over one per-word hashing loop.
 ///
 /// The concrete implementation is [`FieldKernel`], obtained from
 /// [`FaultInjector::kernel`]. The trait is dyn-compatible (callbacks take
@@ -229,8 +229,10 @@ pub trait MaskKernel {
     /// by one, against the few cutoffs inside that byte's range. The fixed
     /// cost is that table, built per tile the range touches from the
     /// knots' integer cutoffs, so extra knots cost only their cutoffs.
-    /// Words of tiles that stay clean at every knot are not hashed. Every
-    /// backend gets the same counts from the same pass.
+    /// Words of tiles that stay clean at every knot are not hashed. The
+    /// count is [`MaskKernel::exposure_descent`]'s fold with no pattern,
+    /// so it does no per-word work beyond the histogram. Every backend
+    /// gets the same counts from the same pass.
     ///
     /// # Panics
     ///
@@ -238,39 +240,62 @@ pub trait MaskKernel {
     /// `u16::MAX` knots.
     fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64>;
 
-    /// The per-word form of [`MaskKernel::count_descent`]: calls `f` once
-    /// for each word of `words` that fails at some knot of `schedule`, in
-    /// ascending offset order, with the word's `(stuck0, stuck1)` masks at
-    /// the last knot and each bit's first-failing knot index (`u16::MAX`
-    /// for bits clean at every knot). The word's masks at knot `k` are the
-    /// bits whose index is at most `k`, equal to
-    /// [`MaskKernel::faulty_words`] at `schedule[k]`.
+    /// The read-back of write/read-back passes along a descending voltage
+    /// schedule: entry `[k][p]` is what one pass writing `written[p]` to
+    /// every word of `words` reads back at `schedule[k]`, equal to a fold
+    /// of [`MaskKernel::faulty_words`] there — the words with an exposed
+    /// faulty bit, the stuck-at-0 bits written 1 and the stuck-at-1 bits
+    /// written 0.
     ///
     /// # Performance
     ///
-    /// The same hashing loop and per-tile tables as
-    /// [`MaskKernel::count_descent`]. Instead of the histogram, the fold
-    /// builds each word's planes and first knots from the tagged
-    /// thresholds: one table load per bit, and a short scan of the cutoffs
-    /// inside the bit's top-byte range where a cutoff splits it. A 1 mV
-    /// grid from 1.20 V to 0.81 V is 391 knots.
+    /// The fold [`MaskKernel::count_descent`] describes, over the same
+    /// hashing pass. Each histogram bucket carries its bit's polarity
+    /// class, so the flips of an all-1s or all-0s write are the class-0 or
+    /// class-1 counts at no extra per-bit cost, and a word's first faulty
+    /// knot comes from the smallest threshold of the exposed class (a
+    /// vector reduction per word): one lookup per word, none for a word
+    /// clean at every knot. An offset-dependent pattern marks, in the word
+    /// loop's compile, a failing word's bits that fail at some knot, and
+    /// places only those it exposes at their first knot, one by one: its
+    /// cost follows the faults, not the range. A 1 mV grid from 1.20 V to
+    /// 0.81 V is 391 knots.
     ///
     /// # Panics
     ///
     /// As [`MaskKernel::count_descent`].
-    fn knot_descent(
+    fn exposure_descent(
         &self,
         pc: PcIndex,
         words: Range<u64>,
         schedule: &[Millivolts],
-        f: &mut KnotDescentFn<'_>,
-    );
+        written: &[Written<'_>],
+    ) -> Vec<Vec<Exposure>>;
 }
 
-/// The per-word callback of [`MaskKernel::knot_descent`]: the word's offset,
-/// its `(stuck0, stuck1)` masks at the last knot, and each bit's
-/// first-failing knot index.
-pub type KnotDescentFn<'a> = dyn FnMut(WordOffset, Word256, Word256, &[u16; 256]) + 'a;
+/// What one write of a [`MaskKernel::exposure_descent`] pass stores in the
+/// words of its range.
+#[derive(Clone, Copy)]
+pub enum Written<'a> {
+    /// Every bit one: exposes the stuck-at-0 bits.
+    Ones,
+    /// Every bit zero: exposes the stuck-at-1 bits.
+    Zeros,
+    /// The word written at each offset: its one bits expose stuck-at-0
+    /// bits, its zero bits stuck-at-1 bits.
+    Words(&'a dyn Fn(u64) -> Word256),
+}
+
+/// One pass's read-back at one knot of a [`MaskKernel::exposure_descent`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Exposure {
+    /// Words with at least one exposed faulty bit.
+    pub faulty_words: u64,
+    /// Stuck-at-0 bits written as 1: the pass's 1→0 flips.
+    pub stuck0: u64,
+    /// Stuck-at-1 bits written as 0: the pass's 0→1 flips.
+    pub stuck1: u64,
+}
 
 /// The concrete [`MaskKernel`]: a borrowed [`FaultInjector`] plus the
 /// backend, cheap to construct and `Copy` so parallel engine workers can
@@ -343,19 +368,22 @@ impl MaskKernel for FieldKernel<'_> {
     }
 
     fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64> {
-        self.injector
-            .count_descent(pc, words, schedule, self.sel.isa())
+        let (bits, _) = (self.injector).descent_fold(pc, words, schedule, self.sel.isa(), &[]);
+        bits.iter().map(|&[n0, n1]| n0 + n1).collect()
     }
 
-    fn knot_descent(
+    fn exposure_descent(
         &self,
         pc: PcIndex,
         words: Range<u64>,
         schedule: &[Millivolts],
-        f: &mut KnotDescentFn<'_>,
-    ) {
-        self.injector
-            .knot_descent(pc, words, schedule, self.sel.isa(), f);
+        written: &[Written<'_>],
+    ) -> Vec<Vec<Exposure>> {
+        let (_, rows) = (self.injector).descent_fold(pc, words, schedule, self.sel.isa(), written);
+        let n = written.len();
+        (0..schedule.len())
+            .map(|k| rows[k * n..][..n].to_vec())
+            .collect()
     }
 }
 
@@ -428,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn a_391_knot_descent_matches_per_knot_counts() {
+    fn a_391_knot_fold_matches_per_knot_counts() {
         // The CLI's finest grid: 1200 → 810 mV in 1 mV steps.
         let injector =
             FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 7);
@@ -437,22 +465,31 @@ mod tests {
         let words = 100..228;
         let schedule: Vec<Millivolts> = (810..=1200).rev().map(Millivolts).collect();
         assert_eq!(schedule.len(), 391);
-        // Per knot, the bits of each polarity that first fail there.
-        let mut first_fails = vec![(0u64, 0u64); schedule.len()];
-        kernel.knot_descent(pc, words.clone(), &schedule, &mut |_, s0, s1, first| {
-            for bit in (0..Word256::BITS).filter(|&b| (s0 | s1).bit(b)) {
-                let slot = &mut first_fails[usize::from(first[bit as usize])];
-                slot.0 += u64::from(s0.bit(bit));
-                slot.1 += u64::from(s1.bit(bit));
-            }
-        });
+        let rows = kernel.exposure_descent(
+            pc,
+            words.clone(),
+            &schedule,
+            &[Written::Ones, Written::Zeros],
+        );
         let totals = kernel.count_descent(pc, words.clone(), &schedule);
-        let mut running = (0u64, 0u64);
         for (k, &v) in schedule.iter().enumerate() {
-            running = (running.0 + first_fails[k].0, running.1 + first_fails[k].1);
-            let counts = kernel.count_range(pc, words.clone(), v);
-            assert_eq!(running, counts, "knot_descent at {v}");
-            assert_eq!(totals[k], counts.0 + counts.1, "count_descent at {v}");
+            let (n0, n1) = kernel.count_range(pc, words.clone(), v);
+            let faulty = kernel.faulty_words(pc, words.clone(), v);
+            let with = |stuck: fn(&(WordOffset, Word256, Word256)) -> Word256| {
+                faulty.iter().filter(|w| !stuck(w).is_zero()).count() as u64
+            };
+            let ones = Exposure {
+                faulty_words: with(|w| w.1),
+                stuck0: n0,
+                stuck1: 0,
+            };
+            let zeros = Exposure {
+                faulty_words: with(|w| w.2),
+                stuck0: 0,
+                stuck1: n1,
+            };
+            assert_eq!(rows[k], [ones, zeros], "exposure_descent at {v}");
+            assert_eq!(totals[k], n0 + n1, "count_descent at {v}");
         }
         assert!(totals[390] > 0, "810 mV must show faults");
     }

@@ -79,7 +79,7 @@ pub use analytic::RatePredictor;
 pub use error::FaultModelError;
 pub use fault_map::{FaultMap, PcRateEntry, PcRateProfile};
 pub use injector::{FaultInjector, FaultPolarity};
-pub use kernel::{FieldKernel, InstructionSet, KernelBackend, KnotDescentFn, MaskKernel};
+pub use kernel::{Exposure, FieldKernel, InstructionSet, KernelBackend, MaskKernel, Written};
 pub use landmarks::VoltageLandmarks;
 pub use params::FaultModelParams;
 pub use response::ResponseCurve;

@@ -1,12 +1,26 @@
 //! Property-based tests of the fault model's core guarantees.
 
 use hbm_device::{HbmGeometry, PcIndex, Word256, WordOffset};
+use hbm_faults::hash::mix64;
 use hbm_faults::{
-    FaultInjector, FaultMap, FaultModelParams, FieldKernel, KernelBackend, MaskKernel,
-    RatePredictor,
+    Exposure, FaultInjector, FaultMap, FaultModelParams, FieldKernel, KernelBackend, MaskKernel,
+    RatePredictor, Written,
 };
 use hbm_units::{Celsius, Millivolts, Ratio};
 use proptest::prelude::*;
+
+/// What one pass writing `at` reads back from a range's faulty words.
+fn read_back(faulty: &[(WordOffset, Word256, Word256)], at: &dyn Fn(u64) -> Word256) -> Exposure {
+    let mut exposure = Exposure::default();
+    for &(offset, s0, s1) in faulty {
+        let written = at(offset.0);
+        let (flips0, flips1) = (s0 & written, s1 & !written);
+        exposure.faulty_words += u64::from(!(flips0.is_zero() && flips1.is_zero()));
+        exposure.stuck0 += u64::from(flips0.count_ones());
+        exposure.stuck1 += u64::from(flips1.count_ones());
+    }
+    exposure
+}
 
 fn injector(seed: u64) -> FaultInjector {
     FaultInjector::new(
@@ -263,55 +277,56 @@ proptest! {
         }
     }
 
-    /// The per-word knot descent rebuilds every knot's enumeration: the
-    /// bits whose first failing knot is at most `k` are exactly the masks
-    /// [`MaskKernel::faulty_words`] finds at knot `k`, under the scalar and
-    /// auto backends, for every [`descent_case`].
+    /// The exposure descent reads back at every knot exactly what a fold of
+    /// [`MaskKernel::faulty_words`] there gives, for all-1s, all-0s and
+    /// random written words, under the scalar and auto backends: on random
+    /// strictly descending schedules of 1–64 knots between 1200 and 810 mV
+    /// over ranges that start at or inside a tile and cross a tile
+    /// boundary, and on every [`descent_case`].
     #[test]
-    fn knot_descent_rebuilds_every_knot(
+    fn exposure_descent_matches_faulty_words_at_every_knot(
         seed in any::<u64>(),
         pc_index in 0u8..32,
+        knots in proptest::collection::vec(810u32..=1200, 1..=64),
+        row in 0u64..240,
+        into_tile in 0u64..32,
+        len in 1u64..400,
+        data in any::<u64>(),
         range_shape in 0u8..4,
         start in 0u64..8192,
-        len in 0u64..600,
+        case_len in 0u64..600,
         schedule_shape in 0u8..3,
         first_mv in 800u32..1040,
         step in 1u32..40,
-        knots in 1u32..8,
+        case_knots in 1u32..8,
     ) {
         let inj = injector(seed);
         let pc = PcIndex::new(pc_index).unwrap();
-        let (range, schedule) =
-            descent_case(range_shape, start, len, schedule_shape, first_mv, step, knots);
-        let mut descended = Vec::new();
-        scalar(&inj).knot_descent(pc, range.clone(), &schedule, &mut |w, s0, s1, first| {
-            descended.push((w, s0, s1, *first));
-        });
-        prop_assert!(descended.windows(2).all(|p| p[0].0 < p[1].0), "offsets not ascending");
-        for (k, &v) in schedule.iter().enumerate() {
-            let at_knot = |mask: Word256, first: &[u16; 256]| {
-                (0..Word256::BITS)
-                    .filter(|&b| mask.bit(b) && usize::from(first[b as usize]) <= k)
-                    .fold(Word256::ZERO, Word256::with_bit_set)
-            };
-            let rebuilt: Vec<_> = descended
-                .iter()
-                .map(|(w, s0, s1, first)| (*w, at_knot(*s0, first), at_knot(*s1, first)))
-                .filter(|(_, s0, s1)| !(s0.is_zero() && s1.is_zero()))
-                .collect();
+        let mut knots = knots;
+        knots.sort_unstable_by(|a, b| b.cmp(a));
+        knots.dedup();
+        let schedule: Vec<Millivolts> = knots.into_iter().map(Millivolts).collect();
+        let start_in_row = row * 32 + into_tile;
+        let mid_tile = start_in_row..(start_in_row + (32 - into_tile) + len).min(8192);
+        let case = descent_case(range_shape, start, case_len, schedule_shape, first_mv, step, case_knots);
+        let random = move |offset: u64| {
+            Word256([0, 1, 2, 3].map(|lane| mix64(data ^ (offset << 2 | lane))))
+        };
+        let written = [Written::Ones, Written::Zeros, Written::Words(&random)];
+        let at: [&dyn Fn(u64) -> Word256; 3] = [&|_| Word256::ONES, &|_| Word256::ZERO, &random];
+        for (range, schedule) in [(mid_tile, schedule), case] {
             for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
                 let kernel = inj.kernel(backend);
-                prop_assert_eq!(
-                    &rebuilt,
-                    &kernel.faulty_words(pc, range.clone(), v),
-                    "{:?} diverged at knot {} ({})", backend, k, v
-                );
-            }
-        }
-        // Bits clean at every knot carry no knot index.
-        for (_, s0, s1, first) in &descended {
-            for b in 0..Word256::BITS {
-                prop_assert_eq!((*s0 | *s1).bit(b), first[b as usize] != u16::MAX);
+                let rows = kernel.exposure_descent(pc, range.clone(), &schedule, &written);
+                prop_assert_eq!(rows.len(), schedule.len());
+                for (&v, row) in schedule.iter().zip(&rows) {
+                    let faulty = kernel.faulty_words(pc, range.clone(), v);
+                    let expected: Vec<Exposure> =
+                        at.iter().map(|at| read_back(&faulty, at)).collect();
+                    prop_assert_eq!(
+                        row, &expected, "{:?} diverged at {} over {:?}", backend, v, range
+                    );
+                }
             }
         }
     }

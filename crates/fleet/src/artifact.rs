@@ -185,6 +185,21 @@ impl ArtifactMeta {
     }
 }
 
+/// The `N` bytes of an artifact at `at`, or the typed truncation error
+/// when they run past its end.
+fn read_le<const N: usize>(bytes: &[u8], at: usize) -> Result<[u8; N], FleetError> {
+    bytes
+        .get(at..)
+        .and_then(<[u8]>::first_chunk)
+        .copied()
+        .ok_or_else(|| {
+            FleetError::Artifact(format!(
+                "truncated: {N} bytes at offset {at} of {}",
+                bytes.len()
+            ))
+        })
+}
+
 fn align8(n: usize) -> usize {
     (n + 7) & !7
 }
@@ -380,27 +395,27 @@ impl FleetStore {
         if bytes[0..4] != ARTIFACT_MAGIC {
             return Err(FleetError::Artifact("bad magic (not an HBFA file)".into()));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("len checked"));
+        let read_u32 = |at: usize| read_le(&bytes, at).map(u32::from_le_bytes);
+        let read_u16 = |at: usize| read_le(&bytes, at).map(u16::from_le_bytes);
+        let read_u64 = |at: usize| read_le(&bytes, at).map(u64::from_le_bytes);
+        let version = read_u32(4)?;
         if version != ARTIFACT_VERSION && version != ARTIFACT_VERSION_V1 {
             return Err(FleetError::Version {
                 found: version,
                 expected: ARTIFACT_VERSION,
             });
         }
-        let read_u32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let read_u16 = |at: usize| u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap());
-        let read_u64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         let meta = ArtifactMeta {
             version,
-            device_count: read_u32(8),
-            pc_count: read_u32(12),
-            knot_count: read_u32(16),
-            nominal_mv: read_u16(20),
-            weak_reference_mv: read_u16(22),
-            base_seed: read_u64(24),
-            words_per_pc: read_u64(32),
-            crash_jitter_mv: read_u16(40),
-            weak_rate_threshold: f64::from_bits(read_u64(48)),
+            device_count: read_u32(8)?,
+            pc_count: read_u32(12)?,
+            knot_count: read_u32(16)?,
+            nominal_mv: read_u16(20)?,
+            weak_reference_mv: read_u16(22)?,
+            base_seed: read_u64(24)?,
+            words_per_pc: read_u64(32)?,
+            crash_jitter_mv: read_u16(40)?,
+            weak_rate_threshold: f64::from_bits(read_u64(48)?),
         };
         // FleetConfig::validate's bounds. At most 65,280 bits per pseudo
         // channel keep every count a u16 below CRASHED_KNOT, and a rate
@@ -424,7 +439,7 @@ impl FleetStore {
                 meta.pc_count
             )));
         }
-        let column_count = read_u32(44) as usize;
+        let column_count = read_u32(44)? as usize;
         if version == ARTIFACT_VERSION_V1 && column_count != V1_COLUMN_COUNT {
             return Err(FleetError::Artifact(format!(
                 "v1 requires {V1_COLUMN_COUNT} columns, header lists {column_count}"
@@ -436,16 +451,16 @@ impl FleetStore {
             )));
         }
         let knot_table_end = HEADER_LEN + meta.knot_count as usize * 2;
-        let index_offset = read_u64(56) as usize;
+        let index_offset = read_u64(56)? as usize;
         let index_end = index_offset
             .checked_add(column_count * INDEX_ENTRY_LEN)
             .filter(|&end| knot_table_end <= index_offset && end <= bytes.len());
         let Some(index_end) = index_end else {
             return Err(FleetError::Artifact("column index out of bounds".into()));
         };
-        let knots: Vec<Millivolts> = (0..meta.knot_count as usize)
-            .map(|k| Millivolts(u32::from(read_u16(HEADER_LEN + k * 2))))
-            .collect();
+        let knots = (0..meta.knot_count as usize)
+            .map(|k| read_u16(HEADER_LEN + k * 2).map(|mv| Millivolts(u32::from(mv))))
+            .collect::<Result<Vec<_>, _>>()?;
         // The model and query readers measure each knot's depth below the
         // first one, `knots[0] - knots[k]`.
         if knots.is_empty() || knots.windows(2).any(|pair| pair[0] <= pair[1]) {
@@ -466,10 +481,10 @@ impl FleetStore {
         let mut columns: [Option<Range<usize>>; TAG_COUNT] = std::array::from_fn(|_| None);
         for slot in 0..column_count {
             let at = index_offset + slot * INDEX_ENTRY_LEN;
-            let found_tag = read_u32(at);
-            let found_elem = read_u32(at + 4) as usize;
-            let offset = read_u64(at + 8) as usize;
-            let len = read_u64(at + 16) as usize;
+            let found_tag = read_u32(at)?;
+            let found_elem = read_u32(at + 4)? as usize;
+            let offset = read_u64(at + 8)? as usize;
+            let len = read_u64(at + 16)? as usize;
             let Some(tag) = Column::from_tag(found_tag) else {
                 return Err(FleetError::Artifact(format!(
                     "column {slot}: unknown tag {found_tag}"
@@ -479,11 +494,12 @@ impl FleetStore {
                 Column::Faults => (2, cells),
                 Column::Model => (DeviceModel::elem_bytes(meta.pc_count as usize), n),
                 _ => {
-                    let (_, elem) = SCALAR_COLUMNS
-                        .iter()
-                        .find(|(t, _)| *t == tag)
-                        .expect("scalar tag");
-                    (*elem, n)
+                    let Some(&(_, elem)) = SCALAR_COLUMNS.iter().find(|(t, _)| *t == tag) else {
+                        return Err(FleetError::Artifact(format!(
+                            "column {slot}: tag {found_tag} has no element width"
+                        )));
+                    };
+                    (elem, n)
                 }
             };
             if found_elem != elem || elems.checked_mul(elem) != Some(len) {
@@ -635,8 +651,7 @@ impl FleetStore {
     }
 
     fn scalar<const W: usize>(&self, column: Column, i: usize) -> [u8; W] {
-        let col = self.column_bytes(column);
-        col[i * W..(i + 1) * W].try_into().expect("fixed width")
+        self.column_bytes(column).as_chunks::<W>().0[i]
     }
 
     /// Device ID at row `i`.
@@ -701,8 +716,7 @@ impl FleetStore {
     pub fn fault(&self, i: usize, pc: usize, knot: usize) -> u16 {
         let stride = self.meta.pc_count as usize * self.meta.knot_count as usize;
         let at = i * stride + pc * self.meta.knot_count as usize + knot;
-        let col = self.column_bytes(Column::Faults);
-        u16::from_le_bytes(col[at * 2..at * 2 + 2].try_into().expect("fixed width"))
+        u16::from_le_bytes(self.column_bytes(Column::Faults).as_chunks::<2>().0[at])
     }
 
     /// Row index of `device_id` (rows are sorted by device ID).
@@ -737,12 +751,10 @@ impl FleetStore {
     #[must_use]
     pub fn record(&self, i: usize) -> DeviceRecord {
         let stride = self.meta.pc_count as usize * self.meta.knot_count as usize;
-        let col = self.column_bytes(Column::Faults);
-        let faults = (0..stride)
-            .map(|j| {
-                let at = (i * stride + j) * 2;
-                u16::from_le_bytes(col[at..at + 2].try_into().expect("fixed width"))
-            })
+        let (cells, _) = self.column_bytes(Column::Faults).as_chunks::<2>();
+        let faults = cells[i * stride..(i + 1) * stride]
+            .iter()
+            .map(|&cell| u16::from_le_bytes(cell))
             .collect();
         DeviceRecord {
             device_id: self.device_id(i),
@@ -965,6 +977,44 @@ mod tests {
             crafted[8..16].fill(0xFF);
             crafted[16..20].copy_from_slice(&1u32.to_le_bytes());
             assert!(FleetStore::from_bytes(crafted).is_err());
+            if !keep_exact {
+                assert_corrupted_models_serve(&bytes, &store);
+            }
+        }
+    }
+
+    /// A model-only artifact whose MODEL column holds arbitrary bytes still
+    /// loads, and every request on it gets an answer instead of a panic:
+    /// the column filled with each of a few values, and each of its bytes
+    /// set to 0x00 and 0xFF on its own.
+    fn assert_corrupted_models_serve(bytes: &[u8], store: &FleetStore) {
+        use crate::api::FleetRequest;
+        let model = store.columns[Column::Model as usize - 1].clone().unwrap();
+        let fills = [0x00u8, 0x7F, 0x80, 0xFF].map(|value| {
+            let mut corrupt = bytes.to_vec();
+            corrupt[model.clone()].fill(value);
+            corrupt
+        });
+        let singles = model.clone().flat_map(|at| {
+            [0x00u8, 0xFF].map(|value| {
+                let mut corrupt = bytes.to_vec();
+                corrupt[at] = value;
+                corrupt
+            })
+        });
+        for corrupt in fills.into_iter().chain(singles) {
+            let service = crate::serve::FleetService::new(FleetStore::from_bytes(corrupt).unwrap());
+            for i in 0..store.len() {
+                for target_rate in [1e-9, 1e-3, 0.5] {
+                    let _ = service.handle(&FleetRequest::Recommend {
+                        device_id: store.device_id(i),
+                        target_rate,
+                        min_pcs: 1,
+                    });
+                }
+            }
+            let _ = service.handle(&FleetRequest::Summary);
+            let _ = service.handle(&FleetRequest::Fidelity);
         }
     }
 

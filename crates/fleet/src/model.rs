@@ -448,17 +448,20 @@ impl DeviceModel {
     #[must_use]
     pub fn decode(bytes: &[u8], pc_count: usize) -> DeviceModel {
         assert_eq!(bytes.len(), Self::elem_bytes(pc_count), "model blob size");
+        let (scalars, pc_shift) = bytes.split_at(MODEL_SCALAR_BYTES);
+        let (fields, _) = scalars.as_chunks::<2>();
+        let field = |k: usize| u16::from_le_bytes(fields[k]);
         DeviceModel {
-            intercept_q: i16::from_le_bytes(bytes[0..2].try_into().expect("fixed width")),
-            slope_q: u16::from_le_bytes(bytes[2..4].try_into().expect("fixed width")),
-            curve_q: u16::from_le_bytes(bytes[4..6].try_into().expect("fixed width")),
-            up_abs_q: u16::from_le_bytes(bytes[6..8].try_into().expect("fixed width")),
-            up_rel_q: u16::from_le_bytes(bytes[8..10].try_into().expect("fixed width")),
-            lo_abs_q: u16::from_le_bytes(bytes[10..12].try_into().expect("fixed width")),
-            lo_rel_q: u16::from_le_bytes(bytes[12..14].try_into().expect("fixed width")),
-            lo_wall_q: u16::from_le_bytes(bytes[14..16].try_into().expect("fixed width")),
-            m_cap: u16::from_le_bytes(bytes[16..18].try_into().expect("fixed width")),
-            pc_shift_mv: bytes[18..].iter().map(|&b| b as i8).collect(),
+            intercept_q: i16::from_le_bytes(fields[0]),
+            slope_q: field(1),
+            curve_q: field(2),
+            up_abs_q: field(3),
+            up_rel_q: field(4),
+            lo_abs_q: field(5),
+            lo_rel_q: field(6),
+            lo_wall_q: field(7),
+            m_cap: field(8),
+            pc_shift_mv: pc_shift.iter().map(|&b| b as i8).collect(),
         }
     }
 }

@@ -83,6 +83,9 @@ pub struct FleetService {
     /// The fidelity path's full model table (stored-column decode or a
     /// whole-store fit), built at most once per session.
     fitted: OnceLock<Result<Arc<Vec<DeviceModel>>, ApiError>>,
+    /// The population summary, a pure function of the store, built at
+    /// most once per session.
+    summary: OnceLock<PopulationSummary>,
     /// Runs first on every request line, inside the panic guard: lets
     /// unit tests make a line slow or panic.
     #[cfg(test)]
@@ -111,6 +114,7 @@ impl FleetService {
             rescan_cache: RescanCache::new(budget_bytes),
             envelopes: (0..devices).map(|_| OnceLock::new()).collect(),
             fitted: OnceLock::new(),
+            summary: OnceLock::new(),
             #[cfg(test)]
             line_hook: None,
         }
@@ -169,10 +173,13 @@ impl FleetService {
                 target_rate,
                 min_pcs,
             } => self.recommend(device_id, target_rate, min_pcs as usize),
-            FleetRequest::Summary => FleetResponse::Summary(PopulationSummary::from_store(
-                &self.store,
-                &FleetCostModel::default(),
-            )),
+            FleetRequest::Summary => FleetResponse::Summary(
+                self.summary
+                    .get_or_init(|| {
+                        PopulationSummary::from_store(&self.store, &FleetCostModel::default())
+                    })
+                    .clone(),
+            ),
             FleetRequest::Fidelity => self.fidelity(),
             FleetRequest::Export => {
                 if self.store.has_exact_counts() {
@@ -396,6 +403,22 @@ mod tests {
         };
         let records = sweep::run(&cfg).unwrap().records;
         FleetStore::from_bytes(encode(&cfg, &records)).unwrap()
+    }
+
+    #[test]
+    fn repeated_summaries_equal_the_store_summary() {
+        let store = clean_store();
+        let expected = FleetResponse::Summary(PopulationSummary::from_store(
+            &store,
+            &FleetCostModel::default(),
+        ))
+        .to_json()
+        .unwrap();
+        let service = FleetService::new(store);
+        for _ in 0..3 {
+            assert_eq!(service.handle_line("\"Summary\"").unwrap(), expected);
+        }
+        assert_eq!(service.stats().queries_served, 3);
     }
 
     #[test]
