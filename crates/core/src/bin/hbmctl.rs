@@ -857,6 +857,13 @@ fn fleet_fidelity(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The most pipeline worker threads `--serve-workers` may ask for.
+const MAX_SERVE_WORKERS: usize = 256;
+
+/// The largest rescan-cache budget `--rescan-cache-mb` may ask for, in MiB
+/// (64 GiB).
+const MAX_RESCAN_CACHE_MB: usize = 64 * 1024;
+
 /// `hbmctl serve`: load one artifact and answer typed requests over
 /// stdin/stdout as line-delimited JSON until EOF — no per-query artifact
 /// load; a recommendation comes from a cached rescan row, else the model
@@ -873,11 +880,21 @@ fn fleet_fidelity(args: &Args) -> Result<(), CliError> {
 /// answered with a `parse` error and the session goes on.
 fn serve_loop(args: &Args) -> Result<(), CliError> {
     let workers: usize = args.flag("serve-workers", 1usize)?;
-    if workers == 0 {
-        return Err(CliError::config("--serve-workers must be at least 1"));
+    if !(1..=MAX_SERVE_WORKERS).contains(&workers) {
+        return Err(CliError::config(format!(
+            "--serve-workers must be between 1 and {MAX_SERVE_WORKERS}"
+        )));
     }
     let cache_mb: usize = args.flag("rescan-cache-mb", 64usize)?;
-    let service = FleetService::with_rescan_cache(open_store(args)?, cache_mb * 1024 * 1024);
+    let cache_bytes = cache_mb
+        .checked_mul(1024 * 1024)
+        .filter(|_| cache_mb <= MAX_RESCAN_CACHE_MB)
+        .ok_or_else(|| {
+            CliError::config(format!(
+                "--rescan-cache-mb must be at most {MAX_RESCAN_CACHE_MB}"
+            ))
+        })?;
+    let service = FleetService::with_rescan_cache(open_store(args)?, cache_bytes);
     eprintln!(
         "hbmctl: serving {} devices ({}, {} model bytes); \
          one JSON request per line, EOF ends the session",

@@ -7,11 +7,9 @@
 //! maximum utilization (310 GB/s).
 
 use hbm_power::{AcfSample, PowerAnalysis};
-use hbm_traffic::MacroProgram;
 use hbm_units::{Millivolts, Ratio, Watts};
 use serde::{Deserialize, Serialize};
 
-use crate::engine;
 use crate::error::ExperimentError;
 use crate::platform::Platform;
 use crate::sweep::VoltageSweep;
@@ -33,6 +31,10 @@ pub struct PowerPoint {
 }
 
 /// The power-sweep experiment.
+///
+/// No traffic runs: the power model takes the bandwidth utilization of the
+/// enabled ports as an input (with the analytic stuck-bit fraction at each
+/// voltage), so each point is one evaluation of the model at the rail.
 ///
 /// # Examples
 ///
@@ -56,9 +58,6 @@ pub struct PowerPoint {
 pub struct PowerSweep {
     sweep: VoltageSweep,
     port_steps: Vec<usize>,
-    /// Words of streaming traffic run per enabled port before each
-    /// measurement (keeps the TGs honest; 0 skips traffic).
-    warmup_words: u64,
 }
 
 impl PowerSweep {
@@ -70,7 +69,6 @@ impl PowerSweep {
             sweep: VoltageSweep::new(Millivolts(1200), Millivolts(850), Millivolts(10))
                 .expect("static sweep valid"),
             port_steps: vec![0, 8, 16, 24, 32],
-            warmup_words: 64,
         }
     }
 
@@ -79,22 +77,14 @@ impl PowerSweep {
     /// # Errors
     ///
     /// Configuration errors if `port_steps` is empty or exceeds 32 ports.
-    pub fn new(
-        sweep: VoltageSweep,
-        port_steps: Vec<usize>,
-        warmup_words: u64,
-    ) -> Result<Self, ExperimentError> {
+    pub fn new(sweep: VoltageSweep, port_steps: Vec<usize>) -> Result<Self, ExperimentError> {
         if port_steps.is_empty() {
             return Err(ExperimentError::config("at least one port step required"));
         }
         if port_steps.iter().any(|&p| p > 32) {
             return Err(ExperimentError::config("port steps must be ≤ 32"));
         }
-        Ok(PowerSweep {
-            sweep,
-            port_steps,
-            warmup_words,
-        })
+        Ok(PowerSweep { sweep, port_steps })
     }
 
     /// Runs the experiment. The platform is left at the sweep's lowest
@@ -144,7 +134,6 @@ impl PowerSweep {
                 if platform.is_crashed() {
                     return Err(ExperimentError::from(hbm_device::DeviceError::Crashed));
                 }
-                self.warm_up(platform, ports, telemetry)?;
                 let sample = platform.measure_power(utilization)?;
                 telemetry.emit(TelemetryEvent::PowerMeasured {
                     voltage_mv: voltage.as_u32(),
@@ -171,26 +160,6 @@ impl PowerSweep {
             voltages: self.sweep.iter().collect(),
             points,
         })
-    }
-
-    fn warm_up(
-        &self,
-        platform: &mut Platform,
-        ports: usize,
-        telemetry: &Telemetry,
-    ) -> Result<(), ExperimentError> {
-        if self.warmup_words == 0 {
-            return Ok(());
-        }
-        let program = MacroProgram::streaming_reads(0..self.warmup_words, 1);
-        let ids: Vec<_> = platform.device().ports().enabled_ids().collect();
-        debug_assert_eq!(ids.len(), ports);
-        let jobs: Vec<_> = ids
-            .into_iter()
-            .map(|port| (port, program.clone()))
-            .collect();
-        engine::run_jobs(platform, &jobs, telemetry)?;
-        Ok(())
     }
 }
 
@@ -264,7 +233,6 @@ mod tests {
         PowerSweep::new(
             VoltageSweep::new(Millivolts(1200), Millivolts(850), Millivolts(50)).unwrap(),
             vec![0, 16, 32],
-            8,
         )
         .unwrap()
     }
@@ -276,8 +244,8 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         let sweep = VoltageSweep::date21();
-        assert!(PowerSweep::new(sweep, vec![], 0).is_err());
-        assert!(PowerSweep::new(sweep, vec![40], 0).is_err());
+        assert!(PowerSweep::new(sweep, vec![]).is_err());
+        assert!(PowerSweep::new(sweep, vec![40]).is_err());
     }
 
     #[test]

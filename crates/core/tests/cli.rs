@@ -696,15 +696,24 @@ fn serve_worker_counts_produce_identical_output() {
     let _ = std::fs::remove_file(&artifact);
 }
 
-/// `--serve-workers 0` is a usage mistake, caught before the artifact is
-/// even opened: exit 2 with the usage block.
+/// Out-of-range serve sizes are usage mistakes, caught before the artifact
+/// is opened or any thread starts: no workers or too many, and a cache
+/// budget over the cap or whose byte count would overflow (2^44 MiB).
 #[test]
-fn serve_zero_workers_exits_two_with_usage() {
-    let out = hbmctl(&["serve", "--serve-workers", "0"]);
-    assert_eq!(exit_code(&out), 2, "{out:?}");
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("usage:"), "{stderr}");
-    assert!(stderr.contains("--serve-workers"), "{stderr}");
+fn serve_out_of_range_sizes_exit_two_with_usage() {
+    for (flag, value) in [
+        ("--serve-workers", "0"),
+        ("--serve-workers", "257"),
+        ("--serve-workers", "18446744073709551615"),
+        ("--rescan-cache-mb", "65537"),
+        ("--rescan-cache-mb", "17592186044416"),
+    ] {
+        let out = hbmctl(&["serve", flag, value]);
+        assert_eq!(exit_code(&out), 2, "{flag} {value}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+    }
 }
 
 /// `fleet summary --format csv` renders one header and one data row with

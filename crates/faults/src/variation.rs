@@ -24,7 +24,7 @@ use hbm_device::{BankId, HbmGeometry, PcIndex, RowId, StackId};
 use hbm_units::Celsius;
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{combine, unit};
+use crate::hash::{combine, mix64, unit};
 use crate::math::probit;
 
 /// Deterministic process-variation model (the parameters; see
@@ -152,17 +152,32 @@ impl VariationModel {
         bank: BankId,
         region: u32,
     ) -> f64 {
+        let weak = self.region_is_weak(Self::region_prefix(seed, pc, bank), region);
+        self.region_class_shift_volts(weak)
+    }
+
+    /// The hash prefix every region draw of one bank shares. Region `r`'s
+    /// draw is `mix64(prefix ^ r)` ([`combine`]'s left-fold identity), so a
+    /// loop over a bank's regions hashes the prefix once.
+    #[must_use]
+    pub(crate) fn region_prefix(seed: u64, pc: PcIndex, bank: BankId) -> u64 {
+        combine(&[seed, 0x7267, u64::from(pc.as_u8()), u64::from(bank.0)])
+    }
+
+    /// Whether a region is weak (a fault-cluster seed), given its bank's
+    /// [`VariationModel::region_prefix`].
+    #[must_use]
+    pub(crate) fn region_is_weak(&self, prefix: u64, region: u32) -> bool {
+        unit(mix64(prefix ^ u64::from(region))) < self.weak_region_probability
+    }
+
+    /// The shift of a weak or a normal region: a region takes one of these
+    /// two values, and a model without weak regions shifts none.
+    #[must_use]
+    pub(crate) fn region_class_shift_volts(&self, weak: bool) -> f64 {
         if self.weak_region_probability == 0.0 {
-            return 0.0;
-        }
-        let u = unit(combine(&[
-            seed,
-            0x7267,
-            u64::from(pc.as_u8()),
-            u64::from(bank.0),
-            u64::from(region),
-        ]));
-        if u < self.weak_region_probability {
+            0.0
+        } else if weak {
             self.weak_region_boost_volts
         } else {
             -self.normal_region_relief_volts
@@ -394,6 +409,20 @@ mod tests {
                 var.region_shift_volts(11, pc(7), BankId(2), RowId(row)),
                 var.region_shift_volts_by_index(11, pc(7), BankId(2), row / var.region_rows),
                 "row {row}"
+            );
+        }
+    }
+
+    #[test]
+    fn region_prefix_folds_to_the_full_region_hash() {
+        let var = VariationModel::date21();
+        for (bank, region) in [(0u16, 0u32), (3, 1), (15, 255), (7, 4095)] {
+            let full = combine(&[11, 0x7267, 7, u64::from(bank), u64::from(region)]);
+            let prefix = VariationModel::region_prefix(11, pc(7), BankId(bank));
+            assert_eq!(mix64(prefix ^ u64::from(region)), full);
+            assert_eq!(
+                var.region_is_weak(prefix, region),
+                unit(full) < var.weak_region_probability
             );
         }
     }

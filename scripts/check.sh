@@ -78,6 +78,12 @@ for workers in 1 2 4; do
         2>/dev/null | cmp - scripts/golden/sweep_paper.csv
 done
 
+# Smoke: every paper figure table (Figs. 2-6, the guardband, the
+# calibration and the capacity/bandwidth plan), byte-identical to a
+# committed golden.
+echo "==> all_figures golden smoke"
+./target/release/all_figures | cmp - scripts/golden/all_figures.txt
+
 # Smoke: a small fleet sweep persists a columnar artifact the query and
 # summary paths can read, and its JSON export is byte-identical to the
 # committed golden — any drift in the engine, the artifact codec or the

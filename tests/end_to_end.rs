@@ -8,8 +8,8 @@ use hbm_undervolt_suite::traffic::DataPattern;
 use hbm_undervolt_suite::undervolt::characterization::{stack_fraction_series, variation_summary};
 use hbm_undervolt_suite::undervolt::report::{compute_headlines, headline_metrics};
 use hbm_undervolt_suite::undervolt::{
-    GuardbandFinder, Platform, PowerSweep, ReliabilityConfig, ReliabilityTester, TradeOffAnalysis,
-    VoltageSweep,
+    GuardbandFinder, JsonlSink, Platform, PowerSweep, ReliabilityConfig, ReliabilityTester,
+    SharedBuffer, Telemetry, TradeOffAnalysis, VoltageSweep,
 };
 use hbm_units::{Millivolts, Ratio};
 
@@ -183,11 +183,66 @@ fn headline_metrics_requires_complete_sweep() {
     let narrow = PowerSweep::new(
         VoltageSweep::new(Millivolts(1200), Millivolts(1000), Millivolts(100)).unwrap(),
         vec![32],
-        0,
     )
     .unwrap()
     .run(&mut p)
     .unwrap();
     let guardband = GuardbandFinder::new().run(&mut p).unwrap();
     assert!(headline_metrics(&narrow, &guardband).is_err());
+}
+
+#[test]
+fn headline_metrics_are_pinned_bit_for_bit() {
+    // The five headline fields, as `f64::to_bits`, at two specimens. The
+    // power sweep evaluates its model at the ports' utilization, so no
+    // traffic or predictor shortcut may move a single bit of them.
+    let pinned: [(u64, [u64; 5]); 2] = [
+        (
+            7,
+            [
+                0x4032_5555_5555_5555,
+                0x3ff7_fd70_e9b7_489d,
+                0x4002_b43b_676c_cb8c,
+                0x3fd5_5555_5555_5555,
+                0x3fc2_e23e_675d_1fa8,
+            ],
+        ),
+        (
+            11,
+            [
+                0x4032_5555_5555_5555,
+                0x3ff7_fd70_e9b7_489d,
+                0x4002_8903_2161_3d63,
+                0x3fd5_5555_5555_5555,
+                0x3fc1_e3cf_5473_2b7c,
+            ],
+        ),
+    ];
+    for (seed, bits) in pinned {
+        let m = compute_headlines(&mut Platform::builder().seed(seed).build()).expect("pipeline");
+        let got = [
+            m.guardband_percent,
+            m.saving_at_guardband,
+            m.saving_at_850mv,
+            m.idle_fraction,
+            m.acf_drop_at_850mv,
+        ]
+        .map(f64::to_bits);
+        assert_eq!(got, bits, "seed {seed}: {m:?}");
+    }
+}
+
+#[test]
+fn power_sweep_runs_no_traffic() {
+    // Power is a model of voltage and utilization: the sweep measures it
+    // without driving a single engine batch.
+    let trace = SharedBuffer::new();
+    let telemetry = Telemetry::new().with_observer(Box::new(JsonlSink::diffable(trace.clone())));
+    PowerSweep::date21()
+        .run_observed(&mut platform(), &telemetry)
+        .expect("sweep");
+    telemetry.finish();
+    let trace = trace.contents();
+    assert_eq!(trace.matches("PowerMeasured").count(), 5 * 36);
+    assert!(!trace.contains("WorkerShardDone"), "the sweep ran traffic");
 }
