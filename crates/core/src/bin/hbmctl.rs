@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! hbmctl guardband   [--seed N] [--workers N] [--format text|csv|json]
-//! hbmctl power-sweep [--seed N] [--workers N] [--format text|csv|json]
+//! hbmctl power-sweep [--seed N] [--format text|csv|json]
 //! hbmctl reliability [--seed N] [--workers N] [--format text|csv|json]
 //!                    [--from MV] [--to MV] [--step MV]
 //!                    [--batch N] [--words N] [--sample N]
@@ -78,7 +78,8 @@ const RELIABILITY_FLAGS: &str = "seed workers format from to step batch words sa
 /// keyed `"fleet <sub>"`; `None` for an unknown command.
 fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
     Some(match command {
-        "guardband" | "power-sweep" | "trade-off" => &["seed workers format"],
+        "guardband" => &["seed workers format"],
+        "power-sweep" | "trade-off" => &["seed format"],
         "reliability" => &[RELIABILITY_FLAGS],
         "sweep" => &[
             RELIABILITY_FLAGS,
@@ -214,7 +215,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   hbmctl guardband   [--seed N] [--workers N] [--format text|csv|json]
-  hbmctl power-sweep [--seed N] [--workers N] [--format text|csv|json]
+  hbmctl power-sweep [--seed N] [--format text|csv|json]
   hbmctl reliability [--seed N] [--workers N] [--format text|csv|json]
                      [--from MV] [--to MV] [--step MV] [--batch N] [--words N] [--sample N]
                      [--exec cached|traffic]

@@ -31,6 +31,7 @@ use std::time::{Duration, Instant};
 
 use hbm_device::DeviceError;
 use hbm_device::PortId;
+use hbm_traffic::DataPattern;
 use hbm_units::Millivolts;
 use serde::{Deserialize, Serialize};
 
@@ -492,7 +493,14 @@ impl SweepSupervisor {
             let path = self.checkpoint_path.as_deref().ok_or_else(|| {
                 ExperimentError::checkpoint("resume requested without a checkpoint path")
             })?;
-            load_checkpoint(path, platform.seed(), &config_json, &voltages)?
+            let campaign = Campaign {
+                seed: platform.seed(),
+                config_json: &config_json,
+                voltages: &voltages,
+                patterns: &self.tester.config().patterns,
+                ports: &all_ports,
+            };
+            load_checkpoint(path, &campaign)?
         } else {
             (Vec::new(), Vec::new())
         };
@@ -851,15 +859,23 @@ fn is_cross_device(e: &std::io::Error) -> bool {
     e.raw_os_error() == Some(exdev)
 }
 
-/// Loads and validates a checkpoint for resumption. A missing file is a
-/// fresh start; anything else that does not match this campaign (version,
-/// seed, config, sweep prefix) is an error — resuming someone else's
-/// checkpoint would silently mix incompatible measurements.
+/// What a resumed checkpoint must match: the campaign that is resuming.
+struct Campaign<'a> {
+    seed: u64,
+    config_json: &'a str,
+    voltages: &'a [Millivolts],
+    patterns: &'a [DataPattern],
+    ports: &'a [PortId],
+}
+
+/// Loads a checkpoint, or nothing when the file does not exist. The file
+/// must belong to `campaign` (version, experiment, seed, config and
+/// voltage prefix), and every point in it must be one the campaign could
+/// have recorded ([`check_point`]): anything else is a checkpoint error,
+/// never a measurement.
 fn load_checkpoint(
     path: &str,
-    seed: u64,
-    config_json: &str,
-    voltages: &[Millivolts],
+    campaign: &Campaign<'_>,
 ) -> Result<(Vec<SupervisedPoint>, Vec<QuarantineRecord>), ExperimentError> {
     if !Path::new(path).exists() {
         return Ok((Vec::new(), Vec::new()));
@@ -880,33 +896,96 @@ fn load_checkpoint(
             checkpoint.experiment
         )));
     }
-    if checkpoint.seed != seed {
+    if checkpoint.seed != campaign.seed {
         return Err(ExperimentError::checkpoint(format!(
-            "{path} was recorded with seed {}, the platform has seed {seed}",
-            checkpoint.seed
+            "{path} was recorded with seed {}, the platform has seed {}",
+            checkpoint.seed, campaign.seed
         )));
     }
-    if checkpoint.config_json != config_json {
+    if checkpoint.config_json != campaign.config_json {
         return Err(ExperimentError::checkpoint(format!(
             "{path} was recorded under a different sweep configuration"
         )));
     }
-    if checkpoint.points.len() > voltages.len() {
+    if checkpoint.points.len() > campaign.voltages.len() {
         return Err(ExperimentError::checkpoint(format!(
             "{path} holds {} points but the sweep has only {}",
             checkpoint.points.len(),
-            voltages.len()
+            campaign.voltages.len()
         )));
     }
-    for (expected, point) in voltages.iter().zip(&checkpoint.points) {
+    for (expected, point) in campaign.voltages.iter().zip(&checkpoint.points) {
         if point.voltage != *expected {
             return Err(ExperimentError::checkpoint(format!(
                 "{path} records {} where the sweep expects {expected}",
                 point.voltage
             )));
         }
+        check_point(point, campaign).map_err(|reason| {
+            ExperimentError::checkpoint(format!("{path}, point {}: {reason}", point.voltage))
+        })?;
     }
     Ok((checkpoint.points, checkpoint.quarantined))
+}
+
+/// Why a checkpointed point could not have been recorded by `campaign`,
+/// if it could not: its measurement is at another voltage; a crashed
+/// point holds outcomes; a completed one's outcomes are not the
+/// configured patterns in order; or an outcome has `batch_min` above
+/// `batch_max`, a port twice or outside the campaign's ports, or flip
+/// totals that are not the sums over its ports.
+fn check_point(point: &SupervisedPoint, campaign: &Campaign<'_>) -> Result<(), String> {
+    let PointOutcome::Completed(measured) = &point.outcome else {
+        return Ok(());
+    };
+    if measured.voltage != point.voltage {
+        return Err(format!("measured at {}", measured.voltage));
+    }
+    if measured.crashed {
+        return match measured.outcomes.len() {
+            0 => Ok(()),
+            n => Err(format!("crashed, yet holds {n} outcome(s)")),
+        };
+    }
+    let patterns: Vec<DataPattern> = measured.outcomes.iter().map(|o| o.pattern).collect();
+    if patterns != campaign.patterns {
+        return Err(format!(
+            "outcomes for patterns {patterns:?}, the sweep tests {:?}",
+            campaign.patterns
+        ));
+    }
+    for outcome in &measured.outcomes {
+        let pattern = outcome.pattern;
+        if outcome.batch_min > outcome.batch_max {
+            return Err(format!(
+                "{pattern:?}: batch_min {} above batch_max {}",
+                outcome.batch_min, outcome.batch_max
+            ));
+        }
+        let mut seen = Vec::with_capacity(outcome.per_port.len());
+        for &(port, _) in &outcome.per_port {
+            if !campaign.ports.iter().any(|p| p.as_u8() == port) {
+                return Err(format!("{pattern:?}: port {port} is not enabled"));
+            }
+            if seen.contains(&port) {
+                return Err(format!("{pattern:?}: port {port} appears twice"));
+            }
+            seen.push(port);
+        }
+        let sums = outcome
+            .per_port
+            .iter()
+            .try_fold((0u64, 0u64), |(a, b), (_, s)| {
+                Some((a.checked_add(s.flips_1to0)?, b.checked_add(s.flips_0to1)?))
+            });
+        if sums != Some((outcome.flips_1to0, outcome.flips_0to1)) {
+            return Err(format!(
+                "{pattern:?}: flip totals ({}, {}) are not the sums over its ports",
+                outcome.flips_1to0, outcome.flips_0to1
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// One-paragraph summary of a supervised run for logs and `hbmctl`.

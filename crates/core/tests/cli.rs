@@ -576,6 +576,93 @@ fn resume_reuses_checkpointed_points() {
     );
 }
 
+/// Resumed checkpoints are checked, not trusted: each hand edit of a
+/// checkpoint in this corpus describes a point the campaign could not
+/// have recorded, and resuming it is a checkpoint error (exit 1) that
+/// prints no report. The unedited checkpoint resumes every point and
+/// prints the fresh run's report byte for byte.
+#[test]
+fn hand_edited_checkpoints_are_refused() {
+    use hbm_traffic::DataPattern;
+    use hbm_undervolt::{PointOutcome, SweepCheckpoint, VoltagePoint};
+
+    let path = temp_path("edited");
+    let _ = std::fs::remove_file(&path);
+    let sweep = [
+        "sweep",
+        "--seed",
+        "7",
+        "--from",
+        "1000",
+        "--to",
+        "900",
+        "--step",
+        "50",
+        "--words",
+        "64",
+        "--checkpoint",
+        &path,
+    ];
+    let fresh = hbmctl(&sweep);
+    assert_eq!(exit_code(&fresh), 0, "{fresh:?}");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let recorded: SweepCheckpoint = serde_json::from_str(&text).unwrap();
+    assert_eq!(recorded.points.len(), 3);
+
+    let resume = |checkpoint: &SweepCheckpoint| {
+        std::fs::write(&path, serde_json::to_string(checkpoint).unwrap()).unwrap();
+        let mut args = sweep.to_vec();
+        args.push("--resume");
+        let out = hbmctl(&args);
+        let _ = std::fs::remove_file(&path);
+        out
+    };
+    let unedited = resume(&recorded);
+    assert_eq!(exit_code(&unedited), 0, "{unedited:?}");
+    assert_eq!(unedited.stdout, fresh.stdout, "a resumed report differs");
+    let stderr = String::from_utf8(unedited.stderr).unwrap();
+    assert!(stderr.contains("3 resumed from checkpoint"), "{stderr}");
+
+    // The last point, 0.90 V, is the one with faults on every port.
+    type Edit = fn(&mut VoltagePoint);
+    let edits: [(&str, Edit); 7] = [
+        ("empty outcomes", |p| p.outcomes.clear()),
+        ("inner voltage 5 mV", |p| {
+            p.voltage = hbm_units::Millivolts(5)
+        }),
+        ("renamed pattern", |p| {
+            p.outcomes[0].pattern = DataPattern::Checkerboard;
+        }),
+        ("batch_min above batch_max", |p| {
+            p.outcomes[0].batch_min = p.outcomes[0].batch_max + 1;
+        }),
+        ("duplicated port", |p| {
+            let first = p.outcomes[1].per_port[0];
+            p.outcomes[1].per_port.push(first);
+        }),
+        ("port outside the scope", |p| {
+            p.outcomes[0].per_port[0].0 = 200
+        }),
+        ("flip total past the ports' sum", |p| {
+            p.outcomes[0].flips_1to0 = u64::MAX;
+        }),
+    ];
+    for (label, edit) in edits {
+        let mut edited = recorded.clone();
+        let PointOutcome::Completed(point) = &mut edited.points[2].outcome else {
+            panic!("0.90 V was skipped");
+        };
+        edit(point);
+        let out = resume(&edited);
+        assert_eq!(exit_code(&out), 1, "{label}: {out:?}");
+        assert!(out.stdout.is_empty(), "{label}: a report was printed");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("checkpoint error"), "{label}: {stderr}");
+        assert!(!stderr.contains("usage:"), "{label}: {stderr}");
+    }
+}
+
 /// Regression for the per-line flush fix: a request/reply client over a
 /// pipe must receive each response before it sends the next request. If
 /// serve buffered output until EOF, the first `read_line` here would
@@ -714,6 +801,42 @@ fn serve_out_of_range_sizes_exit_two_with_usage() {
         assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
         assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
     }
+}
+
+/// An out-of-range `fleet sweep --workers` is a configuration error (exit
+/// 2 with usage) raised by the config's validation, before any device is
+/// swept or any thread starts: no artifact is written.
+#[test]
+fn fleet_sweep_too_many_workers_exits_two_with_usage() {
+    let artifact = temp_path("fleet-workers");
+    for value in ["257", "18446744073709551615"] {
+        let _ = std::fs::remove_file(&artifact);
+        let out = hbmctl(&["fleet", "sweep", "--workers", value, "--out", &artifact]);
+        assert_eq!(exit_code(&out), 2, "--workers {value}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("usage:"), "--workers {value}: {stderr}");
+        assert!(stderr.contains("workers must be at most 256"), "{stderr}");
+        assert!(
+            !std::path::Path::new(&artifact).exists(),
+            "--workers {value} swept"
+        );
+    }
+}
+
+/// `power-sweep` and `trade-off` run no engine batch, so they take no
+/// `--workers`: it is an unknown flag (exit 2 with usage). `guardband`,
+/// whose search runs engine batches, keeps it.
+#[test]
+fn workers_flag_only_where_an_engine_runs() {
+    for command in ["power-sweep", "trade-off"] {
+        let out = hbmctl(&[command, "--workers", "4"]);
+        assert_eq!(exit_code(&out), 2, "{command}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("usage:"), "{command}: {stderr}");
+        assert!(stderr.contains("--workers"), "{command}: {stderr}");
+    }
+    let out = hbmctl(&["guardband", "--workers", "2", "--format", "csv"]);
+    assert_eq!(exit_code(&out), 0, "{out:?}");
 }
 
 /// `fleet summary --format csv` renders one header and one data row with

@@ -158,7 +158,9 @@ struct TileCuts {
 /// both polarity classes at every knot, plus a table over a keyed
 /// threshold's bucket ([`bitsliced::keyed_thresholds`]) so that most bits
 /// find their first failing knot with one load, and the rest with a scan
-/// of the few cutoffs inside their bucket.
+/// of the few cutoffs inside their bucket. Most tiles also carry a
+/// [`Cover`], which counts the bits at its top cutoffs with vector
+/// compares instead.
 #[derive(Debug, Clone)]
 struct KnotSearch {
     /// Per class (stuck-at-0, then stuck-at-1), the cutoffs along the
@@ -169,6 +171,10 @@ struct KnotSearch {
     /// of the bucket shares — with [`SPLIT_BUCKET`] set when a cutoff
     /// splits the bucket.
     buckets: [u32; KEY_BUCKETS],
+    /// The tile's compare cover ([`Cover::pick`]); `None` when the tile's
+    /// cutoffs are too dense near the top for compares to pay, and every
+    /// bit goes through the bucket histogram.
+    cover: Option<Cover>,
 }
 
 /// Raw thresholds are 32-bit; their top byte picks a [`KnotSearch`] bucket.
@@ -181,6 +187,140 @@ const KEY_BUCKETS: usize = 2 << (32 - KNOT_BUCKET_SHIFT);
 /// The flag of a [`KnotSearch`] bucket whose thresholds do not share a
 /// slot. Slots stay below it: a descent has at most `u16::MAX` knots.
 const SPLIT_BUCKET: u32 = 1 << 31;
+
+/// A tile's compare cover: a threshold `low`, and every distinct interior
+/// cutoff (`0 < cut < 2³²`) of either class above it, at most
+/// [`COVER_CAP`] per class. A knot's cumulative count of a class is the
+/// bucket histogram's prefix at a cutoff up to `low`, and above it the
+/// count of keys below the cutoff that one vector compare per key and
+/// value gives ([`bitsliced::cover_counts`]); 0 at cutoff 0 and the class
+/// total at `2³²`. Only the bits whose raw threshold is below `low` go
+/// through the bucket histogram.
+#[derive(Debug, Clone, Copy)]
+struct Cover {
+    /// The whole-key compare values, ascending: class 0's covered cutoffs,
+    /// `2³²` (below which lie exactly the class-0 keys), then class 1's
+    /// covered cutoffs offset by `2³²`.
+    values: [u64; COVER_VALUES],
+    /// How many of `values` are in use.
+    len: usize,
+    /// The raw threshold below which a bit goes through the bucket
+    /// histogram.
+    low: u64,
+}
+
+/// The most cutoffs of one class a [`Cover`] compares against.
+const COVER_CAP: usize = 4;
+
+/// A [`Cover`]'s compare values: [`COVER_CAP`] per class and `2³²`.
+const COVER_VALUES: usize = 2 * COVER_CAP + 1;
+
+/// [`Cover::pick`]'s cost rule, per bit of a word, in units of one compare
+/// of every key against one value (about 0.1 ns a bit with the AVX-512
+/// compile): a bit below the cover's threshold costs
+/// [`COVER_RESIDUAL_COST`] (its walk out of the residual mask into the
+/// bucket histogram, most often through a bucket a cutoff splits), and the
+/// class totals and the residual mask cost [`COVER_BASE_COST`]. A tile
+/// whose best cover costs [`HISTOGRAM_COST`] or more (every bit through
+/// the branch-free bucket histogram, about 1.4 ns) keeps the histogram.
+const COVER_RESIDUAL_COST: u64 = 30;
+/// See [`COVER_RESIDUAL_COST`].
+const COVER_BASE_COST: u64 = 2;
+/// See [`COVER_RESIDUAL_COST`].
+const HISTOGRAM_COST: u64 = 14;
+
+impl Cover {
+    /// The cover the cost rule ([`COVER_RESIDUAL_COST`]) rates cheapest
+    /// among those whose threshold is 0 or one of the tile's top cutoffs:
+    /// each compare value costs 1, and the bits below the threshold,
+    /// about `low / 2³²` of them, cost [`COVER_RESIDUAL_COST`] each.
+    /// `None` when even the cheapest costs [`HISTOGRAM_COST`] or more.
+    fn pick(cuts: &[Vec<u64>; 2]) -> Option<Self> {
+        let tops = cuts.each_ref().map(|cuts| top_cutoffs(cuts));
+        // Costs per bit, scaled by 2³²; `len` counts the value `2³²`,
+        // which the base cost already holds.
+        let cost = |cover: &Cover| {
+            ((cover.len as u64 - 1 + COVER_BASE_COST) << 32) + cover.low * COVER_RESIDUAL_COST
+        };
+        let candidates = tops.iter().flat_map(|(tops, m)| &tops[..*m]);
+        std::iter::once(&0)
+            .chain(candidates)
+            .filter_map(|&low| Cover::at(&tops, low))
+            .min_by_key(cost)
+            .filter(|cover| cost(cover) < HISTOGRAM_COST << 32)
+    }
+
+    /// The cover with threshold `low` of a tile whose classes have the top
+    /// cutoffs `tops` ([`top_cutoffs`]), or `None` when a class has more
+    /// than [`COVER_CAP`] distinct interior cutoffs above `low`.
+    fn at(tops: &[TopCutoffs; 2], low: u64) -> Option<Self> {
+        let mut cover = Cover {
+            values: [0; COVER_VALUES],
+            len: 0,
+            low,
+        };
+        for (class, (tops, m)) in (0u64..).zip(tops) {
+            let above = tops[..*m].iter().take_while(|&&cut| cut > low).count();
+            if above > COVER_CAP {
+                return None;
+            }
+            for &cut in tops[..above].iter().rev() {
+                cover.values[cover.len] = (class << 32) + cut;
+                cover.len += 1;
+            }
+            if class == 0 {
+                cover.values[cover.len] = 1 << 32;
+                cover.len += 1;
+            }
+        }
+        Some(cover)
+    }
+}
+
+/// Up to `COVER_CAP + 1` of a class's highest distinct interior cutoffs,
+/// descending and zero-padded, and how many there are.
+type TopCutoffs = ([u64; COVER_CAP + 1], usize);
+
+/// The [`TopCutoffs`] of one class's cutoffs: its highest distinct
+/// interior ones (`0 < cut < 2³²`).
+fn top_cutoffs(cuts: &[u64]) -> TopCutoffs {
+    let mut tops = [0u64; COVER_CAP + 1];
+    let mut m = 0;
+    for &cut in cuts.iter().rev().filter(|&&cut| cut > 0 && cut < 1 << 32) {
+        if m == tops.len() {
+            break;
+        }
+        if m == 0 || tops[m - 1] != cut {
+            tops[m] = cut;
+            m += 1;
+        }
+    }
+    (tops, m)
+}
+
+/// What one descent counts of one tile's bits, word by word
+/// ([`KnotSearch::count_word`]), for [`KnotSearch::fold`].
+#[derive(Debug, Clone)]
+struct TileTally {
+    /// Per bucket of the keyed threshold, the bits that went through the
+    /// bucket histogram: every bit without a [`Cover`], the bits below its
+    /// threshold with one.
+    buckets: [u64; KEY_BUCKETS],
+    /// With a cover, the bits below each of its compare values, and the
+    /// words counted.
+    below: [u64; COVER_VALUES],
+    words: u64,
+}
+
+impl Default for TileTally {
+    fn default() -> Self {
+        TileTally {
+            buckets: [0; KEY_BUCKETS],
+            below: [0; COVER_VALUES],
+            words: 0,
+        }
+    }
+}
 
 impl KnotSearch {
     /// The lookup of one tile's cutoffs along a descent, stuck-at-0 class
@@ -207,7 +347,12 @@ impl KnotSearch {
                 *entry = below as u32 | if split { SPLIT_BUCKET } else { 0 };
             }
         }
-        KnotSearch { cuts, buckets }
+        let cover = Cover::pick(&cuts);
+        KnotSearch {
+            cuts,
+            buckets,
+            cover,
+        }
     }
 
     /// Whether no bit of the tile fails at any knot.
@@ -239,30 +384,67 @@ impl KnotSearch {
         below + inside.filter(|&&cut| cut <= hi).count()
     }
 
-    /// Counts one word's keyed thresholds: each bit adds one to its
-    /// bucket's entry of `counts`, without a branch. The bits of buckets a
-    /// cutoff splits are also gathered in `split` by a branch-free append,
-    /// and go straight to their exact first knot and class in `hist`
-    /// (whose last slot collects bits clean at every knot);
-    /// [`KnotSearch::fold_counts`] skips their buckets.
+    /// Counts one word's keyed thresholds into the tile's `tally`. With a
+    /// [`Cover`], its compares ([`bitsliced::cover_counts`], compiled for
+    /// `isa`) count the bits below each covered cutoff and mark the bits
+    /// below `low`; only those go through the bucket histogram
+    /// ([`KnotSearch::count_buckets`]). Without one, every bit does.
+    /// [`KnotSearch::fold`] turns the tally into first knots.
+    fn count_word(
+        &self,
+        keys: &[u64; 256],
+        tally: &mut TileTally,
+        split: &mut [u64; 256],
+        hist: &mut [[u64; 2]],
+        isa: InstructionSet,
+    ) {
+        let Some(cover) = &self.cover else {
+            return self.count_buckets(keys.iter().copied(), tally, split, hist);
+        };
+        let (values, below) = (&cover.values[..cover.len], &mut tally.below[..cover.len]);
+        let residual = bitsliced::cover_counts(keys, values, cover.low, below, isa);
+        tally.words += 1;
+        if residual.is_zero() {
+            return;
+        }
+        let marked = (0..)
+            .step_by(64)
+            .zip(residual.0)
+            .flat_map(|(lane, mut rest)| {
+                std::iter::from_fn(move || {
+                    let bit = (rest != 0).then(|| lane + rest.trailing_zeros() as usize)?;
+                    rest &= rest - 1;
+                    Some(bit)
+                })
+            });
+        self.count_buckets(marked.map(|bit| keys[bit]), tally, split, hist);
+    }
+
+    /// The bucket histogram: each keyed threshold adds one to its bucket's
+    /// entry of the tally, without a branch. The bits of buckets a cutoff
+    /// splits are also gathered in `split` by a branch-free append, and go
+    /// straight to their exact first knot and class in `hist` (whose last
+    /// slot collects bits clean at every knot); [`KnotSearch::fold`] skips
+    /// their buckets.
     ///
     /// Adding each bit to `hist[self.slot(key)]` instead is simpler but
     /// slower: most bits of a tile land in one or a few slots (all of them
     /// in one at a single knot), so those read-modify-writes form long
     /// dependency chains, while the bucket counts spread over 512 entries.
-    fn count_word(
+    #[inline(always)]
+    fn count_buckets(
         &self,
-        keys: &[u64; 256],
-        counts: &mut [u64; KEY_BUCKETS],
+        keys: impl Iterator<Item = u64>,
+        tally: &mut TileTally,
         split: &mut [u64; 256],
         hist: &mut [[u64; 2]],
     ) {
         let mut n = 0;
-        for &key in keys {
+        for key in keys {
             let b = bucket(key);
-            counts[b] += 1;
-            // `n` never passes the bit index, so the mask only drops the
-            // bounds check.
+            tally.buckets[b] += 1;
+            // `n` never passes the number of keys, at most 256, so the
+            // mask only drops the bounds check.
             split[n & 255] = key;
             n += usize::from(self.buckets[b] >= SPLIT_BUCKET);
         }
@@ -271,16 +453,44 @@ impl KnotSearch {
         }
     }
 
-    /// Folds a tile's bucket counts into `hist`, indexed by first knot and
-    /// class, through the bucket table, once per tile. Split buckets are
-    /// skipped: their bits are already in `hist`.
-    fn fold_counts(&self, counts: &[u64; KEY_BUCKETS], hist: &mut [[u64; 2]]) {
-        let per_class = counts.chunks_exact(256).zip(self.buckets.chunks_exact(256));
+    /// Folds a tile's tally into `hist`, indexed by first knot and class,
+    /// once per tile. The bucket counts go through the bucket table; split
+    /// buckets are skipped, their bits are already in `hist`. With a
+    /// [`Cover`], each knot whose cutoff is above its threshold adds the
+    /// growth of its cumulative count over the knot before, the first of
+    /// them over every bit of the class below the threshold. The last slot
+    /// of `hist`, the bits clean at every knot, is then left short by the
+    /// bits the compares counted.
+    fn fold(&self, tally: &TileTally, hist: &mut [[u64; 2]]) {
+        let per_class = tally
+            .buckets
+            .chunks_exact(256)
+            .zip(self.buckets.chunks_exact(256));
         for (class, (counts, entries)) in per_class.enumerate() {
             for (&count, &entry) in counts.iter().zip(entries) {
                 if entry < SPLIT_BUCKET {
                     hist[entry as usize][class] += count;
                 }
+            }
+        }
+        let Some(cover) = &self.cover else {
+            return;
+        };
+        // The keys below a whole-key value; every key is below `2³³`.
+        let values = &cover.values[..cover.len];
+        let below = |value: u64| match values.iter().position(|&v| v == value) {
+            Some(j) => tally.below[j],
+            None if value == 2 << 32 => 256 * tally.words,
+            None => unreachable!("every interior cutoff above the threshold is covered"),
+        };
+        let zeros = below(1 << 32);
+        for (class, cuts) in (0u64..).zip(&self.cuts) {
+            // Every bit of the class below the threshold.
+            let mut last: u64 = tally.buckets[(class as usize) << 8..][..256].iter().sum();
+            for (k, &cut) in cuts.iter().enumerate().filter(|&(_, &cut)| cut > cover.low) {
+                let now = below((class << 32) + cut) - class * zeros;
+                hist[k][class as usize] += now - last;
+                last = now;
             }
         }
     }
@@ -1179,16 +1389,17 @@ impl FaultInjector {
     /// equal to a [`crate::MaskKernel::faulty_words`] fold at that knot.
     /// With no pattern, the fold does no per-word work beyond the counts.
     ///
-    /// Each touched tile counts its bits per bucket of the keyed threshold
-    /// ([`KnotSearch::count_word`]) and folds the counts into the
-    /// first-failing knots once, at the end ([`KnotSearch::fold_counts`]).
-    /// A bucket carries its class, so an all-1s write's flips are the
-    /// class-0 counts and an all-0s write's the class-1 counts, and such a
-    /// word counts as faulty from the first knot of its smallest threshold
-    /// of the exposed class ([`bitsliced::class_minima`],
-    /// [`KnotSearch::first_exposed`]). An
-    /// offset-dependent pattern walks only the exposed bits that fail at
-    /// some knot ([`KnotSearch::failing`]), placing each at its first
+    /// Each touched tile tallies its bits ([`KnotSearch::count_word`]):
+    /// with vector compares against its [`Cover`]'s top cutoffs, and per
+    /// bucket of the keyed threshold for the bits below the cover (all of
+    /// them on a tile without one). The tallies fold into the
+    /// first-failing knots once, at the end ([`KnotSearch::fold`]). Both
+    /// keep the class, so an all-1s write's flips are the class-0 counts
+    /// and an all-0s write's the class-1 counts, and such a word counts as
+    /// faulty from the first knot of its smallest threshold of the exposed
+    /// class ([`bitsliced::class_minima`], [`KnotSearch::first_exposed`]).
+    /// An offset-dependent pattern walks only the exposed bits that fail
+    /// at some knot ([`KnotSearch::failing`]), placing each at its first
     /// knot. Prefix sums of the first-knot histograms are the counts.
     ///
     /// Always inlined, so that each caller's pattern list is known where
@@ -1205,8 +1416,8 @@ impl FaultInjector {
         written: &[Written<'_>],
     ) -> (Vec<[u64; 2]>, Vec<Exposure>) {
         let len = schedule.len();
-        // Per touched tile, the bucket counts of its bits.
-        let mut counts: Vec<[u64; KEY_BUCKETS]> = Vec::new();
+        // Per touched tile, the tally of its bits.
+        let mut tallies: Vec<TileTally> = Vec::new();
         // Per first knot and class, the faulty bits; the extra last knot
         // collects the bits clean at every knot.
         let mut bits = vec![[0u64; 2]; len + 1];
@@ -1216,10 +1427,10 @@ impl FaultInjector {
         let mut exposed: Vec<_> = written.iter().map(|_| vec![[0u64; 2]; len + 1]).collect();
         let mut split = [0u64; 256];
         let searches = self.descent_words(pc, words, schedule, isa, |w, touched, knots, keys| {
-            if touched >= counts.len() {
-                counts.resize(touched + 1, [0; KEY_BUCKETS]);
+            if touched >= tallies.len() {
+                tallies.resize_with(touched + 1, TileTally::default);
             }
-            knots.count_word(keys, &mut counts[touched], &mut split, &mut bits);
+            knots.count_word(keys, &mut tallies[touched], &mut split, &mut bits, isa);
             if written.is_empty() {
                 return;
             }
@@ -1250,8 +1461,8 @@ impl FaultInjector {
                 faulty[first] += 1;
             }
         });
-        for (knots, counts) in searches.iter().zip(&counts) {
-            knots.fold_counts(counts, &mut bits);
+        for (knots, tally) in searches.iter().zip(&tallies) {
+            knots.fold(tally, &mut bits);
         }
         for hist in std::iter::once(&mut bits).chain(&mut exposed) {
             hist.pop();
@@ -1370,10 +1581,13 @@ mod tests {
     }
 
     /// Folds keyed thresholds into one tile's first-knot histogram, a word
-    /// of 256 keys at a time, and checks it against a binary search per
-    /// key.
-    fn assert_fold_is_exact(cuts: [Vec<u64>; 2], thresholds: &[u64]) {
-        let knots = KnotSearch::new(cuts.clone());
+    /// of 256 keys at a time, under the bucket histogram alone, the picked
+    /// cover and covers of several sizes, in the portable compile and the
+    /// host's widest, and checks every knot against a binary search per
+    /// key. (The last slot, the bits clean at every knot, is read by no
+    /// descent and is not kept exact under a cover.)
+    /// Returns the sizes of the covers it folded.
+    fn assert_fold_is_exact(cuts: [Vec<u64>; 2], thresholds: &[u64]) -> Vec<usize> {
         let len = cuts[0].len();
         let mut keys: Vec<u64> = thresholds.iter().flat_map(|&t| [t, 1 << 32 | t]).collect();
         let pad = keys.len().next_multiple_of(256) - keys.len();
@@ -1383,15 +1597,54 @@ mod tests {
             let class = (key >> 32) as usize;
             expected[cuts[class].partition_point(|&cut| cut <= key & 0xFFFF_FFFF)][class] += 1;
         }
-        let mut hist = vec![[0u64; 2]; len + 1];
-        let mut counts = [0u64; KEY_BUCKETS];
-        let mut split = [0u64; 256];
-        for word in keys.chunks_exact(256) {
-            let word: &[u64; 256] = word.try_into().unwrap();
-            knots.count_word(word, &mut counts, &mut split, &mut hist);
+        // Covers at every threshold that fits one: 0, each cutoff and its
+        // neighbours, and 2³² − 1, where the cover compares nothing.
+        let picked = KnotSearch::new(cuts.clone());
+        let mut searches = vec![KnotSearch {
+            cover: None,
+            ..picked.clone()
+        }];
+        let lows = cuts
+            .iter()
+            .flatten()
+            .flat_map(|&cut| [cut.saturating_sub(1), cut, cut + 1]);
+        for low in lows
+            .chain([0, u64::from(u32::MAX)])
+            .filter(|&low| low < 1 << 32)
+        {
+            if let Some(cover) = Cover::at(&cuts.each_ref().map(|cuts| top_cutoffs(cuts)), low) {
+                searches.push(KnotSearch {
+                    cover: Some(cover),
+                    ..picked.clone()
+                });
+            }
         }
-        knots.fold_counts(&counts, &mut hist);
-        assert_eq!(hist, expected, "cuts {cuts:?}");
+        searches.push(picked);
+        for knots in &searches {
+            for isa in [InstructionSet::Portable, InstructionSet::detect()] {
+                let mut hist = vec![[0u64; 2]; len + 1];
+                let mut tally = TileTally::default();
+                let mut split = [0u64; 256];
+                for word in keys.chunks_exact(256) {
+                    let word: &[u64; 256] = word.try_into().unwrap();
+                    knots.count_word(word, &mut tally, &mut split, &mut hist, isa);
+                }
+                knots.fold(&tally, &mut hist);
+                assert_eq!(
+                    hist[..len],
+                    expected[..len],
+                    "cuts {cuts:?}, cover {:?}, {isa:?}",
+                    knots.cover
+                );
+                if knots.cover.is_none() {
+                    assert_eq!(hist[len], expected[len], "cuts {cuts:?}");
+                }
+            }
+        }
+        searches
+            .iter()
+            .filter_map(|knots| Some(knots.cover?.len))
+            .collect()
     }
 
     #[test]
@@ -1399,7 +1652,7 @@ mod tests {
         let width = 1u64 << KNOT_BUCKET_SHIFT;
         let end = 1u64 << 32;
         // Cutoffs at 0, at exact bucket multiples, one either side of
-        // them, several inside one bucket, and at 2³².
+        // them, several inside one bucket, at 2³² − 1 and at 2³².
         let edges = vec![
             0,
             0,
@@ -1410,6 +1663,7 @@ mod tests {
             17 * width + 5,
             17 * width + 9,
             255 * width,
+            end - 1,
             end,
         ];
         let never = vec![0; edges.len()];
@@ -1426,6 +1680,63 @@ mod tests {
         assert_fold_is_exact([vec![0], vec![0]], &thresholds);
         assert_fold_is_exact([vec![end], vec![end]], &thresholds);
         assert!(KnotSearch::new([never.clone(), never]).clean());
+    }
+
+    #[test]
+    fn cover_fold_matches_a_partition_point_oracle() {
+        let width = 1u64 << KNOT_BUCKET_SHIFT;
+        let end = 1u64 << 32;
+        // Interior cutoffs at 2²⁴ multiples and one either side of them,
+        // repeated along the descent, up to 2³² − 1 and then 2³².
+        let mut repeated = vec![0, 0];
+        for m in [1, 2, 3, 40, 200, 255] {
+            repeated.extend([m * width - 1, m * width, m * width, m * width + 1]);
+        }
+        repeated.extend([end - 1, end - 1, end, end]);
+        // More distinct interior cutoffs than a cover holds, all in the
+        // first bucket; a paper-shaped tile, a few far apart near the top.
+        let dense: Vec<u64> = (0..repeated.len() as u64).map(|k| 3 * k).collect();
+        let paper: Vec<u64> = [0.0, 1e-6, 1e-5, 1e-4, 7e-4, 4.2e-3, 0.09, 0.4, 0.95, 1.0]
+            .iter()
+            .map(|&f| unit_cutoff(f))
+            .chain(std::iter::repeat_n(end, repeated.len() - 10))
+            .collect();
+        // A class with no interior cutoff: clean, then saturated.
+        let never = vec![0; repeated.len()];
+        let saturated: Vec<u64> = (0..repeated.len())
+            .map(|k| if k < 3 { 0 } else { end })
+            .collect();
+        let mut thresholds: Vec<u64> = repeated
+            .iter()
+            .chain(&dense)
+            .chain(&paper)
+            .flat_map(|&c| [c.saturating_sub(1), c, c + 1])
+            .filter(|&t| t < end)
+            .collect();
+        thresholds.extend((0..4096u64).map(|i| mix64(i) >> 32));
+        let mut sizes = Vec::new();
+        for cuts in [&repeated, &dense, &paper, &never, &saturated] {
+            for other in [&repeated, &dense, &paper, &never, &saturated] {
+                sizes.extend(assert_fold_is_exact(
+                    [cuts.clone(), other.clone()],
+                    &thresholds,
+                ));
+            }
+        }
+        // Covers of no cutoff below 2³², of one, and of the most.
+        for size in [1, 2, 2 * COVER_CAP + 1] {
+            assert!(sizes.contains(&size), "no cover of {size} values folded");
+        }
+        // The cost rule: saturated or clean tiles need no compare below 2³²
+        // and no histogram; the paper shape covers its top cutoffs; cutoffs
+        // crowded near 2³² keep the bucket histogram.
+        let pick = |cuts: &Vec<u64>| Cover::pick(&[cuts.clone(), cuts.clone()]);
+        let bare = pick(&saturated).expect("a saturated tile is covered");
+        assert_eq!((bare.len, bare.low), (1, 0));
+        let top = pick(&paper).expect("a paper-shaped tile is covered");
+        assert_eq!((top.len, top.low), (7, unit_cutoff(4.2e-3)), "{top:?}");
+        let crowded: Vec<u64> = (0..40).map(|k| end - 40 + k).collect();
+        assert!(pick(&crowded).is_none());
     }
 
     #[test]

@@ -16,17 +16,24 @@
 //! - [`keyed_thresholds`] writes every bit's raw threshold, tagged with its
 //!   polarity class, into a word-sized array for the descents. Its top
 //!   nine bits (`class × 256 + top byte`) index a descent's per-tile bucket
-//!   tables: the descent fold counts them in a per-tile histogram without
-//!   a branch and maps each bucket onto its first failing knot once per
-//!   tile. Only the bits of the few buckets a knot's cutoff splits take a
-//!   scan of the cutoffs inside their bucket.
+//!   tables: the descent fold can count them in a per-tile histogram
+//!   without a branch and map each bucket onto its first failing knot
+//!   once per tile. Only the bits of the few buckets a knot's cutoff
+//!   splits take a scan of the cutoffs inside their bucket.
 //!
-//! Two reductions over a word's keyed thresholds serve the read-back of
-//! write patterns: [`class_minima`], the smallest threshold of each class,
-//! which gives the word's first faulty knot under an all-1s or all-0s
-//! write with one lookup; and [`failing_planes`], the bits that fail at
-//! some knot of a descent and the stuck-at-1 bits, so that an
-//! offset-dependent write pattern walks only the bits it exposes.
+//! Three reductions over a word's keyed thresholds serve the descents:
+//!
+//! - [`cover_counts`] counts the keys below each of a tile's few highest
+//!   cutoffs with one compare per key and cutoff, and marks the keys below
+//!   the cover's threshold, whatever their class: only those go through
+//!   the bucket histogram, so a tile whose cutoffs are sparse near the top
+//!   counts most of its bits with vector compares alone;
+//! - [`class_minima`], the smallest threshold of each class, gives the
+//!   word's first faulty knot under an all-1s or all-0s write with one
+//!   lookup;
+//! - [`failing_planes`] marks the bits that fail at some knot of a descent
+//!   and the stuck-at-1 bits, so that an offset-dependent write pattern
+//!   walks only the bits it exposes.
 //!
 //! Each loop and reduction is compiled three times from the same source:
 //! for the baseline target, inside [`run_avx2`], and inside
@@ -123,6 +130,32 @@ pub(crate) fn failing_planes(
     out
 }
 
+/// Counts one word's keyed thresholds ([`keyed_thresholds`]) against a
+/// tile's compare cover: adds to `below[j]` the number of keys below
+/// `values[j]`, compared as whole keys (so a count at `1 << 32 | cut` takes
+/// in every class-0 key), and returns the bits whose raw threshold is
+/// below `low`, whatever their class.
+pub(crate) fn cover_counts(
+    keys: &[u64; 256],
+    values: &[u64],
+    low: u64,
+    below: &mut [u64],
+    isa: InstructionSet,
+) -> Word256 {
+    let mut out = Word256::ZERO;
+    run(
+        isa,
+        WordLoop::Cover {
+            keys,
+            values,
+            low,
+            below,
+            out: &mut out,
+        },
+    );
+    out
+}
+
 /// One word's work for the vector loops.
 enum WordLoop<'a> {
     /// [`bit_planes`].
@@ -149,6 +182,14 @@ enum WordLoop<'a> {
         keys: &'a [u64; 256],
         last: [u64; 2],
         out: &'a mut (Word256, Word256),
+    },
+    /// [`cover_counts`].
+    Cover {
+        keys: &'a [u64; 256],
+        values: &'a [u64],
+        low: u64,
+        below: &'a mut [u64],
+        out: &'a mut Word256,
     },
 }
 
@@ -195,6 +236,13 @@ fn run_portable(job: WordLoop<'_>) {
         } => keys_loop(prefix, class_cut, out),
         WordLoop::Minima { keys, out } => *out = minima_loop(keys),
         WordLoop::Failing { keys, last, out } => *out = failing_loop(keys, last),
+        WordLoop::Cover {
+            keys,
+            values,
+            low,
+            below,
+            out,
+        } => *out = cover_loop(keys, values, low, below),
     }
 }
 
@@ -259,6 +307,27 @@ fn failing_loop(keys: &[u64; 256], last: [u64; 2]) -> (Word256, Word256) {
         *c = s;
     }
     (Word256(fails), Word256(stuck1))
+}
+
+/// The compare-cover loop: one pass over the word's keys per cover value,
+/// then one for the bits below `low`. Keys and values are below `2³³`, so
+/// the counting compares are signed ones, which AVX2 has natively.
+#[inline(always)]
+fn cover_loop(keys: &[u64; 256], values: &[u64], low: u64, below: &mut [u64]) -> Word256 {
+    for (below, &value) in below.iter_mut().zip(values) {
+        let value = value as i64;
+        *below += keys
+            .iter()
+            .map(|&key| u64::from((key as i64) < value))
+            .sum::<u64>();
+    }
+    let mut residual = [0u64; 4];
+    for (r, keys) in residual.iter_mut().zip(keys.chunks_exact(64)) {
+        for (b, &key) in (0u64..).zip(keys) {
+            *r |= u64::from(key & 0xFFFF_FFFF < low) << b;
+        }
+    }
+    Word256(residual)
 }
 
 /// [`run_portable`] compiled for AVX-512: `avx512dq` brings the native
@@ -363,6 +432,20 @@ mod tests {
                 let below = key & 0xFFFF_FFFF < last[class as usize];
                 assert_eq!(fails.bit(bit as u32), below, "seed {seed} bit {bit}");
             }
+            // The cover loop: keys below each whole-key value, and the bits
+            // below a raw threshold whatever their class.
+            let values = [class_min(0) + 1, 1 << 32, (1 << 32) + (1 << 31), 2 << 32];
+            let mut below = [0u64; 4];
+            let residual = cover_loop(&keys, &values, 1 << 30, &mut below);
+            for (&value, &count) in values.iter().zip(&below) {
+                let direct = keys.iter().filter(|&&key| key < value).count() as u64;
+                assert_eq!(count, direct, "seed {seed} value {value:#x}");
+            }
+            assert_eq!(below[3], 256, "every key is below 2³³");
+            for (bit, &key) in keys.iter().enumerate() {
+                let low = key & 0xFFFF_FFFF < 1 << 30;
+                assert_eq!(residual.bit(bit as u32), low, "seed {seed} bit {bit}");
+            }
             for (bit, &key) in keys.iter().enumerate() {
                 let h = mix64(prefix ^ bit as u64);
                 let stuck_at_one = (h & 0xFFFF_FFFF) >= class_cut;
@@ -374,7 +457,7 @@ mod tests {
     }
 
     /// Asserts that every runnable compile agrees with the portable one on
-    /// both loops for one word.
+    /// every loop and reduction for one word.
     fn assert_arms_agree(prefix: u64, class_cut: u64, cut0: u64, cut1: u64) {
         let portable = InstructionSet::Portable;
         let planes = bit_planes(prefix, class_cut, cut0, cut1, portable);
@@ -403,6 +486,23 @@ mod tests {
                 failing_planes(&keys, [cut0, cut1], portable),
                 "{arm:?} failing planes diverged at prefix {prefix:#x}, cuts ({cut0}, {cut1})"
             );
+            // A cover of no value, and one of a cutoff of each class and
+            // 2³², counted twice so the counts accumulate.
+            let values = [cut0, 1 << 32, (1 << 32) + cut1];
+            for values in [&values[..0], &values[..]] {
+                let cover = |isa| {
+                    let mut below = [0u64; 3];
+                    let residual = cover_counts(&keys, values, class_cut, &mut below, isa);
+                    let again = cover_counts(&keys, values, class_cut, &mut below, isa);
+                    assert_eq!(residual, again);
+                    (below, residual)
+                };
+                assert_eq!(
+                    cover(arm),
+                    cover(portable),
+                    "{arm:?} cover counts diverged at prefix {prefix:#x}, values {values:?}, low {class_cut}"
+                );
+            }
         }
     }
 

@@ -24,6 +24,10 @@ const CRASH_DOMAIN: u64 = 0x7663_7273;
 /// chip-to-chip spread Chang et al. report for reduced-voltage DRAM.
 const CRASH_FLOOR_MV: u32 = 810;
 
+/// The most worker threads a fleet sweep may ask for, as `hbmctl serve`
+/// allows its pipeline.
+pub const MAX_WORKERS: usize = 256;
+
 /// Errors raised by fleet configuration, sweeps and artifact handling.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetError {
@@ -85,7 +89,8 @@ pub struct FleetConfig {
     pub devices: u32,
     /// Base seed all per-device seeds derive from.
     pub base_seed: u64,
-    /// Worker threads; `0` means one worker per available CPU.
+    /// Worker threads, at most [`MAX_WORKERS`]; `0` means one worker per
+    /// available CPU.
     pub workers: usize,
     /// Per-device geometry (the study's reduced VCU128 footprint).
     pub geometry: HbmGeometry,
@@ -152,6 +157,12 @@ impl FleetConfig {
             return Err(FleetError::Config(format!(
                 "sweep must descend: from {} is below down-to {}",
                 self.from, self.down_to
+            )));
+        }
+        if self.workers > MAX_WORKERS {
+            return Err(FleetError::Config(format!(
+                "workers must be at most {MAX_WORKERS} (0 takes the available parallelism), got {}",
+                self.workers
             )));
         }
         if self.words_per_pc == 0 || self.words_per_pc > 255 {
@@ -378,6 +389,13 @@ mod tests {
                 "weak reference below crash ceiling",
                 FleetConfig {
                     weak_reference: Millivolts(820),
+                    ..base.clone()
+                },
+            ),
+            (
+                "too many workers",
+                FleetConfig {
+                    workers: MAX_WORKERS + 1,
                     ..base.clone()
                 },
             ),
