@@ -1,17 +1,17 @@
-//! Kernel bench for the region-tiled fault injector: the cached path
-//! (tile probability cache + activation-index enumeration) against the
-//! naive per-word reference path, per voltage; the bit-sliced dense-region
-//! kernel against the forced-scalar walk in the dense regime (≤ 860 mV);
-//! count descents over fleet devices at 1, 17 and 391 knots; the paper
-//! sweep's all-1s/all-0s descent rows; and a `quick()`-shaped reliability
-//! sweep in both execution modes. Every
+//! Kernel bench for the region-tiled fault injector: per-word masks of the
+//! auto (bit-sliced) backend against the forced-scalar walk in the dense
+//! regime (≤ 860 mV); count descents over fleet devices at 1, 17 and 391
+//! knots; the paper sweep's all-1s/all-0s descent rows; and a
+//! `quick()`-shaped reliability sweep in both execution modes. Every
 //! comparison asserts bit-identical results before recording timings to
-//! `BENCH_injector_kernel.json`.
+//! `BENCH_injector_kernel.json`; the descents are checked against the
+//! summed per-word masks at every knot.
 //!
 //! This is a plain `harness = false` binary (not Criterion) because the
 //! deliverable is a machine-readable speedup record. Run with:
 //! `cargo bench -p hbm-bench --bench injector_kernel`.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use hbm_device::{HbmGeometry, PcIndex, WordOffset};
@@ -38,19 +38,10 @@ const FLEET_PCS: u8 = 32;
 const FLEET_WORDS: u64 = 64;
 
 #[derive(Serialize)]
-struct VoltageEntry {
-    voltage_mv: u32,
-    reference_secs: f64,
-    cached_secs: f64,
-    speedup: f64,
-    faulty_bits: u64,
-}
-
-#[derive(Serialize)]
 struct DenseEntry {
     voltage_mv: u32,
     scalar_secs: f64,
-    bitsliced_secs: f64,
+    auto_secs: f64,
     speedup: f64,
     faulty_bits: u64,
 }
@@ -92,8 +83,6 @@ struct Record {
     seed: u64,
     iterations: u32,
     words_per_pc: u64,
-    per_voltage: Vec<VoltageEntry>,
-    safe_region_min_speedup: f64,
     dense: Vec<DenseEntry>,
     dense_region_min_speedup: f64,
     descent_devices: u32,
@@ -125,6 +114,23 @@ fn time_per_call<F: FnMut() -> u64>(mut f: F) -> (f64, u64) {
     (best, out)
 }
 
+/// The summed `(stuck0, stuck1)` popcounts of `kernel`'s per-word masks
+/// over `words` at `v`: the oracle every descent is checked against.
+fn fold_masks(
+    kernel: &impl MaskKernel,
+    pc: PcIndex,
+    words: Range<u64>,
+    v: Millivolts,
+) -> (u64, u64) {
+    words.fold((0, 0), |(n0, n1), w| {
+        let (s0, s1) = kernel.masks(pc, WordOffset(w), v);
+        (
+            n0 + u64::from(s0.count_ones()),
+            n1 + u64::from(s1.count_ones()),
+        )
+    })
+}
+
 /// Best-of-N wall clock of a full `quick()` sweep in one execution mode,
 /// plus its total mean fault count (for the cross-mode identity check).
 fn time_sweep(mode: ExecutionMode) -> (f64, f64) {
@@ -154,80 +160,36 @@ fn main() {
     let pc = PcIndex::new(0).expect("pc0");
     let auto = injector.kernel(KernelBackend::Auto);
     let scalar = injector.kernel(KernelBackend::Scalar);
-    let sliced = injector.kernel(KernelBackend::BitSliced);
     println!("injector_kernel: seed {SEED}, {WORDS} words per PC, best of {ITERATIONS}");
 
-    let mut per_voltage = Vec::new();
-    for mv in [1000u32, 990, 980, 975, 960, 940, 900, 860, 820] {
-        let v = Millivolts(mv);
-        // Reference: the naive per-word walk the pre-tiled injector ran.
-        let (reference_secs, reference_bits) = time_per_call(|| {
-            let mut bits = 0u64;
-            for w in 0..WORDS {
-                let (s0, s1) = auto.reference_masks(pc, WordOffset(w), v);
-                bits += u64::from(s0.count_ones()) + u64::from(s1.count_ones());
-            }
-            bits
-        });
-        // Cached: tile lookup + density-adaptive enumeration of the range.
-        let (cached_secs, cached_bits) = time_per_call(|| {
-            let (c0, c1) = auto.count_range(pc, 0..WORDS, v);
-            c0 + c1
-        });
-        assert_eq!(cached_bits, reference_bits, "kernels disagree at {v}");
-        let speedup = reference_secs / cached_secs.max(f64::MIN_POSITIVE);
-        println!(
-            "  {mv} mV: reference {:>10.3} us, cached {:>10.3} us  ({speedup:>8.1}x, {reference_bits} faulty bits)",
-            reference_secs * 1e6,
-            cached_secs * 1e6,
-        );
-        per_voltage.push(VoltageEntry {
-            voltage_mv: mv,
-            reference_secs,
-            cached_secs,
-            speedup,
-            faulty_bits: reference_bits,
-        });
-    }
-
-    let safe_region_min_speedup = per_voltage
-        .iter()
-        .filter(|e| e.voltage_mv >= 980)
-        .map(|e| e.speedup)
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        safe_region_min_speedup >= 5.0,
-        "safe-region speedup regressed below 5x: {safe_region_min_speedup:.1}x"
-    );
-
     // Dense regime: at and below 860 mV nearly every word carries faults,
-    // so the bit-sliced whole-word kernel is compared against the forced
-    // scalar walk over the same range.
+    // so the auto backend's bit-sliced per-word masks are compared against
+    // the forced scalar walk over the same words.
     let mut dense = Vec::new();
     for mv in [860u32, 820] {
         let v = Millivolts(mv);
         let (scalar_secs, scalar_bits) = time_per_call(|| {
-            let (c0, c1) = scalar.count_range(pc, 0..WORDS, v);
+            let (c0, c1) = fold_masks(&scalar, pc, 0..WORDS, v);
             c0 + c1
         });
-        let (bitsliced_secs, bitsliced_bits) = time_per_call(|| {
-            let (c0, c1) = sliced.count_range(pc, 0..WORDS, v);
+        let (auto_secs, auto_bits) = time_per_call(|| {
+            let (c0, c1) = fold_masks(&auto, pc, 0..WORDS, v);
             c0 + c1
         });
         assert_eq!(
-            bitsliced_bits, scalar_bits,
+            auto_bits, scalar_bits,
             "dense-region kernels disagree at {v}"
         );
-        let speedup = scalar_secs / bitsliced_secs.max(f64::MIN_POSITIVE);
+        let speedup = scalar_secs / auto_secs.max(f64::MIN_POSITIVE);
         println!(
-            "  {mv} mV dense: scalar {:>10.3} us, bitsliced {:>10.3} us  ({speedup:>8.1}x, {scalar_bits} faulty bits)",
+            "  {mv} mV dense: scalar {:>10.3} us, auto {:>10.3} us  ({speedup:>8.1}x, {scalar_bits} faulty bits)",
             scalar_secs * 1e6,
-            bitsliced_secs * 1e6,
+            auto_secs * 1e6,
         );
         dense.push(DenseEntry {
             voltage_mv: mv,
             scalar_secs,
-            bitsliced_secs,
+            auto_secs,
             speedup,
             faulty_bits: scalar_bits,
         });
@@ -238,14 +200,14 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     assert!(
         dense_region_min_speedup >= 8.0,
-        "dense-region bit-sliced speedup regressed below 8x: {dense_region_min_speedup:.1}x"
+        "dense-region auto-vs-scalar speedup regressed below 8x: {dense_region_min_speedup:.1}x"
     );
 
     // Count descents in the fleet sweep's shape: every pseudo
     // channel's first 64 words of fleet devices (their own seeds), along
     // a descending grid. Each call pays its own per-tile knot searches, as
     // `fleet sweep` does. Every knot's count is checked against a
-    // from-scratch `count_range` there. The grids are timed in alternating
+    // fold of the per-word masks there. The grids are timed in alternating
     // rounds, best call kept, so a slow phase of a shared host does not
     // land on one grid alone.
     let fleet = FleetConfig::default();
@@ -293,13 +255,13 @@ fn main() {
             for injector in &devices {
                 let kernel = injector.kernel(KernelBackend::Auto);
                 for &pc in &pcs {
-                    let (c0, c1) = kernel.count_range(pc, 0..FLEET_WORDS, v);
+                    let (c0, c1) = fold_masks(&kernel, pc, 0..FLEET_WORDS, v);
                     scanned += c0 + c1;
                 }
             }
             assert_eq!(
                 count, scanned,
-                "count descent disagrees with count_range at {v}"
+                "count descent disagrees with the per-word masks at {v}"
             );
         }
         let last = per_knot[schedule.len() - 1];
@@ -323,7 +285,7 @@ fn main() {
     // The paper sweep's descent rows: every pseudo channel of one device,
     // 8192 words each, read back under all-1s and all-0s writes at each of
     // the 40 knots from 1.20 V to 0.81 V. Every knot's rows are checked
-    // against `count_range` per class there; the count descent over the
+    // against the per-word masks per class there; the count descent over the
     // same shape is timed beside them, in alternating rounds.
     let paper: Vec<Millivolts> = (810..=1200).rev().step_by(10).map(Millivolts).collect();
     let written = [Written::Ones, Written::Zeros];
@@ -348,12 +310,12 @@ fn main() {
     }
     for (&pc, (rows, counts)) in pcs.iter().zip(rows_of().iter().zip(counts_of())) {
         for (k, &v) in paper.iter().enumerate() {
-            let (n0, n1) = auto.count_range(pc, 0..WORDS, v);
+            let (n0, n1) = fold_masks(&auto, pc, 0..WORDS, v);
             let [ones, zeros] = [&rows[k][0], &rows[k][1]];
             assert_eq!(
                 (ones.stuck0, ones.stuck1, zeros.stuck0, zeros.stuck1),
                 (n0, 0, 0, n1),
-                "descent rows disagree with count_range at {v} on {pc:?}"
+                "descent rows disagree with the per-word masks at {v} on {pc:?}"
             );
             assert_eq!(counts[k], n0 + n1, "count descent at {v} on {pc:?}");
         }
@@ -399,8 +361,6 @@ fn main() {
         seed: SEED,
         iterations: ITERATIONS,
         words_per_pc: WORDS,
-        per_voltage,
-        safe_region_min_speedup,
         dense,
         dense_region_min_speedup,
         descent_devices: FLEET_DEVICES,

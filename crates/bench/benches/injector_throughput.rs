@@ -12,7 +12,7 @@ fn bench_injector(c: &mut Criterion) {
     let pc = PcIndex::new(0).expect("valid pc");
     let words = 4096u64;
 
-    for backend in [KernelBackend::Scalar, KernelBackend::BitSliced] {
+    for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
         let kernel = injector.kernel(backend);
         let name = format!("{backend:?}").to_lowercase();
         let mut group = c.benchmark_group(format!("injector_masks/{name}"));

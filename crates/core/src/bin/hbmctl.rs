@@ -12,8 +12,7 @@
 //! hbmctl power-sweep [--seed N] [--format text|csv|json]
 //! hbmctl reliability [--seed N] [--workers N] [--format text|csv|json]
 //!                    [--from MV] [--to MV] [--step MV]
-//!                    [--batch N] [--words N] [--sample N]
-//!                    [--exec cached|traffic]
+//!                    [--batch N] [--words N] [--exec cached|traffic]
 //! hbmctl sweep       [reliability flags] [--checkpoint FILE] [--resume]
 //!                    [--retries N] [--point-deadline MS] [--v-crash MV]
 //!                    [--transient-prob P] [--transient-window MV]
@@ -71,7 +70,7 @@ use hbm_units::{Millivolts, Ratio};
 const BOOLEAN_FLAGS: &[&str] = &["resume", "progress", "keep-exact"];
 
 /// The measurement flags `reliability` and `sweep` share.
-const RELIABILITY_FLAGS: &str = "seed workers format from to step batch words sample exec";
+const RELIABILITY_FLAGS: &str = "seed workers format from to step batch words exec";
 
 /// The flags each command reads, as space-separated lists mirroring
 /// [`USAGE`]; any other flag is a usage error. `fleet` subcommands are
@@ -217,7 +216,7 @@ const USAGE: &str = "usage:
   hbmctl guardband   [--seed N] [--workers N] [--format text|csv|json]
   hbmctl power-sweep [--seed N] [--format text|csv|json]
   hbmctl reliability [--seed N] [--workers N] [--format text|csv|json]
-                     [--from MV] [--to MV] [--step MV] [--batch N] [--words N] [--sample N]
+                     [--from MV] [--to MV] [--step MV] [--batch N] [--words N]
                      [--exec cached|traffic]
   hbmctl sweep       [reliability flags] [--checkpoint FILE] [--resume]
                      [--retries N] [--point-deadline MS] [--v-crash MV]
@@ -326,7 +325,6 @@ fn reliability_config(args: &Args) -> Result<ReliabilityConfig, CliError> {
     let step: Millivolts = args.flag("step", Millivolts(10))?;
     let batch: usize = args.flag("batch", 1)?;
     let words: u64 = args.flag("words", 1024)?;
-    let sample: Option<u64> = args.optional("sample")?;
     let exec: String = args.flag("exec", "cached".to_owned())?;
     let mode = match exec.as_str() {
         "cached" => ExecutionMode::CachedMasks,
@@ -344,7 +342,6 @@ fn reliability_config(args: &Args) -> Result<ReliabilityConfig, CliError> {
         patterns: vec![DataPattern::AllOnes, DataPattern::AllZeros],
         scope: TestScope::EntireHbm,
         words_per_pc: Some(words),
-        sample_words: sample,
         mode,
     })
 }
@@ -378,6 +375,9 @@ fn supervised_sweep(seed: u64, workers: usize, args: &Args) -> Result<(), CliErr
     }
     let resume: bool = args.flag("resume", false)?;
     config = config.resume(resume);
+    let supervisor = config
+        .build_supervisor()
+        .map_err(|e| CliError::config(e.to_string()))?;
 
     // Observation: --trace-file streams the typed event log as JSONL (in
     // diffable mode, so traces for one campaign compare byte-for-byte
@@ -392,9 +392,6 @@ fn supervised_sweep(seed: u64, workers: usize, args: &Args) -> Result<(), CliErr
         telemetry.add_observer(Box::new(ProgressSink::new(std::io::stderr())));
     }
 
-    let supervisor = config
-        .build_supervisor()
-        .map_err(|e| CliError::config(e.to_string()))?;
     let mut p = config.build_platform();
     let points = supervisor.tester().config().sweep.len();
     eprintln!(

@@ -10,8 +10,6 @@
 //!   it holds no RNG state a schedule could perturb;
 //! - each shard owns its pseudo channel's array and counters outright, so no
 //!   write of one worker is visible to another;
-//! - any sampled randomness is keyed per work item via
-//!   [`hbm_faults::pc_stream`], never drawn from shared state;
 //! - results are reassembled in job order regardless of completion order.
 //!
 //! `workers` comes from the platform ([`crate::PlatformBuilder::workers`]);
@@ -132,39 +130,14 @@ fn run_jobs_inner(
     hbm_traffic::run_sharded(sharded, workers).map_err(ExperimentError::from)
 }
 
-/// Every checked word's stuck-at masks for one port at one voltage — the
+/// One port's per-pattern pass statistics at one voltage — the
 /// batch/pattern reuse working set of the reliability tester's cached-mask
-/// mode. Built once per voltage point by [`build_mask_sets`], then replayed
-/// across every batch pass and data pattern via [`PortMasks::stats_for`].
+/// mode. Read from the port's descent row by [`build_mask_sets_descended`],
+/// then replayed across every batch pass via [`PortMasks::stats_for`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PortMasks {
     port: PortId,
-    set: MaskSet,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum MaskSet {
-    /// Sequential walk over `0..words`: only the faulty words are stored —
-    /// the injector's skip-sampling enumeration never visits the rest.
-    Sequential {
-        words: u64,
-        faulty: Vec<(WordOffset, Word256, Word256)>,
-    },
-    /// Sampled mode: every drawn offset in draw order, duplicates kept —
-    /// the traffic path checks duplicates per occurrence, so must the
-    /// replay.
-    Sampled {
-        samples: Vec<(u64, Word256, Word256)>,
-    },
-    /// Per-pattern pass statistics with no masks stored at all: folded
-    /// *during* a dense-regime enumeration, or read from a descent row.
-    /// The working set stays O(patterns) even when nearly every word of
-    /// the range is faulty. Mask sums commute, so the fold
-    /// is identical to replaying a collected vector.
-    Streamed {
-        words: u64,
-        stats: Vec<(DataPattern, PortStats)>,
-    },
+    stats: Vec<(DataPattern, PortStats)>,
 }
 
 impl PortMasks {
@@ -173,173 +146,59 @@ impl PortMasks {
         self.port
     }
 
-    /// Number of word checks one batch pass performs against this set.
-    pub(crate) fn words_checked(&self) -> u64 {
-        match &self.set {
-            MaskSet::Sequential { words, .. } | MaskSet::Streamed { words, .. } => *words,
-            MaskSet::Sampled { samples } => samples.len() as u64,
-        }
-    }
-
     /// The port statistics one full write/read-back pass would produce
     /// under `pattern` — bit-identical to running the traffic generator,
     /// by the determinism of the stuck-at model.
     pub(crate) fn stats_for(&self, pattern: DataPattern) -> PortStats {
-        if let MaskSet::Streamed { stats, .. } = &self.set {
-            return stats
-                .iter()
-                .find(|(p, _)| *p == pattern)
-                .map(|(_, s)| *s)
-                .expect("pattern folded at build time");
-        }
-        let mut stats = PortStats {
-            words_written: self.words_checked(),
-            words_read: self.words_checked(),
-            ..PortStats::default()
-        };
-        match &self.set {
-            MaskSet::Sequential { faulty, .. } => {
-                for &(offset, s0, s1) in faulty {
-                    tally(&mut stats, pattern.word_at(offset.0), s0, s1);
-                }
-            }
-            MaskSet::Sampled { samples } => {
-                for &(offset, s0, s1) in samples {
-                    tally(&mut stats, pattern.word_at(offset), s0, s1);
-                }
-            }
-            MaskSet::Streamed { .. } => unreachable!("handled above"),
-        }
-        stats
+        self.stats
+            .iter()
+            .find(|(p, _)| *p == pattern)
+            .map(|(_, s)| *s)
+            .expect("pattern folded at build time")
     }
 }
 
-/// Folds one word's masks into the pass statistics exactly the way the
-/// traffic generator's read-check does.
-fn tally(stats: &mut PortStats, expected: Word256, stuck0: Word256, stuck1: Word256) {
-    let observed = expected.with_stuck_bits(stuck0, stuck1);
-    if observed != expected {
-        stats.faulty_words += 1;
-        let (f10, f01) = observed.flips_from(expected);
-        stats.flips_1to0 += u64::from(f10);
-        stats.flips_0to1 += u64::from(f01);
-    }
-}
-
-/// Above this predicted fraction of faulty words, a sequential build folds
-/// its per-pattern statistics during enumeration ([`MaskSet::Streamed`])
-/// instead of collecting a mask vector that would rival the size of the
-/// scanned range itself. The prediction comes from the injector's tile
-/// cache ([`FaultInjector::expected_active_fraction`]), so the choice is
-/// made before enumerating anything.
-const STREAM_DENSITY_THRESHOLD: f64 = 0.5;
-
-/// Folds a stream of faulty-word masks into one [`PortStats`] per pattern
-/// without storing any mask: the streamed counterpart of replaying a
-/// collected vector through [`PortMasks::stats_for`]. The fold is a sum of
-/// per-word contributions, so it is independent of enumeration order.
-fn streamed_stats<F>(words: u64, patterns: &[DataPattern], for_each: F) -> MaskSet
-where
-    F: FnOnce(&mut dyn FnMut(WordOffset, Word256, Word256)),
-{
-    let mut stats: Vec<(DataPattern, PortStats)> = patterns
-        .iter()
-        .map(|&pattern| {
-            (
-                pattern,
-                PortStats {
-                    words_written: words,
-                    words_read: words,
-                    ..PortStats::default()
-                },
-            )
-        })
-        .collect();
-    for_each(&mut |offset, s0, s1| {
-        for (pattern, port_stats) in &mut stats {
-            tally(port_stats, pattern.word_at(offset.0), s0, s1);
-        }
-    });
-    MaskSet::Streamed { words, stats }
-}
-
-/// Builds one sequential-walk working set, picking between the sparse
-/// collected representation and the dense streaming fold by predicted
-/// fault density.
-fn build_sequential(
-    kernel: FieldKernel<'_>,
-    pc: PcIndex,
-    words: u64,
-    voltage: Millivolts,
-    patterns: &[DataPattern],
-) -> MaskSet {
-    if kernel.expected_active_fraction(pc, voltage) > STREAM_DENSITY_THRESHOLD {
-        return streamed_stats(words, patterns, |fold| {
-            kernel.for_each_faulty_word(pc, 0..words, voltage, fold);
-        });
-    }
-    MaskSet::Sequential {
-        words,
-        faulty: kernel.faulty_words(pc, 0..words, voltage),
-    }
-}
-
-/// Builds the cached-mask working sets for one voltage point, one per port,
-/// fanning the per-port kernel invocations across the platform's worker
-/// threads (the injector is `Sync`; its tile cache is shared). Results come
-/// back in `ports` order regardless of scheduling, and one
-/// [`TelemetryEvent::WorkerShardDone`] is emitted per port in that order
-/// after all builders join — so the trace is identical at every worker
-/// count.
-///
-/// `kernel` supplies the masks: its backend decides only how fast the
-/// faults are found, never which (the sweeps pass
-/// [`hbm_faults::KernelBackend::Auto`]; tests pass the scalar reference). `patterns` is needed up front because dense-regime
-/// sequential builds fold their per-pattern statistics during enumeration
-/// (streaming mode) instead of collecting masks.
-///
-/// # Errors
-///
-/// [`DeviceError::PortDisabled`] if a scoped port is disabled — matching
-/// what the traffic path's first AXI access would report.
-#[allow(clippy::too_many_arguments)]
+/// Test oracle of [`build_mask_sets_descended`]: each port's per-pattern
+/// pass statistics at `voltage`, folded from `kernel`'s per-word masks
+/// over `0..words` exactly the way the traffic generator's read-check
+/// counts them.
+#[cfg(test)]
 pub(crate) fn build_mask_sets(
-    platform: &Platform,
     ports: &[PortId],
     words: u64,
-    sample_words: Option<u64>,
     voltage: Millivolts,
     kernel: FieldKernel<'_>,
     patterns: &[DataPattern],
-    telemetry: &Telemetry,
-) -> Result<Vec<PortMasks>, ExperimentError> {
-    check_enabled(platform, ports)?;
-    let seed = platform.seed();
-    let build = move |&port: &PortId| -> PortMasks {
-        let pc = port.direct_pc();
-        let set = match sample_words {
-            None => build_sequential(kernel, pc, words, voltage, patterns),
-            Some(samples) => MaskSet::Sampled {
-                samples: hbm_faults::stream::sample_offsets(seed, voltage, pc, samples, words)
-                    .into_iter()
-                    .map(|w| {
-                        let (s0, s1) = kernel.masks(pc, WordOffset(w), voltage);
-                        (w, s0, s1)
-                    })
-                    .collect(),
-            },
-        };
-        PortMasks { port, set }
+) -> Vec<PortMasks> {
+    let pass = PortStats {
+        words_written: words,
+        words_read: words,
+        ..PortStats::default()
     };
-    let sets = shard_map(ports, platform.workers(), build);
-    emit_shards_done(&sets, telemetry);
-    Ok(sets)
+    let build = |&port: &PortId| {
+        let mut stats: Vec<_> = patterns.iter().map(|&pattern| (pattern, pass)).collect();
+        for w in 0..words {
+            let (s0, s1) = kernel.masks(port.direct_pc(), WordOffset(w), voltage);
+            for (pattern, stats) in &mut stats {
+                let expected = pattern.word_at(w);
+                let observed = expected.with_stuck_bits(s0, s1);
+                if observed != expected {
+                    stats.faulty_words += 1;
+                    let (f10, f01) = observed.flips_from(expected);
+                    stats.flips_1to0 += u64::from(f10);
+                    stats.flips_0to1 += u64::from(f01);
+                }
+            }
+        }
+        PortMasks { port, stats }
+    };
+    ports.iter().map(build).collect()
 }
 
 /// Runs `build` on every port of `ports` across up to `workers` scoped
 /// threads, one contiguous chunk of ports per thread, and returns the
 /// results in `ports` order regardless of scheduling. The shard loop of
-/// both mask-set builders; with one worker it is a plain loop.
+/// the ports' descents; with one worker it is a plain loop.
 fn shard_map<R: Send>(
     ports: &[PortId],
     workers: usize,
@@ -380,16 +239,6 @@ fn check_enabled(platform: &Platform, ports: &[PortId]) -> Result<(), Experiment
     }
 }
 
-/// One [`TelemetryEvent::WorkerShardDone`] per built set, in `ports` order.
-fn emit_shards_done(sets: &[PortMasks], telemetry: &Telemetry) {
-    for set in sets {
-        telemetry.emit(TelemetryEvent::WorkerShardDone {
-            port: set.port().as_u8(),
-            words: set.words_checked(),
-        });
-    }
-}
-
 /// The descent rows a platform has computed: for each `(port, words,
 /// voltage)`, the per-pattern statistics one write/read-back pass over
 /// `0..words` of the port measures at that voltage. A row is a
@@ -397,28 +246,27 @@ fn emit_shards_done(sets: &[PortMasks], telemetry: &Telemetry) {
 /// cycles, retries and sweeps until the temperature changes.
 pub(crate) type DescentRows = BTreeMap<(u8, u64, Millivolts), Vec<(DataPattern, PortStats)>>;
 
-/// The descending counterpart of [`build_mask_sets`] for sequential walks:
-/// every port's set is its descent row at `schedule[0]`, handed out as a
-/// [`MaskSet::Streamed`] set. The ports without a row there first run one
-/// [`MaskKernel::exposure_descent`] each over the whole `schedule` (this
-/// voltage and every lower one the sweep will visit), sharded across the
-/// platform's workers like [`build_mask_sets`]; a row per knot is kept
-/// once they join, so the following points read rows instead of
-/// enumerating masks.
+/// Builds the cached-mask working sets for one voltage point, one per
+/// port: every port's set is its descent row at `schedule[0]`. The ports
+/// without a row there first run one [`MaskKernel::exposure_descent`] each
+/// over the whole `schedule` (this voltage and every lower one the sweep
+/// will visit), sharded across the platform's workers; a row per knot is
+/// kept once they join, so the following points read rows instead of
+/// hashing words.
 ///
-/// The rows are bit-identical to a from-scratch [`build_mask_sets`] at each
-/// knot: the descent's counts at a knot are exactly a fold of the
-/// enumeration's masks there (for every backend). A row is a
-/// pure function of its port, so the worker count changes nothing; the
-/// events match [`build_mask_sets`].
+/// The rows are bit-identical to folding every word's masks at each knot
+/// (for every backend). A row is a pure function of its port, so the
+/// worker count changes nothing. One [`TelemetryEvent::WorkerShardDone`]
+/// is emitted per port in `ports` order after the descents join, so the
+/// trace is identical at every worker count.
 ///
 /// Returns the sets in `ports` order plus the words the point's descents
 /// hashed (zero when every row was already known).
 ///
 /// # Errors
 ///
-/// [`DeviceError::PortDisabled`] if a scoped port is disabled, exactly
-/// like [`build_mask_sets`].
+/// [`DeviceError::PortDisabled`] if a scoped port is disabled — matching
+/// what the traffic path's first AXI access would report.
 pub(crate) fn build_mask_sets_descended(
     platform: &mut Platform,
     ports: &[PortId],
@@ -453,13 +301,15 @@ pub(crate) fn build_mask_sets_descended(
         .iter()
         .map(|&port| PortMasks {
             port,
-            set: MaskSet::Streamed {
-                words,
-                stats: rows[&(port.as_u8(), words, voltage)].clone(),
-            },
+            stats: rows[&(port.as_u8(), words, voltage)].clone(),
         })
         .collect();
-    emit_shards_done(&sets, telemetry);
+    for &port in ports {
+        telemetry.emit(TelemetryEvent::WorkerShardDone {
+            port: port.as_u8(),
+            words,
+        });
+    }
     Ok((sets, words * missing.len() as u64))
 }
 
@@ -562,43 +412,39 @@ mod tests {
         assert!(matches!(err, ExperimentError::Config { .. }));
     }
 
+    /// The descended sets of `ports` at the first knot of `schedule`.
+    fn descend(
+        platform: &mut Platform,
+        ports: &[PortId],
+        words: u64,
+        schedule: &[Millivolts],
+        patterns: &[DataPattern],
+    ) -> (Vec<PortMasks>, u64) {
+        build_mask_sets_descended(
+            platform,
+            ports,
+            words,
+            schedule,
+            patterns,
+            Telemetry::disabled(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn mask_sets_match_traffic_generator_stats() {
         let mut platform = Platform::builder().seed(7).build();
         platform.set_voltage(Millivolts(860)).unwrap();
         let ports: Vec<PortId> = (0..4).map(|i| PortId::new(i).unwrap()).collect();
-        for sample_words in [None, Some(96)] {
-            let sets = build_mask_sets(
-                &platform,
-                &ports,
-                128,
-                sample_words,
-                Millivolts(860),
-                platform.injector().kernel(KernelBackend::Auto),
-                &[DataPattern::AllOnes, DataPattern::Checkerboard],
-                Telemetry::disabled(),
-            )
-            .unwrap();
-            for (set, &port) in sets.iter().zip(&ports) {
-                assert_eq!(set.port(), port);
-                for pattern in [DataPattern::AllOnes, DataPattern::Checkerboard] {
-                    let program = match sample_words {
-                        None => MacroProgram::write_then_check(0..128, pattern),
-                        Some(n) => {
-                            let offsets = hbm_faults::stream::sample_offsets(
-                                platform.seed(),
-                                Millivolts(860),
-                                port.direct_pc(),
-                                n,
-                                128,
-                            );
-                            MacroProgram::write_then_check_at(&offsets, pattern)
-                        }
-                    };
-                    let mut tg = TrafficGenerator::new(port);
-                    let stats = tg.run(&program, &mut platform.port(port)).unwrap();
-                    assert_eq!(set.stats_for(pattern), stats, "port {port:?} {pattern}");
-                }
+        let patterns = [DataPattern::AllOnes, DataPattern::Checkerboard];
+        let (sets, _) = descend(&mut platform, &ports, 128, &[Millivolts(860)], &patterns);
+        for (set, &port) in sets.iter().zip(&ports) {
+            assert_eq!(set.port(), port);
+            for pattern in patterns {
+                let program = MacroProgram::write_then_check(0..128, pattern);
+                let mut tg = TrafficGenerator::new(port);
+                let stats = tg.run(&program, &mut platform.port(port)).unwrap();
+                assert_eq!(set.stats_for(pattern), stats, "port {port:?} {pattern}");
             }
         }
     }
@@ -607,24 +453,21 @@ mod tests {
     fn mask_sets_are_worker_count_invariant() {
         let sets_with = |workers: usize| {
             let mut platform = Platform::builder().seed(7).workers(workers).build();
-            platform.set_voltage(Millivolts(880)).unwrap();
             let ports: Vec<PortId> = (0..platform.geometry().total_pcs())
                 .map(|i| PortId::new(i).unwrap())
                 .collect();
-            build_mask_sets(
-                &platform,
+            let schedule = [880, 860].map(Millivolts);
+            descend(
+                &mut platform,
                 &ports,
                 256,
-                None,
-                Millivolts(880),
-                platform.injector().kernel(KernelBackend::Auto),
+                &schedule,
                 &[DataPattern::AllOnes],
-                Telemetry::disabled(),
             )
-            .unwrap()
+            .0
         };
         let sequential = sets_with(1);
-        assert!(sequential.iter().any(|s| s.words_checked() == 256));
+        assert_eq!(sequential.len(), 32);
         for workers in [3usize, 8] {
             assert_eq!(sequential, sets_with(workers), "{workers} workers");
         }
@@ -636,13 +479,11 @@ mod tests {
         platform.enable_ports(4);
         platform.set_voltage(Millivolts(900)).unwrap();
         let ports = [PortId::new(6).unwrap()];
-        let err = build_mask_sets(
-            &platform,
+        let err = build_mask_sets_descended(
+            &mut platform,
             &ports,
             64,
-            None,
-            Millivolts(900),
-            platform.injector().kernel(KernelBackend::Auto),
+            &[Millivolts(900)],
             &[DataPattern::AllOnes],
             Telemetry::disabled(),
         )
@@ -659,9 +500,9 @@ mod tests {
     #[test]
     fn auto_kernel_never_changes_results_vs_forced_scalar() {
         // The backend only changes speed: at every point of the quick grid
-        // and deep in the dense region, the density-adaptive kernel builds
-        // the same mask sets as the scalar reference — sequential, sampled
-        // and every descent row.
+        // and deep in the dense region, the bit-sliced kernel's per-word
+        // masks fold to the same sets as the scalar reference's, and so
+        // does every descent row.
         let platform = Platform::builder().seed(7).build();
         let ports: Vec<PortId> = (0..platform.geometry().total_pcs())
             .map(|i| PortId::new(i).unwrap())
@@ -685,25 +526,11 @@ mod tests {
             })
             .collect();
         for (k, &v) in voltages.iter().enumerate() {
-            let build = |kernel, sample_words| {
-                build_mask_sets(
-                    &platform,
-                    &ports,
-                    words,
-                    sample_words,
-                    v,
-                    kernel,
-                    &patterns,
-                    Telemetry::disabled(),
-                )
-                .unwrap()
-            };
-            let reference = build(scalar, None);
-            assert_eq!(build(auto, None), reference, "at {v}");
+            let reference = build_mask_sets(&ports, words, v, scalar, &patterns);
             assert_eq!(
-                build(auto, Some(96)),
-                build(scalar, Some(96)),
-                "sampled at {v}"
+                build_mask_sets(&ports, words, v, auto, &patterns),
+                reference,
+                "at {v}"
             );
             for (port_rows, set) in rows.iter().zip(&reference) {
                 for backend_rows in port_rows {
@@ -723,35 +550,15 @@ mod tests {
         let ports: Vec<PortId> = (0..4).map(|i| PortId::new(i).unwrap()).collect();
         let patterns = [DataPattern::Checkerboard, DataPattern::AddressAsData];
         let schedule = [900, 870, 840].map(Millivolts);
-        let descend = |platform: &mut Platform, from: usize| {
-            build_mask_sets_descended(
-                platform,
-                &ports,
-                256,
-                &schedule[from..],
-                &patterns,
-                Telemetry::disabled(),
-            )
-            .unwrap()
-        };
         let rescan = |platform: &Platform, v| {
             let kernel = platform.injector().kernel(KernelBackend::Auto);
-            build_mask_sets(
-                platform,
-                &ports,
-                256,
-                None,
-                v,
-                kernel,
-                &patterns,
-                Telemetry::disabled(),
-            )
-            .unwrap()
+            build_mask_sets(&ports, 256, v, kernel, &patterns)
         };
-        let (first, descended) = descend(&mut platform, 0);
+        let (first, descended) = descend(&mut platform, &ports, 256, &schedule, &patterns);
         assert_eq!(descended, 4 * 256, "the first point descends every port");
         for (from, &v) in schedule.iter().enumerate() {
-            let (sets, descended) = descend(&mut platform, from);
+            let (sets, descended) =
+                descend(&mut platform, &ports, 256, &schedule[from..], &patterns);
             assert_eq!(descended, 0, "rows at {v} are already known");
             for (set, scanned) in sets.iter().zip(rescan(&platform, v)) {
                 assert_eq!(set.port(), scanned.port());
@@ -762,10 +569,13 @@ mod tests {
                 );
             }
         }
-        assert_eq!(first, descend(&mut platform, 0).0);
+        assert_eq!(
+            first,
+            descend(&mut platform, &ports, 256, &schedule, &patterns).0
+        );
         // A new temperature is a new fault realization: the rows go.
         platform.set_temperature(hbm_units::Celsius(55.0));
-        let (hot, descended) = descend(&mut platform, 1);
+        let (hot, descended) = descend(&mut platform, &ports, 256, &schedule[1..], &patterns);
         assert_eq!(descended, 4 * 256);
         for (set, scanned) in hot.iter().zip(rescan(&platform, schedule[1])) {
             assert_eq!(row_of(set, &patterns), row_of(&scanned, &patterns));

@@ -133,7 +133,7 @@ pub use platform::{Platform, PlatformBuilder, PowerSample, UndervoltedPort};
 pub use power_test::{PowerPoint, PowerSweep, PowerSweepReport};
 pub use reliability::{
     ExecutionMode, PatternOutcome, ReliabilityConfig, ReliabilityReport, ReliabilityTester,
-    TestScope, VoltagePoint,
+    TestScope, VoltagePoint, MAX_BATCH_SIZE,
 };
 pub use report::{AcfTable, Render};
 pub use supervisor::{

@@ -763,9 +763,11 @@ mod tests {
         p.set_voltage(Millivolts(880)).unwrap();
         let pc = PcIndex::new(0).unwrap();
         let count = |p: &Platform| {
-            p.injector()
-                .kernel(KernelBackend::Auto)
-                .count_range(pc, 0..512, Millivolts(880))
+            let kernel = p.injector().kernel(KernelBackend::Auto);
+            (0..512)
+                .map(|w| kernel.masks(pc, WordOffset(w), Millivolts(880)))
+                .map(|(s0, s1)| s0.count_ones() + s1.count_ones())
+                .sum::<u32>()
         };
         // Warm the injector's region probability cache at ambient …
         let cold = count(&p);

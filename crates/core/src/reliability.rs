@@ -10,10 +10,8 @@
 use std::time::Instant;
 
 use hbm_device::{DeviceError, PcIndex, PortId};
-use hbm_faults::{pc_stream, KernelBackend};
 use hbm_traffic::{DataPattern, MacroProgram, PortStats};
 use hbm_units::{Millivolts, Ratio};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::engine;
@@ -64,16 +62,15 @@ impl TestScope {
 /// Which kernel executes each voltage point of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExecutionMode {
-    /// Batch mask reuse: every checked word's stuck-at masks are computed
-    /// once per voltage through the fault injector's region-tiled kernel,
-    /// then replayed across all `batch_size` passes and every data pattern
-    /// as pure mask/popcount work. Bit-identical to
+    /// Batch mask reuse: each port's per-pattern pass statistics are
+    /// computed once per voltage by the fault kernel, then replayed across
+    /// all `batch_size` passes as pure arithmetic. Bit-identical to
     /// [`ExecutionMode::Traffic`] — the model's faults are deterministic at
     /// a fixed voltage, so each pass observes the same counts — but the
     /// per-word cost is paid once instead of `batch_size × patterns` times.
-    /// Fault sets only grow as the voltage descends, so a sequential
-    /// (unsampled) sweep measures each port with one hash pass at its first
-    /// point and reads every later point from that pass's per-voltage rows.
+    /// Fault sets only grow as the voltage descends, so a sweep measures
+    /// each port with one hash pass at its first point and reads every
+    /// later point from that pass's per-voltage rows.
     #[default]
     CachedMasks,
     /// Full AXI emulation: every batch pass writes and reads back through
@@ -82,6 +79,10 @@ pub enum ExecutionMode {
     /// tests that check that engine itself.
     Traffic,
 }
+
+/// The most write/read-back passes per (voltage, pattern) a configuration
+/// may ask for; the paper runs 130.
+pub const MAX_BATCH_SIZE: usize = 65_536;
 
 /// Configuration of a reliability test run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -97,17 +98,12 @@ pub struct ReliabilityConfig {
     /// Optional cap on words tested per pseudo channel (`None` = the full
     /// array). Lets exhaustive tests bound their runtime.
     pub words_per_pc: Option<u64>,
-    /// Optional sampled mode: test this many randomly drawn offsets per
-    /// pseudo channel instead of a sequential walk. The offsets come from
-    /// one [`hbm_faults::pc_stream`] per `(seed, voltage, pseudo channel)`
-    /// work item, so the draws are identical for every engine worker count.
-    pub sample_words: Option<u64>,
     /// Which kernel executes each voltage point (default:
     /// [`ExecutionMode::CachedMasks`]).
     ///
-    /// How the kernel runs — scalar or bit-sliced per tile, one descent or
-    /// a rescan per point — is decided by the kernel itself and never
-    /// changes results, so it is not part of the configuration.
+    /// How the kernel runs — which compile of its word loop — is decided
+    /// by the kernel itself and never changes results, so it is not part
+    /// of the configuration.
     pub mode: ExecutionMode,
 }
 
@@ -122,7 +118,6 @@ impl ReliabilityConfig {
             patterns: vec![DataPattern::AllOnes, DataPattern::AllZeros],
             scope: TestScope::EntireHbm,
             words_per_pc: None,
-            sample_words: None,
             mode: ExecutionMode::CachedMasks,
         }
     }
@@ -138,7 +133,6 @@ impl ReliabilityConfig {
             patterns: vec![DataPattern::AllOnes, DataPattern::AllZeros],
             scope: TestScope::EntireHbm,
             words_per_pc: Some(512),
-            sample_words: None,
             mode: ExecutionMode::CachedMasks,
         }
     }
@@ -147,11 +141,17 @@ impl ReliabilityConfig {
     ///
     /// # Errors
     ///
-    /// Configuration errors for an empty batch, no patterns, or an empty
-    /// port scope.
+    /// Configuration errors for an empty or oversized batch (more than
+    /// [`MAX_BATCH_SIZE`] passes), no patterns, or an empty port scope.
     pub fn validate(&self) -> Result<(), ExperimentError> {
         if self.batch_size == 0 {
             return Err(ExperimentError::config("batch size must be at least 1"));
+        }
+        if self.batch_size > MAX_BATCH_SIZE {
+            return Err(ExperimentError::config(format!(
+                "batch size must be at most {MAX_BATCH_SIZE}, got {}",
+                self.batch_size
+            )));
         }
         if self.patterns.is_empty() {
             return Err(ExperimentError::config(
@@ -160,11 +160,6 @@ impl ReliabilityConfig {
         }
         if matches!(&self.scope, TestScope::Ports(p) if p.is_empty()) {
             return Err(ExperimentError::config("port scope must not be empty"));
-        }
-        if self.sample_words == Some(0) {
-            return Err(ExperimentError::config(
-                "sampled mode needs at least one word per pseudo channel",
-            ));
         }
         Ok(())
     }
@@ -486,8 +481,7 @@ impl ReliabilityTester {
             .config
             .words_per_pc
             .map_or(geometry.words_per_pc(), |w| w.min(geometry.words_per_pc()));
-        let words_checked_per_pc = self.config.sample_words.unwrap_or(words);
-        words_checked_per_pc * 256 * ports.len() as u64
+        words * 256 * ports.len() as u64
     }
 
     /// Runs one voltage point of the sweep over `ports` and returns its
@@ -560,9 +554,7 @@ impl ReliabilityTester {
             ExecutionMode::CachedMasks => {
                 self.run_point_cached(platform, ports, words, voltage, telemetry)?
             }
-            ExecutionMode::Traffic => {
-                self.run_point_traffic(platform, ports, words, voltage, telemetry)?
-            }
+            ExecutionMode::Traffic => self.run_point_traffic(platform, ports, words, telemetry)?,
         };
         let elapsed = started.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
         telemetry.metrics().add_words_scanned(work.words);
@@ -576,66 +568,30 @@ impl ReliabilityTester {
         })
     }
 
-    /// One job (port, program) per scoped port. In sampled mode each port
-    /// gets its own program over offsets drawn from the port's
-    /// `(seed, voltage, pc)` stream, so the workload — and therefore the
-    /// measurement — is invariant under the engine's worker count.
-    fn build_jobs(
-        &self,
-        platform: &Platform,
-        ports: &[PortId],
-        words: u64,
-        pattern: DataPattern,
-        voltage: Millivolts,
-    ) -> Vec<(PortId, MacroProgram)> {
-        ports
-            .iter()
-            .map(|&port| {
-                let program = match self.config.sample_words {
-                    None => MacroProgram::write_then_check(0..words, pattern),
-                    Some(samples) => {
-                        let mut rng = pc_stream(platform.seed(), voltage, port.direct_pc());
-                        let offsets: Vec<u64> =
-                            (0..samples).map(|_| rng.gen_range(0..words)).collect();
-                        MacroProgram::write_then_check_at(&offsets, pattern)
-                    }
-                };
-                (port, program)
-            })
-            .collect()
-    }
-
     /// The traffic path: the historical per-pass write/read-back loops.
     fn run_point_traffic(
         &self,
         platform: &mut Platform,
         ports: &[PortId],
         words: u64,
-        voltage: Millivolts,
         telemetry: &Telemetry,
     ) -> Result<(Vec<PatternOutcome>, PointWork), ExperimentError> {
         let mut work = PointWork::default();
         let mut outcomes = Vec::with_capacity(self.config.patterns.len());
         for &pattern in &self.config.patterns {
-            outcomes.push(self.run_pattern(
-                platform, ports, words, pattern, voltage, &mut work, telemetry,
-            )?);
+            outcomes.push(self.run_pattern(platform, ports, words, pattern, &mut work, telemetry)?);
         }
         Ok((outcomes, work))
     }
 
-    /// The cached-mask fast path: every checked word's stuck-at masks come
-    /// from the injector's region-tiled kernel exactly once per voltage,
-    /// then get replayed across all `batch_size` passes and every pattern.
-    /// The model's faults are deterministic at a fixed voltage, so every
-    /// pass of the traffic path would observe identical counts — the
-    /// replay is exact, not an approximation (asserted by the
-    /// `cached_and_traffic_modes_agree` tests).
-    ///
-    /// A sequential walk reads the point from the ports' descent rows
-    /// ([`engine::build_mask_sets_descended`]): the first point that needs
-    /// a port descends it over this voltage and every lower one of the
-    /// sweep, and is charged the descent's words. Sampled points rescan.
+    /// The cached-mask fast path: each port's per-pattern pass statistics
+    /// come from its descent rows ([`engine::build_mask_sets_descended`])
+    /// and are replayed across all `batch_size` passes. The first point
+    /// that needs a port descends it over this voltage and every lower one
+    /// of the sweep, and is charged the descent's words. The model's
+    /// faults are deterministic at a fixed voltage, so every pass of the
+    /// traffic path would observe identical counts — the replay is exact,
+    /// not an approximation (asserted by `cached_and_traffic_modes_agree`).
     fn run_point_cached(
         &self,
         platform: &mut Platform,
@@ -644,41 +600,25 @@ impl ReliabilityTester {
         voltage: Millivolts,
         telemetry: &Telemetry,
     ) -> Result<(Vec<PatternOutcome>, PointWork), ExperimentError> {
-        let (mask_sets, masks) = if self.config.sample_words.is_none() {
-            let schedule: Vec<Millivolts> = std::iter::once(voltage)
-                .chain(self.config.sweep.iter().filter(|&v| v < voltage))
-                .collect();
-            engine::build_mask_sets_descended(
-                platform,
-                ports,
-                words,
-                &schedule,
-                &self.config.patterns,
-                telemetry,
-            )?
-        } else {
-            let sets = engine::build_mask_sets(
-                platform,
-                ports,
-                words,
-                self.config.sample_words,
-                voltage,
-                platform.injector().kernel(KernelBackend::Auto),
-                &self.config.patterns,
-                telemetry,
-            )?;
-            let masks = sets.iter().map(engine::PortMasks::words_checked).sum();
-            (sets, masks)
-        };
+        let schedule: Vec<Millivolts> = std::iter::once(voltage)
+            .chain(self.config.sweep.iter().filter(|&v| v < voltage))
+            .collect();
+        let (mask_sets, masks) = engine::build_mask_sets_descended(
+            platform,
+            ports,
+            words,
+            &schedule,
+            &self.config.patterns,
+            telemetry,
+        )?;
         let mut work = PointWork { words: 0, masks };
         let outcomes = self.fold_mask_outcomes(&mask_sets, &mut work);
         Ok((outcomes, work))
     }
 
-    /// Replays a point's per-port mask sets across every pattern and all
-    /// `batch_size` passes as pure mask/popcount work, accumulating the
-    /// logical word transactions into `work`. Rescanned sets and descent
-    /// rows fold the same way, so equal sets give equal outcomes.
+    /// Replays a point's per-port sets across every pattern and all
+    /// `batch_size` passes as pure arithmetic, accumulating the logical
+    /// word transactions into `work`. Equal sets give equal outcomes.
     fn fold_mask_outcomes(
         &self,
         mask_sets: &[engine::PortMasks],
@@ -714,18 +654,19 @@ impl ReliabilityTester {
         outcomes
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_pattern(
         &self,
         platform: &mut Platform,
         ports: &[PortId],
         words: u64,
         pattern: DataPattern,
-        voltage: Millivolts,
         work: &mut PointWork,
         telemetry: &Telemetry,
     ) -> Result<PatternOutcome, ExperimentError> {
-        let jobs = self.build_jobs(platform, ports, words, pattern, voltage);
+        let jobs: Vec<(PortId, MacroProgram)> = ports
+            .iter()
+            .map(|&port| (port, MacroProgram::write_then_check(0..words, pattern)))
+            .collect();
         let mut run_totals = Vec::with_capacity(self.config.batch_size);
         let mut last_run: Vec<(u8, PortStats)> = Vec::new();
 
@@ -795,6 +736,15 @@ mod tests {
         assert!(ReliabilityTester::new(c).is_err());
 
         let mut c = ReliabilityConfig::quick();
+        c.batch_size = MAX_BATCH_SIZE;
+        assert!(ReliabilityTester::new(c.clone()).is_ok());
+        for oversized in [MAX_BATCH_SIZE + 1, 1 << 40, usize::MAX] {
+            c.batch_size = oversized;
+            let err = ReliabilityTester::new(c.clone()).unwrap_err();
+            assert!(matches!(err, ExperimentError::Config { .. }), "{err}");
+        }
+
+        let mut c = ReliabilityConfig::quick();
         c.patterns.clear();
         assert!(ReliabilityTester::new(c).is_err());
 
@@ -803,30 +753,21 @@ mod tests {
         assert!(ReliabilityTester::new(c).is_err());
     }
 
-    /// The sweep rescanned point by point through the per-voltage
-    /// enumeration ([`engine::build_mask_sets`]) that the descent rows
-    /// replace. The grids it is used on stay above the crash cliff.
+    /// The sweep rescanned point by point from every word's masks
+    /// ([`engine::build_mask_sets`]), the oracle of the descent rows. The
+    /// grids it is used on stay above the crash cliff.
     fn rescan_points(tester: &ReliabilityTester) -> Vec<VoltagePoint> {
         let platform = platform();
         let ports = tester.scoped_ports(&platform).unwrap();
         let config = tester.config();
-        let kernel = platform.injector().kernel(KernelBackend::Auto);
+        let kernel = platform.injector().kernel(hbm_faults::KernelBackend::Auto);
         let words = config.words_per_pc.unwrap();
         config
             .sweep
             .iter()
             .map(|voltage| {
-                let sets = engine::build_mask_sets(
-                    &platform,
-                    &ports,
-                    words,
-                    None,
-                    voltage,
-                    kernel,
-                    &config.patterns,
-                    Telemetry::disabled(),
-                )
-                .unwrap();
+                let sets =
+                    engine::build_mask_sets(&ports, words, voltage, kernel, &config.patterns);
                 VoltagePoint {
                     voltage,
                     crashed: false,
@@ -865,7 +806,7 @@ mod tests {
         let descended = tester.run(&mut platform()).unwrap();
         // Full per-point equality, including per-port statistics: every
         // point read from the descent rows must be bit-identical to
-        // re-enumerating it from scratch.
+        // folding every word's masks from scratch.
         assert_eq!(descended.points, rescan_points(&tester));
         assert!(descended.points.iter().all(|p| !p.crashed));
         // The first point runs the descents; the others only read rows.
@@ -916,24 +857,6 @@ mod tests {
         // Full equality per point, including per-port statistics — the
         // descent rows must be bit-identical to reading every word back
         // through the fault model, pass by pass.
-        assert_eq!(traffic.points, cached.points);
-    }
-
-    #[test]
-    fn cached_and_traffic_modes_agree_in_sampled_mode() {
-        let mut config = ReliabilityConfig::quick();
-        config.sample_words = Some(64);
-        config.batch_size = 2;
-        config.mode = ExecutionMode::Traffic;
-        let traffic = ReliabilityTester::new(config.clone())
-            .unwrap()
-            .run(&mut platform())
-            .unwrap();
-        config.mode = ExecutionMode::CachedMasks;
-        let cached = ReliabilityTester::new(config)
-            .unwrap()
-            .run(&mut platform())
-            .unwrap();
         assert_eq!(traffic.points, cached.points);
     }
 

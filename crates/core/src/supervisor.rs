@@ -55,8 +55,10 @@ use crate::telemetry::{Telemetry, TelemetryEvent};
 /// bit-identical); 6 — the mask-reuse ratio is gone from [`VoltagePoint`]
 /// (coupled sweeps read every point from one descent per port); 7 — the
 /// fault field is gone from [`ReliabilityConfig`]: the coupled field is the
-/// only one, so a version-6 file may hold per-voltage points.
-pub const CHECKPOINT_VERSION: u32 = 7;
+/// only one, so a version-6 file may hold per-voltage points; 8 — sampled
+/// mode is gone from [`ReliabilityConfig`] (its word count left the
+/// recorded configuration), so a version-7 file may hold sampled points.
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// The supply every recovery power cycle restarts at.
 const NOMINAL_RESTART: Millivolts = Millivolts(1200);
@@ -564,10 +566,6 @@ impl SweepSupervisor {
             }
         }
 
-        let (hits, misses) = platform.injector().tile_cache_stats();
-        telemetry.metrics().set_tile_cache(hits, misses);
-        let (dense, sparse) = platform.injector().kernel_dispatch_stats();
-        telemetry.metrics().set_kernel_dispatch(dense, sparse);
         let power_cycles = platform.power_cycle_count() - cycles_at_start;
         telemetry
             .metrics()
@@ -1201,9 +1199,10 @@ mod tests {
 
         // Foreign versions: a future one, a version-4 file, which still
         // recorded the kernel backend, a version-5 file, whose points still
-        // carry the mask-reuse ratio, and a version-6 file, whose
+        // carry the mask-reuse ratio, a version-6 file, whose
         // configuration names the per-voltage fault field its points were
-        // measured in.
+        // measured in, and a version-7 file, whose configuration still
+        // records the sampled-mode word count.
         let checkpoint: SweepCheckpoint =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         let text = serde_json::to_string(&checkpoint).unwrap();
@@ -1221,11 +1220,18 @@ mod tests {
             1,
         );
         assert!(v6.contains("fault_field"), "{v6}");
+        let v7 = text.replacen(&current, "\"version\":7", 1).replacen(
+            mode,
+            &format!(r#"\"sample_words\":null,{mode}"#),
+            1,
+        );
+        assert!(v7.contains("sample_words"), "{v7}");
         for foreign in [
             text.replacen(&current, "\"version\":99", 1),
             text.replacen(&current, "\"version\":4,\"kernel\":\"auto\"", 1),
             v5,
             v6,
+            v7,
         ] {
             std::fs::write(&path, &foreign).unwrap();
             let err = SweepSupervisor::from_config(config.clone())

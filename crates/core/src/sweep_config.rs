@@ -83,7 +83,7 @@ impl SweepConfig {
 
     // ---- platform knobs -------------------------------------------------
 
-    /// Device specimen seed (also keys all sampled-mode randomness).
+    /// Device specimen seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -146,13 +146,6 @@ impl SweepConfig {
     #[must_use]
     pub fn words_per_pc(mut self, words: Option<u64>) -> Self {
         self.reliability.words_per_pc = words;
-        self
-    }
-
-    /// Sampled mode: randomly drawn offsets per pseudo channel.
-    #[must_use]
-    pub fn sample_words(mut self, samples: Option<u64>) -> Self {
-        self.reliability.sample_words = samples;
         self
     }
 

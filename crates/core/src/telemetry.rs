@@ -332,15 +332,10 @@ impl fmt::Debug for Telemetry {
 /// update in place, snapshotted once at the end of a run.
 ///
 /// Unlike the event stream, these aggregates may be scheduling-dependent
-/// (the tile-cache hit ratio depends on which worker reached a pseudo
-/// channel first), which is exactly why they live here and not in the
-/// trace.
+/// (the devices a fleet worker steals depend on which worker finished
+/// first), which is exactly why they live here and not in the trace.
 #[derive(Debug)]
 pub struct Metrics {
-    tile_cache_hits: AtomicU64,
-    tile_cache_misses: AtomicU64,
-    dense_tiles_bitsliced: AtomicU64,
-    sparse_tiles_scalar: AtomicU64,
     words_scanned: AtomicU64,
     masks_scanned: AtomicU64,
     checkpoints_written: AtomicU64,
@@ -373,10 +368,6 @@ impl Metrics {
     #[must_use]
     pub const fn new() -> Self {
         Metrics {
-            tile_cache_hits: AtomicU64::new(0),
-            tile_cache_misses: AtomicU64::new(0),
-            dense_tiles_bitsliced: AtomicU64::new(0),
-            sparse_tiles_scalar: AtomicU64::new(0),
             words_scanned: AtomicU64::new(0),
             masks_scanned: AtomicU64::new(0),
             checkpoints_written: AtomicU64::new(0),
@@ -536,25 +527,6 @@ impl Metrics {
             .merge(count, sum, min, max, buckets);
     }
 
-    /// Overwrites the injector tile-cache counters with the injector's
-    /// lifetime totals (folded in once at the end of an observed run).
-    pub fn set_tile_cache(&self, hits: u64, misses: u64) {
-        self.tile_cache_hits.store(hits, Ordering::Relaxed);
-        self.tile_cache_misses.store(misses, Ordering::Relaxed);
-    }
-
-    /// Overwrites the kernel-dispatch counters with the injector's lifetime
-    /// totals: tiles whose range scans took the bit-sliced dense path vs
-    /// the scalar sparse walk. Like the tile-cache ratio, the split can be
-    /// scheduling-dependent (tile probabilities are cached per worker
-    /// arrival order), so it belongs here and never in the trace.
-    pub fn set_kernel_dispatch(&self, dense_bitsliced: u64, sparse_scalar: u64) {
-        self.dense_tiles_bitsliced
-            .store(dense_bitsliced, Ordering::Relaxed);
-        self.sparse_tiles_scalar
-            .store(sparse_scalar, Ordering::Relaxed);
-    }
-
     /// Records one completed point attempt's wall time.
     pub fn record_point_wall_ms(&self, ms: u64) {
         self.point_wall_ms
@@ -569,10 +541,6 @@ impl Metrics {
         let wall = self.point_wall_ms.lock().expect("histogram poisoned");
         let request = self.request_wall_us.lock().expect("histogram poisoned");
         MetricsSnapshot {
-            tile_cache_hits: self.tile_cache_hits.load(Ordering::Relaxed),
-            tile_cache_misses: self.tile_cache_misses.load(Ordering::Relaxed),
-            dense_tiles_bitsliced: self.dense_tiles_bitsliced.load(Ordering::Relaxed),
-            sparse_tiles_scalar: self.sparse_tiles_scalar.load(Ordering::Relaxed),
             words_scanned: self.words_scanned.load(Ordering::Relaxed),
             masks_scanned: self.masks_scanned.load(Ordering::Relaxed),
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
@@ -611,14 +579,6 @@ impl Default for Metrics {
 /// A point-in-time copy of the [`Metrics`] registry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Injector tile-table lookups served from the cache.
-    pub tile_cache_hits: u64,
-    /// Injector tile-table lookups that rebuilt the table.
-    pub tile_cache_misses: u64,
-    /// Tiles whose range scans ran the bit-sliced dense kernel.
-    pub dense_tiles_bitsliced: u64,
-    /// Tiles whose range scans ran the scalar sparse walk.
-    pub sparse_tiles_scalar: u64,
     /// Word transactions (writes plus read-checks) scanned.
     pub words_scanned: u64,
     /// Stuck-at mask evaluations performed by the fault kernel.
@@ -953,14 +913,9 @@ impl<W: Write + Send> Observer for ProgressSink<W> {
         let _ = writeln!(
             out,
             "counters: {} words scanned, {} masks scanned, \
-             tile cache {}/{} hit/miss, kernel dispatch {}/{} bitsliced/scalar tiles, \
              {} retry(s) ({} ms backoff), {} power cycle(s), {} checkpoint(s) ({} B)",
             snapshot.words_scanned,
             snapshot.masks_scanned,
-            snapshot.tile_cache_hits,
-            snapshot.tile_cache_misses,
-            snapshot.dense_tiles_bitsliced,
-            snapshot.sparse_tiles_scalar,
             snapshot.retries,
             snapshot.retry_backoff_ms,
             snapshot.power_cycles,
@@ -1134,8 +1089,6 @@ mod tests {
         metrics.add_retry(50);
         metrics.add_retry(100);
         metrics.add_power_cycles(3);
-        metrics.set_tile_cache(7, 2);
-        metrics.set_kernel_dispatch(9, 4);
         metrics.record_point_wall_ms(0);
         metrics.record_point_wall_ms(3);
         metrics.record_point_wall_ms(1_000_000);
@@ -1147,11 +1100,6 @@ mod tests {
         assert_eq!(snap.retries, 2);
         assert_eq!(snap.retry_backoff_ms, 150);
         assert_eq!(snap.power_cycles, 3);
-        assert_eq!((snap.tile_cache_hits, snap.tile_cache_misses), (7, 2));
-        assert_eq!(
-            (snap.dense_tiles_bitsliced, snap.sparse_tiles_scalar),
-            (9, 4)
-        );
         let wall = &snap.point_wall_ms;
         assert_eq!(wall.count, 3);
         assert_eq!(wall.min_ms, 0);

@@ -193,6 +193,11 @@ fn unknown_flags_exit_two_before_any_work() {
             vec!["sweep", "--wrds", "8", "--checkpoint", &path],
             "--wrds",
         ),
+        // Sampled mode is gone: every sweep walks its words in order.
+        (
+            vec!["sweep", "--sample", "8", "--checkpoint", &path],
+            "--sample",
+        ),
         (
             vec!["fleet", "sweep", "--backend", "auto", "--out", &path],
             "--backend",
@@ -803,23 +808,66 @@ fn serve_out_of_range_sizes_exit_two_with_usage() {
     }
 }
 
-/// An out-of-range `fleet sweep --workers` is a configuration error (exit
-/// 2 with usage) raised by the config's validation, before any device is
-/// swept or any thread starts: no artifact is written.
+/// An out-of-range `fleet sweep --workers` or `--devices` is a
+/// configuration error (exit 2 with usage) raised by the config's
+/// validation, before any device is swept or any buffer is sized: no
+/// artifact is written.
 #[test]
-fn fleet_sweep_too_many_workers_exits_two_with_usage() {
-    let artifact = temp_path("fleet-workers");
-    for value in ["257", "18446744073709551615"] {
+fn fleet_sweep_out_of_range_counts_exit_two_with_usage() {
+    let artifact = temp_path("fleet-counts");
+    for (flag, value, message) in [
+        ("--workers", "257", "workers must be at most 256"),
+        (
+            "--workers",
+            "18446744073709551615",
+            "workers must be at most 256",
+        ),
+        ("--devices", "65537", "devices must be in 1..=65536"),
+        ("--devices", "4294967295", "devices must be in 1..=65536"),
+    ] {
         let _ = std::fs::remove_file(&artifact);
-        let out = hbmctl(&["fleet", "sweep", "--workers", value, "--out", &artifact]);
-        assert_eq!(exit_code(&out), 2, "--workers {value}: {out:?}");
+        let out = hbmctl(&["fleet", "sweep", flag, value, "--out", &artifact]);
+        assert_eq!(exit_code(&out), 2, "{flag} {value}: {out:?}");
         let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(stderr.contains("usage:"), "--workers {value}: {stderr}");
-        assert!(stderr.contains("workers must be at most 256"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(message), "{stderr}");
         assert!(
             !std::path::Path::new(&artifact).exists(),
-            "--workers {value} swept"
+            "{flag} {value} swept"
         );
+    }
+}
+
+/// A `--batch` above the cap is a configuration error (exit 2 with usage)
+/// from the configuration's validation, before any point runs: the sweep
+/// writes no checkpoint and no trace.
+#[test]
+fn oversized_batch_exits_two_before_any_point() {
+    let checkpoint = temp_path("batch-checkpoint");
+    let trace = temp_path("batch-trace");
+    for value in ["65537", "1099511627776", "18446744073709551615"] {
+        for command in ["sweep", "reliability"] {
+            let _ = std::fs::remove_file(&checkpoint);
+            let _ = std::fs::remove_file(&trace);
+            let mut args = vec![command, "--batch", value, "--words", "8"];
+            if command == "sweep" {
+                args.extend(["--checkpoint", &checkpoint, "--trace-file", &trace]);
+            }
+            let out = hbmctl(&args);
+            assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("batch size must be at most 65536"),
+                "{stderr}"
+            );
+            for path in [&checkpoint, &trace] {
+                assert!(
+                    !std::path::Path::new(path).exists(),
+                    "{args:?} wrote {path}"
+                );
+            }
+        }
     }
 }
 

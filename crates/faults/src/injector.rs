@@ -2,28 +2,15 @@
 //! masks for every word of the device, deterministically.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use hbm_device::{BankId, HbmGeometry, PcIndex, Word256, WordOffset};
 use hbm_units::{Celsius, Millivolts, Volts};
-use serde::{Deserialize, Serialize};
 
 use crate::hash::{combine, mix64, unit_cutoff, unit_pair};
-use crate::kernel::{bitsliced, BackendSel, Exposure, InstructionSet, KernelBackend, Written};
+use crate::kernel::{bitsliced, Exposure, InstructionSet, Written};
 use crate::params::FaultModelParams;
 use crate::variation::ShiftTable;
-
-/// The failure polarity of a faulty bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FaultPolarity {
-    /// The bit reads 0 regardless of the stored value (observed as a 1→0
-    /// flip when a 1 was written).
-    StuckAtZero,
-    /// The bit reads 1 regardless of the stored value (observed as a 0→1
-    /// flip when a 0 was written).
-    StuckAtOne,
-}
 
 /// Deterministic fault injector.
 ///
@@ -43,51 +30,34 @@ pub enum FaultPolarity {
 ///
 /// # Performance
 ///
-/// A range query runs a three-level pipeline; each level removes work the
-/// level below would otherwise repeat. With `W` words per pseudo channel,
-/// `T` (PC, bank, row-region) tiles and `F` faulty words at the queried
-/// voltage:
+/// Two paths, each removing work the naive per-word walk would repeat:
 ///
-/// 1. **Region-tile probability cache.** The local variation shift — and
-///    therefore the class probabilities `(c0, c1)` and the word-level
-///    any-fault probabilities `p_any = 1 − (1 − s·c)^256` — is constant
-///    within a tile. They are computed once per `(PC, voltage,
-///    temperature)` into a `T`-entry table (`O(T)` response-curve
-///    evaluations instead of `O(W)`) and invalidated when the temperature
-///    changes. A per-word query is then a shift-and-mask tile lookup.
-/// 2. **Activation index.** A word has a faulty bit of class `π` exactly
-///    when its smallest class-`π` threshold is below `c_π`. Per class and
-///    tile, the injector keeps the words sorted by that minimum (built once
-///    per PC with one hash pass; voltage- and temperature-free), so the
-///    faulty words at any voltage form a prefix found by binary search:
-///    `O(T·log W + F)` per range scan instead of `O(W)` word hashes. The
-///    prefix predicate and the per-bit test are the same comparison, so
-///    membership is exact. (Geometries too large to index fall back to a
-///    per-word walk that still uses level 1.)
-/// 3. **Density-adaptive mask generation**, in one of two bit-identical
-///    arms, picked per tile by the backend selector
-///    ([`crate::KernelBackend`], resolved through the runtime
-///    [`crate::InstructionSet`] probe) from the tile's `p_any`:
-///    - **(a) scalar**: each of the 256 bits hashes and tests its
-///      threshold against `c` as an `f64` comparison — sparse tiles, where
-///      few words survive level 2;
-///    - **(b) bit-sliced**: the word's hash prefix is combined once, the
+/// 1. **One word's masks** ([`FaultInjector::stuck_masks`],
+///    [`FaultInjector::observe`], [`crate::MaskKernel::masks`]). The local
+///    variation shift — and therefore the class probabilities `(c0, c1)` —
+///    is constant within a (PC, bank, row-region) tile, so it is computed
+///    once per `(PC, voltage, temperature)` into a tile table and
+///    invalidated when the temperature changes; a word's query is then a
+///    shift-and-mask tile lookup. The masks come from one of two
+///    bit-identical arms, picked by the backend ([`crate::KernelBackend`]):
+///    - **scalar**: each of the 256 bits hashes and tests its threshold
+///      against `c` as an `f64` comparison;
+///    - **bit-sliced**: the word's hash prefix is combined once, the
 ///      tile's `f64` probabilities are converted to their exact integer
 ///      images by [`crate::hash::unit_cutoff`], and the 256 bits are
 ///      produced a 64-bit lane at a time as `u64` bitplanes — one integer
 ///      mix and two integer compares per bit, in one loop that is also
-///      compiled for AVX2 and AVX-512 behind the runtime feature probe.
-///      The cutoffs are exact, so equality with arm (a) is a theorem,
-///      enforced end to end by the `bitsliced_matches_scalar` proptests.
+///      compiled for AVX2 and AVX-512 behind the runtime feature probe
+///      ([`crate::InstructionSet`]). The cutoffs are exact, so equality
+///      with the scalar arm is a theorem, enforced end to end by the
+///      `bitsliced_matches_scalar` proptests.
+/// 2. **Descents** ([`crate::MaskKernel::count_descent`],
+///    [`crate::MaskKernel::exposure_descent`]). A sweep down a voltage grid
+///    rescans nothing: a range is hashed once and every bit is placed at
+///    the first knot where it fails.
 ///
-/// A range scan therefore costs `O(T·log W + F·256)` after the one-time
-/// index build. A single-word query ([`FaultInjector::stuck_masks`],
-/// [`FaultInjector::observe`]) has no words to skip and always hashes the
-/// whole word in arm (b). A sweep down a voltage grid rescans nothing:
-/// [`crate::MaskKernel::count_descent`] and
-/// [`crate::MaskKernel::exposure_descent`] hash a range once and place
-/// every bit at the first knot where it fails. All of it sits behind the
-/// [`crate::MaskKernel`] trait ([`FaultInjector::kernel`] constructs one);
+/// All of it sits behind the [`crate::MaskKernel`] trait
+/// ([`FaultInjector::kernel`] constructs one);
 /// [`crate::MaskKernel::reference_masks`] recomputes a word from scratch
 /// (per-word shift, scalar bit walk) as the oracle the property tests hold
 /// every path to.
@@ -123,36 +93,11 @@ pub struct FaultInjector {
     /// Per-PC tile probability tables for the most recent
     /// `(voltage, temperature)`; rebuilt lazily on any mismatch.
     tile_cache: RwLock<Vec<Option<Arc<TileTable>>>>,
-    /// Per-PC activation indexes (per-class sorted minimum bit
-    /// thresholds); voltage- and temperature-free.
-    activation_index: RwLock<Vec<Option<Arc<ActivationIndex>>>>,
-    /// Lifetime tile-table lookups served from `tile_cache`.
-    cache_hits: AtomicU64,
-    /// Lifetime tile-table lookups that had to rebuild the table.
-    cache_misses: AtomicU64,
-    /// Lifetime range-scan tiles dispatched to the bit-sliced arm.
-    dense_tiles_bitsliced: AtomicU64,
-    /// Lifetime range-scan tiles dispatched to the scalar arm.
-    sparse_tiles_scalar: AtomicU64,
 }
 
 /// Domain-separation tag of the per-bit hash stream ("cbit"): each bit's
 /// polarity class and persistent threshold.
 const TAG_CBIT: u64 = 0x6362_6974;
-
-/// Largest pseudo channel (in words) the activation index is built for;
-/// larger geometries fall back to a per-word walk (still tile-cached).
-const MAX_INDEXED_WORDS_PER_PC: u64 = 1 << 16;
-
-/// One tile's thresholds converted to their exact integer images for the
-/// bit-sliced arm: the polarity-class cutoff and the two per-class fault
-/// cutoffs ([`unit_cutoff`] images of the tile's `f64` probabilities).
-#[derive(Debug, Clone, Copy)]
-struct TileCuts {
-    class_cut: u64,
-    cut0: u64,
-    cut1: u64,
-}
 
 /// One tile's knot lookup in a descent: the exact integer fault cutoffs of
 /// both polarity classes at every knot, plus a table over a keyed
@@ -593,63 +538,14 @@ impl TileGrid {
     }
 }
 
-/// What mask generation needs about one tile at one `(voltage,
-/// temperature)`.
-#[derive(Debug, Clone, Copy)]
-struct TileProbs {
-    /// Class-conditional fault probabilities.
-    c0: f64,
-    c1: f64,
-    /// Word-level any-fault probabilities, `1 − (1 − s·c)^256`: the
-    /// density the backend dispatch and the expected active fraction read.
-    p_any0: f64,
-    p_any1: f64,
-}
-
 /// One pseudo channel's tile probabilities at a fixed voltage and
 /// temperature.
 #[derive(Debug)]
 struct TileTable {
     voltage: Millivolts,
     temperature: Celsius,
-    tiles: Vec<TileProbs>,
-}
-
-/// One polarity class of the word-activation index for a pseudo channel:
-/// every word's minimum per-bit threshold, grouped by tile and sorted, so
-/// the words with at least one faulty bit of the class at probability `c`
-/// form a binary-searchable prefix. The per-bit fault test and the prefix
-/// predicate are the *same* comparison (`threshold < c`), so prefix
-/// membership is exact — no recheck.
-#[derive(Debug)]
-struct ActivationClassIndex {
-    /// Slice bounds of each tile in `thresholds`/`offsets` (length
-    /// `tiles + 1`).
-    starts: Vec<u32>,
-    /// Per-word minimum bit thresholds, ascending within each tile.
-    thresholds: Vec<f64>,
-    /// Word offsets, parallel to `thresholds`.
-    offsets: Vec<u32>,
-    /// Minimum bit threshold indexed by word offset (activation lookup).
-    by_word: Vec<f64>,
-}
-
-impl ActivationClassIndex {
-    /// The offsets of tile `tile` with at least one faulty bit of this
-    /// class at class probability `c`.
-    fn active(&self, tile: usize, c: f64) -> &[u32] {
-        let lo = self.starts[tile] as usize;
-        let hi = self.starts[tile + 1] as usize;
-        let n = self.thresholds[lo..hi].partition_point(|&t| t < c);
-        &self.offsets[lo..lo + n]
-    }
-}
-
-/// Both classes' activation indexes for one pseudo channel.
-#[derive(Debug)]
-struct ActivationIndex {
-    class0: ActivationClassIndex,
-    class1: ActivationClassIndex,
+    /// Per tile, the class-conditional fault probabilities `(c0, c1)`.
+    tiles: Vec<(f64, f64)>,
 }
 
 impl Clone for FaultInjector {
@@ -665,18 +561,6 @@ impl Clone for FaultInjector {
             // share them cheaply; each clone invalidates independently (its
             // own locks), so diverging temperatures cannot cross-pollute.
             tile_cache: RwLock::new(self.tile_cache.read().expect("tile cache poisoned").clone()),
-            activation_index: RwLock::new(
-                self.activation_index
-                    .read()
-                    .expect("activation index poisoned")
-                    .clone(),
-            ),
-            cache_hits: AtomicU64::new(self.cache_hits.load(Ordering::Relaxed)),
-            cache_misses: AtomicU64::new(self.cache_misses.load(Ordering::Relaxed)),
-            dense_tiles_bitsliced: AtomicU64::new(
-                self.dense_tiles_bitsliced.load(Ordering::Relaxed),
-            ),
-            sparse_tiles_scalar: AtomicU64::new(self.sparse_tiles_scalar.load(Ordering::Relaxed)),
         }
     }
 }
@@ -702,11 +586,6 @@ impl FaultInjector {
             shift_table,
             grid,
             tile_cache: RwLock::new(vec![None; pcs]),
-            activation_index: RwLock::new(vec![None; pcs]),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            dense_tiles_bitsliced: AtomicU64::new(0),
-            sparse_tiles_scalar: AtomicU64::new(0),
         }
     }
 
@@ -734,40 +613,10 @@ impl FaultInjector {
         self.temperature
     }
 
-    /// Lifetime `(hits, misses)` of the region-tile probability cache.
-    ///
-    /// A hit serves a tile-table lookup from the cached
-    /// `(voltage, temperature)` snapshot; a miss rebuilds the table. The
-    /// split is scheduling-dependent under parallel engine workers (whoever
-    /// reaches a pseudo channel first takes the miss), so it belongs in a
-    /// metrics registry, never in a deterministic trace.
-    #[must_use]
-    pub fn tile_cache_stats(&self) -> (u64, u64) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Lifetime `(dense, sparse)` kernel-dispatch decisions: range-scan
-    /// tiles sent to the bit-sliced arm vs the scalar arm.
-    ///
-    /// Like [`FaultInjector::tile_cache_stats`], the totals depend on how
-    /// work was scheduled across engine workers, so they belong in a metrics
-    /// registry, never in a deterministic trace.
-    #[must_use]
-    pub fn kernel_dispatch_stats(&self) -> (u64, u64) {
-        (
-            self.dense_tiles_bitsliced.load(Ordering::Relaxed),
-            self.sparse_tiles_scalar.load(Ordering::Relaxed),
-        )
-    }
-
     /// Sets the operating temperature (the study keeps it at 35 ± 1 °C).
     ///
     /// Invalidates the region-tile probability cache: local shifts depend on
-    /// temperature. The activation index survives — bit thresholds are
-    /// functions of `(seed, PC, offset, bit)` only.
+    /// temperature.
     pub fn set_temperature(&mut self, temperature: Celsius) {
         self.temperature = temperature;
         for slot in self
@@ -798,12 +647,10 @@ impl FaultInjector {
             let cache = self.tile_cache.read().expect("tile cache poisoned");
             if let Some(table) = &cache[pc.as_usize()] {
                 if table.voltage == supply && table.temperature == self.temperature {
-                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
                     return Arc::clone(table);
                 }
             }
         }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
         let table = Arc::new(self.build_tile_table(pc, supply));
         self.tile_cache.write().expect("tile cache poisoned")[pc.as_usize()] =
             Some(Arc::clone(&table));
@@ -811,17 +658,11 @@ impl FaultInjector {
     }
 
     fn build_tile_table(&self, pc: PcIndex, supply: Millivolts) -> TileTable {
-        let s0 = self.params.stuck0_share;
-        let s1 = self.params.stuck1_share();
+        let v = supply.to_volts();
         let tiles = (0..self.grid.tile_count)
             .map(|tile| {
-                let (c0, c1) = self.tile_class_probabilities(pc, tile, supply);
-                TileProbs {
-                    c0,
-                    c1,
-                    p_any0: p_any(s0 * c0),
-                    p_any1: p_any(s1 * c1),
-                }
+                self.params
+                    .class_probabilities(v, self.tile_shift(pc, tile))
             })
             .collect();
         TileTable {
@@ -829,14 +670,6 @@ impl FaultInjector {
             temperature: self.temperature,
             tiles,
         }
-    }
-
-    /// Class-conditional fault probabilities `(c0, c1)` of one tile at
-    /// `supply` (below the guardband): the single-tile body of every tile
-    /// table.
-    fn tile_class_probabilities(&self, pc: PcIndex, tile: usize, supply: Millivolts) -> (f64, f64) {
-        self.params
-            .class_probabilities(supply.to_volts(), self.tile_shift(pc, tile))
     }
 
     /// The variation shift of one tile, constant across voltages.
@@ -866,8 +699,7 @@ impl FaultInjector {
             return (0.0, 0.0);
         }
         let table = self.tile_table(pc, supply);
-        let probs = table.tiles[self.grid.tile_of(offset.0)];
-        (probs.c0, probs.c1)
+        table.tiles[self.grid.tile_of(offset.0)]
     }
 
     /// Reference implementation of [`FaultInjector::class_probabilities`]
@@ -899,18 +731,13 @@ impl FaultInjector {
         offset: WordOffset,
         supply: Millivolts,
     ) -> (Word256, Word256) {
-        self.masks_sel(
-            pc,
-            offset,
-            supply,
-            BackendSel::from_backend(KernelBackend::Auto),
-        )
+        self.masks_sel(pc, offset, supply, Some(InstructionSet::detect()))
     }
 
     /// The per-word reference oracle behind
     /// [`crate::MaskKernel::reference_masks`]: the word's local shift and
     /// class probabilities recomputed from scratch, then the scalar bit
-    /// walk. No tile cache, no index, no bit-sliced arm.
+    /// walk. No tile cache, no bit-sliced arm.
     pub(crate) fn reference_masks(
         &self,
         pc: PcIndex,
@@ -945,70 +772,31 @@ impl FaultInjector {
         (stuck0, stuck1)
     }
 
-    /// Dispatches one word through the tile's plan: the scalar walk, or the
+    /// The masks of one word at `supply` from the tile table: the
     /// bit-sliced planes of the word's counter hashes against the tile's
-    /// integer cutoffs.
-    fn word_masks_sel(
-        &self,
-        pc: PcIndex,
-        w: u64,
-        probs: &TileProbs,
-        plan: Option<TileCuts>,
-        isa: InstructionSet,
-    ) -> (Word256, Word256) {
-        match plan {
-            Some(cuts) => {
-                let prefix = combine(&[self.seed, u64::from(pc.as_u8()), w, TAG_CBIT]);
-                bitsliced::bit_planes(prefix, cuts.class_cut, cuts.cut0, cuts.cut1, isa)
-            }
-            None => self.word_masks(pc, w, probs.c0, probs.c1),
-        }
-    }
-
-    /// One tile's probabilities as exact integer cutoffs for the bit-sliced
-    /// arm.
-    fn tile_cuts(&self, probs: &TileProbs) -> TileCuts {
-        TileCuts {
-            class_cut: unit_cutoff(self.params.stuck0_share),
-            cut0: unit_cutoff(probs.c0),
-            cut1: unit_cutoff(probs.c1),
-        }
-    }
-
-    /// The per-tile dispatch decision of a range scan: `None` keeps the
-    /// scalar arm, `Some` carries the cutoffs for the bit-sliced arm. Bumps
-    /// the lifetime dispatch counters.
-    fn tile_plan(&self, sel: BackendSel, probs: &TileProbs) -> Option<TileCuts> {
-        if !sel.bitsliced_for_tile(probs.p_any0.max(probs.p_any1)) {
-            self.sparse_tiles_scalar.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        self.dense_tiles_bitsliced.fetch_add(1, Ordering::Relaxed);
-        Some(self.tile_cuts(probs))
-    }
-
-    /// Backend-selected [`FaultInjector::stuck_masks`]: the single-word
-    /// entry point of [`crate::MaskKernel::masks`]. A single word has no
-    /// neighbours to skip, so every backend but the forced scalar one
-    /// hashes it whole in the bit-sliced arm. Single-word queries do not
-    /// touch the dispatch counters — those track range-scan tiles.
+    /// integer cutoffs, compiled for `sliced`, or the scalar walk when
+    /// `sliced` is `None` — the entry point of [`crate::MaskKernel::masks`].
     pub(crate) fn masks_sel(
         &self,
         pc: PcIndex,
         offset: WordOffset,
         supply: Millivolts,
-        sel: BackendSel,
+        sliced: Option<InstructionSet>,
     ) -> (Word256, Word256) {
         if supply >= self.params.landmarks.v_min {
             return (Word256::ZERO, Word256::ZERO);
         }
         let table = self.tile_table(pc, supply);
-        let probs = table.tiles[self.grid.tile_of(offset.0)];
-        if probs.c0 == 0.0 && probs.c1 == 0.0 {
-            return (Word256::ZERO, Word256::ZERO);
+        let (c0, c1) = table.tiles[self.grid.tile_of(offset.0)];
+        match sliced {
+            _ if c0 == 0.0 && c1 == 0.0 => (Word256::ZERO, Word256::ZERO),
+            None => self.word_masks(pc, offset.0, c0, c1),
+            Some(isa) => {
+                let prefix = combine(&[self.seed, u64::from(pc.as_u8()), offset.0, TAG_CBIT]);
+                let class_cut = unit_cutoff(self.params.stuck0_share);
+                bitsliced::bit_planes(prefix, class_cut, unit_cutoff(c0), unit_cutoff(c1), isa)
+            }
         }
-        let plan = (!matches!(sel, BackendSel::Scalar)).then(|| self.tile_cuts(&probs));
-        self.word_masks_sel(pc, offset.0, &probs, plan, sel.isa())
     }
 
     /// Applies the fault model to a stored word: what a read at `supply`
@@ -1023,293 +811,6 @@ impl FaultInjector {
     ) -> Word256 {
         let (stuck0, stuck1) = self.stuck_masks(pc, offset, supply);
         stored.with_stuck_bits(stuck0, stuck1)
-    }
-
-    /// Queries a single bit: `None` if healthy at `supply`, otherwise its
-    /// polarity. Slower than [`FaultInjector::stuck_masks`] per word; meant
-    /// for fault-map spot checks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 256`.
-    #[must_use]
-    pub fn bit_fault(
-        &self,
-        pc: PcIndex,
-        offset: WordOffset,
-        bit: u32,
-        supply: Millivolts,
-    ) -> Option<FaultPolarity> {
-        assert!(bit < Word256::BITS, "bit index {bit} out of range");
-        let (stuck0, stuck1) = self.stuck_masks(pc, offset, supply);
-        if stuck0.bit(bit) {
-            Some(FaultPolarity::StuckAtZero)
-        } else if stuck1.bit(bit) {
-            Some(FaultPolarity::StuckAtOne)
-        } else {
-            None
-        }
-    }
-
-    /// Iterates over the *faulty* words of a range in ascending offset
-    /// order, yielding `(offset, stuck0, stuck1)` and skipping clean words —
-    /// the fast path for building fault maps and health scans in the
-    /// sparse-fault regime.
-    pub fn scan_faulty(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> Box<dyn Iterator<Item = (WordOffset, Word256, Word256)> + '_> {
-        if supply >= self.params.landmarks.v_min || words.is_empty() {
-            return Box::new(std::iter::empty());
-        }
-        if self.grid.words_per_pc <= MAX_INDEXED_WORDS_PER_PC {
-            return Box::new(
-                self.faulty_words_sel(pc, words, supply, BackendSel::Scalar)
-                    .into_iter(),
-            );
-        }
-        // Unindexed geometries keep the lazy walk (no allocation
-        // proportional to the fault count).
-        let table = self.tile_table(pc, supply);
-        Box::new(words.filter_map(move |w| {
-            let probs = table.tiles[self.grid.tile_of(w)];
-            let (s0, s1) = self.word_masks(pc, w, probs.c0, probs.c1);
-            (!(s0.is_zero() && s1.is_zero())).then_some((WordOffset(w), s0, s1))
-        }))
-    }
-
-    /// The activation index of `pc`, or `None` for geometries too large to
-    /// index.
-    fn pc_activation_index(&self, pc: PcIndex) -> Option<Arc<ActivationIndex>> {
-        if self.grid.words_per_pc > MAX_INDEXED_WORDS_PER_PC {
-            return None;
-        }
-        {
-            let cache = self
-                .activation_index
-                .read()
-                .expect("activation index poisoned");
-            if let Some(index) = &cache[pc.as_usize()] {
-                return Some(Arc::clone(index));
-            }
-        }
-        let index = Arc::new(self.build_activation_index(pc));
-        self.activation_index
-            .write()
-            .expect("activation index poisoned")[pc.as_usize()] = Some(Arc::clone(&index));
-        Some(index)
-    }
-
-    /// One pass over every bit of the pseudo channel, recording each word's
-    /// minimum threshold per class; thresholds never depend on voltage or
-    /// temperature, so the index is built once per PC.
-    fn build_activation_index(&self, pc: PcIndex) -> ActivationIndex {
-        let s0_share = self.params.stuck0_share;
-        let pcu = u64::from(pc.as_u8());
-        let words = usize::try_from(self.grid.words_per_pc).expect("indexed geometry fits usize");
-        let mut by0 = vec![f64::INFINITY; words];
-        let mut by1 = vec![f64::INFINITY; words];
-        for w in 0..self.grid.words_per_pc {
-            let prefix = combine(&[self.seed, pcu, w, TAG_CBIT]);
-            let (mut m0, mut m1) = (f64::INFINITY, f64::INFINITY);
-            for bit in 0u32..Word256::BITS {
-                let h = mix64(prefix ^ u64::from(bit));
-                let (class_u, t) = unit_pair(h);
-                if class_u < s0_share {
-                    m0 = m0.min(t);
-                } else {
-                    m1 = m1.min(t);
-                }
-            }
-            by0[w as usize] = m0;
-            by1[w as usize] = m1;
-        }
-        ActivationIndex {
-            class0: self.sorted_threshold_index(by0),
-            class1: self.sorted_threshold_index(by1),
-        }
-    }
-
-    fn sorted_threshold_index(&self, by_word: Vec<f64>) -> ActivationClassIndex {
-        let mut entries: Vec<(u32, f64, u32)> = by_word
-            .iter()
-            .enumerate()
-            .map(|(w, &t)| (self.grid.tile_of(w as u64) as u32, t, w as u32))
-            .collect();
-        entries
-            .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let mut starts = vec![0u32; self.grid.tile_count + 1];
-        for &(tile, _, _) in &entries {
-            starts[tile as usize + 1] += 1;
-        }
-        let mut acc = 0u32;
-        for s in &mut starts {
-            acc += *s;
-            *s = acc;
-        }
-        ActivationClassIndex {
-            starts,
-            thresholds: entries.iter().map(|&(_, t, _)| t).collect(),
-            offsets: entries.iter().map(|&(_, _, w)| w).collect(),
-            by_word,
-        }
-    }
-
-    /// Runs `f` over every word of the range with at least one faulty bit,
-    /// in unspecified order, yielding its masks: through the activation
-    /// index where the geometry is indexed, with the per-tile backend
-    /// dispatch of `sel`.
-    fn for_each_active<F: FnMut(u64, Word256, Word256)>(
-        &self,
-        pc: PcIndex,
-        words: &Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-        mut f: F,
-    ) {
-        if words.is_empty() || supply >= self.params.landmarks.v_min {
-            return;
-        }
-        assert!(
-            words.end <= self.grid.words_per_pc,
-            "word range end {} out of range for geometry ({} words/pc)",
-            words.end,
-            self.grid.words_per_pc
-        );
-        let table = self.tile_table(pc, supply);
-        let Some(index) = self.pc_activation_index(pc) else {
-            // Unindexed fallback: per-word bit walk over the tile cache,
-            // the dispatch decision memoized per visited tile.
-            let mut plans: Vec<Option<Option<TileCuts>>> = vec![None; self.grid.tile_count];
-            for w in words.clone() {
-                let tile = self.grid.tile_of(w);
-                let probs = table.tiles[tile];
-                if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                    continue;
-                }
-                let plan = *plans[tile].get_or_insert_with(|| self.tile_plan(sel, &probs));
-                let (s0, s1) = self.word_masks_sel(pc, w, &probs, plan, sel.isa());
-                if !(s0.is_zero() && s1.is_zero()) {
-                    f(w, s0, s1);
-                }
-            }
-            return;
-        };
-        for (tile, probs) in table.tiles.iter().enumerate() {
-            if probs.c0 == 0.0 && probs.c1 == 0.0 {
-                continue;
-            }
-            let plan = self.tile_plan(sel, probs);
-            // Words whose class-0 minimum threshold is crossed; each has at
-            // least one stuck-at-0 bit by the prefix predicate.
-            for &w32 in index.class0.active(tile, probs.c0) {
-                let w = u64::from(w32);
-                if !words.contains(&w) {
-                    continue;
-                }
-                let (s0, s1) = self.word_masks_sel(pc, w, probs, plan, sel.isa());
-                f(w, s0, s1);
-            }
-            // Words active only through class 1 (class-0-active words were
-            // already yielded; the by-word lookup reproduces the prefix
-            // membership exactly).
-            for &w32 in index.class1.active(tile, probs.c1) {
-                let w = u64::from(w32);
-                if !words.contains(&w) {
-                    continue;
-                }
-                if index.class0.by_word[w32 as usize] < probs.c0 {
-                    continue;
-                }
-                let (s0, s1) = self.word_masks_sel(pc, w, probs, plan, sel.isa());
-                f(w, s0, s1);
-            }
-        }
-    }
-
-    /// Collects the faulty words of a range in ascending offset order,
-    /// yielding `(offset, stuck0, stuck1)` per faulty word. This is the
-    /// bulk-kernel entry point the cached-mask execution mode reuses across
-    /// batch passes and data patterns.
-    pub(crate) fn faulty_words_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        let mut out = Vec::new();
-        self.for_each_active(pc, &words, supply, sel, |w, s0, s1| {
-            out.push((WordOffset(w), s0, s1));
-        });
-        out.sort_unstable_by_key(|&(offset, _, _)| offset.0);
-        out
-    }
-
-    /// Streams every faulty word of the range through `f` as
-    /// `(offset, stuck0, stuck1)`, in unspecified order, without
-    /// materializing a mask vector: the zero-allocation counterpart of
-    /// [`FaultInjector::faulty_words_sel`] for callers that fold the masks
-    /// into order-independent aggregates (sums, counts) on the fly — the
-    /// dense-fault regime where a collected vector would rival the size of
-    /// the scanned range itself. Takes a `dyn` callback so the
-    /// [`crate::MaskKernel`] trait stays object-safe.
-    pub(crate) fn for_each_faulty_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-        f: &mut dyn FnMut(WordOffset, Word256, Word256),
-    ) {
-        self.for_each_active(pc, &words, supply, sel, |w, s0, s1| {
-            f(WordOffset(w), s0, s1);
-        });
-    }
-
-    /// The expected fraction of words with at least one faulty bit at
-    /// `supply`, averaged over the pseudo channel's tiles — `0.0` in the
-    /// guardband. Cheap to evaluate (tile cache hit plus a pass over the
-    /// tile probabilities), so callers can use it to pick between
-    /// collecting faulty-word vectors (sparse regime) and streaming folds
-    /// (dense regime) *before* enumerating anything.
-    #[must_use]
-    pub fn expected_active_fraction(&self, pc: PcIndex, supply: Millivolts) -> f64 {
-        if supply >= self.params.landmarks.v_min {
-            return 0.0;
-        }
-        let table = self.tile_table(pc, supply);
-        if table.tiles.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = table
-            .tiles
-            .iter()
-            .map(|t| 1.0 - (1.0 - t.p_any0) * (1.0 - t.p_any1))
-            .sum();
-        sum / table.tiles.len() as f64
-    }
-
-    /// Counts faulty bits of each polarity over a contiguous word range of
-    /// one pseudo channel: `(stuck-at-0, stuck-at-1)`.
-    ///
-    /// This is what a write/read-back test with both data patterns measures.
-    pub(crate) fn count_range_sel(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        sel: BackendSel,
-    ) -> (u64, u64) {
-        let mut n0 = 0u64;
-        let mut n1 = 0u64;
-        self.for_each_active(pc, &words, supply, sel, |_, s0, s1| {
-            n0 += u64::from(s0.count_ones());
-            n1 += u64::from(s1.count_ones());
-        });
-        (n0, n1)
     }
 
     /// The one hashing pass of every descent: calls
@@ -1386,7 +887,7 @@ impl FaultInjector {
     /// descending `schedule`, returns the faulty bits of each class over
     /// `words` (stuck-at-0, stuck-at-1) and one [`Exposure`] per `written`
     /// pattern (knot-major: knot `k`'s row is `k * written.len()..`), each
-    /// equal to a [`crate::MaskKernel::faulty_words`] fold at that knot.
+    /// equal to a fold of [`crate::MaskKernel::masks`] at that knot.
     /// With no pattern, the fold does no per-word work beyond the counts.
     ///
     /// Each touched tile tallies its bits ([`KnotSearch::count_word`]):
@@ -1517,21 +1018,10 @@ impl FaultInjector {
     }
 }
 
-/// `1 − (1 − p)^256` computed stably for tiny `p`.
-fn p_any(p_bit: f64) -> f64 {
-    if p_bit <= 0.0 {
-        return 0.0;
-    }
-    if p_bit >= 1.0 {
-        return 1.0;
-    }
-    // 1 − (1−p)^256 = −expm1(256·ln1p(−p)), stable for tiny p.
-    (-(256.0 * f64::ln_1p(-p_bit)).exp_m1()).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::fold_masks;
     use crate::{FieldKernel, KernelBackend, MaskKernel};
 
     /// The scalar kernel: the reference the other backends are compared
@@ -1746,18 +1236,6 @@ mod tests {
     }
 
     #[test]
-    fn p_any_matches_naive() {
-        for p in [1e-12f64, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.5, 0.999, 1.0] {
-            let naive = 1.0 - (1.0 - p).powi(256);
-            let fast = p_any(p);
-            assert!((fast - naive).abs() < 1e-9, "p = {p}: {fast} vs {naive}");
-        }
-        assert_eq!(p_any(0.0), 0.0);
-        // Tiny probabilities must not underflow to zero.
-        assert!(p_any(1e-300) > 0.0);
-    }
-
-    #[test]
     fn guardband_is_fault_free() {
         let inj = injector();
         for v in [1200u32, 1100, 1000, 990, 980] {
@@ -1786,30 +1264,10 @@ mod tests {
     #[test]
     fn polarity_split_near_configured_share() {
         let inj = injector();
-        let (n0, n1) = scalar(&inj).count_range(pc(0), 0..2048, Millivolts(820));
+        let (n0, n1) = fold_masks(&scalar(&inj), pc(0), 0..2048, Millivolts(820));
         let total = (n0 + n1) as f64;
         let share0 = n0 as f64 / total;
         assert!((share0 - 0.47).abs() < 0.02, "share0 = {share0}");
-    }
-
-    #[test]
-    fn tile_cache_stats_count_hits_and_misses() {
-        let inj = injector();
-        assert_eq!(inj.tile_cache_stats(), (0, 0));
-        // First lookup at a voltage builds the table, repeats hit it.
-        let _ = inj.stuck_masks(pc(0), WordOffset(0), Millivolts(880));
-        let _ = inj.stuck_masks(pc(0), WordOffset(1), Millivolts(880));
-        let (hits, misses) = inj.tile_cache_stats();
-        assert_eq!(misses, 1, "one build for the first (PC, voltage)");
-        assert!(hits >= 1, "second word must be served from the cache");
-        // A new voltage invalidates that PC's entry: another miss.
-        let _ = inj.stuck_masks(pc(0), WordOffset(0), Millivolts(870));
-        assert_eq!(inj.tile_cache_stats().1, 2);
-        // Clones inherit the counters but diverge independently.
-        let cloned = inj.clone();
-        assert_eq!(cloned.tile_cache_stats(), inj.tile_cache_stats());
-        let _ = cloned.stuck_masks(pc(0), WordOffset(0), Millivolts(870));
-        assert_eq!(cloned.tile_cache_stats().0, inj.tile_cache_stats().0 + 1);
     }
 
     #[test]
@@ -1882,31 +1340,13 @@ mod tests {
     }
 
     #[test]
-    fn bit_fault_agrees_with_masks() {
-        let inj = injector();
-        let v = Millivolts(845);
-        let w = WordOffset(11);
-        let (s0, s1) = inj.stuck_masks(pc(3), w, v);
-        for bit in 0..256 {
-            let expected = if s0.bit(bit) {
-                Some(FaultPolarity::StuckAtZero)
-            } else if s1.bit(bit) {
-                Some(FaultPolarity::StuckAtOne)
-            } else {
-                None
-            };
-            assert_eq!(inj.bit_fault(pc(3), w, bit, v), expected);
-        }
-    }
-
-    #[test]
     fn measured_rate_tracks_model_rate() {
         // At a mid-range voltage, the empirical rate over a decent sample
         // should approximate s0·c0 + s1·c1 averaged over variation.
         let inj = injector();
         let v = Millivolts(860);
         let words = 8192u64;
-        let (n0, n1) = scalar(&inj).count_range(pc(7), 0..words, v);
+        let (n0, n1) = fold_masks(&scalar(&inj), pc(7), 0..words, v);
         let measured = (n0 + n1) as f64 / (words as f64 * 256.0);
 
         // Average the analytic rate over the same words.
@@ -1930,35 +1370,9 @@ mod tests {
         hot.set_temperature(Celsius(55.0));
         let cold = injector();
         let v = Millivolts(900);
-        let (h0, h1) = scalar(&hot).count_range(pc(0), 0..4096, v);
-        let (c0, c1) = scalar(&cold).count_range(pc(0), 0..4096, v);
+        let (h0, h1) = fold_masks(&scalar(&hot), pc(0), 0..4096, v);
+        let (c0, c1) = fold_masks(&scalar(&cold), pc(0), 0..4096, v);
         assert!(h0 + h1 >= c0 + c1, "hot {h0}+{h1} vs cold {c0}+{c1}");
-    }
-
-    #[test]
-    fn scan_faulty_agrees_with_full_enumeration() {
-        let inj = injector();
-        let v = Millivolts(880);
-        let scanned: Vec<_> = inj.scan_faulty(pc(4), 0..4096, v).collect();
-        // Same totals as the counting walk.
-        let (n0, n1) = scalar(&inj).count_range(pc(4), 0..4096, v);
-        let scan0: u64 = scanned
-            .iter()
-            .map(|(_, s0, _)| u64::from(s0.count_ones()))
-            .sum();
-        let scan1: u64 = scanned
-            .iter()
-            .map(|(_, _, s1)| u64::from(s1.count_ones()))
-            .sum();
-        assert_eq!((scan0, scan1), (n0, n1));
-        // Every yielded word really is faulty, and none is yielded twice.
-        let mut seen = std::collections::HashSet::new();
-        for (offset, s0, s1) in &scanned {
-            assert!(!(*s0 | *s1).is_zero());
-            assert!(seen.insert(offset.0));
-        }
-        // In the guardband, the scan yields nothing.
-        assert_eq!(inj.scan_faulty(pc(4), 0..4096, Millivolts(990)).count(), 0);
     }
 
     #[test]
@@ -1983,71 +1397,22 @@ mod tests {
     }
 
     #[test]
-    fn count_range_matches_per_word_walk() {
-        let inj = injector();
-        for v in [990u32, 940, 880, 830] {
-            let v = Millivolts(v);
-            let range = 100u64..2100;
-            let mut n0 = 0u64;
-            let mut n1 = 0u64;
-            for w in range.clone() {
-                let (s0, s1) = inj.reference_masks(pc(4), WordOffset(w), v);
-                n0 += u64::from(s0.count_ones());
-                n1 += u64::from(s1.count_ones());
-            }
-            assert_eq!(
-                scalar(&inj).count_range(pc(4), range, v),
-                (n0, n1),
-                "at {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn enumeration_matches_per_word_masks() {
-        let inj = injector();
-        for v in [990u32, 965, 940, 900, 870, 840] {
-            let v = Millivolts(v);
-            let range = 0u64..2048;
-            let mut expected = Vec::new();
-            for w in range.clone() {
-                let (s0, s1) = scalar(&inj).masks(pc(6), WordOffset(w), v);
-                if !(s0.is_zero() && s1.is_zero()) {
-                    expected.push((WordOffset(w), s0, s1));
-                }
-            }
-            let bulk = scalar(&inj).faulty_words(pc(6), range.clone(), v);
-            assert_eq!(bulk, expected, "enumeration diverges at {v}");
-            let (n0, n1) = scalar(&inj).count_range(pc(6), range, v);
-            let sum0: u64 = expected
-                .iter()
-                .map(|(_, s0, _)| u64::from(s0.count_ones()))
-                .sum();
-            let sum1: u64 = expected
-                .iter()
-                .map(|(_, _, s1)| u64::from(s1.count_ones()))
-                .sum();
-            assert_eq!((n0, n1), (sum0, sum1), "counts diverge at {v}");
-        }
-    }
-
-    #[test]
     fn temperature_change_invalidates_region_cache() {
         let mut inj = injector();
         let v = Millivolts(900);
         // Populate the tile cache at ambient …
-        let cold = scalar(&inj).count_range(pc(0), 0..4096, v);
+        let cold = fold_masks(&scalar(&inj), pc(0), 0..4096, v);
         // … then heat the device: cached tile probabilities must be rebuilt,
         // matching an injector that never cached at ambient.
         inj.set_temperature(Celsius(55.0));
         let mut fresh = injector();
         fresh.set_temperature(Celsius(55.0));
         assert_eq!(
-            scalar(&inj).count_range(pc(0), 0..4096, v),
-            scalar(&fresh).count_range(pc(0), 0..4096, v)
+            fold_masks(&scalar(&inj), pc(0), 0..4096, v),
+            fold_masks(&scalar(&fresh), pc(0), 0..4096, v)
         );
         assert_ne!(
-            scalar(&inj).count_range(pc(0), 0..4096, v),
+            fold_masks(&scalar(&inj), pc(0), 0..4096, v),
             cold,
             "a 20 °C rise must change the fault count at 900 mV"
         );
@@ -2064,46 +1429,13 @@ mod tests {
     fn clones_invalidate_independently() {
         let mut original = injector();
         let v = Millivolts(900);
-        let at_ambient = scalar(&original).count_range(pc(0), 0..512, v); // warm cache
+        let at_ambient = fold_masks(&scalar(&original), pc(0), 0..512, v); // warm cache
         let clone = original.clone();
         original.set_temperature(Celsius(55.0));
         assert_eq!(
-            scalar(&clone).count_range(pc(0), 0..512, v),
+            fold_masks(&scalar(&clone), pc(0), 0..512, v),
             at_ambient,
             "heating the original must not touch the clone's cache"
         );
-    }
-
-    #[test]
-    fn faulty_words_sorted_and_matches_scan() {
-        let inj = injector();
-        let v = Millivolts(870);
-        let bulk = scalar(&inj).faulty_words(pc(2), 0..4096, v);
-        assert!(bulk.windows(2).all(|w| w[0].0 .0 < w[1].0 .0));
-        let scanned: Vec<_> = inj.scan_faulty(pc(2), 0..4096, v).collect();
-        assert_eq!(bulk, scanned);
-    }
-
-    #[test]
-    fn unindexed_geometry_uses_tile_cache_fallback() {
-        // 131072 words/pc exceeds the activation-index cap, exercising the
-        // per-word fallback over the tile cache.
-        let geometry = HbmGeometry::vcu128().scaled(64);
-        assert!(geometry.words_per_pc() > MAX_INDEXED_WORDS_PER_PC);
-        let inj = FaultInjector::new(FaultModelParams::date21(), geometry, 77);
-        for v in [990u32, 940, 900, 880, 850] {
-            let v = Millivolts(v);
-            let mut expected = Vec::new();
-            for w in 0..2048 {
-                let (s0, s1) = inj.reference_masks(pc(1), WordOffset(w), v);
-                if !(s0.is_zero() && s1.is_zero()) {
-                    expected.push((WordOffset(w), s0, s1));
-                }
-            }
-            let bulk = scalar(&inj).faulty_words(pc(1), 0..2048, v);
-            assert_eq!(bulk, expected, "unindexed enumeration diverges at {v}");
-            let lazy: Vec<_> = inj.scan_faulty(pc(1), 0..2048, v).collect();
-            assert_eq!(lazy, bulk, "lazy scan and bulk collection diverge at {v}");
-        }
     }
 }

@@ -3,18 +3,17 @@
 //! Historically the injector accreted one entry point per enumeration
 //! strategy (the per-word reference path, the tiled scan, the descents).
 //! This module collapses them behind one [`MaskKernel`] trait: callers
-//! obtain a kernel with [`FaultInjector::kernel`] and ask it for masks,
-//! enumerations, counts or a descent of the one fault field. Production
-//! code always asks for [`KernelBackend::Auto`]; the forced backends exist
-//! so tests and benches can compare against a fixed reference.
+//! obtain a kernel with [`FaultInjector::kernel`] and ask it for one word's
+//! masks or for a descent of the one fault field. Production code always
+//! asks for [`KernelBackend::Auto`]; the forced scalar backend exists so
+//! tests and benches can compare against a fixed reference.
 //!
 //! # Backends
 //!
-//! | Backend                      | Dense tiles                     | Sparse tiles   |
-//! |------------------------------|---------------------------------|----------------|
-//! | [`KernelBackend::Scalar`]    | per-bit scalar                  | per-bit scalar |
-//! | [`KernelBackend::BitSliced`] | bit-sliced (widest probed SIMD) | bit-sliced     |
-//! | [`KernelBackend::Auto`]      | bit-sliced (widest probed SIMD) | per-bit scalar |
+//! | Backend                   | One word's masks                | Descents           |
+//! |---------------------------|---------------------------------|--------------------|
+//! | [`KernelBackend::Scalar`] | per-bit scalar walk             | baseline compile   |
+//! | [`KernelBackend::Auto`]   | bit-sliced (widest probed SIMD) | widest probed SIMD |
 //!
 //! The bit-sliced path hashes whole 256-bit words a 64-bit lane at a time
 //! and turns the per-bit polarity/threshold comparisons into integer
@@ -22,16 +21,8 @@
 //! ([`crate::hash::unit_cutoff`]), packing the results into `u64`
 //! bitplanes. It is bit-identical to the scalar path by construction — the
 //! cutoffs are the exact integer images of the scalar `f64` comparisons —
-//! which the `bitsliced_matches_scalar` proptests enforce.
-//!
-//! `Auto` (the default) decides per tile of a range scan from the
-//! injector's cached tile probabilities: a tile is *dense* when either
-//! polarity's word-level any-fault probability reaches
-//! [`DENSE_TILE_P_ANY`], i.e. when enough words of the tile are expected to
-//! be faulty that whole-word hashing beats walking the activation index's
-//! few faulty words bit by bit. A single-word query has nothing to skip,
-//! so `Auto` and `BitSliced` always hash it whole. The descents run one
-//! loop for every backend.
+//! which the `bitsliced_matches_scalar` proptests enforce. The descents
+//! run one loop for every backend, in the compile the backend names.
 
 use std::ops::Range;
 
@@ -42,29 +33,20 @@ use crate::injector::FaultInjector;
 
 pub(crate) mod bitsliced;
 
-/// Word-level any-fault probability at which [`KernelBackend::Auto`]
-/// switches a tile from scalar sparse enumeration to bit-sliced dense
-/// generation: one faulty word expected per 256, the point where hashing
-/// whole words stops losing to the activation index's skip walk.
-pub(crate) const DENSE_TILE_P_ANY: f64 = 1.0 / 256.0;
-
 /// Which implementation generates stuck-at masks.
 ///
 /// Every backend is bit-identical to every other, so the choice only
 /// changes speed. Everything outside this crate's tests and the benches
-/// runs [`KernelBackend::Auto`]; the forced backends are the references
-/// those tests and benches compare it against.
+/// runs [`KernelBackend::Auto`]; the scalar backend is the reference those
+/// tests and benches compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelBackend {
-    /// The per-bit scalar kernel everywhere — the historical path, kept
-    /// as the proptest oracle and the benches' baseline.
+    /// The per-bit scalar walk for a word's masks and the baseline compile
+    /// of the descents' word loop — the historical path, kept as the
+    /// proptest oracle and the benches' baseline.
     Scalar,
-    /// The bit-sliced whole-word kernel everywhere, even on tiles sparse
-    /// enough that the scalar skip walk would win.
-    BitSliced,
-    /// Density-adaptive dispatch (the default): per tile, the cached tile
-    /// probabilities pick scalar sparse enumeration or bit-sliced dense
-    /// generation.
+    /// The default: whole-word bit-sliced masks, and every word loop in
+    /// the widest compile [`InstructionSet::detect`] finds.
     #[default]
     Auto,
 }
@@ -106,53 +88,12 @@ impl InstructionSet {
     }
 }
 
-/// The resolved backend selection a kernel carries into the injector's
-/// enumeration loops: the policy plus the probed instruction set.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum BackendSel {
-    /// Scalar per-bit enumeration on every tile.
-    Scalar,
-    /// Bit-sliced generation on every tile.
-    BitSliced(InstructionSet),
-    /// Per-tile density dispatch.
-    Auto(InstructionSet),
-}
-
-impl BackendSel {
-    pub(crate) fn from_backend(backend: KernelBackend) -> Self {
-        match backend {
-            KernelBackend::Scalar => BackendSel::Scalar,
-            KernelBackend::BitSliced => BackendSel::BitSliced(InstructionSet::detect()),
-            KernelBackend::Auto => BackendSel::Auto(InstructionSet::detect()),
-        }
-    }
-
-    /// The dispatch rule: whether a tile whose larger word-level any-fault
-    /// probability is `p_any_max` takes the bit-sliced path.
-    pub(crate) fn bitsliced_for_tile(self, p_any_max: f64) -> bool {
-        match self {
-            BackendSel::Scalar => false,
-            BackendSel::BitSliced(_) => true,
-            BackendSel::Auto(_) => p_any_max >= DENSE_TILE_P_ANY,
-        }
-    }
-
-    /// The instruction set bit-sliced tiles run on ([`InstructionSet::
-    /// Portable`] for the scalar backend, which never takes that path).
-    pub(crate) fn isa(self) -> InstructionSet {
-        match self {
-            BackendSel::Scalar => InstructionSet::Portable,
-            BackendSel::BitSliced(isa) | BackendSel::Auto(isa) => isa,
-        }
-    }
-}
-
 /// One unified interface to every mask-generation strategy.
 ///
 /// A `MaskKernel` binds a [`FaultInjector`] and a [`KernelBackend`]:
-/// callers ask for masks, enumerations, counts, or a descent and the
-/// kernel routes the query to the backend. All backends are bit-identical,
-/// so swapping backends never changes results — only speed.
+/// callers ask for one word's masks or for a descent, and the kernel
+/// routes the query to the backend. All backends are bit-identical, so
+/// swapping backends never changes results — only speed.
 ///
 /// A sweep down a voltage grid needs no per-point rescan:
 /// [`MaskKernel::count_descent`] and [`MaskKernel::exposure_descent`] hash
@@ -160,9 +101,8 @@ impl BackendSel {
 /// fails, through one fold over one per-word hashing loop.
 ///
 /// The concrete implementation is [`FieldKernel`], obtained from
-/// [`FaultInjector::kernel`]. The trait is dyn-compatible (callbacks take
-/// `&mut dyn FnMut`) so runtimes can hold `Box<dyn MaskKernel>` when the
-/// backend is decided at runtime.
+/// [`FaultInjector::kernel`]. The trait is dyn-compatible so runtimes can
+/// hold `Box<dyn MaskKernel>` when the backend is decided at runtime.
 pub trait MaskKernel {
     /// The backend policy this kernel was built with.
     fn backend(&self) -> KernelBackend;
@@ -181,35 +121,10 @@ pub trait MaskKernel {
         supply: Millivolts,
     ) -> (Word256, Word256);
 
-    /// Every faulty word of `words` at `supply`, ascending by offset.
-    fn faulty_words(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> Vec<(WordOffset, Word256, Word256)>;
-
-    /// Streams every faulty word of `words` to `f` in ascending offset
-    /// order, without materializing a vector.
-    fn for_each_faulty_word(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        f: &mut dyn FnMut(WordOffset, Word256, Word256),
-    );
-
-    /// Total `(stuck0, stuck1)` faulty-bit counts over `words` at `supply`.
-    fn count_range(&self, pc: PcIndex, words: Range<u64>, supply: Millivolts) -> (u64, u64);
-
-    /// Expected fraction of words with at least one faulty bit at `supply`
-    /// (drives the engine's streamed-vs-materialized decision).
-    fn expected_active_fraction(&self, pc: PcIndex, supply: Millivolts) -> f64;
-
     /// Union fault-bit counts of one pseudo channel along a descending
     /// voltage schedule: entry `k` is the total stuck-at count (both
-    /// polarities) over `words` at `schedule[k]`, equal to
-    /// [`MaskKernel::count_range`] at that knot.
+    /// polarities) over `words` at `schedule[k]`, equal to the summed
+    /// popcounts of [`MaskKernel::masks`] over `words` at that knot.
     ///
     /// This is the exact-rescan entry point the fleet layer uses to
     /// re-derive a device's per-knot curve when a compressed model cannot
@@ -243,9 +158,9 @@ pub trait MaskKernel {
     /// The read-back of write/read-back passes along a descending voltage
     /// schedule: entry `[k][p]` is what one pass writing `written[p]` to
     /// every word of `words` reads back at `schedule[k]`, equal to a fold
-    /// of [`MaskKernel::faulty_words`] there — the words with an exposed
-    /// faulty bit, the stuck-at-0 bits written 1 and the stuck-at-1 bits
-    /// written 0.
+    /// of [`MaskKernel::masks`] over `words` there — the words with an
+    /// exposed faulty bit, the stuck-at-0 bits written 1 and the stuck-at-1
+    /// bits written 0.
     ///
     /// # Performance
     ///
@@ -304,7 +219,9 @@ pub struct Exposure {
 pub struct FieldKernel<'a> {
     injector: &'a FaultInjector,
     backend: KernelBackend,
-    sel: BackendSel,
+    /// The compile the word loops run: the baseline one for the scalar
+    /// backend, the widest probed one for `Auto`.
+    isa: InstructionSet,
 }
 
 impl FaultInjector {
@@ -313,10 +230,14 @@ impl FaultInjector {
     /// borrows the injector, so all cached tile state is shared.
     #[must_use]
     pub fn kernel(&self, backend: KernelBackend) -> FieldKernel<'_> {
+        let isa = match backend {
+            KernelBackend::Scalar => InstructionSet::Portable,
+            KernelBackend::Auto => InstructionSet::detect(),
+        };
         FieldKernel {
             injector: self,
             backend,
-            sel: BackendSel::from_backend(backend),
+            isa,
         }
     }
 }
@@ -327,7 +248,8 @@ impl MaskKernel for FieldKernel<'_> {
     }
 
     fn masks(&self, pc: PcIndex, offset: WordOffset, supply: Millivolts) -> (Word256, Word256) {
-        self.injector.masks_sel(pc, offset, supply, self.sel)
+        let sliced = (self.backend == KernelBackend::Auto).then_some(self.isa);
+        self.injector.masks_sel(pc, offset, supply, sliced)
     }
 
     fn reference_masks(
@@ -339,36 +261,8 @@ impl MaskKernel for FieldKernel<'_> {
         self.injector.reference_masks(pc, offset, supply)
     }
 
-    fn faulty_words(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-    ) -> Vec<(WordOffset, Word256, Word256)> {
-        self.injector.faulty_words_sel(pc, words, supply, self.sel)
-    }
-
-    fn for_each_faulty_word(
-        &self,
-        pc: PcIndex,
-        words: Range<u64>,
-        supply: Millivolts,
-        f: &mut dyn FnMut(WordOffset, Word256, Word256),
-    ) {
-        self.injector
-            .for_each_faulty_sel(pc, words, supply, self.sel, f);
-    }
-
-    fn count_range(&self, pc: PcIndex, words: Range<u64>, supply: Millivolts) -> (u64, u64) {
-        self.injector.count_range_sel(pc, words, supply, self.sel)
-    }
-
-    fn expected_active_fraction(&self, pc: PcIndex, supply: Millivolts) -> f64 {
-        self.injector.expected_active_fraction(pc, supply)
-    }
-
     fn count_descent(&self, pc: PcIndex, words: Range<u64>, schedule: &[Millivolts]) -> Vec<u64> {
-        let (bits, _) = (self.injector).descent_fold(pc, words, schedule, self.sel.isa(), &[]);
+        let (bits, _) = (self.injector).descent_fold(pc, words, schedule, self.isa, &[]);
         bits.iter().map(|&[n0, n1]| n0 + n1).collect()
     }
 
@@ -379,12 +273,30 @@ impl MaskKernel for FieldKernel<'_> {
         schedule: &[Millivolts],
         written: &[Written<'_>],
     ) -> Vec<Vec<Exposure>> {
-        let (_, rows) = (self.injector).descent_fold(pc, words, schedule, self.sel.isa(), written);
+        let (_, rows) = (self.injector).descent_fold(pc, words, schedule, self.isa, written);
         let n = written.len();
         (0..schedule.len())
             .map(|k| rows[k * n..][..n].to_vec())
             .collect()
     }
+}
+
+/// Test oracle of the range queries: the summed `(stuck0, stuck1)`
+/// popcounts of [`MaskKernel::masks`] over every word of `words`.
+#[cfg(test)]
+pub(crate) fn fold_masks(
+    kernel: &impl MaskKernel,
+    pc: PcIndex,
+    words: Range<u64>,
+    supply: Millivolts,
+) -> (u64, u64) {
+    words.fold((0, 0), |(n0, n1), w| {
+        let (s0, s1) = kernel.masks(pc, WordOffset(w), supply);
+        (
+            n0 + u64::from(s0.count_ones()),
+            n1 + u64::from(s1.count_ones()),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -394,28 +306,11 @@ mod tests {
     use hbm_device::HbmGeometry;
 
     #[test]
-    fn dispatch_rule_follows_density() {
-        assert_eq!(KernelBackend::default(), KernelBackend::Auto);
-        let sparse = DENSE_TILE_P_ANY / 2.0;
-        let dense = DENSE_TILE_P_ANY * 2.0;
-        let scalar = BackendSel::from_backend(KernelBackend::Scalar);
-        let sliced = BackendSel::from_backend(KernelBackend::BitSliced);
-        let auto = BackendSel::from_backend(KernelBackend::Auto);
-        assert!(!scalar.bitsliced_for_tile(dense));
-        assert!(sliced.bitsliced_for_tile(sparse));
-        assert!(auto.bitsliced_for_tile(dense));
-        assert!(!auto.bitsliced_for_tile(sparse));
-    }
-
-    #[test]
     fn kernel_reports_its_configuration() {
         let injector =
             FaultInjector::new(FaultModelParams::date21(), HbmGeometry::vcu128_reduced(), 1);
-        for backend in [
-            KernelBackend::Scalar,
-            KernelBackend::BitSliced,
-            KernelBackend::Auto,
-        ] {
+        assert_eq!(KernelBackend::default(), KernelBackend::Auto);
+        for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
             assert_eq!(injector.kernel(backend).backend(), backend);
         }
     }
@@ -430,7 +325,7 @@ mod tests {
         let counts = kernel.count_descent(pc, 0..64, &schedule);
         assert_eq!(counts.len(), schedule.len());
         for (k, &v) in schedule.iter().enumerate() {
-            let (n0, n1) = kernel.count_range(pc, 0..64, v);
+            let (n0, n1) = fold_masks(&kernel, pc, 0..64, v);
             assert_eq!(counts[k], n0 + n1, "knot {v}");
         }
     }
@@ -473,18 +368,25 @@ mod tests {
         );
         let totals = kernel.count_descent(pc, words.clone(), &schedule);
         for (k, &v) in schedule.iter().enumerate() {
-            let (n0, n1) = kernel.count_range(pc, words.clone(), v);
-            let faulty = kernel.faulty_words(pc, words.clone(), v);
-            let with = |stuck: fn(&(WordOffset, Word256, Word256)) -> Word256| {
-                faulty.iter().filter(|w| !stuck(w).is_zero()).count() as u64
+            let masks: Vec<_> = words
+                .clone()
+                .map(|w| kernel.masks(pc, WordOffset(w), v))
+                .collect();
+            let read_back = |stuck: fn(&(Word256, Word256)) -> Word256| {
+                let flips = masks.iter().map(|m| u64::from(stuck(m).count_ones()));
+                (
+                    masks.iter().filter(|m| !stuck(m).is_zero()).count() as u64,
+                    flips.sum(),
+                )
             };
+            let ((faulty0, n0), (faulty1, n1)) = (read_back(|m| m.0), read_back(|m| m.1));
             let ones = Exposure {
-                faulty_words: with(|w| w.1),
+                faulty_words: faulty0,
                 stuck0: n0,
                 stuck1: 0,
             };
             let zeros = Exposure {
-                faulty_words: with(|w| w.2),
+                faulty_words: faulty1,
                 stuck0: 0,
                 stuck1: n1,
             };

@@ -72,16 +72,14 @@ mod landmarks;
 pub mod math;
 mod params;
 mod response;
-pub mod stream;
 mod variation;
 
 pub use analytic::RatePredictor;
 pub use error::FaultModelError;
 pub use fault_map::{FaultMap, PcRateEntry, PcRateProfile};
-pub use injector::{FaultInjector, FaultPolarity};
+pub use injector::FaultInjector;
 pub use kernel::{Exposure, FieldKernel, InstructionSet, KernelBackend, MaskKernel, Written};
 pub use landmarks::VoltageLandmarks;
 pub use params::FaultModelParams;
 pub use response::ResponseCurve;
-pub use stream::pc_stream;
 pub use variation::{ShiftTable, VariationModel};

@@ -9,11 +9,35 @@ use hbm_faults::{
 use hbm_units::{Celsius, Millivolts, Ratio};
 use proptest::prelude::*;
 
-/// What one pass writing `at` reads back from a range's faulty words.
-fn read_back(faulty: &[(WordOffset, Word256, Word256)], at: &dyn Fn(u64) -> Word256) -> Exposure {
+/// The per-word oracle of the range queries: every word of `range` with
+/// its `(stuck0, stuck1)` masks at `v`, from [`MaskKernel::masks`].
+fn per_word(
+    kernel: &FieldKernel<'_>,
+    pc: PcIndex,
+    range: std::ops::Range<u64>,
+    v: Millivolts,
+) -> Vec<(u64, Word256, Word256)> {
+    range
+        .map(|w| {
+            let (s0, s1) = kernel.masks(pc, WordOffset(w), v);
+            (w, s0, s1)
+        })
+        .collect()
+}
+
+/// The faulty bits of both polarities among `masks`.
+fn faulty_bits(masks: &[(u64, Word256, Word256)]) -> u64 {
+    masks
+        .iter()
+        .map(|(_, s0, s1)| u64::from(s0.count_ones() + s1.count_ones()))
+        .sum()
+}
+
+/// What one pass writing `at` reads back from a range's per-word masks.
+fn read_back(masks: &[(u64, Word256, Word256)], at: &dyn Fn(u64) -> Word256) -> Exposure {
     let mut exposure = Exposure::default();
-    for &(offset, s0, s1) in faulty {
-        let written = at(offset.0);
+    for &(offset, s0, s1) in masks {
+        let written = at(offset);
         let (flips0, flips1) = (s0 & written, s1 & !written);
         exposure.faulty_words += u64::from(!(flips0.is_zero() && flips1.is_zero()));
         exposure.stuck0 += u64::from(flips0.count_ones());
@@ -179,11 +203,10 @@ proptest! {
         prop_assert_eq!(inj.stuck_masks(pc, w, v), kernel.reference_masks(pc, w, v));
     }
 
-    /// The activation-index range enumeration visits exactly the faulty
-    /// words the reference path finds — same counts, same masks, no
-    /// extras.
+    /// The scalar kernel's masks over a range are exactly the masks the
+    /// per-word reference path recomputes from scratch.
     #[test]
-    fn kernel_enumeration_matches_reference(
+    fn scalar_masks_match_reference_over_ranges(
         seed in any::<u64>(),
         pc_index in 0u8..32,
         start in 0u64..7000,
@@ -193,25 +216,16 @@ proptest! {
         let inj = injector(seed);
         let pc = PcIndex::new(pc_index).unwrap();
         let v = Millivolts(mv);
-        let range = start..(start + len).min(8192);
         let reference = scalar(&inj);
-        let mut expected = Vec::new();
-        for w in range.clone() {
-            let (s0, s1) = reference.reference_masks(pc, WordOffset(w), v);
-            if !(s0.is_zero() && s1.is_zero()) {
-                expected.push((WordOffset(w), s0, s1));
-            }
+        for w in start..(start + len).min(8192) {
+            let w = WordOffset(w);
+            prop_assert_eq!(reference.masks(pc, w, v), reference.reference_masks(pc, w, v));
         }
-        prop_assert_eq!(scalar(&inj).faulty_words(pc, range.clone(), v), expected.clone());
-        let counted = scalar(&inj).count_range(pc, range, v);
-        let sum0: u64 = expected.iter().map(|(_, s0, _)| u64::from(s0.count_ones())).sum();
-        let sum1: u64 = expected.iter().map(|(_, _, s1)| u64::from(s1.count_ones())).sum();
-        prop_assert_eq!(counted, (sum0, sum1));
     }
 
-    /// Tentpole guarantee of the bit-sliced kernel: every [`MaskKernel`]
-    /// backend is bit-identical to the scalar oracle — same enumerations,
-    /// same counts, same per-word masks — for any seed, range, voltage and
+    /// Tentpole guarantee of the bit-sliced kernel: the auto backend's
+    /// per-word masks are bit-identical to the scalar oracle's over any
+    /// range, and to the reference path's, for any seed, voltage and
     /// temperature.
     #[test]
     fn bitsliced_matches_scalar(
@@ -227,31 +241,24 @@ proptest! {
         let pc = PcIndex::new(pc_index).unwrap();
         let v = Millivolts(mv);
         let range = start..(start + len).min(8192);
-        let scalar = scalar(&inj);
-        for backend in [KernelBackend::BitSliced, KernelBackend::Auto] {
-            let kernel = inj.kernel(backend);
-            prop_assert_eq!(
-                kernel.faulty_words(pc, range.clone(), v),
-                scalar.faulty_words(pc, range.clone(), v),
-                "{:?} enumeration diverged at {}", backend, v
-            );
-            prop_assert_eq!(
-                kernel.count_range(pc, range.clone(), v),
-                scalar.count_range(pc, range.clone(), v),
-                "{:?} counts diverged at {}", backend, v
-            );
-            prop_assert_eq!(
-                kernel.masks(pc, WordOffset(start), v),
-                kernel.reference_masks(pc, WordOffset(start), v),
-                "{:?} single-word masks diverged at {}", backend, v
-            );
-        }
+        let auto = inj.kernel(KernelBackend::Auto);
+        prop_assert_eq!(
+            per_word(&auto, pc, range.clone(), v),
+            per_word(&scalar(&inj), pc, range, v),
+            "masks diverged at {}", v
+        );
+        prop_assert_eq!(
+            auto.masks(pc, WordOffset(start), v),
+            auto.reference_masks(pc, WordOffset(start), v),
+            "single-word masks diverged at {}", v
+        );
     }
 
-    /// The one-pass count descent equals the per-knot range counts, under
-    /// the scalar and auto backends, for every [`descent_case`].
+    /// The one-pass count descent equals the per-knot counts of the auto
+    /// backend's per-word masks, under the scalar and auto backends, for
+    /// every [`descent_case`].
     #[test]
-    fn count_descent_matches_range_counts(
+    fn count_descent_matches_per_word_counts(
         seed in any::<u64>(),
         pc_index in 0u8..32,
         range_shape in 0u8..4,
@@ -266,25 +273,26 @@ proptest! {
         let pc = PcIndex::new(pc_index).unwrap();
         let (range, schedule) =
             descent_case(range_shape, start, len, schedule_shape, first_mv, step, knots);
-        for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
-            let kernel = inj.kernel(backend);
-            let counts = kernel.count_descent(pc, range.clone(), &schedule);
-            prop_assert_eq!(counts.len(), schedule.len());
-            for (&v, &count) in schedule.iter().zip(&counts) {
-                let (n0, n1) = kernel.count_range(pc, range.clone(), v);
-                prop_assert_eq!(count, n0 + n1, "{:?} diverged from count_range at {}", backend, v);
+        let oracle = inj.kernel(KernelBackend::Auto);
+        let counts = [KernelBackend::Scalar, KernelBackend::Auto]
+            .map(|backend| inj.kernel(backend).count_descent(pc, range.clone(), &schedule));
+        for (k, &v) in schedule.iter().enumerate() {
+            let expected = faulty_bits(&per_word(&oracle, pc, range.clone(), v));
+            for counts in &counts {
+                prop_assert_eq!(counts.len(), schedule.len());
+                prop_assert_eq!(counts[k], expected, "diverged from the per-word masks at {}", v);
             }
         }
     }
 
     /// The exposure descent reads back at every knot exactly what a fold of
-    /// [`MaskKernel::faulty_words`] there gives, for all-1s, all-0s and
-    /// random written words, under the scalar and auto backends: on random
+    /// the auto backend's per-word masks there gives, for all-1s, all-0s
+    /// and random written words, under the scalar and auto backends: on random
     /// strictly descending schedules of 1–64 knots between 1200 and 810 mV
     /// over ranges that start at or inside a tile and cross a tile
     /// boundary, and on every [`descent_case`].
     #[test]
-    fn exposure_descent_matches_faulty_words_at_every_knot(
+    fn exposure_descent_matches_per_word_read_back_at_every_knot(
         seed in any::<u64>(),
         pc_index in 0u8..32,
         knots in proptest::collection::vec(810u32..=1200, 1..=64),
@@ -314,30 +322,30 @@ proptest! {
         };
         let written = [Written::Ones, Written::Zeros, Written::Words(&random)];
         let at: [&dyn Fn(u64) -> Word256; 3] = [&|_| Word256::ONES, &|_| Word256::ZERO, &random];
+        let oracle = inj.kernel(KernelBackend::Auto);
         for (range, schedule) in [(mid_tile, schedule), case] {
-            for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
-                let kernel = inj.kernel(backend);
-                let rows = kernel.exposure_descent(pc, range.clone(), &schedule, &written);
-                prop_assert_eq!(rows.len(), schedule.len());
-                for (&v, row) in schedule.iter().zip(&rows) {
-                    let faulty = kernel.faulty_words(pc, range.clone(), v);
-                    let expected: Vec<Exposure> =
-                        at.iter().map(|at| read_back(&faulty, at)).collect();
-                    prop_assert_eq!(
-                        row, &expected, "{:?} diverged at {} over {:?}", backend, v, range
-                    );
+            let rows = [KernelBackend::Scalar, KernelBackend::Auto].map(|backend| {
+                inj.kernel(backend).exposure_descent(pc, range.clone(), &schedule, &written)
+            });
+            for (k, &v) in schedule.iter().enumerate() {
+                let masks = per_word(&oracle, pc, range.clone(), v);
+                let expected: Vec<Exposure> = at.iter().map(|at| read_back(&masks, at)).collect();
+                for rows in &rows {
+                    prop_assert_eq!(rows.len(), schedule.len());
+                    prop_assert_eq!(&rows[k], &expected, "diverged at {} over {:?}", v, range);
                 }
             }
         }
     }
 
-    /// The count descent equals per-knot `count_range` on random strictly
+    /// The count descent equals the per-knot counts of the per-word masks
+    /// on random strictly
     /// descending schedules of 1–64 knots between 1200 and 810 mV, over
     /// ranges that start inside a tile and cross at least one tile
     /// boundary (a tile spans one 32-word row of one bank), under both
     /// backends' compiles of the hashing loop.
     #[test]
-    fn count_descent_matches_count_range_on_random_schedules(
+    fn count_descent_matches_per_word_counts_on_random_schedules(
         seed in any::<u64>(),
         pc_index in 0u8..32,
         knots in proptest::collection::vec(810u32..=1200, 1..=64),
@@ -353,13 +361,14 @@ proptest! {
         let schedule: Vec<Millivolts> = knots.into_iter().map(Millivolts).collect();
         let start = row * 32 + into_tile;
         let range = start..(start + (32 - into_tile) + len).min(8192);
-        for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
-            let kernel = inj.kernel(backend);
-            let counts = kernel.count_descent(pc, range.clone(), &schedule);
-            prop_assert_eq!(counts.len(), schedule.len());
-            for (&v, &count) in schedule.iter().zip(&counts) {
-                let (n0, n1) = kernel.count_range(pc, range.clone(), v);
-                prop_assert_eq!(count, n0 + n1, "{:?} diverged from count_range at {}", backend, v);
+        let oracle = inj.kernel(KernelBackend::Auto);
+        let counts = [KernelBackend::Scalar, KernelBackend::Auto]
+            .map(|backend| inj.kernel(backend).count_descent(pc, range.clone(), &schedule));
+        for (k, &v) in schedule.iter().enumerate() {
+            let expected = faulty_bits(&per_word(&oracle, pc, range.clone(), v));
+            for counts in &counts {
+                prop_assert_eq!(counts.len(), schedule.len());
+                prop_assert_eq!(counts[k], expected, "diverged from the per-word masks at {}", v);
             }
         }
     }

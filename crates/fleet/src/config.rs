@@ -2,7 +2,7 @@
 //!
 //! A fleet run is fully determined by one [`FleetConfig`]: every device's
 //! fault universe derives from `(base_seed, device_id)` through the same
-//! counter-based hash discipline the injector uses for `pc_stream`, so the
+//! counter-based hash discipline the injector uses for its bits, so the
 //! fleet is reproducible from the config alone — no per-device state is
 //! ever carried between runs.
 
@@ -27,6 +27,11 @@ const CRASH_FLOOR_MV: u32 = 810;
 /// The most worker threads a fleet sweep may ask for, as `hbmctl serve`
 /// allows its pipeline.
 pub const MAX_WORKERS: usize = 256;
+
+/// The most devices one fleet configuration may characterize: 256 times
+/// the largest fleet any workload, bench or test sweeps, and small enough
+/// that a sweep's per-device buffers stay far from exhausting memory.
+pub const MAX_DEVICES: u32 = 65_536;
 
 /// Errors raised by fleet configuration, sweeps and artifact handling.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,7 +90,7 @@ pub struct DeviceSpec {
 /// a multi-thousand-device fleet tractable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
-    /// Number of devices to characterize.
+    /// Number of devices to characterize, at most [`MAX_DEVICES`].
     pub devices: u32,
     /// Base seed all per-device seeds derive from.
     pub base_seed: u64,
@@ -147,8 +152,11 @@ impl FleetConfig {
     /// Returns [`FleetError::Config`] when any field is out of range or
     /// the weak reference knot is not reachable by every device.
     pub fn validate(&self) -> Result<(), FleetError> {
-        if self.devices == 0 {
-            return Err(FleetError::Config("devices must be at least 1".into()));
+        if self.devices == 0 || self.devices > MAX_DEVICES {
+            return Err(FleetError::Config(format!(
+                "devices must be in 1..={MAX_DEVICES}, got {}",
+                self.devices
+            )));
         }
         if self.step == Millivolts::ZERO {
             return Err(FleetError::Config("step must be positive".into()));
@@ -389,6 +397,13 @@ mod tests {
                 "weak reference below crash ceiling",
                 FleetConfig {
                     weak_reference: Millivolts(820),
+                    ..base.clone()
+                },
+            ),
+            (
+                "too many devices",
+                FleetConfig {
+                    devices: MAX_DEVICES + 1,
                     ..base.clone()
                 },
             ),

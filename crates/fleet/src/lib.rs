@@ -16,7 +16,7 @@
 //!
 //! Every [`DeviceRecord`] is a pure function of `(FleetConfig,
 //! device_id)`: per-device seeds derive from the base seed through the
-//! same counter-based hash discipline as `pc_stream`, workers only ever
+//! same counter-based hash discipline as the injector's bits, workers only ever
 //! partition the device-ID space, and the merge sorts by device ID.
 //! Records, artifacts and population percentiles are therefore
 //! bit-identical across worker counts and steal interleavings — the

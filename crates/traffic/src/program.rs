@@ -116,31 +116,6 @@ impl MacroProgram {
         }
     }
 
-    /// The sampled variant of [`MacroProgram::write_then_check`]: write
-    /// `pattern` at each listed offset, then read every offset back checking
-    /// each bit. Used by sampled sweeps whose offsets come from a
-    /// per-work-item random stream; duplicate offsets are harmless (the same
-    /// pattern word is rewritten and rechecked).
-    #[must_use]
-    pub fn write_then_check_at(offsets: &[u64], pattern: DataPattern) -> Self {
-        let mut commands = Vec::with_capacity(2 * offsets.len());
-        for &offset in offsets {
-            commands.push(MacroCommand::Write {
-                start: offset,
-                count: 1,
-                pattern,
-            });
-        }
-        for &offset in offsets {
-            commands.push(MacroCommand::ReadCheck {
-                start: offset,
-                count: 1,
-                pattern,
-            });
-        }
-        MacroProgram { commands }
-    }
-
     /// A pure bandwidth workload: repeatedly stream reads over a range.
     #[must_use]
     pub fn streaming_reads(range: Range<u64>, repeats: u32) -> Self {

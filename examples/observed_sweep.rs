@@ -77,9 +77,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.retries, snapshot.retry_backoff_ms
     );
     println!("  power cycles         {}", snapshot.power_cycles);
-    println!(
-        "  tile cache hit/miss  {}/{}",
-        snapshot.tile_cache_hits, snapshot.tile_cache_misses
-    );
     Ok(())
 }

@@ -6,32 +6,34 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# Every cargo invocation runs --locked: a change that would rewrite
+# Cargo.lock or e2e-bench/Cargo.lock fails the gate instead.
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> tier-1: cargo build --release"
-cargo build --release
+echo "==> tier-1: cargo build --locked --release"
+cargo build --locked --release
 # The root-package build above does not cover member binaries; the smoke
 # runs below need a current hbmctl.
-cargo build --release --workspace
+cargo build --locked --release --workspace
 
 # Every test of every workspace member, once: unit, integration, property
 # and doc tests. The property tests fix their case counts in-file
 # (with_cases), so this run is reproducible.
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
+echo "==> cargo test --locked --workspace -q"
+cargo test --locked --workspace -q
 
-echo "==> cargo bench --workspace --no-run"
-cargo bench --workspace --no-run
+echo "==> cargo bench --locked --workspace --no-run"
+cargo bench --locked --workspace --no-run
 
 # The end-to-end benchmark is a package of its own, outside the workspace:
 # its unit tests, among them the check that BENCHMARK.json declares
 # exactly the metrics its binary prints.
-echo "==> cargo test --offline --manifest-path e2e-bench/Cargo.toml -q"
-cargo test --offline --manifest-path e2e-bench/Cargo.toml -q
+echo "==> cargo test --offline --locked --manifest-path e2e-bench/Cargo.toml -q"
+cargo test --offline --locked --manifest-path e2e-bench/Cargo.toml -q
 
 # Smoke: a checkpointed supervised sweep resumes from its own file.
 echo "==> hbmctl sweep --checkpoint/--resume smoke"

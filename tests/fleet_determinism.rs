@@ -96,7 +96,6 @@ fn supervised_device_record(cfg: &FleetConfig, spec: DeviceSpec) -> DeviceRecord
         .patterns(vec![DataPattern::AllOnes, DataPattern::AllZeros])
         .scope(TestScope::EntireHbm)
         .words_per_pc(Some(cfg.words_per_pc))
-        .sample_words(None)
         .mode(ExecutionMode::CachedMasks)
         .retries(0)
         .run()

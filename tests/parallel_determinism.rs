@@ -74,26 +74,6 @@ fn descended_reports_are_bit_identical() {
 }
 
 #[test]
-fn sampled_mode_is_worker_count_invariant() {
-    // Sampled offsets come from one ChaCha stream per (seed, voltage, PC),
-    // so the workload itself must not depend on how shards are scheduled.
-    let mut config = ReliabilityConfig::quick();
-    config.sample_words = Some(128);
-    config.batch_size = 1;
-    config.mode = ExecutionMode::Traffic;
-    for seed in [5u64, 13, 21] {
-        let sequential = run_with(seed, 1, &config);
-        for workers in [4usize, 8] {
-            assert_eq!(
-                sequential,
-                run_with(seed, workers, &config),
-                "seed {seed}, {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
 fn measured_guardband_is_worker_count_invariant() {
     let vmin_with = |workers: usize| {
         let mut platform = Platform::builder().seed(7).workers(workers).build();

@@ -124,7 +124,6 @@ proptest! {
     fn experiment_is_deterministic_for_any_seed(
         seed in any::<u64>(),
         workers in 2usize..9,
-        sampled in any::<bool>(),
     ) {
         let config = ReliabilityConfig {
             sweep: VoltageSweep::new(Millivolts(940), Millivolts(880), Millivolts(20)).unwrap(),
@@ -132,7 +131,6 @@ proptest! {
             patterns: vec![DataPattern::AllOnes],
             scope: TestScope::EntireHbm,
             words_per_pc: Some(128),
-            sample_words: sampled.then_some(32),
             // The subject here is the parallel traffic engine itself, so
             // force the literal write/read-back path.
             mode: ExecutionMode::Traffic,
