@@ -296,18 +296,29 @@ fn render<R: Render + serde::Serialize>(report: &R, format: &str) -> Result<(), 
     Ok(())
 }
 
-/// Runs any experiment and prints its report in the requested format —
-/// the whole tool funnels through this one generic function.
+/// Runs any experiment on a fresh platform and prints its report
+/// ([`run_on`]).
 fn dispatch<E>(experiment: &E, seed: u64, workers: usize, args: &Args) -> Result<(), CliError>
 where
     E: Experiment,
     E::Report: Render + serde::Serialize,
 {
+    run_on(experiment, platform(seed, workers), args)
+}
+
+/// Runs any experiment on `p` and prints its report in the requested
+/// format — every experiment command funnels through this one generic
+/// function.
+fn run_on<E>(experiment: &E, mut p: Platform, args: &Args) -> Result<(), CliError>
+where
+    E: Experiment,
+    E::Report: Render + serde::Serialize,
+{
     let format: String = args.flag("format", "text".to_owned())?;
-    let mut p = platform(seed, workers);
     eprintln!(
-        "hbmctl: {} (seed {seed}, {} worker{})",
+        "hbmctl: {} (seed {}, {} worker{})",
         experiment.name(),
+        p.seed(),
         p.workers(),
         if p.workers() == 1 { "" } else { "s" }
     );
@@ -441,6 +452,10 @@ fn governor(seed: u64, workers: usize, args: &Args) -> Result<(), CliError> {
         bandwidth_target_gbps: args.optional("bandwidth-target")?,
         ..GovernorConfig::default()
     };
+    let p = platform(seed, workers);
+    // A usage mistake, refused before the platform moves.
+    base.validate(p.geometry())
+        .map_err(|e| CliError::config(e.to_string()))?;
     let workload: String = args.flag("workload", "both".to_owned())?;
     let scenario = match workload.as_str() {
         "both" => GovernorScenario::latency_vs_throughput(
@@ -462,7 +477,7 @@ fn governor(seed: u64, workers: usize, args: &Args) -> Result<(), CliError> {
             )
         }
     };
-    dispatch(&scenario, seed, workers, args)
+    run_on(&scenario, p, args)
 }
 
 fn fault_map(seed: u64, args: &Args) -> Result<(), CliError> {
@@ -491,9 +506,26 @@ fn fault_map(seed: u64, args: &Args) -> Result<(), CliError> {
 
 fn plan(seed: u64, args: &Args) -> Result<(), CliError> {
     let capacity_gb: f64 = args.required("capacity-gb")?;
+    if !(capacity_gb.is_finite() && capacity_gb > 0.0) {
+        return Err(CliError::config(format!(
+            "capacity-gb must be a finite number above 0, not {capacity_gb}"
+        )));
+    }
     let tolerance: f64 = args.required("tolerance")?;
     if !(0.0..=1.0).contains(&tolerance) {
         return Err(CliError::config("tolerance must be a fraction in [0, 1]"));
+    }
+    let latency_budget = args.optional::<f64>("latency-budget")?;
+    let min_bandwidth = args.optional::<f64>("min-bandwidth")?;
+    for (flag, value) in [
+        ("latency-budget", latency_budget),
+        ("min-bandwidth", min_bandwidth),
+    ] {
+        if let Some(value) = value.filter(|v| !(v.is_finite() && *v >= 0.0)) {
+            return Err(CliError::config(format!(
+                "{flag} must be a finite number at or above 0, not {value}"
+            )));
+        }
     }
 
     let workload_token: String = args.flag("workload", "throughput".to_owned())?;
@@ -506,10 +538,10 @@ fn plan(seed: u64, args: &Args) -> Result<(), CliError> {
     let analysis = trade_off(seed);
     let bytes = (capacity_gb * (1u64 << 30) as f64) as u64;
     let mut request = PlanRequest::new(bytes, Ratio(tolerance)).with_pattern(mode.pattern());
-    if let Some(budget) = args.optional::<f64>("latency-budget")? {
+    if let Some(budget) = latency_budget {
         request = request.with_latency_budget_ns(budget);
     }
-    if let Some(floor) = args.optional::<f64>("min-bandwidth")? {
+    if let Some(floor) = min_bandwidth {
         request = request.with_min_delivered_gbps(floor);
     }
     match analysis.plan_request(&request) {

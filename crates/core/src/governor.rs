@@ -21,7 +21,7 @@
 //! throughput workload that only cares about flips, which is the
 //! voltage–latency–reliability trade-off in closed-loop form.
 
-use hbm_device::AccessPattern;
+use hbm_device::{AccessPattern, HbmGeometry};
 use hbm_traffic::{DataPattern, MacroProgram, TrafficGenerator};
 use hbm_units::{Millivolts, Ratio};
 use serde::{Deserialize, Serialize};
@@ -145,6 +145,31 @@ impl Default for GovernorConfig {
     }
 }
 
+impl GovernorConfig {
+    /// Checks the knobs that shape the descent against the device
+    /// `geometry`, before any voltage moves.
+    ///
+    /// # Errors
+    ///
+    /// A configuration error when `step` is zero (the descent would never
+    /// move) or `canary_words` is not in `1..=` the geometry's words per
+    /// pseudo channel (an empty canary sees nothing; a longer one runs off
+    /// the pseudo channel).
+    pub fn validate(&self, geometry: HbmGeometry) -> Result<(), ExperimentError> {
+        if self.step == Millivolts(0) {
+            return Err(ExperimentError::config("governor step must be above 0 mV"));
+        }
+        let words = geometry.words_per_pc();
+        if !(1..=words).contains(&self.canary_words) {
+            return Err(ExperimentError::config(format!(
+                "canary words must be in 1..={words} (the words of a pseudo channel), not {}",
+                self.canary_words
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// The governor's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GovernorOutcome {
@@ -211,8 +236,10 @@ impl UndervoltGovernor {
     ///
     /// # Errors
     ///
-    /// Propagates PMBus/device errors from the probes; a canary trip is the
-    /// expected terminal condition, not an error.
+    /// A configuration error when [`GovernorConfig::validate`] refuses the
+    /// configuration for the platform's geometry; otherwise propagates
+    /// PMBus/device errors from the probes. A canary trip is the expected
+    /// terminal condition, not an error.
     pub fn run(&self, platform: &mut Platform) -> Result<GovernorOutcome, ExperimentError> {
         self.run_observed(platform, Telemetry::disabled())
     }
@@ -230,6 +257,7 @@ impl UndervoltGovernor {
         platform: &mut Platform,
         telemetry: &Telemetry,
     ) -> Result<GovernorOutcome, ExperimentError> {
+        self.config.validate(platform.geometry())?;
         let start = platform.voltage();
         let pattern = self.config.workload.pattern();
         let mut lowest_clean = start;
@@ -408,8 +436,9 @@ impl GovernorScenario {
     ///
     /// # Errors
     ///
-    /// A configuration error for an empty scenario; otherwise the same
-    /// errors as [`UndervoltGovernor::run`].
+    /// A configuration error for an empty scenario or, before any
+    /// descent, for a variant [`GovernorConfig::validate`] refuses;
+    /// otherwise the same errors as [`UndervoltGovernor::run`].
     pub fn run_observed(
         &self,
         platform: &mut Platform,
@@ -419,6 +448,9 @@ impl GovernorScenario {
             return Err(ExperimentError::config(
                 "governor scenario needs at least one variant",
             ));
+        }
+        for variant in &self.variants {
+            variant.config.validate(platform.geometry())?;
         }
         let start = platform.voltage();
         let mut rows = Vec::with_capacity(self.variants.len());
@@ -522,6 +554,47 @@ mod tests {
             }
             None => assert!(outcome.lowest_clean < Millivolts(850)),
         }
+    }
+
+    #[test]
+    fn invalid_configs_are_refused_before_the_descent() {
+        let words = platform().geometry().words_per_pc();
+        for config in [
+            GovernorConfig {
+                step: Millivolts(0),
+                ..GovernorConfig::default()
+            },
+            GovernorConfig {
+                canary_words: 0,
+                ..GovernorConfig::default()
+            },
+            GovernorConfig {
+                canary_words: words + 1,
+                ..GovernorConfig::default()
+            },
+            GovernorConfig {
+                canary_words: u64::MAX,
+                ..GovernorConfig::default()
+            },
+        ] {
+            let mut p = platform();
+            let start = p.voltage();
+            let err = UndervoltGovernor::new(config).run(&mut p).unwrap_err();
+            assert!(matches!(err, ExperimentError::Config { .. }), "{err:?}");
+            assert_eq!(p.voltage(), start, "{config:?} moved the rail");
+            // A scenario refuses before its first variant descends.
+            let scenario = GovernorScenario::new()
+                .with_variant("fine", GovernorConfig::default())
+                .with_variant("broken", config);
+            let err = scenario.run(&mut p).unwrap_err();
+            assert!(matches!(err, ExperimentError::Config { .. }), "{err:?}");
+            assert_eq!(p.voltage(), start, "{config:?} moved the rail");
+        }
+        let whole = GovernorConfig {
+            canary_words: words,
+            ..GovernorConfig::default()
+        };
+        assert_eq!(whole.validate(platform().geometry()), Ok(()));
     }
 
     #[test]

@@ -992,3 +992,122 @@ fn serve_answers_a_deeply_nested_line_in_band() {
     }
     let _ = std::fs::remove_file(&artifact);
 }
+
+/// Runs `hbmctl` with a deadline: a command that hangs fails the test
+/// instead of stalling the suite. Only for commands with little output
+/// (the pipes are read after exit).
+fn hbmctl_within(args: &[&str], deadline: std::time::Duration) -> Output {
+    use std::process::Stdio;
+    use std::time::Instant;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hbmctl"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hbmctl");
+    let start = Instant::now();
+    while child.try_wait().expect("poll hbmctl").is_none() {
+        if start.elapsed() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("hbmctl {args:?} still running after {deadline:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect hbmctl output")
+}
+
+/// A governor step of 0 mV (which never descends) or a canary outside
+/// `1..=` the pseudo channel's 8192 words is a usage mistake: exit 2 with
+/// usage, before the descent starts, under a deadline.
+#[test]
+fn governor_usage_mistakes_exit_two_before_any_descent() {
+    for (flag, value, message) in [
+        ("--step", "0", "step must be above 0 mV"),
+        ("--canary-words", "0", "canary words must be in 1..=8192"),
+        ("--canary-words", "8193", "canary words must be in 1..=8192"),
+        (
+            "--canary-words",
+            "18446744073709551615",
+            "canary words must be in 1..=8192",
+        ),
+    ] {
+        for workload in ["both", "throughput"] {
+            let args = ["governor", flag, value, "--workload", workload];
+            let out = hbmctl_within(&args, std::time::Duration::from_secs(60));
+            assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+            assert!(out.stdout.is_empty(), "{args:?}: a report was printed");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+            assert!(stderr.contains(message), "{args:?}: {stderr}");
+            assert!(!stderr.contains("(seed 7"), "{args:?} started: {stderr}");
+        }
+    }
+    // The largest canary still runs.
+    let args = [
+        "governor",
+        "--canary-words",
+        "8192",
+        "--workload",
+        "throughput",
+    ];
+    let out = hbmctl_within(&args, std::time::Duration::from_secs(120));
+    assert_eq!(exit_code(&out), 0, "{out:?}");
+}
+
+/// `plan` takes a finite capacity above 0 and finite, non-negative timing
+/// constraints; anything else is a usage mistake (exit 2 with usage), not
+/// an "operating point for ≥-1 GB".
+#[test]
+fn plan_out_of_range_numbers_exit_two_with_usage() {
+    let base = ["plan", "--tolerance", "0.001"];
+    for (flag, value, message) in [
+        ("--capacity-gb", "-1", "capacity-gb must be"),
+        ("--capacity-gb", "0", "capacity-gb must be"),
+        ("--capacity-gb", "nan", "capacity-gb must be"),
+        ("--capacity-gb", "inf", "capacity-gb must be"),
+        ("--latency-budget", "-1", "latency-budget must be"),
+        ("--latency-budget", "nan", "latency-budget must be"),
+        ("--latency-budget", "inf", "latency-budget must be"),
+        ("--min-bandwidth", "-0.5", "min-bandwidth must be"),
+        ("--min-bandwidth", "nan", "min-bandwidth must be"),
+        ("--min-bandwidth", "inf", "min-bandwidth must be"),
+    ] {
+        let mut args = base.to_vec();
+        if flag != "--capacity-gb" {
+            args.extend(["--capacity-gb", "4"]);
+        }
+        args.extend([flag, value]);
+        let out = hbmctl_within(&args, std::time::Duration::from_secs(60));
+        assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    // Zero constraints are in range: a budget of 0 ns finds no point
+    // (exit 1), a bandwidth floor of 0 GB/s constrains nothing.
+    let args = [
+        "plan",
+        "--capacity-gb",
+        "4",
+        "--tolerance",
+        "0.001",
+        "--latency-budget",
+        "0",
+    ];
+    let out = hbmctl_within(&args, std::time::Duration::from_secs(60));
+    assert_eq!(exit_code(&out), 1, "{out:?}");
+    let args = [
+        "plan",
+        "--capacity-gb",
+        "4",
+        "--tolerance",
+        "0.001",
+        "--min-bandwidth",
+        "0",
+    ];
+    let out = hbmctl_within(&args, std::time::Duration::from_secs(60));
+    assert_eq!(exit_code(&out), 0, "{out:?}");
+}

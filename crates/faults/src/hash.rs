@@ -107,6 +107,34 @@ pub fn unit_cutoff(t: f64) -> u64 {
     x
 }
 
+/// [`unit_cutoff`] of every threshold of `ts`, in lockstep: one pass
+/// takes each threshold's initial guess, the inverse of the map `u`, and
+/// checks it with `u(x − 1) < t ≤ u(x)`, which makes `x` the exact
+/// boundary. The divisions of different thresholds do not wait on each
+/// other, so they overlap, where [`unit_cutoff`]'s stepping loops run two
+/// dependent divisions per probe. A threshold whose guess fails the check
+/// (none of the fault model's, in practice) takes [`unit_cutoff`], so every
+/// result is bit-identical to it.
+#[must_use]
+pub fn unit_cutoffs(ts: &[f64]) -> Vec<u64> {
+    let uniform = |x: f64| x / f64::from(u32::MAX) / (1.0 + f64::EPSILON);
+    let end = (1u64 << 32) as f64;
+    ts.iter()
+        .map(|&t| {
+            // An integer in `[0, 2³²]` (NaN for a NaN threshold), exact in
+            // `f64`, so `u(x)` and `u(x − 1)` are [`unit_cutoff`]'s.
+            let x = (t * f64::from(u32::MAX) * (1.0 + f64::EPSILON))
+                .ceil()
+                .clamp(0.0, end);
+            if uniform(x - 1.0) < t && uniform(x) >= t {
+                x as u64
+            } else {
+                unit_cutoff(t)
+            }
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +226,55 @@ mod tests {
                 assert_eq!(raw_hi < cut, hi < t, "hi half, t = {t:e}, h = {h:#x}");
             }
         }
+    }
+
+    #[test]
+    fn unit_cutoffs_match_unit_cutoff() {
+        let uniform = |x: u64| x as f64 / f64::from(u32::MAX) / (1.0 + f64::EPSILON);
+        let end = 1u64 << 32;
+        // Degenerate and out-of-range thresholds, the exact images of raw
+        // values at both ends of the range and their neighbours.
+        let mut ts = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-300,
+            1e-13,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+        ];
+        for x in [0, 1, 2, 3, end / 2, end - 3, end - 2, end - 1, end] {
+            let u = uniform(x);
+            ts.extend([u, u.next_down(), u.next_up()]);
+        }
+        // Random uniforms, and the fault model's class probabilities along
+        // the descents' voltages at a spread of variation shifts.
+        ts.extend((0..2000u64).flat_map(|i| {
+            let (lo, hi) = unit_pair(mix64(i));
+            [lo, hi, unit(mix64(i ^ 0xABCD))]
+        }));
+        let params = crate::FaultModelParams::date21();
+        for shift in -40..=40 {
+            for mv in (800..=1000).step_by(5) {
+                let v = hbm_units::Volts(f64::from(mv) / 1000.0);
+                let (c0, c1) =
+                    params.class_probabilities(v, hbm_units::Volts(f64::from(shift) * 1e-3));
+                ts.extend([c0, c1]);
+            }
+        }
+        let cuts = unit_cutoffs(&ts);
+        assert_eq!(cuts.len(), ts.len());
+        for (&t, &cut) in ts.iter().zip(&cuts) {
+            assert_eq!(cut, unit_cutoff(t), "t = {t:e}");
+        }
+        assert!(unit_cutoffs(&[]).is_empty());
     }
 
     #[test]

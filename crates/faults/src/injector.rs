@@ -7,7 +7,7 @@ use std::sync::{Arc, RwLock};
 use hbm_device::{BankId, HbmGeometry, PcIndex, Word256, WordOffset};
 use hbm_units::{Celsius, Millivolts, Volts};
 
-use crate::hash::{combine, mix64, unit_cutoff, unit_pair};
+use crate::hash::{combine, mix64, unit_cutoff, unit_cutoffs, unit_pair};
 use crate::kernel::{bitsliced, Exposure, InstructionSet, Written};
 use crate::params::FaultModelParams;
 use crate::variation::ShiftTable;
@@ -101,17 +101,23 @@ const TAG_CBIT: u64 = 0x6362_6974;
 
 /// One tile's knot lookup in a descent: the exact integer fault cutoffs of
 /// both polarity classes at every knot, plus a table over a keyed
-/// threshold's bucket ([`bitsliced::keyed_thresholds`]) so that most bits
-/// find their first failing knot with one load, and the rest with a scan
-/// of the few cutoffs inside their bucket. Most tiles also carry a
-/// [`Cover`], which counts the bits at its top cutoffs with vector
-/// compares instead.
+/// threshold's bucket ([`KnotSearch::bucket`]) so that most bits find
+/// their first failing knot with one load, and the rest with a scan of the
+/// few cutoffs inside their bucket. Most tiles also carry a [`Cover`],
+/// which counts the bits at its top cutoffs with vector compares instead.
+///
+/// The bucket width fits the thresholds the table serves. A tile whose
+/// cover has a threshold `low > 0` sends only the bits below `low` through
+/// the histogram, so its 256 buckets per class span `[0, low)`, the last
+/// one running on to `2³²`; the low cutoffs that crowd the first knots of
+/// a descent then split few of them. Every other tile buckets a threshold
+/// by its top byte.
 #[derive(Debug, Clone)]
 struct KnotSearch {
     /// Per class (stuck-at-0, then stuck-at-1), the cutoffs along the
     /// descent, non-decreasing.
     cuts: [Vec<u64>; 2],
-    /// `buckets[bucket(key)]`: the number of the class's cutoffs at or
+    /// `buckets[self.bucket(key)]`: the number of the class's cutoffs at or
     /// below the bucket's first threshold — the slot every keyed threshold
     /// of the bucket shares — with [`SPLIT_BUCKET`] set when a cutoff
     /// splits the bucket.
@@ -120,14 +126,19 @@ struct KnotSearch {
     /// cutoffs are too dense near the top for compares to pay, and every
     /// bit goes through the bucket histogram.
     cover: Option<Cover>,
+    /// Bucket `i < 255` of a class holds the raw thresholds in
+    /// `[i << shift, (i + 1) << shift)`, and bucket 255 those from
+    /// `255 << shift` to `2³²` ([`KnotSearch::fit`]).
+    shift: u32,
 }
 
-/// Raw thresholds are 32-bit; their top byte picks a [`KnotSearch`] bucket.
+/// The bucket shift of a tile without a cover threshold: raw thresholds
+/// are 32-bit, and their top byte picks the bucket.
 const KNOT_BUCKET_SHIFT: u32 = 24;
 
-/// Buckets of a keyed threshold: its bits 24 and up, `class × 256 + top
-/// byte`.
-const KEY_BUCKETS: usize = 2 << (32 - KNOT_BUCKET_SHIFT);
+/// Buckets of a keyed threshold, `class × 256 + bucket`
+/// ([`KnotSearch::bucket`]).
+const KEY_BUCKETS: usize = 2 * 256;
 
 /// The flag of a [`KnotSearch`] bucket whose thresholds do not share a
 /// slot. Slots stay below it: a descent has at most `u16::MAX` knots.
@@ -164,8 +175,8 @@ const COVER_VALUES: usize = 2 * COVER_CAP + 1;
 /// of every key against one value (about 0.1 ns a bit with the AVX-512
 /// compile): a bit below the cover's threshold costs
 /// [`COVER_RESIDUAL_COST`] (its walk out of the residual mask into the
-/// bucket histogram, most often through a bucket a cutoff splits), and the
-/// class totals and the residual mask cost [`COVER_BASE_COST`]. A tile
+/// bucket histogram), and the class totals and the residual mask cost
+/// [`COVER_BASE_COST`]. A tile
 /// whose best cover costs [`HISTOGRAM_COST`] or more (every bit through
 /// the branch-free bucket histogram, about 1.4 ns) keeps the histogram.
 const COVER_RESIDUAL_COST: u64 = 30;
@@ -276,28 +287,55 @@ impl KnotSearch {
     /// Panics if the cutoffs fall anywhere along the descent — the
     /// field's monotonicity rules that out.
     fn new(cuts: [Vec<u64>; 2]) -> Self {
-        let width = 1u64 << KNOT_BUCKET_SHIFT;
-        let mut buckets = [0u32; KEY_BUCKETS];
-        for (class, table) in cuts.iter().zip(buckets.chunks_exact_mut(KEY_BUCKETS / 2)) {
+        let cover = Cover::pick(&cuts);
+        Self::fit(cuts, cover)
+    }
+
+    /// The lookup of one tile's cutoffs under `cover`, with the bucket
+    /// width fitted to it: shift `bitlen(low − 1) − 8` (at least 0) for a
+    /// cover threshold `low > 0`, so that bucket 255 starts at or below
+    /// `low − 1`, and [`KNOT_BUCKET_SHIFT`] otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cutoffs fall anywhere along the descent.
+    fn fit(cuts: [Vec<u64>; 2], cover: Option<Cover>) -> Self {
+        let shift = match cover {
+            Some(Cover { low, .. }) if low > 0 => {
+                (64 - (low - 1).leading_zeros()).saturating_sub(8)
+            }
+            _ => KNOT_BUCKET_SHIFT,
+        };
+        let mut knots = KnotSearch {
+            cuts,
+            buckets: [0; KEY_BUCKETS],
+            cover,
+            shift,
+        };
+        for (class, table) in knots.cuts.iter().zip(knots.buckets.chunks_exact_mut(256)) {
             assert!(
                 class.windows(2).all(|c| c[0] <= c[1]),
                 "fault cutoffs fall along a descending schedule: {class:?}"
             );
             let mut below = 0; // cutoffs at or below the bucket's first threshold
-            for (first, entry) in (0..).step_by(width as usize).zip(table) {
+            for (i, entry) in table.iter_mut().enumerate() {
+                let first = (i as u64) << shift;
                 while below < class.len() && class[below] <= first {
                     below += 1;
                 }
-                let split = class.get(below).is_some_and(|&cut| cut < first + width);
+                let end = bucket_end(i, shift);
+                let split = class.get(below).is_some_and(|&cut| cut < end);
                 *entry = below as u32 | if split { SPLIT_BUCKET } else { 0 };
             }
         }
-        let cover = Cover::pick(&cuts);
-        KnotSearch {
-            cuts,
-            buckets,
-            cover,
-        }
+        knots
+    }
+
+    /// The bucket of a keyed threshold: `class × 256 +` its raw threshold
+    /// shifted right by the tile's [`KnotSearch::shift`], clamped to 255.
+    #[inline(always)]
+    fn bucket(&self, key: u64) -> usize {
+        ((key as u32) >> self.shift).min(255) as usize | (key >> 24) as usize & 256
     }
 
     /// Whether no bit of the tile fails at any knot.
@@ -311,7 +349,7 @@ impl KnotSearch {
     /// keyed threshold `key` — the index of the first knot at which the bit
     /// fails, or the number of knots when it is clean at every knot.
     fn slot(&self, key: u64) -> usize {
-        match self.buckets[bucket(key)] {
+        match self.buckets[self.bucket(key)] {
             entry if entry & SPLIT_BUCKET != 0 => self.exact(key),
             entry => entry as usize,
         }
@@ -320,9 +358,10 @@ impl KnotSearch {
     /// [`KnotSearch::slot`] for the bits of split buckets: the cutoffs
     /// below the bucket plus those inside it that the threshold reaches.
     fn exact(&self, key: u64) -> usize {
-        let below = (self.buckets[bucket(key)] & !SPLIT_BUCKET) as usize;
+        let b = self.bucket(key);
+        let below = (self.buckets[b] & !SPLIT_BUCKET) as usize;
         let hi = key & 0xFFFF_FFFF;
-        let end = ((hi >> KNOT_BUCKET_SHIFT) + 1) << KNOT_BUCKET_SHIFT;
+        let end = bucket_end(b & 255, self.shift);
         let inside = self.cuts[(key >> 32) as usize & 1][below..]
             .iter()
             .take_while(|&&cut| cut < end);
@@ -386,7 +425,7 @@ impl KnotSearch {
     ) {
         let mut n = 0;
         for key in keys {
-            let b = bucket(key);
+            let b = self.bucket(key);
             tally.buckets[b] += 1;
             // `n` never passes the number of keys, at most 256, so the
             // mask only drops the bounds check.
@@ -482,9 +521,15 @@ impl KnotSearch {
     }
 }
 
-/// The bucket of a keyed threshold: `class × 256 + top byte`.
-fn bucket(key: u64) -> usize {
-    (key >> KNOT_BUCKET_SHIFT) as usize & (KEY_BUCKETS - 1)
+/// The end of the raw thresholds of a class's bucket `i` at `shift`
+/// ([`KnotSearch::shift`]): the next bucket's first, and `2³²` for the
+/// last.
+fn bucket_end(i: usize, shift: u32) -> u64 {
+    if i < 255 {
+        (i as u64 + 1) << shift
+    } else {
+        1 << 32
+    }
 }
 
 /// The (bank, row-region) tiling of a pseudo channel: the granularity at
@@ -1001,20 +1046,18 @@ impl FaultInjector {
     /// knots.
     fn tile_knot_search(&self, pc: PcIndex, tile: usize, schedule: &[Millivolts]) -> KnotSearch {
         let shift = self.tile_shift(pc, tile);
-        let probs: Vec<(f64, f64)> = schedule
-            .iter()
-            .map(|&v| {
-                if v >= self.params.landmarks.v_min {
-                    (0.0, 0.0)
-                } else {
-                    self.params.class_probabilities(v.to_volts(), shift)
-                }
-            })
-            .collect();
-        KnotSearch::new([
-            probs.iter().map(|p| unit_cutoff(p.0)).collect(),
-            probs.iter().map(|p| unit_cutoff(p.1)).collect(),
-        ])
+        // Both classes' probabilities at every knot, stuck-at-0 first, so
+        // that one lockstep pass resolves all of the tile's cutoffs.
+        let mut probs = vec![0.0; 2 * schedule.len()];
+        let (p0, p1) = probs.split_at_mut(schedule.len());
+        for ((&v, c0), c1) in schedule.iter().zip(p0).zip(p1) {
+            if v < self.params.landmarks.v_min {
+                (*c0, *c1) = self.params.class_probabilities(v.to_volts(), shift);
+            }
+        }
+        let mut cuts0 = unit_cutoffs(&probs);
+        let cuts1 = cuts0.split_off(schedule.len());
+        KnotSearch::new([cuts0, cuts1])
     }
 }
 
@@ -1042,75 +1085,139 @@ mod tests {
         PcIndex::new(i).unwrap()
     }
 
+    /// Every lookup the tests run on one tile's cutoffs: the bucket
+    /// histogram alone (top-byte buckets), a cover at every threshold that
+    /// fits one (0, each cutoff and its neighbours, and 2³² − 1, where the
+    /// cover compares nothing) and the picked cover, each with the bucket
+    /// width its cover fits.
+    fn searches(cuts: &[Vec<u64>; 2]) -> Vec<KnotSearch> {
+        let tops = cuts.each_ref().map(|cuts| top_cutoffs(cuts));
+        let lows = cuts
+            .iter()
+            .flatten()
+            .flat_map(|&cut| [cut.saturating_sub(1), cut, cut + 1])
+            .chain([0, u64::from(u32::MAX)])
+            .filter(|&low| low < 1 << 32);
+        let covers = lows.filter_map(|low| Cover::at(&tops, low));
+        std::iter::once(None)
+            .chain(covers.map(Some))
+            .map(|cover| KnotSearch::fit(cuts.clone(), cover))
+            .chain([KnotSearch::new(cuts.clone())])
+            .collect()
+    }
+
+    /// Raw thresholds at a lookup's own bucket edges: each bucket's first
+    /// and one either side, and keys of the last bucket past
+    /// `256 << shift`, up to 2³² − 1.
+    fn bucket_edges(knots: &KnotSearch) -> Vec<u64> {
+        let shift = knots.shift;
+        (0..=256u64)
+            .flat_map(|i| [(i << shift).saturating_sub(1), i << shift, (i << shift) + 1])
+            .chain([512 << shift, 1 << 31, (1 << 32) - 2, (1 << 32) - 1])
+            .filter(|&t| t < 1 << 32)
+            .collect()
+    }
+
+    /// Tiles whose cover threshold can be `low`, for `low` of 1, 2ᵏ and
+    /// 2ᵏ ± 1: both classes fail at cutoffs on the fitted width's own
+    /// bucket edges below `low` and one either side of them, at `low`
+    /// itself, and at three cutoffs above it, the last 2³² − 1; a second
+    /// tile has a class that never fails.
+    fn fitted_shapes() -> Vec<[Vec<u64>; 2]> {
+        let end = 1u64 << 32;
+        let mut lows = vec![1u64];
+        for k in [1, 8, 9, 12, 20, 24, 31] {
+            lows.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        lows.dedup();
+        let mut shapes = Vec::new();
+        for low in lows {
+            let shift = (64 - (low - 1).leading_zeros()).saturating_sub(8);
+            let mut cuts = vec![0, 0];
+            for i in [1u64, 2, 127, 128, 254, 255] {
+                let edge = i << shift;
+                cuts.extend([edge - 1, edge, edge + 1].into_iter().filter(|&c| c < low));
+            }
+            cuts.push(low);
+            cuts.extend(
+                [low + 1, (low + end) / 2, end - 1]
+                    .into_iter()
+                    .filter(|&c| c > low),
+            );
+            cuts.push(end);
+            cuts.sort_unstable();
+            let tops = [&cuts, &cuts].map(|cuts| top_cutoffs(cuts));
+            let cover = Cover::at(&tops, low).expect("three cutoffs above low");
+            assert_eq!(
+                KnotSearch::fit([cuts.clone(), cuts.clone()], Some(cover)).shift,
+                shift
+            );
+            shapes.push([cuts.clone(), vec![0; cuts.len()]]);
+            shapes.push([cuts.clone(), cuts]);
+        }
+        shapes
+    }
+
     #[test]
     fn knot_search_slots_match_a_binary_search() {
         let width = 1u64 << KNOT_BUCKET_SHIFT;
         let end = 1u64 << 32;
-        for cuts in [
+        let shapes = [
             vec![0],
             vec![0, 0, 5],
             vec![width - 1, width, width + 1, 3 * width],
             vec![end],
             vec![7, 200 * width + 3, end - 1, end],
-        ] {
-            // The same cutoffs for both classes of a tile.
-            let knots = KnotSearch::new([cuts.clone(), cuts.clone()]);
-            let probes = cuts
-                .iter()
-                .flat_map(|&cut| [cut.saturating_sub(1), cut, cut + 1])
-                .chain((0..256).flat_map(|b| [b * width, b * width + width - 1]))
-                .filter(|&hi| hi < end);
-            for hi in probes {
-                let expected = cuts.partition_point(|&cut| cut <= hi);
-                for class in 0..2 {
-                    let key = class << 32 | hi;
-                    assert_eq!(knots.slot(key), expected, "cuts {cuts:?}, key {key:#x}");
+        ];
+        let shapes = shapes.map(|cuts| [cuts.clone(), cuts]).into_iter();
+        for cuts in shapes.chain(fitted_shapes()) {
+            for knots in searches(&cuts) {
+                let probes = cuts
+                    .iter()
+                    .flatten()
+                    .flat_map(|&cut| [cut.saturating_sub(1), cut, cut + 1])
+                    .chain(bucket_edges(&knots))
+                    .filter(|&hi| hi < end);
+                for hi in probes {
+                    for class in 0..2 {
+                        let expected = cuts[class].partition_point(|&cut| cut <= hi);
+                        let key = (class as u64) << 32 | hi;
+                        assert_eq!(
+                            knots.slot(key),
+                            expected,
+                            "cuts {cuts:?}, shift {}, key {key:#x}",
+                            knots.shift
+                        );
+                    }
                 }
             }
         }
     }
 
     /// Folds keyed thresholds into one tile's first-knot histogram, a word
-    /// of 256 keys at a time, under the bucket histogram alone, the picked
-    /// cover and covers of several sizes, in the portable compile and the
-    /// host's widest, and checks every knot against a binary search per
-    /// key. (The last slot, the bits clean at every knot, is read by no
-    /// descent and is not kept exact under a cover.)
-    /// Returns the sizes of the covers it folded.
+    /// of 256 keys at a time, under every lookup [`searches`] builds, in
+    /// the portable compile and the host's widest, and checks every knot
+    /// against a binary search per key. Each lookup also folds the keys at
+    /// its own bucket edges ([`bucket_edges`]). (The last slot, the bits
+    /// clean at every knot, is read by no descent and is not kept exact
+    /// under a cover.) Returns the sizes of the covers it folded.
     fn assert_fold_is_exact(cuts: [Vec<u64>; 2], thresholds: &[u64]) -> Vec<usize> {
         let len = cuts[0].len();
-        let mut keys: Vec<u64> = thresholds.iter().flat_map(|&t| [t, 1 << 32 | t]).collect();
-        let pad = keys.len().next_multiple_of(256) - keys.len();
-        keys.extend_from_within(..pad);
-        let mut expected = vec![[0u64; 2]; len + 1];
-        for &key in &keys {
-            let class = (key >> 32) as usize;
-            expected[cuts[class].partition_point(|&cut| cut <= key & 0xFFFF_FFFF)][class] += 1;
-        }
-        // Covers at every threshold that fits one: 0, each cutoff and its
-        // neighbours, and 2³² − 1, where the cover compares nothing.
-        let picked = KnotSearch::new(cuts.clone());
-        let mut searches = vec![KnotSearch {
-            cover: None,
-            ..picked.clone()
-        }];
-        let lows = cuts
-            .iter()
-            .flatten()
-            .flat_map(|&cut| [cut.saturating_sub(1), cut, cut + 1]);
-        for low in lows
-            .chain([0, u64::from(u32::MAX)])
-            .filter(|&low| low < 1 << 32)
-        {
-            if let Some(cover) = Cover::at(&cuts.each_ref().map(|cuts| top_cutoffs(cuts)), low) {
-                searches.push(KnotSearch {
-                    cover: Some(cover),
-                    ..picked.clone()
-                });
-            }
-        }
-        searches.push(picked);
+        let searches = searches(&cuts);
         for knots in &searches {
+            let mut keys: Vec<u64> = thresholds
+                .iter()
+                .copied()
+                .chain(bucket_edges(knots))
+                .flat_map(|t| [t, 1 << 32 | t])
+                .collect();
+            let pad = keys.len().next_multiple_of(256) - keys.len();
+            keys.extend_from_within(..pad);
+            let mut expected = vec![[0u64; 2]; len + 1];
+            for &key in &keys {
+                let class = (key >> 32) as usize;
+                expected[cuts[class].partition_point(|&cut| cut <= key & 0xFFFF_FFFF)][class] += 1;
+            }
             for isa in [InstructionSet::Portable, InstructionSet::detect()] {
                 let mut hist = vec![[0u64; 2]; len + 1];
                 let mut tally = TileTally::default();
@@ -1123,8 +1230,9 @@ mod tests {
                 assert_eq!(
                     hist[..len],
                     expected[..len],
-                    "cuts {cuts:?}, cover {:?}, {isa:?}",
-                    knots.cover
+                    "cuts {cuts:?}, cover {:?}, shift {}, {isa:?}",
+                    knots.cover,
+                    knots.shift
                 );
                 if knots.cover.is_none() {
                     assert_eq!(hist[len], expected[len], "cuts {cuts:?}");
@@ -1157,9 +1265,9 @@ mod tests {
             end,
         ];
         let never = vec![0; edges.len()];
-        let thresholds: Vec<u64> = (0..256)
-            .flat_map(|b| [b * width, b * width + 1, b * width + width - 1])
-            .chain(edges.iter().flat_map(|&c| [c.saturating_sub(1), c, c + 1]))
+        let thresholds: Vec<u64> = edges
+            .iter()
+            .flat_map(|&c| [c.saturating_sub(1), c, c + 1])
             .filter(|&t| t < end)
             .collect();
         // One class never fails; then the other; then both share the edges.
@@ -1170,6 +1278,17 @@ mod tests {
         assert_fold_is_exact([vec![0], vec![0]], &thresholds);
         assert_fold_is_exact([vec![end], vec![end]], &thresholds);
         assert!(KnotSearch::new([never.clone(), never]).clean());
+        // Covers at 1, 2ᵏ and 2ᵏ ± 1, each folding the keys at its own
+        // fitted bucket edges, a cutoff on and either side of each edge.
+        for cuts in fitted_shapes() {
+            let thresholds: Vec<u64> = cuts
+                .iter()
+                .flatten()
+                .flat_map(|&c| [c.saturating_sub(1), c, c + 1])
+                .filter(|&t| t < end)
+                .collect();
+            assert_fold_is_exact(cuts, &thresholds);
+        }
     }
 
     #[test]
@@ -1213,6 +1332,12 @@ mod tests {
                 ));
             }
         }
+        // Tiles fitted below a cover threshold of 1, 2ᵏ or 2ᵏ ± 1, with
+        // random keys besides those at their edges.
+        let random = &thresholds[thresholds.len() - 4096..];
+        for cuts in fitted_shapes() {
+            sizes.extend(assert_fold_is_exact(cuts, random));
+        }
         // Covers of no cutoff below 2³², of one, and of the most.
         for size in [1, 2, 2 * COVER_CAP + 1] {
             assert!(sizes.contains(&size), "no cover of {size} values folded");
@@ -1227,6 +1352,61 @@ mod tests {
         assert_eq!((top.len, top.low), (7, unit_cutoff(4.2e-3)), "{top:?}");
         let crowded: Vec<u64> = (0..40).map(|k| end - 40 + k).collect();
         assert!(pick(&crowded).is_none());
+        // The paper shape's buckets span its cover threshold: 2¹⁷ wide.
+        let knots = KnotSearch::new([paper.clone(), paper.clone()]);
+        assert_eq!(knots.shift, 17, "{:?}", knots.cover);
+        assert_eq!(KnotSearch::new([crowded.clone(), crowded]).shift, 24);
+    }
+
+    /// A word's first exposed knot ([`KnotSearch::first_exposed`]) against
+    /// a `partition_point` per class, with class minima at each lookup's
+    /// own bucket edges, on and around every cutoff, above its cover's
+    /// threshold in the last bucket, and for a class with no bit (`2³²`
+    /// and up).
+    #[test]
+    fn first_exposed_matches_a_partition_point_oracle() {
+        let end = 1u64 << 32;
+        let paper: Vec<u64> = [0.0, 1e-6, 1e-5, 1e-4, 7e-4, 4.2e-3, 0.09, 0.4, 0.95, 1.0]
+            .iter()
+            .map(|&f| unit_cutoff(f))
+            .collect();
+        let mut last_bucket_splits = 0;
+        for cuts in fitted_shapes().into_iter().chain([[paper.clone(), paper]]) {
+            for knots in searches(&cuts) {
+                let low = knots.cover.map_or(0, |cover| cover.low);
+                let minima: Vec<u64> = bucket_edges(&knots)
+                    .into_iter()
+                    .chain(
+                        cuts.iter()
+                            .flatten()
+                            .flat_map(|&c| [c.saturating_sub(1), c, c + 1]),
+                    )
+                    .chain([low, low + 1, end, end + 1, u64::MAX])
+                    .collect();
+                let oracle = |m: [u64; 2]| {
+                    (0..2)
+                        .map(|class| cuts[class].partition_point(|&cut| cut <= m[class]))
+                        .min()
+                        .unwrap()
+                };
+                for (i, &m) in minima.iter().enumerate() {
+                    let other = minima[i * 7 % minima.len()];
+                    for pair in [[m, u64::MAX], [u64::MAX, m], [m, m], [m, other], [other, m]] {
+                        assert_eq!(
+                            knots.first_exposed(pair[0], pair[1]),
+                            oracle(pair),
+                            "cuts {cuts:?}, cover {:?}, shift {}, minima {pair:?}",
+                            knots.cover,
+                            knots.shift
+                        );
+                    }
+                }
+                if low > 0 && knots.buckets[255] & SPLIT_BUCKET != 0 {
+                    last_bucket_splits += 1;
+                }
+            }
+        }
+        assert!(last_bucket_splits > 0, "no lookup split its last bucket");
     }
 
     #[test]

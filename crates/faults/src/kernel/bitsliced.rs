@@ -14,12 +14,12 @@
 //! - [`bit_planes`] packs one voltage's compares into a word's `(stuck0,
 //!   stuck1)` bitplanes;
 //! - [`keyed_thresholds`] writes every bit's raw threshold, tagged with its
-//!   polarity class, into a word-sized array for the descents. Its top
-//!   nine bits (`class × 256 + top byte`) index a descent's per-tile bucket
-//!   tables: the descent fold can count them in a per-tile histogram
-//!   without a branch and map each bucket onto its first failing knot
-//!   once per tile. Only the bits of the few buckets a knot's cutoff
-//!   splits take a scan of the cutoffs inside their bucket.
+//!   polarity class, into a word-sized array for the descents. The class
+//!   and a tile-specific number of the threshold's high bits index the
+//!   tile's bucket table: the descent fold can count them in a per-tile
+//!   histogram without a branch and map each bucket onto its first
+//!   failing knot once per tile. Only the bits of the few buckets a
+//!   knot's cutoff splits take a scan of the cutoffs inside their bucket.
 //!
 //! Three reductions over a word's keyed thresholds serve the descents:
 //!
@@ -75,8 +75,8 @@ pub(crate) fn bit_planes(
 /// Writes each bit's *keyed threshold* into `out`: the raw threshold half
 /// `h >> 32` of its hash, with its polarity class in bit 32 (0 when the
 /// class half is below `class_cut`, i.e. stuck-at-0; 1 for stuck-at-1).
-/// A keyed threshold's bits 24 and up are its bucket, `class × 256 + top
-/// byte`.
+/// A descent buckets it by its class and its raw threshold's high bits,
+/// as many as the tile's cutoffs call for.
 pub(crate) fn keyed_thresholds(
     prefix: u64,
     class_cut: u64,

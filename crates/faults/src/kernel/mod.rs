@@ -135,13 +135,16 @@ pub trait MaskKernel {
     /// One hash pass over the range, with no per-bit call: the word loop
     /// (the widest compile [`InstructionSet::detect`] finds)
     /// hashes all 256 bits of a word at once and writes each bit's raw
-    /// threshold tagged with its polarity class. The fold adds every bit to
-    /// a per-tile histogram over class and top byte, one increment each
-    /// and no branch.
+    /// threshold tagged with its polarity class. Most tiles count the bits
+    /// at their few highest cutoffs with vector compares; the other bits
+    /// go to a per-tile histogram over class and threshold bucket, one
+    /// increment each and no branch. The buckets span only the thresholds
+    /// the histogram sees: below the compares' threshold on such a tile,
+    /// all of `[0, 2³²)` on the others.
     /// Each touched tile's histogram is folded into the knots once, through
-    /// a table that maps a top byte to the knot where its thresholds first
-    /// fail. Only bits whose top byte a knot's cutoff splits are placed one
-    /// by one, against the few cutoffs inside that byte's range. The fixed
+    /// a table that maps a bucket to the knot where its thresholds first
+    /// fail. Only bits of a bucket a knot's cutoff splits are placed one
+    /// by one, against the few cutoffs inside that bucket. The fixed
     /// cost is that table, built per tile the range touches from the
     /// knots' integer cutoffs, so extra knots cost only their cutoffs.
     /// Words of tiles that stay clean at every knot are not hashed. The
