@@ -1,7 +1,8 @@
 //! Kernel bench for the region-tiled fault injector: per-word masks of the
 //! auto (bit-sliced) backend against the forced-scalar walk in the dense
 //! regime (≤ 860 mV); count descents over fleet devices at 1, 17 and 391
-//! knots; the paper sweep's all-1s/all-0s descent rows; and a
+//! knots; a tile's fixed cost in the fleet shape (one-word descents, one
+//! per tile); the paper sweep's all-1s/all-0s descent rows; and a
 //! `quick()`-shaped reliability sweep in both execution modes. Every
 //! comparison asserts bit-identical results before recording timings to
 //! `BENCH_injector_kernel.json`; the descents are checked against the
@@ -56,6 +57,20 @@ struct DescentEntry {
     faulty_bits_at_last_knot: u64,
 }
 
+/// A descent tile's fixed cost in the fleet shape at the 17-knot grid:
+/// one-word descents, one per tile, each paying the tile's knot search,
+/// one word's keys and counts, and the fold; beside it the fleet
+/// descent's time per tile of 32 words.
+#[derive(Serialize)]
+struct TileSetupEntry {
+    knots: usize,
+    from_mv: u32,
+    to_mv: u32,
+    tiles: usize,
+    one_word_ns_per_tile: f64,
+    fleet_ns_per_tile: f64,
+}
+
 #[derive(Serialize)]
 struct PaperDescentEntry {
     pcs: u8,
@@ -89,6 +104,7 @@ struct Record {
     descent_pcs: u8,
     descent_words_per_pc: u64,
     descent: Vec<DescentEntry>,
+    tile_setup: TileSetupEntry,
     paper_descent: PaperDescentEntry,
     sweep: SweepEntry,
 }
@@ -239,14 +255,68 @@ fn main() {
         }
         per_knot
     };
+    // The first word of each tile of a fleet device's pseudo channel:
+    // 64 words span one row of two banks, one tile each.
+    let row = u64::from(fleet.geometry.words_per_row());
+    assert!(FLEET_WORDS <= row * u64::from(fleet.geometry.banks_per_pc()));
+    let tile_starts: Vec<u64> = (0..FLEET_WORDS).step_by(row as usize).collect();
+    let tiles = devices.len() * pcs.len() * tile_starts.len();
+    // Per knot, the totals of one-word descents, one per tile.
+    let tile_words = |schedule: &[Millivolts]| {
+        let mut per_knot = vec![0u64; schedule.len()];
+        for injector in &devices {
+            let kernel = injector.kernel(KernelBackend::Auto);
+            for &pc in &pcs {
+                for &w in &tile_starts {
+                    let counts = kernel.count_descent(pc, w..w + 1, schedule);
+                    for (total, count) in per_knot.iter_mut().zip(counts) {
+                        *total += count;
+                    }
+                }
+            }
+        }
+        per_knot
+    };
+    let setup_grid = 1;
     let mut best = vec![f64::INFINITY; schedules.len()];
+    let mut setup_secs = f64::INFINITY;
     for _ in 0..DESCENT_ROUNDS {
         for (schedule, best) in schedules.iter().zip(&mut best) {
             let start = Instant::now();
             std::hint::black_box(descend(schedule));
             *best = best.min(start.elapsed().as_secs_f64());
         }
+        let start = Instant::now();
+        std::hint::black_box(tile_words(&schedules[setup_grid]));
+        setup_secs = setup_secs.min(start.elapsed().as_secs_f64());
     }
+    let schedule = &schedules[setup_grid];
+    for (&v, &count) in schedule.iter().zip(&tile_words(schedule)) {
+        let mut scanned = 0;
+        for injector in &devices {
+            let kernel = injector.kernel(KernelBackend::Auto);
+            for &pc in &pcs {
+                for &w in &tile_starts {
+                    let (c0, c1) = fold_masks(&kernel, pc, w..w + 1, v);
+                    scanned += c0 + c1;
+                }
+            }
+        }
+        assert_eq!(count, scanned, "one-word descents disagree at {v}");
+    }
+    let (from_mv, to_mv, _) = grids[setup_grid];
+    let tile_setup = TileSetupEntry {
+        knots: schedule.len(),
+        from_mv,
+        to_mv,
+        tiles,
+        one_word_ns_per_tile: setup_secs / tiles as f64 * 1e9,
+        fleet_ns_per_tile: best[setup_grid] / tiles as f64 * 1e9,
+    };
+    println!(
+        "  tile set-up {from_mv}->{to_mv} mV ({} knots, {tiles} tiles): one-word descent {:.0} ns/tile, fleet descent {:.0} ns/tile",
+        tile_setup.knots, tile_setup.one_word_ns_per_tile, tile_setup.fleet_ns_per_tile,
+    );
     let mut descent = Vec::new();
     for ((&(from_mv, to_mv, _), schedule), call_secs) in grids.iter().zip(&schedules).zip(best) {
         let per_knot = descend(schedule);
@@ -367,6 +437,7 @@ fn main() {
         descent_pcs: FLEET_PCS,
         descent_words_per_pc: FLEET_WORDS,
         descent,
+        tile_setup,
         paper_descent,
         sweep: SweepEntry {
             traffic_secs,

@@ -36,11 +36,15 @@
 //! hbmctl fleet compress --artifact FILE --out FILE [--keep-exact]
 //! hbmctl fleet fidelity --artifact FILE [--format text|json]
 //! hbmctl serve         --artifact FILE [--serve-workers N] [--rescan-cache-mb M]
+//! hbmctl help | --help
 //! ```
 //!
 //! Every fleet question — one-shot subcommand or long-lived `serve` loop —
 //! routes through the same typed [`FleetRequest`]/[`FleetResponse`] pair
 //! from `hbm_fleet::api`, so the two transports cannot drift.
+//!
+//! `hbmctl help`, or `--help` after any command, prints the usage to stdout
+//! and exits 0 without running anything.
 //!
 //! Exit codes: `0` success, `1` runtime failure (an experiment, device or
 //! I/O error), `2` configuration/usage error (bad values, or a flag the
@@ -67,7 +71,7 @@ use hbm_undervolt::{
 use hbm_units::{Millivolts, Ratio};
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["resume", "progress", "keep-exact"];
+const BOOLEAN_FLAGS: &[&str] = &["resume", "progress", "keep-exact", "help"];
 
 /// The measurement flags `reliability` and `sweep` share.
 const RELIABILITY_FLAGS: &str = "seed workers format from to step batch words exec";
@@ -239,10 +243,20 @@ const USAGE: &str = "usage:
   hbmctl fleet summary --artifact FILE [--format text|csv|json]
   hbmctl fleet compress --artifact FILE --out FILE [--keep-exact]
   hbmctl fleet fidelity --artifact FILE [--format text|json]
-  hbmctl serve         --artifact FILE [--serve-workers N] [--rescan-cache-mb M]";
+  hbmctl serve         --artifact FILE [--serve-workers N] [--rescan-cache-mb M]
+  hbmctl help | --help";
 
 fn run() -> Result<(), CliError> {
     let args = Args::parse()?;
+    if args.flags.iter().any(|(name, _)| name == "help")
+        || args
+            .positional
+            .first()
+            .is_some_and(|command| command == "help")
+    {
+        println!("{USAGE}");
+        return Ok(());
+    }
     let command = args
         .positional
         .first()

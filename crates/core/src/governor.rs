@@ -152,9 +152,12 @@ impl GovernorConfig {
     /// # Errors
     ///
     /// A configuration error when `step` is zero (the descent would never
-    /// move) or `canary_words` is not in `1..=` the geometry's words per
+    /// move), `canary_words` is not in `1..=` the geometry's words per
     /// pseudo channel (an empty canary sees nothing; a longer one runs off
-    /// the pseudo channel).
+    /// the pseudo channel), a latency budget is not a finite number above
+    /// 0 ns, or a bandwidth target is not a finite number at or above
+    /// 0 GB/s (a NaN compares false, so it would drop the constraint
+    /// without a word).
     pub fn validate(&self, geometry: HbmGeometry) -> Result<(), ExperimentError> {
         if self.step == Millivolts(0) {
             return Err(ExperimentError::config("governor step must be above 0 mV"));
@@ -164,6 +167,22 @@ impl GovernorConfig {
             return Err(ExperimentError::config(format!(
                 "canary words must be in 1..={words} (the words of a pseudo channel), not {}",
                 self.canary_words
+            )));
+        }
+        if let Some(budget) = self
+            .latency_budget_ns
+            .filter(|b| !(b.is_finite() && *b > 0.0))
+        {
+            return Err(ExperimentError::config(format!(
+                "latency budget must be a finite number of ns above 0, not {budget}"
+            )));
+        }
+        if let Some(target) = self
+            .bandwidth_target_gbps
+            .filter(|t| !(t.is_finite() && *t >= 0.0))
+        {
+            return Err(ExperimentError::config(format!(
+                "bandwidth target must be a finite number of GB/s at or above 0, not {target}"
             )));
         }
         Ok(())
@@ -576,6 +595,26 @@ mod tests {
                 canary_words: u64::MAX,
                 ..GovernorConfig::default()
             },
+            GovernorConfig {
+                latency_budget_ns: Some(f64::NAN),
+                ..GovernorConfig::default()
+            },
+            GovernorConfig {
+                latency_budget_ns: Some(0.0),
+                ..GovernorConfig::default()
+            },
+            GovernorConfig {
+                latency_budget_ns: Some(f64::INFINITY),
+                ..GovernorConfig::default()
+            },
+            GovernorConfig {
+                bandwidth_target_gbps: Some(f64::NAN),
+                ..GovernorConfig::default()
+            },
+            GovernorConfig {
+                bandwidth_target_gbps: Some(-5.0),
+                ..GovernorConfig::default()
+            },
         ] {
             let mut p = platform();
             let start = p.voltage();
@@ -592,6 +631,8 @@ mod tests {
         }
         let whole = GovernorConfig {
             canary_words: words,
+            latency_budget_ns: Some(f64::MIN_POSITIVE),
+            bandwidth_target_gbps: Some(0.0),
             ..GovernorConfig::default()
         };
         assert_eq!(whole.validate(platform().geometry()), Ok(()));

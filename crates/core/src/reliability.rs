@@ -142,7 +142,9 @@ impl ReliabilityConfig {
     /// # Errors
     ///
     /// Configuration errors for an empty or oversized batch (more than
-    /// [`MAX_BATCH_SIZE`] passes), no patterns, or an empty port scope.
+    /// [`MAX_BATCH_SIZE`] passes), no patterns, an empty port scope, or a
+    /// cap of zero words per pseudo channel (a sweep that measures
+    /// nothing).
     pub fn validate(&self) -> Result<(), ExperimentError> {
         if self.batch_size == 0 {
             return Err(ExperimentError::config("batch size must be at least 1"));
@@ -160,6 +162,11 @@ impl ReliabilityConfig {
         }
         if matches!(&self.scope, TestScope::Ports(p) if p.is_empty()) {
             return Err(ExperimentError::config("port scope must not be empty"));
+        }
+        if self.words_per_pc == Some(0) {
+            return Err(ExperimentError::config(
+                "words per pseudo channel must be at least 1",
+            ));
         }
         Ok(())
     }
@@ -751,6 +758,16 @@ mod tests {
         let mut c = ReliabilityConfig::quick();
         c.scope = TestScope::Ports(vec![]);
         assert!(ReliabilityTester::new(c).is_err());
+
+        // No word measured is refused; one word, or no cap, runs.
+        let mut c = ReliabilityConfig::quick();
+        c.words_per_pc = Some(0);
+        let err = ReliabilityTester::new(c.clone()).unwrap_err();
+        assert!(matches!(err, ExperimentError::Config { .. }), "{err}");
+        for words in [Some(1), None] {
+            c.words_per_pc = words;
+            assert!(ReliabilityTester::new(c.clone()).is_ok());
+        }
     }
 
     /// The sweep rescanned point by point from every word's masks

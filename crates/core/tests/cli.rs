@@ -1018,9 +1018,11 @@ fn hbmctl_within(args: &[&str], deadline: std::time::Duration) -> Output {
     child.wait_with_output().expect("collect hbmctl output")
 }
 
-/// A governor step of 0 mV (which never descends) or a canary outside
-/// `1..=` the pseudo channel's 8192 words is a usage mistake: exit 2 with
-/// usage, before the descent starts, under a deadline.
+/// A governor step of 0 mV (which never descends), a canary outside
+/// `1..=` the pseudo channel's 8192 words, a latency budget that is not a
+/// finite number above 0 or a bandwidth target that is not a finite
+/// number at or above 0 is a usage mistake: exit 2 with usage, before the
+/// descent starts, under a deadline.
 #[test]
 fn governor_usage_mistakes_exit_two_before_any_descent() {
     for (flag, value, message) in [
@@ -1032,6 +1034,14 @@ fn governor_usage_mistakes_exit_two_before_any_descent() {
             "18446744073709551615",
             "canary words must be in 1..=8192",
         ),
+        // A NaN compares false, so it would drop the constraint unseen.
+        ("--latency-budget", "nan", "latency budget must be"),
+        ("--latency-budget", "0", "latency budget must be"),
+        ("--latency-budget", "-1", "latency budget must be"),
+        ("--latency-budget", "inf", "latency budget must be"),
+        ("--bandwidth-target", "nan", "bandwidth target must be"),
+        ("--bandwidth-target", "-5", "bandwidth target must be"),
+        ("--bandwidth-target", "inf", "bandwidth target must be"),
     ] {
         for workload in ["both", "throughput"] {
             let args = ["governor", flag, value, "--workload", workload];
@@ -1110,4 +1120,67 @@ fn plan_out_of_range_numbers_exit_two_with_usage() {
     ];
     let out = hbmctl_within(&args, std::time::Duration::from_secs(60));
     assert_eq!(exit_code(&out), 0, "{out:?}");
+}
+
+/// `--words 0` measures no word, so it is a configuration error (exit 2
+/// with usage) before any point runs, not an all-zero fault table: the
+/// sweep writes no checkpoint and no trace. One word still runs.
+#[test]
+fn zero_words_exit_two_before_any_point() {
+    let checkpoint = temp_path("words-checkpoint");
+    let trace = temp_path("words-trace");
+    for command in ["sweep", "reliability"] {
+        let _ = std::fs::remove_file(&checkpoint);
+        let _ = std::fs::remove_file(&trace);
+        let mut args = vec![command, "--words", "0", "--from", "900", "--to", "890"];
+        if command == "sweep" {
+            args.extend(["--checkpoint", &checkpoint, "--trace-file", &trace]);
+        }
+        let out = hbmctl_within(&args, std::time::Duration::from_secs(60));
+        assert_eq!(exit_code(&out), 2, "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: a report was printed");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("words per pseudo channel must be at least 1"),
+            "{args:?}: {stderr}"
+        );
+        for path in [&checkpoint, &trace] {
+            assert!(
+                !std::path::Path::new(path).exists(),
+                "{args:?} wrote {path}"
+            );
+        }
+        let args = [command, "--words", "1", "--from", "900", "--to", "890"];
+        let out = hbmctl_within(&args, std::time::Duration::from_secs(60));
+        assert_eq!(exit_code(&out), 0, "{args:?}: {out:?}");
+    }
+}
+
+/// `hbmctl help`, and `--help` with or without a command, print the usage
+/// to stdout and exit 0 without running anything; no command at all is
+/// still a usage error.
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for args in [
+        vec!["--help"],
+        vec!["help"],
+        vec!["sweep", "--help"],
+        vec!["sweep", "--words", "8", "--help"],
+        vec!["fleet", "sweep", "--help"],
+        vec!["governor", "--help"],
+    ] {
+        let out = hbmctl_within(&args, std::time::Duration::from_secs(60));
+        assert_eq!(exit_code(&out), 0, "{args:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("usage:"), "{args:?}: {stdout}");
+        assert!(
+            stdout.contains("hbmctl help | --help"),
+            "{args:?}: {stdout}"
+        );
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.is_empty(), "{args:?} ran something: {stderr}");
+    }
+    let out = hbmctl(&[]);
+    assert_eq!(exit_code(&out), 2, "{out:?}");
 }

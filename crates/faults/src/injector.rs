@@ -152,7 +152,7 @@ const SPLIT_BUCKET: u32 = 1 << 31;
 /// value gives ([`bitsliced::cover_counts`]); 0 at cutoff 0 and the class
 /// total at `2³²`. Only the bits whose raw threshold is below `low` go
 /// through the bucket histogram.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cover {
     /// The whole-key compare values, ascending: class 0's covered cutoffs,
     /// `2³²` (below which lie exactly the class-0 keys), then class 1's
@@ -191,19 +191,42 @@ impl Cover {
     /// each compare value costs 1, and the bits below the threshold,
     /// about `low / 2³²` of them, cost [`COVER_RESIDUAL_COST`] each.
     /// `None` when even the cheapest costs [`HISTOGRAM_COST`] or more.
+    /// Ties go to the first candidate in the order 0, class 0's top
+    /// cutoffs descending, class 1's.
+    ///
+    /// A candidate's cost needs only how many top cutoffs of each class
+    /// lie above it: `j` of its own class for its `j`-th, and of the other
+    /// class a count that only grows as its own descend. So the
+    /// candidates are rated in one merge walk per class, and only the
+    /// cheapest is built ([`Cover::at`]).
     fn pick(cuts: &[Vec<u64>; 2]) -> Option<Self> {
         let tops = cuts.each_ref().map(|cuts| top_cutoffs(cuts));
-        // Costs per bit, scaled by 2³²; `len` counts the value `2³²`,
-        // which the base cost already holds.
-        let cost = |cover: &Cover| {
-            ((cover.len as u64 - 1 + COVER_BASE_COST) << 32) + cover.low * COVER_RESIDUAL_COST
+        // Costs per bit, scaled by 2³², of a cover of `above` cutoffs with
+        // threshold `low`; `None` past [`COVER_CAP`] in a class.
+        let cost = |above: [usize; 2], low: u64| {
+            above.iter().all(|&n| n <= COVER_CAP).then(|| {
+                ((above[0] as u64 + above[1] as u64 + COVER_BASE_COST) << 32)
+                    + low * COVER_RESIDUAL_COST
+            })
         };
-        let candidates = tops.iter().flat_map(|(tops, m)| &tops[..*m]);
-        std::iter::once(&0)
-            .chain(candidates)
-            .filter_map(|&low| Cover::at(&tops, low))
-            .min_by_key(cost)
-            .filter(|cover| cost(cover) < HISTOGRAM_COST << 32)
+        let mut best = cost([tops[0].1, tops[1].1], 0).map(|cost| (cost, 0));
+        for (class, (own, m)) in tops.iter().enumerate() {
+            let (other, n) = &tops[1 - class];
+            let mut others = 0; // the other class's top cutoffs above `low`
+            for (j, &low) in own[..*m].iter().enumerate() {
+                while others < *n && other[others] > low {
+                    others += 1;
+                }
+                let above = if class == 0 { [j, others] } else { [others, j] };
+                if let Some(cost) = cost(above, low) {
+                    if best.is_none_or(|(least, _)| cost < least) {
+                        best = Some((cost, low));
+                    }
+                }
+            }
+        }
+        let (_, low) = best.filter(|&(cost, _)| cost < HISTOGRAM_COST << 32)?;
+        Cover::at(&tops, low)
     }
 
     /// The cover with threshold `low` of a tile whose classes have the top
@@ -317,16 +340,7 @@ impl KnotSearch {
                 class.windows(2).all(|c| c[0] <= c[1]),
                 "fault cutoffs fall along a descending schedule: {class:?}"
             );
-            let mut below = 0; // cutoffs at or below the bucket's first threshold
-            for (i, entry) in table.iter_mut().enumerate() {
-                let first = (i as u64) << shift;
-                while below < class.len() && class[below] <= first {
-                    below += 1;
-                }
-                let end = bucket_end(i, shift);
-                let split = class.get(below).is_some_and(|&cut| cut < end);
-                *entry = below as u32 | if split { SPLIT_BUCKET } else { 0 };
-            }
+            fill_table(class, shift, table);
         }
         knots
     }
@@ -438,41 +452,56 @@ impl KnotSearch {
     }
 
     /// Folds a tile's tally into `hist`, indexed by first knot and class,
-    /// once per tile. The bucket counts go through the bucket table; split
-    /// buckets are skipped, their bits are already in `hist`. With a
+    /// once per tile. The bucket counts go in run by run: the buckets from
+    /// one interior cutoff's first bucket ([`first_bucket`]) to the next
+    /// one's all share an entry of the bucket table ([`fill_table`]), so
+    /// each run is one vector sum added once, not a read-modify-write per
+    /// bucket into the few entries most buckets share. A split bucket's
+    /// bits are already in `hist`, so its count is taken back out of its
+    /// run. With a
     /// [`Cover`], each knot whose cutoff is above its threshold adds the
     /// growth of its cumulative count over the knot before, the first of
     /// them over every bit of the class below the threshold. The last slot
     /// of `hist`, the bits clean at every knot, is then left short by the
     /// bits the compares counted.
     fn fold(&self, tally: &TileTally, hist: &mut [[u64; 2]]) {
-        let per_class = tally
-            .buckets
-            .chunks_exact(256)
-            .zip(self.buckets.chunks_exact(256));
-        for (class, (counts, entries)) in per_class.enumerate() {
-            for (&count, &entry) in counts.iter().zip(entries) {
-                if entry < SPLIT_BUCKET {
-                    hist[entry as usize][class] += count;
+        for (class, cuts) in self.cuts.iter().enumerate() {
+            let counts = &tally.buckets[class << 8..][..256];
+            let table = &self.buckets[class << 8..][..256];
+            // Every bit of the class that went through the histogram.
+            let mut total = 0;
+            let mut start = 0;
+            let mut taken = usize::MAX; // the split bucket last taken out
+            let (lo, hi) = interior(cuts);
+            for (k, cut) in (lo..).zip(cuts[lo..hi].iter().copied().chain([1 << 32])) {
+                let end = first_bucket(cut, self.shift);
+                if end > start {
+                    let run: u64 = counts[start..end].iter().sum();
+                    hist[k][class] += run;
+                    total += run;
+                    start = end;
+                }
+                if let Some(b) = split_bucket(cut, self.shift).filter(|&b| b != taken) {
+                    hist[(table[b] & !SPLIT_BUCKET) as usize][class] -= counts[b];
+                    taken = b;
                 }
             }
-        }
-        let Some(cover) = &self.cover else {
-            return;
-        };
-        // The keys below a whole-key value; every key is below `2³³`.
-        let values = &cover.values[..cover.len];
-        let below = |value: u64| match values.iter().position(|&v| v == value) {
-            Some(j) => tally.below[j],
-            None if value == 2 << 32 => 256 * tally.words,
-            None => unreachable!("every interior cutoff above the threshold is covered"),
-        };
-        let zeros = below(1 << 32);
-        for (class, cuts) in (0u64..).zip(&self.cuts) {
-            // Every bit of the class below the threshold.
-            let mut last: u64 = tally.buckets[(class as usize) << 8..][..256].iter().sum();
+            let Some(cover) = &self.cover else {
+                continue;
+            };
+            // The keys below a whole-key value; every key is below `2³³`.
+            let values = &cover.values[..cover.len];
+            let below = |value: u64| match values.iter().position(|&v| v == value) {
+                Some(j) => tally.below[j],
+                None if value == 2 << 32 => 256 * tally.words,
+                None => unreachable!("every interior cutoff above the threshold is covered"),
+            };
+            // Class 1's compares also count every class-0 key.
+            let class = class as u64;
+            let zeros = class * below(1 << 32);
+            let mut last = total;
             for (k, &cut) in cuts.iter().enumerate().filter(|&(_, &cut)| cut > cover.low) {
-                let now = below((class << 32) + cut) - class * zeros;
+                let now = below((class << 32) + cut) - zeros;
                 hist[k][class as usize] += now - last;
                 last = now;
             }
@@ -519,6 +548,52 @@ impl KnotSearch {
         }
         bitsliced::failing_planes(keys, last, isa)
     }
+}
+
+/// The first bucket of a class at `shift` whose first threshold is at or
+/// above `cut`: `ceil(cut / 2^shift)`, and 256 past the last.
+fn first_bucket(cut: u64, shift: u32) -> usize {
+    cut.div_ceil(1 << shift).min(256) as usize
+}
+
+/// The bucket at `shift` that an interior cutoff splits: the one it lies
+/// strictly inside, above the bucket's first threshold. `None` for a
+/// cutoff on a bucket's first threshold, at 0 or at `2³²`.
+fn split_bucket(cut: u64, shift: u32) -> Option<usize> {
+    let b = (cut >> shift).min(255) as usize;
+    (cut > (b as u64) << shift && cut < 1 << 32).then_some(b)
+}
+
+/// The range `lo..hi` of a class's non-decreasing cutoffs that are
+/// interior, `0 < cut < 2³²`. The cutoffs before it (the knots at or above
+/// the guardband) fill no bucket and split none, and those from `hi` on
+/// (saturated knots) all start past the last bucket.
+fn interior(class: &[u64]) -> (usize, usize) {
+    (
+        class.partition_point(|&cut| cut == 0),
+        class.partition_point(|&cut| cut < 1 << 32),
+    )
+}
+
+/// Fills one class's 256-bucket table at `shift` ([`KnotSearch::buckets`])
+/// from its non-decreasing cutoffs, one slice fill per cutoff: cutoff `k`
+/// is at or below the first threshold of every bucket from its
+/// [`first_bucket`] on, so the buckets from cutoff `k − 1`'s first bucket
+/// up to cutoff `k`'s all hold `k`. Each cutoff also marks the bucket it
+/// splits ([`split_bucket`]) [`SPLIT_BUCKET`]. Only the interior cutoffs
+/// ([`interior`]) are visited.
+fn fill_table(class: &[u64], shift: u32, table: &mut [u32]) {
+    let mut start = 0;
+    let (lo, hi) = interior(class);
+    for (k, &cut) in (lo as u32..).zip(&class[lo..hi]) {
+        let first = first_bucket(cut, shift);
+        table[start..first].fill(k);
+        start = first;
+        if let Some(b) = split_bucket(cut, shift) {
+            table[b] |= SPLIT_BUCKET;
+        }
+    }
+    table[start..].fill(hi as u32);
 }
 
 /// The end of the raw thresholds of a class's bucket `i` at `shift`
@@ -1226,7 +1301,10 @@ mod tests {
                     let word: &[u64; 256] = word.try_into().unwrap();
                     knots.count_word(word, &mut tally, &mut split, &mut hist, isa);
                 }
+                let mut per_bucket = hist.clone();
                 knots.fold(&tally, &mut hist);
+                per_bucket_fold(knots, &tally, &mut per_bucket);
+                assert_eq!(hist, per_bucket, "cuts {cuts:?}, cover {:?}", knots.cover);
                 assert_eq!(
                     hist[..len],
                     expected[..len],
@@ -1407,6 +1485,182 @@ mod tests {
             }
         }
         assert!(last_bucket_splits > 0, "no lookup split its last bucket");
+    }
+
+    /// The per-bucket scan that [`fill_table`] replaces: each bucket's
+    /// entry counts the cutoffs at or below its first threshold, and is
+    /// split when the next cutoff lies below the bucket's end.
+    fn scanned_table(class: &[u64], shift: u32) -> Vec<u32> {
+        let mut below = 0;
+        (0..256)
+            .map(|i| {
+                while below < class.len() && class[below] <= (i as u64) << shift {
+                    below += 1;
+                }
+                let split = class
+                    .get(below)
+                    .is_some_and(|&cut| cut < bucket_end(i, shift));
+                below as u32 | if split { SPLIT_BUCKET } else { 0 }
+            })
+            .collect()
+    }
+
+    /// The per-bucket fold that [`KnotSearch::fold`]'s runs replace: one
+    /// add per bucket into its entry's knot, then the cover's growth per
+    /// knot, each cutoff's compare count found by a search of the values.
+    fn per_bucket_fold(knots: &KnotSearch, tally: &TileTally, hist: &mut [[u64; 2]]) {
+        let per_class = tally
+            .buckets
+            .chunks_exact(256)
+            .zip(knots.buckets.chunks_exact(256));
+        for (class, (counts, entries)) in per_class.enumerate() {
+            for (&count, &entry) in counts.iter().zip(entries) {
+                if entry < SPLIT_BUCKET {
+                    hist[entry as usize][class] += count;
+                }
+            }
+        }
+        let Some(cover) = &knots.cover else {
+            return;
+        };
+        let values = &cover.values[..cover.len];
+        let below = |value: u64| match values.iter().position(|&v| v == value) {
+            Some(j) => tally.below[j],
+            None => 256 * tally.words,
+        };
+        let zeros = below(1 << 32);
+        for (class, cuts) in (0u64..).zip(&knots.cuts) {
+            let mut last: u64 = tally.buckets[(class as usize) << 8..][..256].iter().sum();
+            for (k, &cut) in cuts.iter().enumerate().filter(|&(_, &cut)| cut > cover.low) {
+                let now = below((class << 32) + cut) - class * zeros;
+                hist[k][class as usize] += now - last;
+                last = now;
+            }
+        }
+    }
+
+    /// The run-built bucket tables against the per-bucket scan: at every
+    /// bucket shift from 0 to the top byte's, cutoffs at 0, at `2³²`, on
+    /// each bucket's first threshold and one either side, repeated, past
+    /// the last bucket and at `2³² − 1`; and every lookup of the fitted
+    /// shapes, each at its own shift.
+    #[test]
+    fn run_built_tables_match_a_per_bucket_scan() {
+        let end = 1u64 << 32;
+        let mut checked = 0;
+        for shift in 0..=KNOT_BUCKET_SHIFT {
+            let edges = [1u64, 2, 3, 127, 128, 254, 255, 256, 300];
+            let mut cuts = vec![0, 0];
+            for i in edges {
+                let edge = i << shift;
+                cuts.extend([edge.saturating_sub(1), edge, edge, edge + 1]);
+            }
+            cuts.extend([end - 1, end - 1, end, end]);
+            cuts.retain(|&cut| cut <= end);
+            cuts.sort_unstable();
+            let mut table = [0; 256];
+            for class in [
+                &cuts[..],
+                &cuts[..1],
+                &cuts[cuts.len() - 2..],
+                &[],
+                &cuts[3..9],
+            ] {
+                fill_table(class, shift, &mut table);
+                assert_eq!(
+                    table[..],
+                    scanned_table(class, shift),
+                    "shift {shift}, {class:?}"
+                );
+                checked += 1;
+            }
+        }
+        let shapes = fitted_shapes();
+        for cuts in &shapes {
+            for knots in searches(cuts) {
+                for (class, table) in cuts.iter().zip(knots.buckets.chunks_exact(256)) {
+                    assert_eq!(
+                        table,
+                        scanned_table(class, knots.shift),
+                        "shift {}",
+                        knots.shift
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 25 * 5 + shapes.len());
+    }
+
+    /// [`Cover::pick`]'s merge walk picks the cover that building and
+    /// rating every candidate ([`Cover::at`]) picks, ties included, on
+    /// tiles of random cutoffs (few or many, spread or crowded near the
+    /// top, with repeats, zeros and saturated knots) and on the model's
+    /// own tiles along fleet and paper grids.
+    #[test]
+    fn cover_pick_matches_rating_every_candidate() {
+        let end = 1u64 << 32;
+        let rescan = |cuts: &[Vec<u64>; 2]| {
+            let tops = cuts.each_ref().map(|cuts| top_cutoffs(cuts));
+            let cost = |cover: &Cover| {
+                ((cover.len as u64 - 1 + COVER_BASE_COST) << 32) + cover.low * COVER_RESIDUAL_COST
+            };
+            let candidates = tops.iter().flat_map(|(tops, m)| &tops[..*m]);
+            std::iter::once(&0)
+                .chain(candidates)
+                .filter_map(|&low| Cover::at(&tops, low))
+                .min_by_key(cost)
+                .filter(|cover| cost(cover) < HISTOGRAM_COST << 32)
+        };
+        let mut tiles = Vec::new();
+        for i in 0..4000u64 {
+            let class = |salt: u64| {
+                let h = mix64(i ^ salt << 32);
+                let len = 1 + (h % 24) as usize;
+                let mut cuts: Vec<u64> = (0..len as u64)
+                    .map(|k| {
+                        let r = mix64(h ^ k);
+                        match r % 6 {
+                            0 => 0,
+                            1 => end,
+                            2 => end - (r >> 40) % 64,
+                            3 => (r >> 32) >> (r % 32),
+                            _ => (r >> 32) % 16 * (end / 16),
+                        }
+                    })
+                    .collect();
+                cuts.sort_unstable();
+                cuts
+            };
+            let (cuts0, cuts1) = (class(0), class(1));
+            let len = cuts0.len().min(cuts1.len());
+            tiles.push([cuts0[..len].to_vec(), cuts1[..len].to_vec()]);
+            tiles.push([cuts0.clone(), cuts0]);
+        }
+        let grids = [(900, 820, 5), (1200, 810, 10), (1200, 810, 1)];
+        for seed in 0..4 {
+            let inj = FaultInjector::new(
+                FaultModelParams::date21(),
+                HbmGeometry::vcu128_reduced(),
+                seed,
+            );
+            for (from, to, step) in grids {
+                let schedule: Vec<Millivolts> =
+                    (to..=from).rev().step_by(step).map(Millivolts).collect();
+                for i in 0..32 {
+                    for tile in 0..inj.grid.tile_count {
+                        tiles.push(inj.tile_knot_search(pc(i), tile, &schedule).cuts);
+                    }
+                }
+            }
+        }
+        let mut kinds = [0; 3]; // none, threshold 0, above 0
+        for cuts in &tiles {
+            let picked = Cover::pick(cuts);
+            assert_eq!(picked, rescan(cuts), "cuts {cuts:?}");
+            kinds[picked.map_or(0, |cover| 1 + usize::from(cover.low > 0))] += 1;
+        }
+        assert!(kinds.iter().all(|&n| n > 0), "{kinds:?}");
     }
 
     #[test]

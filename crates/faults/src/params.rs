@@ -75,16 +75,19 @@ impl FaultModelParams {
     /// The guardband gate (zero at or above V_min) is applied by callers on
     /// the *raw* supply voltage so that no variation shift can leak faults
     /// into the guardband.
+    ///
+    /// A saturated bulk (`bulk_arg <= 0`) returns 1 without evaluating the
+    /// tail: `(tail + 1).min(1)` is 1 for every tail in `[0, 1]`, and for
+    /// NaN, so the result is the same bits either way.
     #[must_use]
     pub fn class_probability(&self, curve: &ResponseCurve, v: Volts, shift: Volts) -> f64 {
-        let tail = curve.probability(v - shift);
         let bulk_arg =
             v.as_f64() - self.bulk_shift_scale * shift.as_f64() - curve.v_saturation().as_f64();
-        let bulk = if bulk_arg <= 0.0 {
-            1.0
-        } else {
-            10f64.powf(-self.bulk_decades_per_volt * bulk_arg).min(1.0)
-        };
+        if bulk_arg <= 0.0 {
+            return 1.0;
+        }
+        let tail = curve.probability(v - shift);
+        let bulk = 10f64.powf(-self.bulk_decades_per_volt * bulk_arg).min(1.0);
         (tail + bulk).min(1.0)
     }
 
@@ -214,6 +217,42 @@ mod tests {
                 last = c;
             }
         }
+    }
+
+    /// The saturated early return gives the same bits as summing both
+    /// terms, for both curves, on a grid of voltages and shifts that
+    /// includes `bulk_arg == 0` exactly (at `v_sat`, shift 0).
+    #[test]
+    fn saturated_bulk_matches_the_two_term_sum() {
+        let p = FaultModelParams::date21();
+        let two_term = |curve: &ResponseCurve, v: f64, shift: f64| {
+            let tail = curve.probability(Volts(v - shift));
+            let bulk_arg = v - p.bulk_shift_scale * shift - curve.v_saturation().as_f64();
+            let bulk = if bulk_arg <= 0.0 {
+                1.0
+            } else {
+                10f64.powf(-p.bulk_decades_per_volt * bulk_arg).min(1.0)
+            };
+            ((tail + bulk).min(1.0), bulk_arg)
+        };
+        let (mut at_zero, mut saturated) = (0, 0);
+        for curve in [&p.curve_stuck0, &p.curve_stuck1] {
+            let v_sat = curve.v_saturation().as_f64();
+            let voltages = (0..=250)
+                .map(|mv| 0.78 + f64::from(mv) * 1e-3)
+                .chain([v_sat]);
+            for v in voltages {
+                for shift in (-12..=12).map(|k| f64::from(k) * 5e-3) {
+                    let (expected, bulk_arg) = two_term(curve, v, shift);
+                    let got = p.class_probability(curve, Volts(v), Volts(shift));
+                    assert_eq!(got.to_bits(), expected.to_bits(), "v {v}, shift {shift}");
+                    at_zero += usize::from(bulk_arg == 0.0);
+                    saturated += usize::from(bulk_arg < 0.0);
+                }
+            }
+        }
+        assert!(at_zero >= 2, "no grid point has bulk_arg == 0");
+        assert!(saturated > 0);
     }
 
     #[test]
